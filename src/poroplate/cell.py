@@ -280,11 +280,6 @@ class PressureCellOperator:
         return self.reducer.expand(u_red).reshape(-1, 3)
 
 
-def solve_pressure_corrector(op: PressureCellOperator, p0_cell: np.ndarray) -> np.ndarray:
-    """Module-level alias matching the operation map."""
-    return op.solve_pressure_corrector(p0_cell)
-
-
 @dataclass
 class MomentTable:
     """Divergence moments of the correctors and the pressure-corrector map."""

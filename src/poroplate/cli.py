@@ -239,8 +239,6 @@ def build_parser():
     p.add_argument("--config", metavar="PATH", default=None,
                    help="run configuration file (defaults to the built-in demo config)")
     p.add_argument("--out", metavar="DIR", default="out", help="artifact directory")
-    p.add_argument("--threads", type=int, default=None,
-                   help="BLAS thread hint for dense kernels (results identical regardless)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for random-field diagnostics")
     p.add_argument("--budget-dofs", type=int, default=None,
@@ -258,9 +256,6 @@ def main(argv=None) -> int:
         with open(args.write_default_config, "w") as f:
             f.write(DEFAULT_CONFIG_TEXT)
         return EXIT_OK
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         cfg = load_config(args.config) if args.config else default_config()
         if args.seed is not None:

@@ -6,11 +6,27 @@ problem; the oracle discretizes that limit problem monolithically (macro
 fields, per-quadrature-point cell warping, nodal-in-x two-scale pressure) and
 never touches the corrector fields, so agreement between the two paths checks
 the whole cell/homogenization pipeline.
+
+Both paths share the structure of the plate-gel pressure coupling.  The gel
+pressure p0(x', y) is nodal in x' (plate node i) and lives on the gel dofs j
+of the cell; it reaches the plate only through three membrane and three
+bending moments of the cell, so the coupling matrix is rank 6 in Kronecker
+form,
+
+    Gamma[(i, j), V] = sum_k G_k[i, V] v_k[j],   Gamma = sum_k G_k (x) v_k,
+
+with sparse (nn, n_red) plate factors G_k (`plate_coupling_factors`: the
+bilinear shape N_i against the membrane strains and curvatures of V) and cell
+vectors v_k of length ng.  The macro path takes v_k from the divergence
+moments of the correctors, the oracle from its own cell factor.  With the
+pressure blocks M_x (x) S_y the step's Schur term is
+Gamma^T (M_x^-1 (x) S_y^-1) Gamma = sum_{k,l} (v_k . S_y^-1 v_l) G_k^T M_x^-1 G_l
+(`kron_schur`), so no (nn * ng, n_red) block is ever formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -27,7 +43,7 @@ from .cell import (
     MEMBRANE_KEYS,
     _ENG_UNIT,
 )
-from .errors import AssemblyError, BudgetError
+from .errors import AssemblyError, BudgetError, SolverError
 from .fem import elements as el
 from .fem.constraints import Reducer
 from .fem.solvers import DenseFactor
@@ -169,6 +185,162 @@ def eng_to_full(strain_eng: np.ndarray) -> np.ndarray:
     return out
 
 
+# ------------------------------------------------------- plate-gel coupling
+
+
+def _cholesky(M: np.ndarray, what: str):
+    try:
+        return la.cho_factor(M)
+    except la.LinAlgError as exc:
+        raise SolverError(f"{what} is not positive definite ({exc})") from exc
+
+
+def plate_coupling_factors(space: PlateSpace) -> list:
+    """The six sparse (nn, n_red) plate factors G_k of the pressure coupling.
+
+    G_I[i, V] = int N_i m_I(V) dx' and G_{3+I}[i, V] = -int N_i k_I(V) dx' for
+    the engineering membrane strains m(V) and curvatures k(V) of a reduced
+    plate vector V, on the shared plate quadrature rule.
+    """
+    ne = len(space.elem_dofs)
+    w_N = space.qp_w[:, None] * space.N_bil                       # (nq, 4)
+    out = []
+    for B, dofs in ((space.B_mem, space.elem_dofs[:, :8]),
+                    (-space.B_bend, space.elem_dofs[:, 8:])):
+        loc = np.einsum("qa,qIl->Ial", w_N, B)                     # (3, 4, nloc)
+        rows = np.broadcast_to(space.plate.quads[:, :, None], (ne, 4, dofs.shape[1]))
+        cols = np.broadcast_to(dofs[:, None, :], rows.shape)
+        keep = cols >= 0
+        for blk in loc:
+            vals = np.broadcast_to(blk, rows.shape)[keep]
+            out.append(sp.csr_matrix((vals, (rows[keep], cols[keep])),
+                                     shape=(space.n_nodes, space.n_red)))
+    return out
+
+
+def kron_schur(A: np.ndarray, G: list, V: np.ndarray, Mx_factor, Sy_factor) -> np.ndarray:
+    """A + Gamma^T (M_x^-1 (x) S_y^-1) Gamma (symmetrized) for Gamma = sum_k G_k (x) V[k].
+
+    The pressure block splits per pair of cell vectors,
+    sum_{k,l} (V_k . S_y^-1 V_l) G_k^T M_x^-1 G_l: six M_x solves and six
+    sparse-times-dense products, without forming Gamma.
+    """
+    coef = V @ la.cho_solve(Sy_factor, V.T)                        # (6, 6)
+    nn, n_red = G[0].shape
+    Y = la.cho_solve(Mx_factor, sp.hstack(G).toarray()).reshape(nn, len(G), n_red)
+    out = A.copy()
+    for g, c in zip(G, coef):
+        out += g.T @ np.tensordot(Y, c, axes=(1, 0))
+    return 0.5 * (out + out.T)
+
+
+class _CoupledPlateSystem:
+    """Reduced plate dofs W coupled to a two-scale pressure p(x', y), nodal in x'.
+
+    Subclasses set `space`, `ng`, `vol`, `loads`, `biot` and call
+    `_init_pressure`.  The pressure blocks are M_x (x) S_y and the coupling is
+    Gamma = sum_k G_k (x) V[k], applied through its factors; an implicit Euler
+    step eliminates p through the Schur matrix A + Gamma^T (M_x (x) S_y)^-1 Gamma,
+    factored once per step size.  The step cache holds factors only, never a
+    reference to the system.
+    """
+
+    def _init_pressure(self, A: np.ndarray, V: np.ndarray, M_gel_y: np.ndarray,
+                       S_mass_y: np.ndarray, D_y: np.ndarray, w_gel: np.ndarray):
+        sp_ = self.space
+        self._A_plate = A
+        self.G = plate_coupling_factors(sp_)
+        self.V = V
+        self.M_x = plate_mass(sp_)
+        self._M_x_factor = _cholesky(self.M_x, "plate mass matrix")
+        self.M_gel_y = M_gel_y
+        self.S_mass_y = S_mass_y
+        self.D_y = D_y
+        self.w_gel = w_gel
+        self.f_parts = _plate_load_parts(sp_, self.loads)
+        self.h_parts = _pressure_load_parts(sp_, self.loads, w_gel, self.vol)
+        self._step_cache = {}
+
+    @property
+    def Gamma(self) -> sp.csr_matrix:
+        """Sparse Gamma = sum_k G_k (x) V[k]; row (plate node i, gel dof j) is i * ng + j."""
+        return sum(sp.kron(g, v[:, None], format="csr") for g, v in zip(self.G, self.V))
+
+    def _G_apply(self, W: np.ndarray) -> np.ndarray:
+        """(nn, 6) columns G_k W."""
+        return np.stack([g @ W for g in self.G], axis=1)
+
+    def gamma_apply(self, W: np.ndarray) -> np.ndarray:
+        """Gamma W = sum_k (G_k W) (x) V[k]."""
+        return (self._G_apply(W) @ self.V).reshape(-1)
+
+    def gamma_T_apply(self, p: np.ndarray) -> np.ndarray:
+        """Gamma^T p = sum_k G_k^T (P V[k]) for p laid out as P (nn, ng)."""
+        PV = p.reshape(self.space.n_nodes, self.ng) @ self.V.T           # (nn, 6)
+        return sum(g.T @ PV[:, k] for k, g in enumerate(self.G))
+
+    def _kron_apply(self, Ax: np.ndarray, Sy: np.ndarray, p: np.ndarray) -> np.ndarray:
+        X = p.reshape(self.space.n_nodes, self.ng)
+        return (Ax @ X @ Sy.T).reshape(-1)
+
+    def mass_apply(self, p: np.ndarray) -> np.ndarray:
+        return self._kron_apply(self.M_x, self.S_mass_y, p)
+
+    def F_W(self, t: float) -> np.ndarray:
+        return _eval_parts(self.f_parts, t, self.space.n_red)
+
+    def H(self, t: float) -> np.ndarray:
+        return _eval_parts(self.h_parts, t, self.space.n_nodes * self.ng)
+
+    def _initial_W(self) -> np.ndarray:
+        """Static plate response A W = F(0) of the initial state (p = 0)."""
+        F0 = self.F_W(0.0)
+        if np.linalg.norm(F0) > 0.0:
+            return la.solve(self._A_plate, F0, assume_a="pos")
+        return np.zeros(self.space.n_red)
+
+    def _prepare_step(self, dt: float):
+        """(Schur factor, S_y Cholesky factor, S_y^-1 V^T) for the step size dt, cached."""
+        if dt <= 0.0:
+            raise AssemblyError(f"time step must be positive, got {dt}")
+        key = round(dt, 15)
+        if key not in self._step_cache:
+            Sy = _cholesky(self.S_mass_y + dt * self.D_y, "cell pressure block")
+            A = kron_schur(self._A_plate, self.G, self.V, self._M_x_factor, Sy)
+            self._step_cache[key] = (DenseFactor(A), Sy, la.cho_solve(Sy, self.V.T))
+        return self._step_cache[key]
+
+    def _S_inv(self, Sy_factor, p: np.ndarray) -> np.ndarray:
+        """(M_x (x) S_y)^-1 p."""
+        X = la.cho_solve(self._M_x_factor, p.reshape(self.space.n_nodes, self.ng))
+        return la.cho_solve(Sy_factor, X.T).T.reshape(-1)
+
+    def _solve_step(self, dt: float, t1: float, b2: np.ndarray):
+        """W1 and p1 (nn, ng) of  A W1 - Gamma^T p1 = F(t1),  Gamma W1 + S p1 = b2."""
+        factor, Sy, SyV = self._prepare_step(dt)
+        q = self._S_inv(Sy, b2)
+        W1 = factor.solve(self.F_W(t1) + self.gamma_T_apply(q))
+        # p1 = q - S^-1 Gamma W1, with S^-1 Gamma W1 = sum_k (M_x^-1 G_k W1) (x) (S_y^-1 V[k])
+        MGW = la.cho_solve(self._M_x_factor, self._G_apply(W1))
+        return W1, q.reshape(self.space.n_nodes, self.ng) - MGW @ SyV.T
+
+    def norms(self, state) -> dict:
+        p = state.p.reshape(-1)
+        pm = (state.p @ self.w_gel) / self.vol
+        return {
+            "t": state.t,
+            "Wm": float(np.sqrt(sum(state.Wm[:, c] @ (self.M_x @ state.Wm[:, c]) for c in range(2)))),
+            "W3": float(np.sqrt(state.W3 @ (self.M_x @ state.W3))),
+            "p0": float(np.sqrt(max(p @ self._kron_apply(self.M_x, self.M_gel_y, p), 0.0))),
+            "p_m": float(np.sqrt(max(pm @ (self.M_x @ pm), 0.0))),
+            "energy": self.energy(state),
+        }
+
+
+# traces of the unit membrane strains M^11, M^22, M^12 (engineering order)
+_TRACE = np.array([1.0, 1.0, 0.0])[:, None]
+
+
 # ------------------------------------------------------------- macro system
 
 
@@ -191,7 +363,7 @@ class MacroState:
         return (self.p @ w_gel) / cell_volume
 
 
-class MacroSystem:
+class MacroSystem(_CoupledPlateSystem):
     """Assembled homogenized plate/pressure system with cached step factors."""
 
     def __init__(self, hom: HomogenizedTensor, op: PressureCellOperator,
@@ -221,207 +393,38 @@ class MacroSystem:
         scatter_local(self.A_W, sp_.elem_dofs,
                       np.broadcast_to(loc, (len(sp_.elem_dofs), 24, 24)))
 
-        # coupling vectors c_m, c_b on gel dofs (divergence moments + traces)
-        alpha = biot.alpha
-        self.cm = np.stack([moments.vec("m", *k) + (op.w if k[0] == k[1] else 0.0)
-                            for k in MEMBRANE_KEYS])
-        self.cb = np.stack([moments.vec("b", *k) + (op.w3 if k[0] == k[1] else 0.0)
-                            for k in MEMBRANE_KEYS])
-        # Gamma[(i,j), wdof]: coupling of p dof (node i, gel j) with plate dofs
-        self.Gamma = self._assemble_gamma()
-
-        # pressure blocks (Kronecker structure M_x x S_y)
-        self.M_x = plate_mass(sp_)
-        self.S_mass_y = (biot.c * op.M_gel.toarray() + alpha**2 * op.N) / self.vol
-        self.D_y = op.D_gel.toarray() / self.vol
-        self.N_y = op.N
-
-        self.f_parts = self._plate_load_parts()
-        self.h_parts = self._pressure_load_parts()
-        self._step_cache = {}
-        self._A_W_factor = DenseFactor(self.A_W) if sp_.n_red else None
-
-    # ------------------------------------------------------------- assembly
-
-    def _assemble_gamma(self) -> sp.csr_matrix:
-        """Gamma[(i,j), wdof] = (alpha/|Ycell|) int N_i(x') [m_V.c_m - k_V.c_b]_j."""
-        sp_ = self.space
-        ng = self.ng
-        nn = sp_.n_nodes
-        nq = len(sp_.qp_w)
-        blocks = np.zeros((nq, 24, ng))
-        for q in range(nq):
-            blocks[q, :8] = sp_.B_mem[q].T @ self.cm
-            blocks[q, 8:] = -sp_.B_bend[q].T @ self.cb
-            blocks[q] *= self.biot.alpha / self.vol * sp_.qp_w[q]
-        # per element: entry[(node_a, j), wdof_l] = sum_q N_bil[q,a] * blocks[q,l,j]
-        per_elem = np.einsum("qa,qlj->alj", sp_.N_bil, blocks)  # (4, 24, ng)
-        rows_all, cols_all, vals_all = [], [], []
-        jj = np.arange(ng)
-        for e, conn in enumerate(sp_.plate.quads):
-            dofs = sp_.elem_dofs[e]
-            mask = dofs >= 0
-            sub = per_elem[:, mask, :]            # (4, nloc, ng)
-            nloc = int(mask.sum())
-            r = np.repeat(conn[:, None, None] * ng + jj[None, None, :], nloc, axis=1)
-            c = np.broadcast_to(dofs[mask][None, :, None], sub.shape)
-            rows_all.append(r.ravel())
-            cols_all.append(np.ascontiguousarray(c).ravel())
-            vals_all.append(sub.transpose(0, 1, 2).copy().ravel())
-        G = sp.coo_matrix(
-            (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-            shape=(nn * ng, sp_.n_red),
-        ).tocsr()
-        G.sum_duplicates()
-        return G
-
-    def _plate_load_parts(self):
-        """Reduced load vectors per time degree: int (f1 V1 + f2 V2 + f3 V3)."""
-        sp_ = self.space
-        qpc = sp_.qp_coords()  # (ne, nq, 2)
-        parts = []
-        for comp, poly in enumerate(self.loads.components()):
-            for deg in range(poly.max_t_degree() + 1):
-                terms = [(cc, p1, p2) for (cc, p1, p2, pt) in poly.terms if pt == deg and cc != 0.0]
-                if not terms:
-                    continue
-                fv = np.zeros(qpc.shape[:2])
-                for cc, p1, p2 in terms:
-                    fv += cc * qpc[..., 0] ** p1 * qpc[..., 1] ** p2
-                loc = np.zeros((len(sp_.elem_dofs), 24))
-                if comp < 2:
-                    loc[:, comp:8:2] = np.einsum("q,qa,eq->ea", sp_.qp_w, sp_.N_bil, fv)
-                else:
-                    loc[:, 8:] = np.einsum("q,qa,eq->ea", sp_.qp_w, sp_.N_bfs, fv)
-                F = np.zeros(sp_.n_red)
-                scatter_vector(F, sp_.elem_dofs, loc)
-                parts.append((deg, poly.t_off, F))
-        return parts
-
-    def _pressure_load_parts(self):
-        """(1/|Ycell|) int h phi on the p dofs, per time degree."""
-        sp_ = self.space
-        qpc = sp_.qp_coords()
-        poly = self.loads.h
-        parts = []
-        for deg in range(poly.max_t_degree() + 1):
-            terms = [(cc, p1, p2) for (cc, p1, p2, pt) in poly.terms if pt == deg and cc != 0.0]
-            if not terms:
-                continue
-            hv = np.zeros(qpc.shape[:2])
-            for cc, p1, p2 in terms:
-                hv += cc * qpc[..., 0] ** p1 * qpc[..., 1] ** p2
-            hx = np.zeros(sp_.n_nodes)
-            loc = np.einsum("q,qa,eq->ea", sp_.qp_w, sp_.N_bil, hv)
-            np.add.at(hx, sp_.plate.quads.ravel(), loc.ravel())
-            H = np.outer(hx, self.op.w).reshape(-1) / self.vol
-            parts.append((deg, poly.t_off, H))
-        return parts
-
-    @staticmethod
-    def _eval_parts(parts, t, n):
-        out = np.zeros(n)
-        for deg, t_off, vec in parts:
-            if t_off is not None and t > t_off + 1e-12:
-                continue
-            out += vec * t**deg
-        return out
-
-    def F_W(self, t: float) -> np.ndarray:
-        return self._eval_parts(self.f_parts, t, self.space.n_red)
-
-    def H(self, t: float) -> np.ndarray:
-        return self._eval_parts(self.h_parts, t, self.space.n_nodes * self.ng)
-
-    # ------------------------------------------------------------- stepping
-
-    def n_p(self) -> int:
-        return self.space.n_nodes * self.ng
-
-    def _kron_apply(self, Ax: np.ndarray, Sy: np.ndarray, p: np.ndarray) -> np.ndarray:
-        X = p.reshape(self.space.n_nodes, self.ng)
-        return (Ax @ X @ Sy.T).reshape(-1)
-
-    def mass_apply(self, p: np.ndarray) -> np.ndarray:
-        return self._kron_apply(self.M_x, self.S_mass_y, p)
-
-    def _prepare_step(self, dt: float):
-        key = round(dt, 15)
-        if key in self._step_cache:
-            return self._step_cache[key]
-        S_y = self.S_mass_y + dt * self.D_y
-        S_y_inv = la.inv(S_y)
-        M_x_inv = la.inv(self.M_x)
-
-        def S_inv(p):
-            X = p.reshape(self.space.n_nodes, self.ng)
-            return (M_x_inv @ X @ S_y_inv.T).reshape(-1)
-
-        # A_schur = A_W + Gamma^T S^-1 Gamma, built column-block-wise
-        n_red = self.space.n_red
-        A_schur = self.A_W.copy()
-        G = self.Gamma
-        chunk = max(1, 50_000_000 // max(1, 8 * G.shape[0]))
-        for start in range(0, n_red, chunk):
-            cols = np.arange(start, min(start + chunk, n_red))
-            Gc = G[:, cols].toarray()
-            X = Gc.reshape(self.space.n_nodes, self.ng, len(cols))
-            Y = np.einsum("ab,bgk->agk", M_x_inv, X)
-            Y = np.einsum("agk,gh->ahk", Y, S_y_inv)
-            A_schur[:, cols] += G.T @ Y.reshape(-1, len(cols))
-        A_schur = 0.5 * (A_schur + A_schur.T)
-        entry = (DenseFactor(A_schur), S_inv)
-        self._step_cache[key] = entry
-        return entry
+        # cell vectors of the coupling: divergence moments plus the traces
+        # int phi and int y3 phi, scaled by alpha / |Ycell|
+        cm = np.stack([moments.vec("m", *k) for k in MEMBRANE_KEYS]) + _TRACE * op.w
+        cb = np.stack([moments.vec("b", *k) for k in MEMBRANE_KEYS]) + _TRACE * op.w3
+        M_gel = op.M_gel.toarray()
+        self._init_pressure(
+            self.A_W, biot.alpha / self.vol * np.vstack([cm, cb]), M_gel,
+            (biot.c * M_gel + biot.alpha**2 * op.N) / self.vol,
+            op.D_gel.toarray() / self.vol, op.w)
 
     def initial_state(self) -> MacroState:
-        F0 = self.F_W(0.0)
-        if np.linalg.norm(F0) > 0.0 and self._A_W_factor is not None:
-            W_red = self._A_W_factor.solve(F0)
-        else:
-            W_red = np.zeros(self.space.n_red)
+        W_red = self._initial_W()
         Wm, Wb = self.space.expand(W_red)
         return MacroState(t=0.0, Wm=Wm, Wb=Wb,
                           p=np.zeros((self.space.n_nodes, self.ng)), W_red=W_red)
 
     def step(self, state: MacroState, dt: float) -> MacroState:
-        if dt <= 0.0:
-            raise AssemblyError(f"time step must be positive, got {dt}")
         t1 = state.t + dt
-        factor, S_inv = self._prepare_step(dt)
         W_red = state.W_red if state.W_red is not None else self.space.restrict(state.Wm, state.Wb)
-        p_flat = state.p.reshape(-1)
-        b2 = dt * self.H(t1) + self.mass_apply(p_flat) + self.Gamma @ W_red
-        rhs = self.F_W(t1) + self.Gamma.T @ S_inv(b2)
-        W1 = factor.solve(rhs)
-        p1 = S_inv(b2 - self.Gamma @ W1)
+        b2 = dt * self.H(t1) + self.mass_apply(state.p.reshape(-1)) + self.gamma_apply(W_red)
+        W1, p1 = self._solve_step(dt, t1, b2)
         Wm, Wb = self.space.expand(W1)
-        return MacroState(t=t1, Wm=Wm, Wb=Wb, p=p1.reshape(self.space.n_nodes, self.ng),
-                          W_red=W1)
-
-    # ----------------------------------------------------------- observables
+        return MacroState(t=t1, Wm=Wm, Wb=Wb, p=p1, W_red=W1)
 
     def energy(self, state: MacroState) -> float:
         """c ||p0||^2_{L2(omega x gel)} + corrected homogenized elastic energy."""
         W_red = state.W_red if state.W_red is not None else self.space.restrict(state.Wm, state.Wb)
         p = state.p.reshape(-1)
-        c_term = self.biot.c * float(p @ self._kron_apply(self.M_x, self.op.M_gel.toarray(), p))
+        c_term = self.biot.c * float(p @ self._kron_apply(self.M_x, self.M_gel_y, p))
         el_W = float(W_red @ (self.A_W @ W_red))
-        el_p = self.biot.alpha**2 / self.vol * float(p @ self._kron_apply(self.M_x, self.N_y, p))
+        el_p = self.biot.alpha**2 / self.vol * float(p @ self._kron_apply(self.M_x, self.op.N, p))
         return c_term + el_W + el_p
-
-    def norms(self, state: MacroState) -> dict:
-        p = state.p.reshape(-1)
-        pm = state.p_mean(self.op.w, self.vol)
-        Mgel = self.op.M_gel.toarray()
-        return {
-            "t": state.t,
-            "Wm": float(np.sqrt(sum(state.Wm[:, c] @ (self.M_x @ state.Wm[:, c]) for c in range(2)))),
-            "W3": float(np.sqrt(state.W3 @ (self.M_x @ state.W3))),
-            "p0": float(np.sqrt(max(p @ self._kron_apply(self.M_x, Mgel, p), 0.0))),
-            "p_m": float(np.sqrt(max(pm @ (self.M_x @ pm), 0.0))),
-            "energy": self.energy(state),
-        }
 
 
 def assemble_macro(hom: HomogenizedTensor, op: PressureCellOperator, moments: MomentTable,
@@ -464,12 +467,15 @@ class TwoScaleState:
         return self.Wb[:, 0]
 
 
-class MupSystem:
+class MupSystem(_CoupledPlateSystem):
     """Monolithic discretization of the re-scaled unfolded limit problem.
 
     Warping unknowns live per macro quadrature point in the reduced periodic
     mean-zero cell space and are eliminated per step through one shared dense
     factorization; no corrector fields or homogenized coefficients are used.
+    The W-p coupling of the eliminated system is -Gamma^T with the same plate
+    factors G_k as the macro path and cell vectors from this system's own cell
+    factor.
     """
 
     def __init__(self, cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,
@@ -498,11 +504,10 @@ class MupSystem:
                 f"two-scale oracle needs {total} dofs, over the budget of {budget_dofs}")
 
         K = fem.assemble_elastic_stiffness(cell_mesh, hooke)
-        K_red = red.reduce_matrix(K)
-        self.K_red = K_red
+        self.K_red = red.reduce_matrix(K).toarray()   # dense: the energy applies it to nq*ne fields
         Wrows = np.stack([w for (w, _, _) in red.mean_zero])
         ext = np.zeros((nred + 3, nred + 3))
-        ext[:nred, :nred] = K_red.toarray()
+        ext[:nred, :nred] = self.K_red
         ext[:nred, nred:] = Wrows.T
         ext[nred:, :nred] = Wrows
         self._cell_factor = DenseFactor(ext)
@@ -520,9 +525,10 @@ class MupSystem:
         C_full = fem.assemble_divergence_coupling(cell_mesh, gel_nodes=gel_nodes)
         self.C_red = (C_full @ red.P).tocsr()
         gel_mask = cell_mesh.phase == GEL
-        self.M_gel = fem.assemble_scalar_mass(cell_mesh, elems_mask=gel_mask, nodes=gel_nodes)
-        self.D_gel = fem.assemble_scalar_diffusion(cell_mesh, biot.K, elems_mask=gel_mask,
-                                                   nodes=gel_nodes)
+        M_gel = fem.assemble_scalar_mass(cell_mesh, elems_mask=gel_mask,
+                                         nodes=gel_nodes).toarray()
+        D_gel = fem.assemble_scalar_diffusion(cell_mesh, biot.K, elems_mask=gel_mask,
+                                              nodes=gel_nodes).toarray()
         self.w = fem.lumped_weights(cell_mesh, elems_mask=gel_mask, nodes=gel_nodes)
         self.w3 = fem.lumped_weights(cell_mesh, elems_mask=gel_mask, nodes=gel_nodes,
                                      weight=lambda x, y, z: z)
@@ -536,7 +542,6 @@ class MupSystem:
         alpha = biot.alpha
         self.R_E = np.empty((nq, nred, 24))
         self.T_E = np.empty((nq, nred, 24))
-        self.CTE = np.empty((nq, self.ng, 24))
         P_loc = np.zeros((nq, 24, 24))
         for q in range(nq):
             Bm, Bb = sp_.B_mem[q], sp_.B_bend[q]
@@ -545,46 +550,25 @@ class MupSystem:
             RE[:, 8:] = -self.r_b.T @ Bb
             self.R_E[q] = RE
             self.T_E[q] = self.cell_solve(RE)
-            self.CTE[q] = np.asarray(self.C_red @ self.T_E[q])
             P_loc[q, :8, :8] = Bm.T @ self.P0 @ Bm
             P_loc[q, :8, 8:] = -Bm.T @ self.P1 @ Bb
             P_loc[q, 8:, :8] = -Bb.T @ self.P1 @ Bm
             P_loc[q, 8:, 8:] = Bb.T @ self.P2 @ Bb
-        self.P_loc = P_loc
 
         # reduced elastic operator on W: A_WW - sum wtilde R_E^T T_E
         wt = sp_.qp_w / self.vol
-        loc = np.einsum("q,qab->ab", wt, P_loc)
-        loc -= np.einsum("q,qna,qnb->ab", wt, self.R_E, self.T_E)
+        self._P_bar = np.einsum("q,qab->ab", wt, P_loc)
+        loc = self._P_bar - np.einsum("q,qna,qnb->ab", wt, self.R_E, self.T_E)
         self.S_WW = np.zeros((sp_.n_red, sp_.n_red))
         scatter_local(self.S_WW, sp_.elem_dofs, np.broadcast_to(loc, (ne, 24, 24)))
 
-        # W-p coupling S_Wp (dense): elastic u_P part + direct pressure part
-        npre = sp_.n_nodes * self.ng
-        self.S_Wp = np.zeros((sp_.n_red, npre))
-        RU = np.einsum("qna,nj->qaj", self.R_E, self.U_C)   # (nq, 24, ng)
-        for q in range(nq):
-            blk = alpha * wt[q] * RU[q]
-            tr_m = sp_.B_mem[q][0] + sp_.B_mem[q][1]        # (8,)
-            tr_b = sp_.B_bend[q][0] + sp_.B_bend[q][1]      # (16,)
-            direct = np.zeros((24, self.ng))
-            direct[:8] = -alpha / self.vol * sp_.qp_w[q] * np.outer(tr_m, self.w)
-            direct[8:] = alpha / self.vol * sp_.qp_w[q] * np.outer(tr_b, self.w3)
-            blk = blk + direct
-            for e, conn in enumerate(sp_.plate.quads):
-                dofs = sp_.elem_dofs[e]
-                mask = dofs >= 0
-                contrib = np.einsum("a,lj->alj", sp_.N_bil[q], blk[mask])
-                pcols = (conn[:, None] * self.ng + np.arange(self.ng)[None, :])
-                for a in range(4):
-                    self.S_Wp[np.ix_(dofs[mask], pcols[a])] += contrib[a]
-
-        self.M_x = plate_mass(sp_)
-        self.S_mass_y = (biot.c * self.M_gel.toarray() + alpha**2 * self.N_cell) / self.vol
-        self.D_y = self.D_gel.toarray() / self.vol
-        self.f_parts = _plate_load_parts(sp_, self.loads)
-        self.h_parts = _pressure_load_parts(sp_, self.loads, self.w, self.vol)
-        self._step_cache = {}
+        # W-p coupling: the elastic u_P part r.U_C and the direct trace part
+        # int phi, int y3 phi of each unit strain, per plate factor G_k
+        V = alpha / self.vol * np.vstack([_TRACE * self.w - self.r_m @ self.U_C,
+                                          _TRACE * self.w3 - self.r_b @ self.U_C])
+        self._init_pressure(self.S_WW, V, M_gel,
+                            (biot.c * M_gel + alpha**2 * self.N_cell) / self.vol,
+                            D_gel / self.vol, self.w)
 
     # ---------------------------------------------------------------- pieces
 
@@ -593,41 +577,6 @@ class MupSystem:
         pad = np.zeros((3,) + rhs_red.shape[1:])
         ext = np.concatenate([rhs_red, pad], axis=0)
         return self._cell_factor.solve(ext)[: self._nred]
-
-    def _kron_apply(self, Ax, Sy, p):
-        X = p.reshape(self.space.n_nodes, self.ng)
-        return (Ax @ X @ Sy.T).reshape(-1)
-
-    def mass_apply(self, p):
-        return self._kron_apply(self.M_x, self.S_mass_y, p)
-
-    def F_W(self, t):
-        return MacroSystem._eval_parts(self.f_parts, t, self.space.n_red)
-
-    def H(self, t):
-        return MacroSystem._eval_parts(self.h_parts, t, self.space.n_nodes * self.ng)
-
-    def _prepare_step(self, dt):
-        key = round(dt, 15)
-        if key in self._step_cache:
-            return self._step_cache[key]
-        S_y = self.S_mass_y + dt * self.D_y
-        S_y_inv = la.inv(S_y)
-        M_x_inv = la.inv(self.M_x)
-
-        def S_inv(p):
-            X = p.reshape(self.space.n_nodes, self.ng)
-            return (M_x_inv @ X @ S_y_inv.T).reshape(-1)
-
-        A = self.S_WW.copy()
-        cols = self.S_Wp.T.reshape(self.space.n_nodes, self.ng, -1)
-        Y = np.einsum("ab,bgk->agk", M_x_inv, cols)
-        Y = np.einsum("agk,gh->ahk", Y, S_y_inv)
-        A += self.S_Wp @ Y.reshape(-1, self.space.n_red)
-        A = 0.5 * (A + A.T)
-        entry = (DenseFactor(A), S_inv)
-        self._step_cache[key] = entry
-        return entry
 
     def _local_W(self, W_red):
         """(ne, 24) local reduced coefficients (zeros at clamped dofs)."""
@@ -686,11 +635,7 @@ class MupSystem:
     # --------------------------------------------------------------- driver
 
     def initial_state(self) -> TwoScaleState:
-        F0 = self.F_W(0.0)
-        if np.linalg.norm(F0) > 0.0:
-            W_red = la.solve(self.S_WW, F0, assume_a="pos")
-        else:
-            W_red = np.zeros(self.space.n_red)
+        W_red = self._initial_W()
         p = np.zeros((self.space.n_nodes, self.ng))
         ubar = self.recover_ubar(W_red, p.reshape(-1))
         Wm, Wb = self.space.expand(W_red)
@@ -698,53 +643,46 @@ class MupSystem:
 
     def step(self, state: TwoScaleState, dt: float) -> TwoScaleState:
         t1 = state.t + dt
-        factor, S_inv = self._prepare_step(dt)
-        W_red = state.W_red
         p_flat = state.p.reshape(-1)
         # b2 collects: dt H + mass p^n + couplings at t^n (W and ubar parts)
         b2 = dt * self.H(t1) + self._kron_apply(
-            self.M_x, (self.biot.c * self.M_gel.toarray()) / self.vol, p_flat)
-        b2 += self._coupling_from_ubar(state.ubar) + self._coupling_from_W(W_red)
-        rhs = self.F_W(t1) - self.S_Wp @ S_inv(b2)
-        W1 = factor.solve(rhs)
-        p1 = S_inv(b2 + self.S_Wp.T @ W1)
-        ubar1 = self.recover_ubar(W1, p1)
+            self.M_x, (self.biot.c * self.M_gel_y) / self.vol, p_flat)
+        b2 += self._coupling_from_ubar(state.ubar) + self._coupling_from_W(state.W_red)
+        W1, p1 = self._solve_step(dt, t1, b2)
+        ubar1 = self.recover_ubar(W1, p1.reshape(-1))
         Wm, Wb = self.space.expand(W1)
-        return TwoScaleState(t=t1, Wm=Wm, Wb=Wb, p=p1.reshape(self.space.n_nodes, self.ng),
-                             ubar=ubar1, W_red=W1)
+        return TwoScaleState(t=t1, Wm=Wm, Wb=Wb, p=p1, ubar=ubar1, W_red=W1)
 
     def energy(self, state: TwoScaleState) -> float:
-        """c ||p0||^2 + (1/|Y|) || E(W) + e_y(ubar) ||_A^2 of the oracle state."""
-        sp_ = self.space
+        """c ||p0||^2 + (1/|Y|) || E(W) + e_y(ubar) ||_A^2 of the oracle state.
+
+        Per quadrature point q the elastic part is
+        w_q/|Y| (W.P_q.W + 2 W.R_q^T.u_q + u_q.K.u_q) with u_q = ubar[:, q].
+        """
         p = state.p.reshape(-1)
-        c_term = self.biot.c * float(
-            p @ self._kron_apply(self.M_x, self.M_gel.toarray(), p))
+        c_term = self.biot.c * float(p @ self._kron_apply(self.M_x, self.M_gel_y, p))
         Wloc = self._local_W(state.W_red)
-        wt = sp_.qp_w / self.vol
-        elastic = 0.0
-        for q in range(len(sp_.qp_w)):
-            u = state.ubar[:, q, :]
-            elastic += wt[q] * float(
-                np.einsum("ea,ab,eb->", Wloc, self.P_loc[q], Wloc)
-                + 2.0 * np.einsum("ea,na,en->", Wloc, self.R_E[q], u)
-                + np.einsum("en,en->", (self.K_red @ u.T).T, u)
-            )
+        u = state.ubar
+        ne, nq, nred = u.shape
+        RW = (Wloc @ self.R_E.reshape(nq * nred, 24).T).reshape(ne, nq, nred)
+        KU = (u.reshape(-1, nred) @ self.K_red).reshape(u.shape)
+        wt = self.space.qp_w / self.vol
+        elastic = (float(np.sum((Wloc @ self._P_bar) * Wloc))
+                   + float(wt @ np.sum((2.0 * RW + KU) * u, axis=(0, 2))))
         return c_term + elastic
 
-    def norms(self, state: TwoScaleState) -> dict:
-        p = state.p.reshape(-1)
-        pm = (state.p @ self.w) / self.vol
-        return {
-            "t": state.t,
-            "Wm": float(np.sqrt(sum(state.Wm[:, c] @ (self.M_x @ state.Wm[:, c]) for c in range(2)))),
-            "W3": float(np.sqrt(state.W3 @ (self.M_x @ state.W3))),
-            "p0": float(np.sqrt(max(p @ self._kron_apply(self.M_x, self.M_gel.toarray(), p), 0.0))),
-            "p_m": float(np.sqrt(max(pm @ (self.M_x @ pm), 0.0))),
-            "energy": self.energy(state),
-        }
+
+def _eval_parts(parts, t, n):
+    out = np.zeros(n)
+    for deg, t_off, vec in parts:
+        if t_off is not None and t > t_off + 1e-12:
+            continue
+        out += vec * t**deg
+    return out
 
 
 def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
+    """Reduced load vectors per time degree: int (f1 V1 + f2 V2 + f3 V3)."""
     qpc = space.qp_coords()
     parts = []
     for comp, poly in enumerate(loads.components()):
@@ -767,6 +705,7 @@ def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
 
 
 def _pressure_load_parts(space: PlateSpace, loads: LoadSpec, w_gel: np.ndarray, vol: float):
+    """(1/|Ycell|) int h phi on the p dofs, per time degree."""
     qpc = space.qp_coords()
     poly = loads.h
     parts = []
@@ -1004,7 +943,3 @@ def norm_equivalence_spectrum(cell_mesh: CellMesh):
     vals = la.eigh(0.5 * (A + A.T), 0.5 * (B + B.T), eigvals_only=True)
     return float(vals[0]), float(vals[-1])
 
-
-def step_macro(msys: MacroSystem, state: MacroState, dt: float) -> MacroState:
-    """One implicit Euler step of the homogenized system (operation alias)."""
-    return msys.step(state, dt)

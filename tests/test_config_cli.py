@@ -85,6 +85,12 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_cli_has_no_threads_flag():
+    # the BLAS pool is sized when numpy loads, so a flag could not change it
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["cell", "--threads", "2"])
+
+
 def test_cli_micro_deterministic_rerun(tmp_path):
     cfgp = tmp_path / "tiny.cfg"
     cfgp.write_text(TINY)

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
 
 from poroplate import twoscale
 from poroplate.cell import (
+    MEMBRANE_KEYS,
     PressureCellOperator,
     compute_homogenized,
     divergence_moments,
@@ -273,6 +279,133 @@ def test_mup_alpha_zero_warping_is_corrector_reconstruction(
             worst = max(worst, np.abs(st.ubar[e, q] - u_d).max())
     scale = max(np.abs(st.ubar).max(), 1e-30)
     assert worst < 1e-8 * scale
+
+
+# ------------------------------------------------------- Kronecker coupling
+
+
+@pytest.fixture(scope="module")
+def coupled_m3(cell_pipeline, cell_mesh4, two_phase_hooke, biot, ramp_loads):
+    cs, hom, op, mom = cell_pipeline
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3)
+    msys = twoscale.assemble_macro(hom, op, mom, plate, biot, ramp_loads)
+    osys = twoscale.MupSystem(cell_mesh4, plate, two_phase_hooke, biot, ramp_loads)
+    return op, mom, msys, osys
+
+
+def _element_loop_gamma(space, cm, cb, scale):
+    """Gamma[(i, j), V] = scale sum_e sum_q w_q N_i(q) [m(V).cm - k(V).cb]_j."""
+    ng = cm.shape[1]
+    G = np.zeros((space.n_nodes * ng, space.n_red))
+    for e, conn in enumerate(space.plate.quads):
+        for q in range(len(space.qp_w)):
+            blk = np.concatenate([space.B_mem[q].T @ cm, -space.B_bend[q].T @ cb])  # (24, ng)
+            for a in range(4):
+                rows = slice(conn[a] * ng, (conn[a] + 1) * ng)
+                for l, dof in enumerate(space.elem_dofs[e]):
+                    if dof >= 0:
+                        G[rows, dof] += scale * space.qp_w[q] * space.N_bil[q, a] * blk[l]
+    return G
+
+
+def _macro_gamma_reference(op, mom, msys, biot):
+    trace = np.array([1.0, 1.0, 0.0])[:, None]
+    cm = np.stack([mom.vec("m", *k) for k in MEMBRANE_KEYS]) + trace * op.w
+    cb = np.stack([mom.vec("b", *k) for k in MEMBRANE_KEYS]) + trace * op.w3
+    return _element_loop_gamma(msys.space, cm, cb, biot.alpha / op.cell_volume)
+
+
+def test_kronecker_gamma_matches_element_loop(coupled_m3, biot):
+    op, mom, msys, _ = coupled_m3
+    ref = _macro_gamma_reference(op, mom, msys, biot)
+    assert sp.issparse(msys.Gamma)
+    assert np.abs(msys.Gamma.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_kronecker_schur_matches_dense(coupled_m3, biot):
+    op, mom, msys, _ = coupled_m3
+    dt = float(np.random.default_rng(7).uniform(0.01, 1.0))
+    S_y = msys.S_mass_y + dt * msys.D_y
+    G = _macro_gamma_reference(op, mom, msys, biot)
+    dense = msys.A_W + G.T @ np.kron(np.linalg.inv(msys.M_x), np.linalg.inv(S_y)) @ G
+    got = twoscale.kron_schur(msys.A_W, msys.G, msys.V, la.cho_factor(msys.M_x),
+                              la.cho_factor(S_y))
+    assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_oracle_coupling_matches_macro(coupled_m3, biot):
+    # the oracle eliminates p through -Gamma_o^T built from its own cell
+    # factor; it must agree with the corrector-moment Gamma of the macro path
+    op, mom, msys, osys = coupled_m3
+    ref = _macro_gamma_reference(op, mom, msys, biot)
+    assert np.abs(osys.Gamma.toarray() - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def test_oracle_coupling_matches_its_warping_coupling(coupled_m3):
+    # Gamma_o W equals the oracle's explicit coupling of a pressure-free state:
+    # the direct trace part plus C ubar of the recovered warping
+    _, _, _, osys = coupled_m3
+    W = np.random.default_rng(3).standard_normal(osys.space.n_red)
+    ubar = osys.recover_ubar(W, np.zeros(osys.space.n_nodes * osys.ng))
+    explicit = osys._coupling_from_ubar(ubar) + osys._coupling_from_W(W)
+    got = osys.Gamma @ W
+    assert np.abs(got - explicit).max() <= 1e-8 * np.abs(explicit).max()
+
+
+def test_mup_energy_matches_per_qp_sum(cell_mesh4, two_phase_hooke, biot, ramp_loads):
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3)
+    osys, states, _ = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
+                                                ramp_loads, 0.5, 2)
+    st = states[-1]
+    space = osys.space
+    Wloc = osys._local_W(st.W_red)
+    K = osys.K_red
+    elastic = 0.0
+    for e in range(len(space.elem_dofs)):
+        for q in range(len(space.qp_w)):
+            m = space.B_mem[q] @ Wloc[e, :8]
+            k = space.B_bend[q] @ Wloc[e, 8:]
+            u = st.ubar[e, q]
+            quad = (m @ osys.P0 @ m - 2.0 * m @ osys.P1 @ k + k @ osys.P2 @ k
+                    + 2.0 * (m @ osys.r_m - k @ osys.r_b) @ u + u @ K @ u)
+            elastic += space.qp_w[q] / osys.vol * quad
+    p = st.p
+    c_term = biot.c * np.sum((osys.M_x @ p) * (p @ osys.M_gel_y))
+    ref = c_term + elastic
+    assert osys.energy(st) == pytest.approx(ref, rel=1e-12)
+
+
+def test_systems_freed_without_cycle_collector(cell_pipeline, cell_mesh4, two_phase_hooke,
+                                               biot, ramp_loads):
+    cs, hom, op, mom = cell_pipeline
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3)
+    gc.collect()
+    gc.disable()
+    try:
+        msys = twoscale.assemble_macro(hom, op, mom, plate, biot, ramp_loads)
+        twoscale.run_macro(msys, 0.5, 2)
+        ref = weakref.ref(msys)
+        del msys
+        assert ref() is None
+        osys, _, _ = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
+                                               ramp_loads, 0.5, 2)
+        ref = weakref.ref(osys)
+        del osys
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_mup_matches_macro_plate8(cell_pipeline, cell_mesh4, two_phase_hooke, biot, ramp_loads):
+    cs, hom, op, mom = cell_pipeline
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 8)
+    msys = twoscale.assemble_macro(hom, op, mom, plate, biot, ramp_loads)
+    _, mtable = twoscale.run_macro(msys, 0.5, 4)
+    _, _, otable = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
+                                             ramp_loads, 0.5, 4)
+    for a, b in zip(mtable[1:], otable[1:]):
+        for key in ("Wm", "W3", "p_m", "p0", "energy"):
+            assert a[key] == pytest.approx(b[key], rel=1e-6, abs=1e-14)
 
 
 # ------------------------------------------------------------ residual norms
