@@ -211,7 +211,8 @@ def compute_homogenized(mesh: CellMesh, hooke: HookeTensor, correctors: Correcto
 class PressureCellOperator:
     """Factorized periodic cell elasticity with the gel divergence coupling.
 
-    Carries everything the macro solver consumes: the dense response map
+    Carries everything the macro solver and the two-scale oracle consume: the
+    reduced stiffness K_red and its factor, the dense response map
     N = C K^-1 C^T on gel pressure dofs, the gel mass/diffusion blocks, and
     the weight vectors int phi and int y3 phi over the gel.
     """
@@ -226,12 +227,12 @@ class PressureCellOperator:
             raise AssemblyError("cell mesh has no gel phase; pressure operator undefined")
         self.reducer = Reducer(cell_constraints(mesh))
         K = fem.assemble_elastic_stiffness(mesh, hooke)
-        K_red = self.reducer.reduce_matrix(K)
+        self.K_red = self.reducer.reduce_matrix(K)
         # extended dense factor [[K, W^T], [W, 0]] pinning the component means
         nred = self.reducer.n_reduced
         W = np.stack([w for (w, _, _) in self.reducer.mean_zero])
         ext = np.zeros((nred + len(W), nred + len(W)))
-        ext[:nred, :nred] = K_red.toarray()
+        ext[:nred, :nred] = self.K_red.toarray()
         ext[:nred, nred:] = W.T
         ext[nred:, :nred] = W
         self._factor = DenseFactor(ext)

@@ -183,6 +183,24 @@ class Poly2T:
         return max((pt for _, _, _, pt in self.terms), default=0)
 
 
+def t_degree_terms(poly: Poly2T):
+    """(deg, [(c, p1, p2), ...]) for each time degree that has nonzero monomials."""
+    for deg in range(poly.max_t_degree() + 1):
+        terms = [(c, p1, p2) for (c, p1, p2, pt) in poly.terms if pt == deg and c != 0.0]
+        if terms:
+            yield deg, terms
+
+
+def eval_t_parts(parts, t: float, t_off, n: int) -> np.ndarray:
+    """sum vec t^deg over (deg, vec) parts, zero once t > t_off (1e-12 slack)."""
+    out = np.zeros(n)
+    if t_off is not None and t > t_off + 1e-12:
+        return out
+    for deg, vec in parts:
+        out += vec * t**deg
+    return out
+
+
 @dataclass
 class LoadSpec:
     """In-plane/transverse body force f=(f1,f2,f3) and gel source h on omega.

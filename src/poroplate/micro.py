@@ -27,7 +27,8 @@ from .errors import AssemblyError, GeometryError
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.solvers import RepeatedBlockSolver, pcg, solve_saddle, solve_spd
 from .geometry import GEL, MicroMesh, _StructuredHexMesh
-from .material import BiotParams, HookeTensor, LoadSpec, require_admissible
+from .material import (BiotParams, HookeTensor, LoadSpec, eval_t_parts, require_admissible,
+                       t_degree_terms)
 
 
 def clamp_constraints(mesh: MicroMesh) -> ConstraintSet:
@@ -39,11 +40,7 @@ def clamp_constraints(mesh: MicroMesh) -> ConstraintSet:
 def _poly_parts(mesh: MicroMesh, poly, comp: int, scale: float):
     """Body-force spatial vectors per time degree for one load component."""
     parts = []
-    for deg in range(poly.max_t_degree() + 1):
-        terms = [(c, p1, p2) for (c, p1, p2, pt) in poly.terms if pt == deg and c != 0.0]
-        if not terms:
-            continue
-
+    for deg, terms in t_degree_terms(poly):
         def f_at(x, y, z, _terms=terms, _comp=comp):
             v = np.zeros(x.shape + (3,))
             for c, p1, p2 in _terms:
@@ -57,11 +54,7 @@ def _poly_parts(mesh: MicroMesh, poly, comp: int, scale: float):
 def _source_parts(mesh: MicroMesh, poly, scale: float):
     parts = []
     gel_mask = mesh.phase == GEL
-    for deg in range(poly.max_t_degree() + 1):
-        terms = [(c, p1, p2) for (c, p1, p2, pt) in poly.terms if pt == deg and c != 0.0]
-        if not terms:
-            continue
-
+    for deg, terms in t_degree_terms(poly):
         def h_at(x, y, z, _terms=terms):
             v = np.zeros(x.shape)
             for c, p1, p2 in _terms:
@@ -71,15 +64,6 @@ def _source_parts(mesh: MicroMesh, poly, scale: float):
         parts.append((deg, scale * fem.assemble_scalar_source(
             mesh, h_at, elems_mask=gel_mask, nodes=mesh.gel_nodes)))
     return parts
-
-
-def _eval_parts(parts, t: float, t_off, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    if t_off is not None and t > t_off + 1e-12:
-        return out
-    for deg, vec in parts:
-        out += vec * t**deg
-    return out
 
 
 @dataclass
@@ -115,11 +99,11 @@ class GalerkinSystem:
         full = np.zeros(3 * self.mesh.n_nodes)
         for comp, parts in enumerate(self.f_parts):
             poly = self.loads.components()[comp]
-            full += _eval_parts(parts, t, poly.t_off, len(full))
+            full += eval_t_parts(parts, t, poly.t_off, len(full))
         return self.reducer.P.T @ full
 
     def G(self, t: float) -> np.ndarray:
-        return _eval_parts(self.g_parts, t, self.loads.h.t_off, self.n_p)
+        return eval_t_parts(self.g_parts, t, self.loads.h.t_off, self.n_p)
 
     def pressure_block(self, dt: float) -> RepeatedBlockSolver:
         """(cM + dt D)^-1, block-diagonal over the congruent gel components."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import elements as el
 from .fem.quadrature import gauss_quad
@@ -38,6 +39,7 @@ class PlateSpace:
     B_mem: np.ndarray      # (nq, 3, 8)
     B_bend: np.ndarray     # (nq, 3, 16)
     N_bfs: np.ndarray      # (nq, 16) BFS value row
+    N_qp: sp.csr_matrix    # (ne * nq, nn): row e * nq + q holds N_bil[q] at quads[e]
 
     @property
     def n_nodes(self) -> int:
@@ -48,6 +50,10 @@ class PlateSpace:
         hx, hy = self.plate.spacing
         origins = self.plate.nodes[self.plate.quads[:, 0]]
         return origins[:, None, :] + self.qp_unit[None, :, :] * np.array([hx, hy])
+
+    def qp_w_rows(self) -> np.ndarray:
+        """(ne * nq,) quadrature weights in the row order of `N_qp`."""
+        return np.tile(self.qp_w, len(self.plate.quads))
 
     def expand(self, W_red: np.ndarray):
         """Reduced vector -> (membrane (nn,2), bending (nn,4)) nodal arrays."""
@@ -155,36 +161,34 @@ def build_plate_space(plate: PlateMesh) -> PlateSpace:
     B_mem = el.quad_membrane_B(dN)
     B_bend = el.bfs_bending_B((hx, hy), pts)
     N_bfs = el.bfs_basis((hx, hy), pts, (0, 0))
+    nq = len(qp_w)
+    rows = np.broadcast_to(np.arange(ne * nq).reshape(ne, nq, 1), (ne, nq, 4))
+    cols = np.broadcast_to(conn[:, None, :], (ne, nq, 4))
+    vals = np.broadcast_to(N_bil, (ne, nq, 4))
+    N_qp = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(ne * nq, nn))
     return PlateSpace(
         plate=plate, n_mem=2 * nn, n_bend=4 * nn,
         mem_red=mem_red, bend_red=bend_red, n_red=n_red, elem_dofs=elem_dofs,
         qp_unit=pts, qp_w=qp_w, N_bil=N_bil, B_mem=B_mem, B_bend=B_bend, N_bfs=N_bfs,
+        N_qp=N_qp,
     )
 
 
 def scatter_local(A: np.ndarray, elem_dofs: np.ndarray, locals_: np.ndarray):
-    """Accumulate (ne, 24, 24) local matrices into the dense reduced matrix."""
-    ne, k, _ = locals_.shape
-    for e in range(ne):
-        d = elem_dofs[e]
-        mask = d >= 0
-        dd = d[mask]
-        A[np.ix_(dd, dd)] += locals_[e][np.ix_(mask, mask)]
+    """Accumulate (ne, k, k) local matrices into the dense reduced matrix (-1 dofs dropped)."""
+    rows = np.broadcast_to(elem_dofs[:, :, None], locals_.shape)
+    cols = np.broadcast_to(elem_dofs[:, None, :], locals_.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    np.add.at(A, (rows[keep], cols[keep]), locals_[keep])
 
 
 def scatter_vector(F: np.ndarray, elem_dofs: np.ndarray, locals_: np.ndarray):
-    ne, k = locals_.shape
-    for e in range(ne):
-        d = elem_dofs[e]
-        mask = d >= 0
-        F[d[mask]] += locals_[e][mask]
+    """Accumulate (ne, k) local vectors into the reduced vector (-1 dofs dropped)."""
+    keep = elem_dofs >= 0
+    np.add.at(F, elem_dofs[keep], locals_[keep])
 
 
 def plate_mass(space: PlateSpace) -> np.ndarray:
     """Dense bilinear mass matrix on all plate nodes (no boundary reduction)."""
-    nn = space.n_nodes
-    M = np.zeros((nn, nn))
-    me = np.einsum("q,qa,qb->ab", space.qp_w, space.N_bil, space.N_bil)
-    for e, conn in enumerate(space.plate.quads):
-        M[np.ix_(conn, conn)] += me
-    return M
+    Q = space.N_qp
+    return (Q.T @ sp.diags(space.qp_w_rows()) @ Q).toarray()

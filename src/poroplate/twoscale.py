@@ -3,9 +3,12 @@ two-scale oracle, and the micro-to-limit convergence harness.
 
 The macro solver is the exact corrector elimination of the unfolded limit
 problem; the oracle discretizes that limit problem monolithically (macro
-fields, per-quadrature-point cell warping, nodal-in-x two-scale pressure) and
-never touches the corrector fields, so agreement between the two paths checks
-the whole cell/homogenization pipeline.
+fields, per-quadrature-point cell warping, nodal-in-x two-scale pressure).
+The oracle builds its own `PressureCellOperator` (one cell factor, the gel
+blocks and the response map U_C) and moves its per-quadrature-point fields
+through the plate quadrature map `PlateSpace.N_qp`; it reads no corrector
+fields, divergence moments or homogenized tensor, so agreement between the
+two paths checks the whole cell/homogenization pipeline.
 
 Both paths share the structure of the plate-gel pressure coupling.  The gel
 pressure p0(x', y) is nodal in x' (plate node i) and lives on the gel dofs j
@@ -18,7 +21,7 @@ form,
 with sparse (nn, n_red) plate factors G_k (`plate_coupling_factors`: the
 bilinear shape N_i against the membrane strains and curvatures of V) and cell
 vectors v_k of length ng.  The macro path takes v_k from the divergence
-moments of the correctors, the oracle from its own cell factor.  With the
+moments of the correctors, the oracle from its own cell operator.  With the
 pressure blocks M_x (x) S_y the step's Schur term is
 Gamma^T (M_x^-1 (x) S_y^-1) Gamma = sum_{k,l} (v_k . S_y^-1 v_l) G_k^T M_x^-1 G_l
 (`kron_schur`), so no (nn * ng, n_red) block is ever formed.
@@ -48,7 +51,7 @@ from .fem import elements as el
 from .fem.constraints import Reducer
 from .fem.solvers import DenseFactor
 from .geometry import GEL, CellMesh, MicroMesh, PlateMesh
-from .material import BiotParams, HookeTensor, LoadSpec
+from .material import BiotParams, HookeTensor, LoadSpec, eval_t_parts, t_degree_terms
 from .plate import PlateSpace, build_plate_space, plate_mass, scatter_local, scatter_vector
 
 # ------------------------------------------------------------------ unfolding
@@ -287,10 +290,11 @@ class _CoupledPlateSystem:
         return self._kron_apply(self.M_x, self.S_mass_y, p)
 
     def F_W(self, t: float) -> np.ndarray:
-        return _eval_parts(self.f_parts, t, self.space.n_red)
+        return sum(eval_t_parts(parts, t, poly.t_off, self.space.n_red)
+                   for poly, parts in zip(self.loads.components(), self.f_parts))
 
     def H(self, t: float) -> np.ndarray:
-        return _eval_parts(self.h_parts, t, self.space.n_nodes * self.ng)
+        return eval_t_parts(self.h_parts, t, self.loads.h.t_off, self.space.n_nodes * self.ng)
 
     def _initial_W(self) -> np.ndarray:
         """Static plate response A W = F(0) of the initial state (p = 0)."""
@@ -471,11 +475,13 @@ class MupSystem(_CoupledPlateSystem):
     """Monolithic discretization of the re-scaled unfolded limit problem.
 
     Warping unknowns live per macro quadrature point in the reduced periodic
-    mean-zero cell space and are eliminated per step through one shared dense
-    factorization; no corrector fields or homogenized coefficients are used.
-    The W-p coupling of the eliminated system is -Gamma^T with the same plate
-    factors G_k as the macro path and cell vectors from this system's own cell
-    factor.
+    mean-zero cell space and are eliminated per step through the factor of
+    this system's own `PressureCellOperator` (built here, never taken from the
+    macro path); the per-quadrature-point fields reach the plate nodes through
+    the plate quadrature map `space.N_qp`.  No corrector fields, divergence
+    moments or homogenized coefficients are read.  The W-p coupling of the
+    eliminated system is -Gamma^T with the same plate factors G_k as the macro
+    path and cell vectors built from the cell operator's response U_C.
     """
 
     def __init__(self, cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,
@@ -490,28 +496,16 @@ class MupSystem(_CoupledPlateSystem):
         nq = len(sp_.qp_w)
         ne = len(sp_.elem_dofs)
 
-        red = Reducer(cell_constraints(cell_mesh))
-        self.red = red
+        op = PressureCellOperator(cell_mesh, hooke, biot)
+        self.op = op
+        self.red = red = op.reducer
         nred = red.n_reduced
-        gel_nodes = cell_mesh.gel_nodes()
-        if len(gel_nodes) == 0:
-            raise AssemblyError("cell mesh has no gel phase")
-        self.gel_nodes = gel_nodes
-        self.ng = len(gel_nodes)
+        self.ng = op.n_gel
         total = sp_.n_red + ne * nq * nred + sp_.n_nodes * self.ng
         if total > budget_dofs:
             raise BudgetError(
                 f"two-scale oracle needs {total} dofs, over the budget of {budget_dofs}")
-
-        K = fem.assemble_elastic_stiffness(cell_mesh, hooke)
-        self.K_red = red.reduce_matrix(K).toarray()   # dense: the energy applies it to nq*ne fields
-        Wrows = np.stack([w for (w, _, _) in red.mean_zero])
-        ext = np.zeros((nred + 3, nred + 3))
-        ext[:nred, :nred] = self.K_red
-        ext[:nred, nred:] = Wrows.T
-        ext[nred:, :nred] = Wrows
-        self._cell_factor = DenseFactor(ext)
-        self._nred = nred
+        self.K_red = op.K_red.toarray()   # dense: the energy applies it to nq*ne fields
 
         rhs = corrector_rhs(cell_mesh, hooke)
         self.r_m = np.stack([red.P.T @ rhs[("m",) + k] for k in MEMBRANE_KEYS])  # (3, nred)
@@ -522,38 +516,16 @@ class MupSystem(_CoupledPlateSystem):
         self.P1 = E_eng.T @ D1 @ E_eng
         self.P2 = E_eng.T @ D2 @ E_eng
 
-        C_full = fem.assemble_divergence_coupling(cell_mesh, gel_nodes=gel_nodes)
-        self.C_red = (C_full @ red.P).tocsr()
-        gel_mask = cell_mesh.phase == GEL
-        M_gel = fem.assemble_scalar_mass(cell_mesh, elems_mask=gel_mask,
-                                         nodes=gel_nodes).toarray()
-        D_gel = fem.assemble_scalar_diffusion(cell_mesh, biot.K, elems_mask=gel_mask,
-                                              nodes=gel_nodes).toarray()
-        self.w = fem.lumped_weights(cell_mesh, elems_mask=gel_mask, nodes=gel_nodes)
-        self.w3 = fem.lumped_weights(cell_mesh, elems_mask=gel_mask, nodes=gel_nodes,
-                                     weight=lambda x, y, z: z)
-
-        self._CredT = self.C_red.T.toarray()
-        self.U_C = self.cell_solve(self._CredT)                    # (nred, ng)
-        self.N_cell = np.asarray(self.C_red @ self.U_C)
-        self.N_cell = 0.5 * (self.N_cell + self.N_cell.T)
-
-        # per-qp elastic blocks (uniform plate grid: one set of nq blocks)
-        alpha = biot.alpha
-        self.R_E = np.empty((nq, nred, 24))
-        self.T_E = np.empty((nq, nred, 24))
-        P_loc = np.zeros((nq, 24, 24))
-        for q in range(nq):
-            Bm, Bb = sp_.B_mem[q], sp_.B_bend[q]
-            RE = np.zeros((nred, 24))
-            RE[:, :8] = self.r_m.T @ Bm
-            RE[:, 8:] = -self.r_b.T @ Bb
-            self.R_E[q] = RE
-            self.T_E[q] = self.cell_solve(RE)
-            P_loc[q, :8, :8] = Bm.T @ self.P0 @ Bm
-            P_loc[q, :8, 8:] = -Bm.T @ self.P1 @ Bb
-            P_loc[q, 8:, :8] = -Bb.T @ self.P1 @ Bm
-            P_loc[q, 8:, 8:] = Bb.T @ self.P2 @ Bb
+        # per-qp elastic blocks (uniform plate grid: one set of nq blocks); E
+        # maps local W to the membrane strains and negated curvatures (m, -k)
+        E = np.zeros((nq, 6, 24))
+        E[:, :3, :8] = sp_.B_mem
+        E[:, 3:, 8:] = -sp_.B_bend
+        r = np.vstack([self.r_m, self.r_b])
+        self.R_E = r.T @ E                                               # (nq, nred, 24)
+        T = op.solve_reduced(self.R_E.transpose(1, 0, 2).reshape(nred, nq * 24))
+        self.T_E = np.ascontiguousarray(T.reshape(nred, nq, 24).transpose(1, 0, 2))
+        P_loc = E.transpose(0, 2, 1) @ np.block([[self.P0, self.P1], [self.P1, self.P2]]) @ E
 
         # reduced elastic operator on W: A_WW - sum wtilde R_E^T T_E
         wt = sp_.qp_w / self.vol
@@ -562,21 +534,16 @@ class MupSystem(_CoupledPlateSystem):
         self.S_WW = np.zeros((sp_.n_red, sp_.n_red))
         scatter_local(self.S_WW, sp_.elem_dofs, np.broadcast_to(loc, (ne, 24, 24)))
 
-        # W-p coupling: the elastic u_P part r.U_C and the direct trace part
-        # int phi, int y3 phi of each unit strain, per plate factor G_k
-        V = alpha / self.vol * np.vstack([_TRACE * self.w - self.r_m @ self.U_C,
-                                          _TRACE * self.w3 - self.r_b @ self.U_C])
-        self._init_pressure(self.S_WW, V, M_gel,
-                            (biot.c * M_gel + alpha**2 * self.N_cell) / self.vol,
-                            D_gel / self.vol, self.w)
+        # W-p coupling: the direct trace part int phi, int y3 phi of each unit
+        # strain and the elastic u_P part r.U_C, per plate factor G_k
+        scale = biot.alpha / self.vol
+        self._V_trace = scale * np.vstack([_TRACE * op.w, _TRACE * op.w3])
+        M_gel = op.M_gel.toarray()
+        self._init_pressure(self.S_WW, self._V_trace - scale * (r @ op.U_C), M_gel,
+                            (biot.c * M_gel + biot.alpha**2 * op.N) / self.vol,
+                            op.D_gel.toarray() / self.vol, op.w)
 
     # ---------------------------------------------------------------- pieces
-
-    def cell_solve(self, rhs_red):
-        rhs_red = np.asarray(rhs_red, dtype=float)
-        pad = np.zeros((3,) + rhs_red.shape[1:])
-        ext = np.concatenate([rhs_red, pad], axis=0)
-        return self._cell_factor.solve(ext)[: self._nred]
 
     def _local_W(self, W_red):
         """(ne, 24) local reduced coefficients (zeros at clamped dofs)."""
@@ -589,48 +556,23 @@ class MupSystem(_CoupledPlateSystem):
     def recover_ubar(self, W_red, p_flat):
         """ubar_q = alpha sum_i N_i U_C p[i] - T_E[q] W_loc per element/qp."""
         sp_ = self.space
-        ne, nq = len(sp_.elem_dofs), len(sp_.qp_w)
-        Wloc = self._local_W(W_red)
-        p_nodes = p_flat.reshape(sp_.n_nodes, self.ng)
-        pconn = p_nodes[sp_.plate.quads]                     # (ne, 4, ng)
-        ubar = np.empty((ne, nq, self._nred))
-        for q in range(nq):
-            pq = np.einsum("a,eag->eg", sp_.N_bil[q], pconn)  # (ne, ng)
-            ubar[:, q, :] = self.biot.alpha * pq @ self.U_C.T - Wloc @ self.T_E[q].T
+        nq, nred = self.T_E.shape[:2]
+        shape = (len(sp_.elem_dofs), nq, nred)
+        pq = sp_.N_qp @ p_flat.reshape(sp_.n_nodes, self.ng)                  # (ne*nq, ng)
+        ubar = (self.biot.alpha * (pq @ self.op.U_C.T)).reshape(shape)
+        ubar -= (self._local_W(W_red) @ self.T_E.reshape(nq * nred, 24).T).reshape(shape)
         return ubar
 
     def _coupling_from_ubar(self, ubar):
-        """p-space vector (alpha/|Y|) sum_eq w_q N_i (C ubar)_j."""
+        """p-space vector (alpha/|Y|) sum_eq w_q N_i (C ubar)_j = N_qp^T (w C ubar)."""
         sp_ = self.space
-        ne, nq = ubar.shape[0], ubar.shape[1]
-        out = np.zeros(sp_.n_nodes * self.ng)
-        for q in range(nq):
-            cu = ubar[:, q, :] @ self._CredT                     # (ne, ng)
-            scale = self.biot.alpha / self.vol * sp_.qp_w[q]
-            contrib = scale * np.einsum("a,eg->eag", sp_.N_bil[q], cu)
-            rows = (sp_.plate.quads[:, :, None] * self.ng
-                    + np.arange(self.ng)[None, None, :])
-            np.add.at(out, rows.ravel(), contrib.ravel())
-        return out
+        cu = ubar.reshape(-1, ubar.shape[-1]) @ self.op.C_red.T             # (ne*nq, ng)
+        wq = self.biot.alpha / self.vol * sp_.qp_w_rows()
+        return (sp_.N_qp.T @ (wq[:, None] * cu)).reshape(-1)
 
     def _coupling_from_W(self, W_red):
-        """Q_W W: the direct div(W_L) part of the pressure coupling (scaled)."""
-        sp_ = self.space
-        Wloc = self._local_W(W_red)
-        out = np.zeros(sp_.n_nodes * self.ng)
-        alpha = self.biot.alpha
-        for q in range(len(sp_.qp_w)):
-            tr_m = sp_.B_mem[q][0] + sp_.B_mem[q][1]
-            tr_b = sp_.B_bend[q][0] + sp_.B_bend[q][1]
-            trm = Wloc[:, :8] @ tr_m                          # (ne,)
-            trk = Wloc[:, 8:] @ tr_b
-            blk = np.outer(trm, self.w) - np.outer(trk, self.w3)   # (ne, ng)
-            scale = alpha / self.vol * sp_.qp_w[q]
-            contrib = scale * np.einsum("a,eg->eag", sp_.N_bil[q], blk)
-            rows = (sp_.plate.quads[:, :, None] * self.ng
-                    + np.arange(self.ng)[None, None, :])
-            np.add.at(out, rows.ravel(), contrib.ravel())
-        return out
+        """Q_W W = sum_k (G_k W) (x) V_trace[k]: the direct div(W_L) part of the coupling."""
+        return (self._G_apply(W_red) @ self._V_trace).reshape(-1)
 
     # --------------------------------------------------------------- driver
 
@@ -672,27 +614,22 @@ class MupSystem(_CoupledPlateSystem):
         return c_term + elastic
 
 
-def _eval_parts(parts, t, n):
-    out = np.zeros(n)
-    for deg, t_off, vec in parts:
-        if t_off is not None and t > t_off + 1e-12:
-            continue
-        out += vec * t**deg
+def _qp_values(space: PlateSpace, terms) -> np.ndarray:
+    """(ne, nq) values of sum c x1^p1 x2^p2 at the plate quadrature points."""
+    qpc = space.qp_coords()
+    out = np.zeros(qpc.shape[:2])
+    for cc, p1, p2 in terms:
+        out += cc * qpc[..., 0] ** p1 * qpc[..., 1] ** p2
     return out
 
 
 def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
-    """Reduced load vectors per time degree: int (f1 V1 + f2 V2 + f3 V3)."""
-    qpc = space.qp_coords()
-    parts = []
+    """Per load component, reduced vectors per time degree: int (f1 V1 + f2 V2 + f3 V3)."""
+    out = []
     for comp, poly in enumerate(loads.components()):
-        for deg in range(poly.max_t_degree() + 1):
-            terms = [(cc, p1, p2) for (cc, p1, p2, pt) in poly.terms if pt == deg and cc != 0.0]
-            if not terms:
-                continue
-            fv = np.zeros(qpc.shape[:2])
-            for cc, p1, p2 in terms:
-                fv += cc * qpc[..., 0] ** p1 * qpc[..., 1] ** p2
+        parts = []
+        for deg, terms in t_degree_terms(poly):
+            fv = _qp_values(space, terms)
             loc = np.zeros((len(space.elem_dofs), 24))
             if comp < 2:
                 loc[:, comp:8:2] = np.einsum("q,qa,eq->ea", space.qp_w, space.N_bil, fv)
@@ -700,26 +637,17 @@ def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
                 loc[:, 8:] = np.einsum("q,qa,eq->ea", space.qp_w, space.N_bfs, fv)
             F = np.zeros(space.n_red)
             scatter_vector(F, space.elem_dofs, loc)
-            parts.append((deg, poly.t_off, F))
-    return parts
+            parts.append((deg, F))
+        out.append(parts)
+    return out
 
 
 def _pressure_load_parts(space: PlateSpace, loads: LoadSpec, w_gel: np.ndarray, vol: float):
     """(1/|Ycell|) int h phi on the p dofs, per time degree."""
-    qpc = space.qp_coords()
-    poly = loads.h
     parts = []
-    for deg in range(poly.max_t_degree() + 1):
-        terms = [(cc, p1, p2) for (cc, p1, p2, pt) in poly.terms if pt == deg and cc != 0.0]
-        if not terms:
-            continue
-        hv = np.zeros(qpc.shape[:2])
-        for cc, p1, p2 in terms:
-            hv += cc * qpc[..., 0] ** p1 * qpc[..., 1] ** p2
-        hx = np.zeros(space.n_nodes)
-        loc = np.einsum("q,qa,eq->ea", space.qp_w, space.N_bil, hv)
-        np.add.at(hx, space.plate.quads.ravel(), loc.ravel())
-        parts.append((deg, poly.t_off, np.outer(hx, w_gel).reshape(-1) / vol))
+    for deg, terms in t_degree_terms(loads.h):
+        hx = space.N_qp.T @ (space.qp_w_rows() * _qp_values(space, terms).ravel())
+        parts.append((deg, np.outer(hx, w_gel).reshape(-1) / vol))
     return parts
 
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poroplate import twoscale
+from poroplate import micro, twoscale
 from poroplate.cell import (
     MEMBRANE_KEYS,
     PressureCellOperator,
@@ -406,6 +408,90 @@ def test_mup_matches_macro_plate8(cell_pipeline, cell_mesh4, two_phase_hooke, bi
     for a, b in zip(mtable[1:], otable[1:]):
         for key in ("Wm", "W3", "p_m", "p0", "energy"):
             assert a[key] == pytest.approx(b[key], rel=1e-6, abs=1e-14)
+
+
+def _ref_ubar(osys, W, p):
+    """Per-(element, qp) warping with T_E[q] from one cell solve per qp."""
+    space, op = osys.space, osys.op
+    Wloc = osys._local_W(W)
+    P = p.reshape(space.n_nodes, osys.ng)
+    nq = len(space.qp_w)
+    ubar = np.empty((len(space.elem_dofs), nq, osys.red.n_reduced))
+    for q in range(nq):
+        RE = np.hstack([osys.r_m.T @ space.B_mem[q], -osys.r_b.T @ space.B_bend[q]])
+        TE = op.solve_reduced(RE)
+        for e, conn in enumerate(space.plate.quads):
+            pq = space.N_bil[q] @ P[conn]
+            ubar[e, q] = osys.biot.alpha * op.U_C @ pq - TE @ Wloc[e]
+    return ubar
+
+
+def test_oracle_recover_ubar_matches_per_qp_loop(coupled_m3):
+    _, _, _, osys = coupled_m3
+    rng = np.random.default_rng(11)
+    W = rng.standard_normal(osys.space.n_red)
+    p = rng.standard_normal(osys.space.n_nodes * osys.ng)
+    ref = _ref_ubar(osys, W, p)
+    got = osys.recover_ubar(W, p)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
+    _, _, _, osys = coupled_m3
+    space, ng = osys.space, osys.ng
+    rng = np.random.default_rng(12)
+    ubar = rng.standard_normal((len(space.elem_dofs), len(space.qp_w), osys.red.n_reduced))
+    W = rng.standard_normal(space.n_red)
+    Wloc = osys._local_W(W)
+    scale = biot.alpha / osys.vol
+    ref_u = np.zeros((space.n_nodes, ng))
+    ref_W = np.zeros((space.n_nodes, ng))
+    for e, conn in enumerate(space.plate.quads):
+        for q in range(len(space.qp_w)):
+            cu = osys.op.C_red @ ubar[e, q]
+            trm = (space.B_mem[q][0] + space.B_mem[q][1]) @ Wloc[e, :8]
+            trk = (space.B_bend[q][0] + space.B_bend[q][1]) @ Wloc[e, 8:]
+            for a in range(4):
+                wN = scale * space.qp_w[q] * space.N_bil[q, a]
+                ref_u[conn[a]] += wN * cu
+                ref_W[conn[a]] += wN * (trm * osys.op.w - trk * osys.op.w3)
+    got_u = osys._coupling_from_ubar(ubar).reshape(space.n_nodes, ng)
+    got_W = osys._coupling_from_W(W).reshape(space.n_nodes, ng)
+    assert np.abs(got_u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+    assert np.abs(got_W - ref_W).max() <= 1e-12 * np.abs(ref_W).max()
+
+
+@settings(max_examples=8, deadline=None)
+@given(c=st.floats(0.1, 2.0), alpha=st.floats(0.0, 1.5),
+       k=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0)))
+def test_mup_matches_macro_across_materials(cell_pipeline, cell_mesh4, two_phase_hooke,
+                                            ramp_loads, c, alpha, k):
+    cs, hom, _, _ = cell_pipeline
+    biot_h = BiotParams(c=c, alpha=alpha, K=np.diag(k))
+    op = PressureCellOperator(cell_mesh4, two_phase_hooke, biot_h)
+    mom = divergence_moments(cs, op)
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3)
+    msys = twoscale.assemble_macro(hom, op, mom, plate, biot_h, ramp_loads)
+    mstates, _ = twoscale.run_macro(msys, 0.5, 4)
+    _, ostates, _ = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot_h,
+                                              ramp_loads, 0.5, 4)
+    for a, b in zip(mstates[1:], ostates[1:]):
+        for fa, fb in ((a.W3, b.W3), (a.p @ op.w, b.p @ op.w)):
+            assert np.abs(fa - fb).max() <= 1e-6 * np.abs(fa).max()
+
+
+def test_load_cutoff_keeps_value_at_t_off(cell_pipeline, micro_mesh4, two_phase_hooke, biot):
+    t_off = 0.25
+    loads = LoadSpec(*(Poly2T([(1.0, 1, 0, 1)], t_off=t_off) for _ in range(4)))
+    cs, hom, op, mom = cell_pipeline
+    msys = twoscale.assemble_macro(hom, op, mom, build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3),
+                                   biot, loads)
+    gsys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, loads)
+    for fn in (gsys.F, gsys.G, msys.F_W, msys.H):
+        # linear in t: the value at t_off is twice the value at t_off / 2
+        assert np.abs(fn(t_off)).max() > 0.0
+        np.testing.assert_allclose(fn(t_off), 2.0 * fn(0.5 * t_off), rtol=1e-14, atol=0.0)
+        assert not fn(t_off + 1e-9).any()
 
 
 # ------------------------------------------------------------ residual norms
