@@ -47,6 +47,19 @@ def scatter(conn_dofs: np.ndarray, ke_stack, ndof: int) -> sp.csr_matrix:
     return A
 
 
+def bilinear_grid_forms(nx: int, ny: int, hx: float, hy: float):
+    """(M, K): Q1 mass and stiffness on an nx x ny grid of hx x hy rectangles.
+
+    Nodes are numbered x-fastest, a + (nx + 1) * b.
+    """
+    N, dN, w, _ = el.quad_qp_data((hx, hy))
+    a, b = np.meshgrid(np.arange(nx), np.arange(ny))
+    conn = (a + (nx + 1) * b).reshape(-1, 1) + np.array([0, 1, nx + 2, nx + 1])
+    n = (nx + 1) * (ny + 1)
+    return tuple(scatter(conn, np.broadcast_to(ke, (len(conn), 4, 4)), n) for ke in (
+        np.einsum("q,qa,qb->ab", w, N, N), np.einsum("q,qai,qbi->ab", w, dN, dN)))
+
+
 def _per_phase_stack(phase: np.ndarray, ke_fiber: np.ndarray, ke_gel: np.ndarray):
     table = np.stack([ke_fiber, ke_gel])
 

@@ -159,13 +159,13 @@ class RepeatedBlockSolver:
         self.block_size = S.shape[0]
         self.n_blocks = n_blocks
         try:
-            self._inv = la.inv(S)
+            self.inverse = la.inv(S)
         except la.LinAlgError as exc:
             raise SolverError("pressure block is singular (c = 0 with alpha = 0?)") from exc
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         X = x.reshape(self.n_blocks, self.block_size)
-        return (X @ self._inv.T).reshape(-1)
+        return (X @ self.inverse.T).reshape(-1)
 
 
 def solve_saddle(K, C, M_block, rhs, *, m_solver=None, tol=1e-10, rtol_check=1e-9,

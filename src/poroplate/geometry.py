@@ -305,12 +305,11 @@ class MicroMesh:
     elems: np.ndarray
     phase: np.ndarray
     n_cells: tuple[int, int]
-    cell_of_elem: np.ndarray
     lateral_nodes: np.ndarray
-    gel_nodes: np.ndarray
-    gel_dof_of_node: np.ndarray
+    gel_nodes: np.ndarray           # cell-major; reshape(total_cells, n_gel_local) per cell
     gel_local_template: np.ndarray
-    gel_elems_local_template: np.ndarray
+    cell_nodes: np.ndarray          # (total_cells, cell-mesh nodes): global node ids
+    cell_elems: np.ndarray          # (total_cells, cell-mesh elements): global element ids
 
     @property
     def n_nodes(self) -> int:
@@ -331,38 +330,6 @@ class MicroMesh:
     @property
     def n_gel_local(self) -> int:
         return len(self.gel_local_template)
-
-    def cell_gel_nodes(self, cell: int) -> np.ndarray:
-        """Global node ids of one cell's gel nodes, in template order."""
-        ki, kj = cell % self.n_cells[0], cell // self.n_cells[0]
-        li, lj, lk = self.gel_local_template.T
-        nx = self.grid.nelems[0]
-        ny = self.grid.nelems[1]
-        return (ki * self.n + li) + (nx + 1) * ((kj * self.n + lj) + (ny + 1) * lk)
-
-    def cell_node_map(self, cell: int) -> np.ndarray:
-        """Global node id for each cell-mesh node of one eps-cell (matched grids)."""
-        n = self.n
-        ki, kj = cell % self.n_cells[0], cell // self.n_cells[0]
-        li, lj, lk = np.meshgrid(np.arange(n + 1), np.arange(n + 1), np.arange(2 * n + 1), indexing="ij")
-        cell_node = li + (n + 1) * (lj + (n + 1) * lk)
-        nx, ny = self.grid.nelems[0], self.grid.nelems[1]
-        gid = (ki * n + li) + (nx + 1) * ((kj * n + lj) + (ny + 1) * lk)
-        out = np.empty((n + 1) * (n + 1) * (2 * n + 1), dtype=np.int64)
-        out[cell_node.ravel()] = gid.ravel()
-        return out
-
-    def cell_elem_map(self, cell: int) -> np.ndarray:
-        """Global element id for each cell-mesh element of one eps-cell."""
-        n = self.n
-        ki, kj = cell % self.n_cells[0], cell // self.n_cells[0]
-        li, lj, lk = np.meshgrid(np.arange(n), np.arange(n), np.arange(2 * n), indexing="ij")
-        cell_elem = li + n * (lj + n * lk)
-        nx, ny = self.grid.nelems[0], self.grid.nelems[1]
-        gid = (ki * n + li) + nx * ((kj * n + lj) + ny * lk)
-        out = np.empty(n * n * 2 * n, dtype=np.int64)
-        out[cell_elem.ravel()] = gid.ravel()
-        return out
 
 
 def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> MicroMesh:
@@ -390,19 +357,24 @@ def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> MicroMesh
     grid = _StructuredHexMesh((ncx * n, ncy * n, 2 * n), origin=(a1, a2, -eps), spacing=(h, h, h))
     phase = _phase_labels(grid, geom, n)
 
-    idx = grid.elem_grid_indices()
-    cell_of_elem = (idx[:, 0] // n) + ncx * (idx[:, 1] // n)
-
     nx, ny, nz = grid.nelems
     i, j, k = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij")
     on_lateral = (i == 0) | (i == nx) | (j == 0) | (j == ny)
     lateral = grid.node_id(i[on_lateral], j[on_lateral], k[on_lateral])
     lateral = np.unique(lateral)
 
-    # cell-local gel node/element templates (identical for every cell), ordered
+    # the eps-cells are translates of cell 0: a cell's global node (element)
+    # ids are the cell-0 ids, in cell-mesh order, plus one per-cell offset
+    lk, lj, li = np.meshgrid(np.arange(2 * n + 1), np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    ek, ej, ei = np.meshgrid(np.arange(2 * n), np.arange(n), np.arange(n), indexing="ij")
+    cell = np.arange(ncx * ncy)
+    ki, kj = cell % ncx, cell // ncx
+    cell_nodes = grid.node_id(li, lj, lk).ravel() + (n * (ki + (nx + 1) * kj))[:, None]
+    cell_elems = (ei + nx * (ej + ny * ek)).ravel() + (n * (ki + nx * kj))[:, None]
+
+    # cell-local gel node template (identical for every cell), ordered
     # x-fastest to match the sorted gel node list of the matching cell mesh
     gel_local_nodes = np.zeros((0, 3), dtype=np.int64)
-    gel_local_elems = np.zeros((0, 3), dtype=np.int64)
     if geom.gel_box is not None:
         (alo, ahi), (clo, chi) = geom.gel_box
         z_lo, z_hi = geom.z_span
@@ -411,10 +383,11 @@ def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> MicroMesh
         gk = np.arange(int(round((z_lo + 1.0) * n)), int(round((z_hi + 1.0) * n)) + 1)
         LK, LJ, LI = np.meshgrid(gk, gj, gi, indexing="ij")
         gel_local_nodes = np.stack([LI.ravel(), LJ.ravel(), LK.ravel()], axis=-1)
-        EK, EJ, EI = np.meshgrid(gk[:-1], gj[:-1], gi[:-1], indexing="ij")
-        gel_local_elems = np.stack([EI.ravel(), EJ.ravel(), EK.ravel()], axis=-1)
+    # global gel node ordering: cell-major, template order inside each cell
+    gel_cell_ids = gel_local_nodes @ np.array([1, n + 1, (n + 1) ** 2])
+    gel_nodes = cell_nodes[:, gel_cell_ids].ravel()
 
-    mesh = MicroMesh(
+    return MicroMesh(
         geom=geom,
         eps=eps,
         omega=((a1, b1), (a2, b2)),
@@ -424,25 +397,12 @@ def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> MicroMesh
         elems=grid.elems,
         phase=phase,
         n_cells=(ncx, ncy),
-        cell_of_elem=cell_of_elem,
         lateral_nodes=lateral,
-        gel_nodes=None,
-        gel_dof_of_node=None,
+        gel_nodes=gel_nodes,
         gel_local_template=gel_local_nodes,
-        gel_elems_local_template=gel_local_elems,
+        cell_nodes=cell_nodes,
+        cell_elems=cell_elems,
     )
-
-    # global gel node ordering: cell-major, template order inside each cell
-    total = mesh.total_cells
-    if len(gel_local_nodes):
-        gel_nodes = np.concatenate([mesh.cell_gel_nodes(c) for c in range(total)])
-    else:
-        gel_nodes = np.zeros(0, dtype=np.int64)
-    dof_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    dof_of_node[gel_nodes] = np.arange(len(gel_nodes))
-    mesh.gel_nodes = gel_nodes
-    mesh.gel_dof_of_node = dof_of_node
-    return mesh
 
 
 @dataclass

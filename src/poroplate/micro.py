@@ -13,6 +13,13 @@ the displacement) or through the reduced pressure ODE
 with nested CG (inner B-solves).  With the consistent initial displacement
 U(0) = B^-1 F(0) the two recursions are algebraically identical, which the
 acceptance suite checks to 1e-7.
+
+The gel cells are congruent translates of one cell (`MicroMesh.cell_nodes`,
+`cell_elems`, and the cell-major `gel_nodes`), so M, D and C repeat one cell
+block.  The operators that depend on the step size, cM + dt D with its
+cell-block inverse, the Jacobi term of the monolithic Schur operator and the
+block preconditioner of the pressure ODE, are built from cell 0 once per dt
+(`GalerkinSystem.step_operators`) and read by both steppers.
 """
 
 from __future__ import annotations
@@ -66,6 +73,20 @@ def _source_parts(mesh: MicroMesh, poly, scale: float):
     return parts
 
 
+@dataclass(frozen=True)
+class StepOperators:
+    """Operators of one step size, shared by both steppers.
+
+    Factors and arrays only: the system caches them, so they must not refer
+    back to it.
+    """
+
+    S: sp.csr_matrix                    # cM + dt D
+    S_solver: RepeatedBlockSolver       # S^-1, one dense block per gel cell
+    diag_extra: np.ndarray | None       # alpha^2 diag(C^T S^-1 C); None when alpha = 0
+    prec: RepeatedBlockSolver           # Schur-ODE preconditioner: S + alpha^2 C diag(B)^-1 C^T blocks
+
+
 @dataclass
 class GalerkinSystem:
     """Assembled operators of the micro problem on one mesh."""
@@ -85,6 +106,7 @@ class GalerkinSystem:
     strain_sq: sp.csr_matrix    # ||e(U)||^2 on full dofs
     grad_sq: sp.csr_matrix      # ||grad U||^2 on full dofs
     grad_p_sq: sp.csr_matrix    # ||grad p||^2 on gel dofs (unscaled)
+    _step_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_p(self) -> int:
@@ -105,16 +127,41 @@ class GalerkinSystem:
     def G(self, t: float) -> np.ndarray:
         return eval_t_parts(self.g_parts, t, self.loads.h.t_off, self.n_p)
 
-    def pressure_block(self, dt: float) -> RepeatedBlockSolver:
-        """(cM + dt D)^-1, block-diagonal over the congruent gel components."""
-        S = (self.biot.c * self.M + dt * self.D).tocsr()
-        ng = self.mesh.n_gel_local
-        S_local = S[:ng, :ng].toarray()
-        return RepeatedBlockSolver(S_local, self.mesh.total_cells)
+    def step_operators(self, dt: float) -> StepOperators:
+        """The implicit Euler operators of step size dt, built once per dt.
 
-    def cell_pressure_rows(self, cell: int) -> slice:
-        ng = self.mesh.n_gel_local
-        return slice(cell * ng, (cell + 1) * ng)
+        The gel cells are congruent: M, D and C repeat one cell block, so the
+        pressure block, the Jacobi term and the preconditioner come from cell 0
+        and are tiled over the cells.
+        """
+        if dt <= 0.0:
+            raise AssemblyError(f"time step must be positive, got {dt}")
+        key = round(dt, 15)
+        if key in self._step_cache:
+            return self._step_cache[key]
+        c, alpha = self.biot.c, self.biot.alpha
+        ng, n_cells = self.mesh.n_gel_local, self.mesh.total_cells
+        S = (c * self.M + dt * self.D).tocsr()
+        S_local = S[:ng, :ng].toarray()
+        S_solver = RepeatedBlockSolver(S_local, n_cells)
+        diag_extra, prec = None, S_solver
+        if alpha != 0.0:
+            # reduced displacement dofs of each cell's gel nodes, which carry
+            # that cell's rows of C (gel nodes never touch the clamped boundary)
+            gel_dofs = 3 * self.mesh.gel_nodes[:, None] + np.arange(3)
+            cell_dofs = np.searchsorted(self.reducer.free, gel_dofs).reshape(n_cells, -1)
+            C0 = self.C[:ng]
+            C0_dense = C0[:, cell_dofs[0]].toarray()
+            diag_extra = np.zeros(self.B.shape[0])
+            diag_extra[cell_dofs] = alpha**2 * np.einsum(
+                "ij,ik,kj->j", C0_dense, S_solver.inverse, C0_dense, optimize=True)
+            dB = self.B.diagonal()
+            dB = np.where(dB > 0, dB, 1.0)
+            X = (C0.multiply(1.0 / dB)).tocsr()
+            prec = RepeatedBlockSolver(S_local + alpha**2 * (X @ C0.T).toarray(), n_cells)
+        ops = StepOperators(S=S, S_solver=S_solver, diag_extra=diag_extra, prec=prec)
+        self._step_cache[key] = ops
+        return ops
 
 
 def assemble_micro(mesh: MicroMesh, hooke: HookeTensor, biot: BiotParams, eps: float,
@@ -185,49 +232,25 @@ def initial_state(sys: GalerkinSystem, tol: float = 1e-10) -> MicroState:
     return MicroState(t=0.0, U=U, p=np.zeros(sys.n_p), U_red=U_red)
 
 
-def _schur_diag_extra(sys: GalerkinSystem, block: RepeatedBlockSolver) -> np.ndarray:
-    """diag of alpha^2 C^T (cM + dtD)^-1 C for the Jacobi Schur preconditioner.
-
-    The gel blocks are congruent, so one local diagonal is computed from the
-    first cell and scattered to every cell's touched displacement dofs.
-    """
-    Sinv = block._inv
-    a2 = sys.biot.alpha**2
-    cell0 = sys.C[sys.cell_pressure_rows(0)].tocsr()
-    cols0 = np.unique(cell0.indices)
-    C0 = cell0[:, cols0].toarray()
-    local = a2 * np.einsum("ij,ik,kj->j", C0, Sinv, C0, optimize=True)
-    d = np.zeros(sys.B.shape[0])
-    for cell in range(sys.mesh.total_cells):
-        cols = np.unique(sys.C[sys.cell_pressure_rows(cell)].tocsr().indices)
-        d[cols] += local
-    return d
-
-
 def step_monolithic(sys: GalerkinSystem, state: MicroState, dt: float, *,
-                    tol: float = 1e-10, block=None) -> MicroState:
+                    tol: float = 1e-10) -> MicroState:
     """One implicit Euler step by pressure-Schur elimination (single SPD solve)."""
-    if dt <= 0.0:
-        raise AssemblyError(f"time step must be positive, got {dt}")
+    ops = sys.step_operators(dt)
     t1 = state.t + dt
     alpha = sys.biot.alpha
-    block = block if block is not None else sys.pressure_block(dt)
     U_red = state.U_red if state.U_red is not None else sys.reducer.restrict(state.U.reshape(-1))
     b_u = sys.F(t1)
     b_p = dt * sys.G(t1) + sys.biot.c * (sys.M @ state.p) + alpha * (sys.C @ U_red)
-    M_blk = (sys.biot.c * sys.M + dt * sys.D).tocsr()
-    diag_extra = _schur_diag_extra(sys, block) if alpha != 0.0 else None
-    u, p = solve_saddle(sys.B, alpha * sys.C, M_blk, (b_u, b_p),
-                        m_solver=block, tol=tol, rtol_check=1e-9,
-                        x0=U_red, diag_extra=diag_extra)
+    u, p = solve_saddle(sys.B, alpha * sys.C, ops.S, (b_u, b_p),
+                        m_solver=ops.S_solver, tol=tol, rtol_check=1e-9,
+                        x0=U_red, diag_extra=ops.diag_extra)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
 def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
-               tol: float = 1e-10, inner_tol: float = 1e-12, block=None) -> MicroState:
+               tol: float = 1e-10, inner_tol: float = 1e-12) -> MicroState:
     """One implicit Euler step of the reduced pressure ODE with nested B-solves."""
-    if dt <= 0.0:
-        raise AssemblyError(f"time step must be positive, got {dt}")
+    ops = sys.step_operators(dt)
     t1 = state.t + dt
     alpha, c = sys.biot.alpha, sys.biot.c
     U_red = state.U_red if state.U_red is not None else sys.reducer.restrict(state.U.reshape(-1))
@@ -251,21 +274,7 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
     if alpha != 0.0 and np.linalg.norm(dF) > 0.0:
         rhs -= alpha * (sys.C @ B_inv(dF))
 
-    block = block if block is not None else sys.pressure_block(dt)
-    ng = sys.mesh.n_gel_local
-    # preconditioner: exact mass+diffusion block plus a Jacobi estimate of the
-    # elastic coupling term, shared by all congruent cells
-    S = (c * sys.M + dt * sys.D).tocsr()
-    S_local = S[:ng, :ng].toarray()
-    if alpha != 0.0:
-        C0 = sys.C[sys.cell_pressure_rows(0)]
-        dB = sys.B.diagonal()
-        dB = np.where(dB > 0, dB, 1.0)
-        X = (C0.multiply(1.0 / dB)).tocsr()
-        S_local = S_local + alpha**2 * (X @ C0.T).toarray()
-    prec = RepeatedBlockSolver(S_local, sys.mesh.total_cells)
-
-    p, _ = pcg(A_op, rhs, tol=tol, precond=prec.solve, x0=state.p)
+    p, _ = pcg(A_op, rhs, tol=tol, precond=ops.prec.solve, x0=state.p)
     u = solve_spd(sys.B, F1 + alpha * (sys.C.T @ p), tol=inner_tol, x0=U_red)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
@@ -299,14 +308,13 @@ def run_transient(sys: GalerkinSystem, T: float, nsteps: int, *,
         raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
     dt = T / nsteps
     step = {"monolithic": step_monolithic, "schur": step_schur}[stepper]
-    block = sys.pressure_block(dt)
     state = initial_state(sys, tol=tol)
     traj = Trajectory(states=[state], decoupled=sys.decoupled)
     row = state.norms(sys)
     row["energy"] = state.energy(sys)
     traj.table.append(row)
     for _ in range(nsteps):
-        state = step(sys, state, dt, tol=tol, block=block)
+        state = step(sys, state, dt, tol=tol)
         if not keep_states:
             traj.states = [state]
         else:
@@ -419,25 +427,15 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
     h = float(mesh.spacing[0])
     n_cells = mesh.total_cells
 
-    nodes_per_cell = np.stack([mesh.cell_gel_nodes(c) for c in range(n_cells)])
+    nodes_per_cell = mesh.gel_nodes.reshape(n_cells, -1)
     vals = W[nodes_per_cell].copy()  # (nc, ntpl, 3)
     tpl_index = {tuple(t): i for i, t in enumerate(tpl)}
 
     if full_span and np.any(on_cap) and gnx > 1 and gny > 1:
         # bilinear Laplace lift of the cap-edge trace, per cap and component
-        N2, dN2, w2, _ = el.quad_qp_data((h, h))
-        ke2 = np.einsum("q,qai,qbi->ab", w2, dN2, dN2)
-        nn2 = (gnx + 1) * (gny + 1)
+        _, K2 = fem.assembly.bilinear_grid_forms(gnx, gny, h, h)
         ii, jj = np.meshgrid(np.arange(gnx + 1), np.arange(gny + 1), indexing="ij")
         flat = (ii + (gnx + 1) * jj).ravel()
-        conn2 = np.array([
-            [a + (gnx + 1) * b, a + 1 + (gnx + 1) * b, a + 1 + (gnx + 1) * (b + 1), a + (gnx + 1) * (b + 1)]
-            for b in range(gny) for a in range(gnx)
-        ])
-        rows = np.repeat(conn2, 4, axis=1).ravel()
-        cols = np.tile(conn2, (1, 4)).ravel()
-        K2 = sp.coo_matrix((np.broadcast_to(ke2, (len(conn2), 4, 4)).ravel(), (rows, cols)),
-                           shape=(nn2, nn2)).tocsr()
         edge = ((ii == 0) | (ii == gnx) | (jj == 0) | (jj == gny)).ravel()
         edge_flat, int_flat = flat[edge], flat[~edge]
         lu2 = lu_factor(K2[int_flat][:, int_flat].toarray())
@@ -494,35 +492,13 @@ def decompose_state(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor,
     return rep
 
 
-def _mid_surface_forms(mesh: MicroMesh):
-    """Bilinear mass/stiffness on the in-plane node grid of the micro mesh."""
-    from .fem import elements as el
-
-    nx, ny = mesh.grid.nelems[0], mesh.grid.nelems[1]
-    hx, hy = mesh.spacing[0], mesh.spacing[1]
-    N, dN, w, _ = el.quad_qp_data((hx, hy))
-    me = np.einsum("q,qa,qb->ab", w, N, N)
-    ke = np.einsum("q,qai,qbi->ab", w, dN, dN)
-    conn = np.array([
-        [a + (nx + 1) * b, a + 1 + (nx + 1) * b, a + 1 + (nx + 1) * (b + 1), a + (nx + 1) * (b + 1)]
-        for b in range(ny) for a in range(nx)
-    ])
-    n = (nx + 1) * (ny + 1)
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    M = sp.coo_matrix((np.broadcast_to(me, (len(conn), 4, 4)).ravel(), (rows, cols)),
-                      shape=(n, n)).tocsr()
-    K = sp.coo_matrix((np.broadcast_to(ke, (len(conn), 4, 4)).ravel(), (rows, cols)),
-                      shape=(n, n)).tocsr()
-    return M, K
-
-
 def _estimate_table(mesh: MicroMesh, eps: float, u_eps, rep, U_mid, ubar) -> dict:
     """Discrete left-hand sides of the scale-explicit estimate table."""
     E = fem.assemble_strain_product(mesh)
     G = fem.assemble_vector_gradient_product(mesh)
     Mm = fem.assemble_scalar_mass(mesh)
-    M2, K2 = _mid_surface_forms(mesh)
+    nx, ny = mesh.grid.nelems[0], mesh.grid.nelems[1]
+    M2, K2 = fem.assembly.bilinear_grid_forms(nx, ny, mesh.spacing[0], mesh.spacing[1])
 
     def energy(Q, v):
         v = v.reshape(-1)

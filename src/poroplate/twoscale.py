@@ -66,10 +66,6 @@ class UnfoldedField:
     data: np.ndarray          # (n_cells, n_cell_nodes) or (..., ncomp)
     cell_mesh: CellMesh
 
-    @property
-    def n_cells(self) -> int:
-        return self.data.shape[0]
-
 
 def _check_matched(micro: MicroMesh, cell: CellMesh):
     if micro.n != cell.n:
@@ -82,8 +78,7 @@ def unfold(values: np.ndarray, micro: MicroMesh, cell: CellMesh, scale_exp: int 
     values = np.asarray(values)
     if values.shape[0] != micro.n_nodes:
         raise AssemblyError("field must be nodal on the micro mesh")
-    maps = np.stack([micro.cell_node_map(c) for c in range(micro.total_cells)])
-    data = values[maps] * micro.eps ** (-scale_exp)
+    data = values[micro.cell_nodes] * micro.eps ** (-scale_exp)
     return UnfoldedField(eps=micro.eps, scale_exp=scale_exp, data=data, cell_mesh=cell)
 
 
@@ -102,12 +97,8 @@ def unfold_pressure(p: np.ndarray, micro: MicroMesh, cell: CellMesh, scale_exp: 
 def unfolded_l2(uf: UnfoldedField) -> float:
     """L2(omega x Ycell) norm: per-cell mass form weighted by the cell area eps^2."""
     M = fem.assemble_scalar_mass(uf.cell_mesh)
-    data = uf.data if uf.data.ndim == 3 else uf.data[..., None]
-    total = 0.0
-    for k in range(uf.n_cells):
-        for c in range(data.shape[2]):
-            v = data[k, :, c]
-            total += v @ (M @ v)
+    X = np.moveaxis(uf.data, 1, 0).reshape(uf.data.shape[1], -1)   # (cell nodes, cells * comps)
+    total = float(np.sum(X * (M @ X)))
     return float(np.sqrt(max(total, 0.0)) * uf.eps)
 
 
@@ -117,16 +108,9 @@ def gradient_identity_error(values: np.ndarray, micro: MicroMesh, cell: CellMesh
     uf = unfold(values, micro, cell, scale_exp=0)
     _, dN_cell, _, _ = el.hex_qp_data(cell.spacing)
     _, dN_micro, _, _ = el.hex_qp_data(micro.spacing)
-    err = 0.0
-    conn_cell = cell.elems
-    for k in range(micro.total_cells):
-        emap = micro.cell_elem_map(k)
-        nodal_cell = uf.data[k][conn_cell]                      # (ne, 8)
-        g_y = np.einsum("qai,ea->eqi", dN_cell, nodal_cell)
-        nodal_micro = values[micro.elems[emap]]
-        g_x = np.einsum("qai,ea->eqi", dN_micro, nodal_micro)
-        err = max(err, float(np.abs(g_y - micro.eps * g_x).max()))
-    return err
+    g_y = np.einsum("qai,kea->keqi", dN_cell, uf.data[:, cell.elems])
+    g_x = np.einsum("qai,kea->keqi", dN_micro, values[micro.elems[micro.cell_elems]])
+    return float(np.abs(g_y - micro.eps * g_x).max())
 
 
 def isometry_error(values: np.ndarray, micro: MicroMesh, cell: CellMesh) -> float:
@@ -463,7 +447,7 @@ class TwoScaleState:
     Wm: np.ndarray
     Wb: np.ndarray
     p: np.ndarray            # (nn, n_gel)
-    ubar: np.ndarray         # (ne, nq, n_red_cell) reduced warping coefficients
+    ubar: np.ndarray | None  # (ne, nq, n_red_cell) reduced warping; None once a step used it
     W_red: np.ndarray = None
 
     @property
@@ -654,7 +638,11 @@ def _pressure_load_parts(space: PlateSpace, loads: LoadSpec, w_gel: np.ndarray, 
 def solve_mup_direct(cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,
                      biot: BiotParams, loads: LoadSpec, T: float, nsteps: int,
                      budget_dofs: int = 300_000):
-    """Monolithic trajectory of the unfolded limit problem (the oracle path)."""
+    """Monolithic trajectory of the unfolded limit problem (the oracle path).
+
+    A step reads only the previous warping, so every state but the last drops
+    its `ubar` (ne * nq * n_red_cell doubles) once the next step has used it.
+    """
     if nsteps < 1:
         raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
     msys = MupSystem(cell_mesh, plate, hooke, biot, loads, budget_dofs=budget_dofs)
@@ -664,6 +652,7 @@ def solve_mup_direct(cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,
     table = [msys.norms(state)]
     for _ in range(nsteps):
         state = msys.step(state, dt)
+        states[-1].ubar = None
         states.append(state)
         table.append(msys.norms(state))
     return msys, states, table
@@ -721,8 +710,7 @@ def kirchhoff_love_residual(U: np.ndarray, p: np.ndarray, micro: MicroMesh,
     ng = ctx.op.n_gel
     e1 = e2 = e3 = e4 = 0.0
     for k in range(micro.total_cells):
-        nmap = micro.cell_node_map(k)
-        nodal = U[nmap]
+        nodal = U[micro.cell_nodes[k]]
         vals = s.values(nodal).reshape(-1, 3)
         strains = s.strains(nodal).reshape(-1, 6) / eps**2   # (1/eps) Pi(e(U))
         y3 = ctx.y_flat[:, 2]

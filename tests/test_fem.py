@@ -249,6 +249,24 @@ def test_saddle_random_vs_dense_oracle():
     assert np.abs(np.concatenate([u, p]) - ref).max() < 1e-8
 
 
+def test_bilinear_grid_forms_match_connectivity_loop():
+    nx, ny, hx, hy = 3, 2, 0.5, 0.25
+    N, dN, w, _ = el.quad_qp_data((hx, hy))
+    conn = np.array([
+        [a + (nx + 1) * b, a + 1 + (nx + 1) * b, a + 1 + (nx + 1) * (b + 1), a + (nx + 1) * (b + 1)]
+        for b in range(ny) for a in range(nx)
+    ])
+    n = (nx + 1) * (ny + 1)
+    M_ref, K_ref = np.zeros((n, n)), np.zeros((n, n))
+    for e in conn:
+        M_ref[np.ix_(e, e)] += np.einsum("q,qa,qb->ab", w, N, N)
+        K_ref[np.ix_(e, e)] += np.einsum("q,qai,qbi->ab", w, dN, dN)
+    M, K = fem.assembly.bilinear_grid_forms(nx, ny, hx, hy)
+    assert np.abs(M.toarray() - M_ref).max() <= 1e-15
+    assert np.abs(K.toarray() - K_ref).max() <= 1e-14
+    assert M.sum() == pytest.approx(nx * hx * ny * hy, rel=1e-14)
+
+
 def test_repeated_block_solver():
     rng = np.random.default_rng(2)
     S = rng.standard_normal((4, 4))

@@ -79,8 +79,38 @@ def test_tiling_consistency(micro_mesh4, cell_mesh4):
     # phase(x) = phase_cell({x'/eps}, x3/eps) exactly, element by element
     mesh = micro_mesh4
     for k in (0, 5, 15):
-        emap = mesh.cell_elem_map(k)
+        emap = mesh.cell_elems[k]
         assert np.array_equal(mesh.phase[emap], cell_mesh4.phase)
+
+
+def _ref_cell_maps(mesh, cell):
+    """Per-cell node, element and gel node maps, one cell at a time."""
+    n = mesh.n
+    ki, kj = cell % mesh.n_cells[0], cell // mesh.n_cells[0]
+    nx, ny = mesh.grid.nelems[0], mesh.grid.nelems[1]
+    li, lj, lk = np.meshgrid(np.arange(n + 1), np.arange(n + 1), np.arange(2 * n + 1), indexing="ij")
+    nodes = np.empty((n + 1) * (n + 1) * (2 * n + 1), dtype=np.int64)
+    nodes[(li + (n + 1) * (lj + (n + 1) * lk)).ravel()] = (
+        (ki * n + li) + (nx + 1) * ((kj * n + lj) + (ny + 1) * lk)).ravel()
+    li, lj, lk = np.meshgrid(np.arange(n), np.arange(n), np.arange(2 * n), indexing="ij")
+    elems = np.empty(2 * n**3, dtype=np.int64)
+    elems[(li + n * (lj + n * lk)).ravel()] = ((ki * n + li) + nx * ((kj * n + lj) + ny * lk)).ravel()
+    li, lj, lk = mesh.gel_local_template.T
+    gel = (ki * n + li) + (nx + 1) * ((kj * n + lj) + (ny + 1) * lk)
+    return nodes, elems, gel
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.125])
+def test_cell_tiling_matches_per_cell_maps(default_geom, eps):
+    mesh = build_micro_mesh(default_geom, eps, ((0.0, 1.0), (0.0, 1.0)), 4)
+    gel = mesh.gel_nodes.reshape(mesh.total_cells, mesh.n_gel_local)
+    assert mesh.cell_nodes.shape == (mesh.total_cells, 5 * 5 * 9)
+    assert mesh.cell_elems.shape == (mesh.total_cells, 2 * 4**3)
+    for k in range(mesh.total_cells):
+        nodes, elems, gel_k = _ref_cell_maps(mesh, k)
+        assert np.array_equal(mesh.cell_nodes[k], nodes)
+        assert np.array_equal(mesh.cell_elems[k], elems)
+        assert np.array_equal(gel[k], gel_k)
 
 
 def test_measure_additivity(micro_mesh4):

@@ -1,6 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poroplate import fem, micro
 from poroplate.geometry import CellGeometry, build_micro_mesh
@@ -43,6 +49,85 @@ def test_two_path_equivalence(small_system):
         assert abs(a["p"] - b["p"]) <= 1e-7 * max(b["p"], 1e-30)
         assert abs(a["e_U"] - b["e_U"]) <= 1e-7 * max(b["e_U"], 1e-30)
     assert np.linalg.norm(tr1.final.U - tr2.final.U) <= 1e-7 * np.linalg.norm(tr2.final.U)
+
+
+@pytest.fixture(scope="module")
+def micro_mesh2(default_geom):
+    return build_micro_mesh(default_geom, 0.5, ((0.0, 1.0), (0.0, 1.0)), 4)
+
+
+@settings(max_examples=6, deadline=None)
+@given(c=st.floats(0.1, 2.0), alpha=st.floats(0.0, 1.5),
+       k=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0)))
+@example(c=1.0, alpha=0.0, k=(1.0, 1.0, 1.0))
+def test_two_path_equivalence_across_materials(micro_mesh2, two_phase_hooke, ramp_loads,
+                                               c, alpha, k):
+    sys = micro.assemble_micro(micro_mesh2, two_phase_hooke,
+                               BiotParams(c=c, alpha=alpha, K=np.diag(k)), 0.5, ramp_loads)
+    tr1 = micro.run_transient(sys, 0.5, 4, stepper="monolithic")
+    tr2 = micro.run_transient(sys, 0.5, 4, stepper="schur")
+    for a, b in zip(tr1.table[1:], tr2.table[1:]):
+        for key in ("e_U", "p"):
+            assert abs(a[key] - b[key]) <= 1e-7 * max(b[key], 1e-30)
+
+
+def _ref_schur_diag_extra(sys, dt):
+    """alpha^2 diag(C^T (cM + dt D)^-1 C), one gel cell at a time with its own blocks."""
+    ng = sys.mesh.n_gel_local
+    S = (sys.biot.c * sys.M + dt * sys.D).tocsr()
+    d = np.zeros(sys.B.shape[0])
+    for cell in range(sys.mesh.total_cells):
+        rows = slice(cell * ng, (cell + 1) * ng)
+        C_cell = sys.C[rows].tocsr()
+        cols = np.unique(C_cell.indices)
+        Cd = C_cell[:, cols].toarray()
+        Sinv = la.inv(S[rows, rows].toarray())
+        d[cols] += sys.biot.alpha**2 * np.einsum("ij,ik,kj->j", Cd, Sinv, Cd)
+    return d
+
+
+def test_jacobi_term_matches_per_cell_loop(small_system):
+    for dt in (0.0625, 0.3):
+        ref = _ref_schur_diag_extra(small_system, dt)
+        got = small_system.step_operators(dt).diag_extra
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_step_operators_built_once_per_step_size(micro_mesh4, two_phase_hooke, biot,
+                                                 ramp_loads, monkeypatch):
+    built = []
+    real = micro.StepOperators
+
+    def counting(**kwargs):
+        built.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(micro, "StepOperators", counting)
+    sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, ramp_loads)
+    micro.run_transient(sys, 0.5, 4, stepper="monolithic")
+    assert len(built) == 1
+    micro.run_transient(sys, 0.5, 4, stepper="schur")
+    assert len(built) == 1
+    # one step of dt and two of dt/2, as in test_step_consistency_richardson
+    state0 = micro.initial_state(sys)
+    micro.step_monolithic(sys, state0, 0.2)
+    sh = micro.step_monolithic(sys, state0, 0.1)
+    micro.step_monolithic(sys, sh, 0.1)
+    assert len(built) == 3
+
+
+def test_system_freed_without_cycle_collector(micro_mesh4, two_phase_hooke, biot, ramp_loads):
+    gc.collect()
+    gc.disable()
+    try:
+        sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, ramp_loads)
+        micro.run_transient(sys, 0.25, 2, stepper="monolithic")
+        micro.run_transient(sys, 0.25, 2, stepper="schur")
+        ref = weakref.ref(sys)
+        del sys
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_alpha_zero_decoupled_oracle(micro_mesh4, two_phase_hooke, ramp_loads):
@@ -212,7 +297,7 @@ def test_extension_energy_ratio_bounded(default_geom, two_phase_hooke):
     from poroplate.micro import _gel_template_partition
 
     _, on_cap, interior, _ = _gel_template_partition(mesh)
-    inner = mesh.cell_gel_nodes(0)[interior | on_cap]
+    inner = mesh.gel_nodes.reshape(mesh.total_cells, -1)[0][interior | on_cap]
     ratios = []
     for _ in range(10):
         U = rng.standard_normal((mesh.n_nodes, 3))
@@ -245,8 +330,9 @@ def test_decomposition_norm_table(small_system, two_phase_hooke):
     from poroplate.micro import _gel_template_partition
 
     _, on_cap, interior, _ = _gel_template_partition(small_system.mesh)
+    gel = small_system.mesh.gel_nodes.reshape(small_system.mesh.total_cells, -1)
     for c in range(small_system.mesh.total_cells):
-        inner = small_system.mesh.cell_gel_nodes(c)[interior | on_cap]
+        inner = gel[c][interior | on_cap]
         fiber_mask[inner] = False
     u_eps = traj.final.U - micro.extend_fiber(traj.final.U, small_system.mesh,
                                               two_phase_hooke)

@@ -235,6 +235,16 @@ def test_mup_zero_loads(cell_mesh4, two_phase_hooke, biot):
     assert max(r["p0"] for r in table) == 0.0
 
 
+def test_mup_keeps_warping_on_final_state_only(cell_mesh4, two_phase_hooke, biot, ramp_loads):
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3)
+    osys, states, _ = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
+                                                ramp_loads, 0.5, 3)
+    assert all(s.ubar is None for s in states[:-1])
+    final = states[-1]
+    ref = osys.recover_ubar(final.W_red, final.p.reshape(-1))
+    assert np.array_equal(final.ubar, ref)
+
+
 def test_mup_budget_guard(cell_mesh4, two_phase_hooke, biot):
     plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 8)
     with pytest.raises(BudgetError):
