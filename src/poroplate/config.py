@@ -27,7 +27,7 @@ _SCHEMA = {
     "material": {"fiber", "gel", "biot_c", "biot_alpha", "permeability"},
     "loads": {"f1", "f2", "f3", "h", "t_off"},
     "time": {"T", "nsteps"},
-    "solver": {"tol_cell", "tol_step", "budget_dofs", "maxiter"},
+    "solver": {"tol_cell", "tol_step", "budget_dofs"},
     "output": {"formats", "snapshot_every"},
     "verify": {"coefficients_file", "seed"},
 }

@@ -192,27 +192,3 @@ def bfs_bending_B(spacing, points) -> np.ndarray:
     B[:, 1, :] = bfs_basis(spacing, points, (0, 2))
     B[:, 2, :] = 2.0 * bfs_basis(spacing, points, (1, 1))
     return B
-
-
-def tensor2_to_eng(t: np.ndarray) -> np.ndarray:
-    """2x2x2x2 tensor to the 3x3 matrix acting on (e11, e22, 2e12)."""
-    M = np.array(
-        [
-            [t[0, 0, 0, 0], t[0, 0, 1, 1], t[0, 0, 0, 1]],
-            [t[1, 1, 0, 0], t[1, 1, 1, 1], t[1, 1, 0, 1]],
-            [t[0, 1, 0, 0], t[0, 1, 1, 1], t[0, 1, 0, 1]],
-        ]
-    )
-    return M
-
-
-def tensor2_to_kelvin(t: np.ndarray) -> np.ndarray:
-    """2x2x2x2 tensor to the symmetric 3x3 in the orthonormal (Kelvin) basis."""
-    s = np.sqrt(2.0)
-    return np.array(
-        [
-            [t[0, 0, 0, 0], t[0, 0, 1, 1], s * t[0, 0, 0, 1]],
-            [t[1, 1, 0, 0], t[1, 1, 1, 1], s * t[1, 1, 0, 1]],
-            [s * t[0, 1, 0, 0], s * t[0, 1, 1, 1], 2 * t[0, 1, 0, 1]],
-        ]
-    )

@@ -1,14 +1,16 @@
-"""Jacobi-preconditioned CG and the pressure-Schur block solver.
+"""Preconditioned CG and the pressure-Schur block solver.
 
-solve_spd is the only iterative kernel: deterministic (fixed reduction order,
-no threading), with the residual history kept for diagnostics.  solve_saddle
-eliminates the pressure block, leaving a single SPD displacement solve.
+pcg is the only iterative kernel: deterministic (fixed reduction order, no
+threading), with the residual history kept for diagnostics.  It takes either
+a Jacobi diagonal or a general SPD preconditioner; solve_spd and solve_saddle
+use Jacobi unless given one (the micro solves pass the geometric-multigrid
+V-cycle of `fem.multigrid`).  solve_saddle eliminates the pressure block,
+leaving a single SPD displacement solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from ..errors import SolverError
@@ -103,16 +105,23 @@ def _mean_projector(reducer: Reducer):
     return project, shift
 
 
+def _preconditioner(A, precond):
+    """pcg's preconditioner arguments: `precond` if given, else Jacobi on A."""
+    if precond is not None:
+        return {"precond": precond}
+    return {"diag": A.diagonal() if sp.issparse(A) else np.asarray(A).diagonal()}
+
+
 def solve_spd(A, b, constraints: ConstraintSet | None = None, tol: float = 1e-10,
-              *, x0=None, maxiter=None):
+              *, x0=None, maxiter=None, precond=None):
     """CG solve of an SPD system with constraints eliminated exactly.
 
     A and b live on the full dof set when constraints are given; the returned
     vector is expanded back to full dofs (Dirichlet values included).
+    `precond` acts on the (reduced) space CG runs on; Jacobi by default.
     """
     if constraints is None:
-        x, _ = pcg(A, b, tol=tol, maxiter=maxiter, x0=x0,
-                   diag=A.diagonal() if sp.issparse(A) else np.asarray(A).diagonal())
+        x, _ = pcg(A, b, tol=tol, maxiter=maxiter, x0=x0, **_preconditioner(A, precond))
         return x
     red = constraints if isinstance(constraints, Reducer) else Reducer(constraints)
     A_red = red.reduce_matrix(A)
@@ -120,32 +129,26 @@ def solve_spd(A, b, constraints: ConstraintSet | None = None, tol: float = 1e-10
     project, shift = _mean_projector(red)
     x0_red = red.restrict(x0) if x0 is not None else None
     x_red, _ = pcg(A_red, b_red, tol=tol, maxiter=maxiter, x0=x0_red,
-                   diag=A_red.diagonal(), project=project)
+                   project=project, **_preconditioner(A_red, precond))
     if shift is not None:
         x_red = shift(x_red)
     return red.expand(x_red)
 
 
 class DenseFactor:
-    """LU factor of a small dense (possibly extended/saddle) matrix."""
+    """Inverse of a small dense (possibly extended/saddle) matrix, applied by products."""
 
     def __init__(self, M: np.ndarray):
-        M = np.asarray(M, dtype=float)
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            try:
-                self._lu = la.lu_factor(M)
-            except la.LinAlgError as exc:  # pragma: no cover
-                raise SolverError(f"dense factorization failed: {exc}") from exc
-        lu0 = self._lu[0]
-        scale = max(np.abs(M).max(), 1.0)
-        if not np.all(np.isfinite(lu0)) or np.any(np.abs(np.diag(lu0)) <= 1e-300 * scale):
-            raise SolverError("singular dense block (c = 0 with alpha = 0 degenerate config?)")
+        singular = "singular dense block (c = 0 with alpha = 0 degenerate config?)"
+        try:
+            self._inverse = np.linalg.inv(np.asarray(M, dtype=float))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(singular) from exc
+        if not np.all(np.isfinite(self._inverse)):
+            raise SolverError(singular)
 
     def solve(self, B):
-        return la.lu_solve(self._lu, B)
+        return self._inverse @ B
 
 
 class RepeatedBlockSolver:
@@ -159,23 +162,24 @@ class RepeatedBlockSolver:
         self.block_size = S.shape[0]
         self.n_blocks = n_blocks
         try:
-            self.inverse = la.inv(S)
-        except la.LinAlgError as exc:
+            self._inverse = np.linalg.inv(S)
+        except np.linalg.LinAlgError as exc:
             raise SolverError("pressure block is singular (c = 0 with alpha = 0?)") from exc
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         X = x.reshape(self.n_blocks, self.block_size)
-        return (X @ self.inverse.T).reshape(-1)
+        return (X @ self._inverse.T).reshape(-1)
 
 
 def solve_saddle(K, C, M_block, rhs, *, m_solver=None, tol=1e-10, rtol_check=1e-9,
-                 x0=None, maxiter=None, diag_extra=None):
+                 x0=None, maxiter=None, precond=None):
     """Solve  [K, -C^T; C, M] [u; p] = [b_u; b_p]  by eliminating the pressure block.
 
     K must be SPD on its (already reduced) space, M SPD on the pressure space;
     this is the one-step implicit form of the coupled system.  The Schur
     complement K + C^T M^-1 C is solved by CG with inner applications of the
-    supplied pressure-block solver.
+    supplied pressure-block solver, preconditioned by `precond` (an SPD
+    approximation of K^-1; Jacobi on K by default).
     """
     b_u, b_p = rhs
     if m_solver is None:
@@ -185,7 +189,7 @@ def solve_saddle(K, C, M_block, rhs, *, m_solver=None, tol=1e-10, rtol_check=1e-
 
     no_coupling = (C.nnz == 0) if sp.issparse(C) else not np.any(C)
     if no_coupling:
-        u = solve_spd(K, b_u, tol=tol, x0=x0, maxiter=maxiter)
+        u = solve_spd(K, b_u, tol=tol, x0=x0, maxiter=maxiter, precond=precond)
         p = m_solver.solve(b_p)
         return u, p
 
@@ -193,10 +197,7 @@ def solve_saddle(K, C, M_block, rhs, *, m_solver=None, tol=1e-10, rtol_check=1e-
         return K @ u + CT @ m_solver.solve(C @ u)
 
     rhs_u = b_u + CT @ m_solver.solve(b_p)
-    diag = K.diagonal().copy()
-    if diag_extra is not None:
-        diag = diag + diag_extra
-    u, _ = pcg(schur, rhs_u, tol=tol, maxiter=maxiter, x0=x0, diag=diag)
+    u, _ = pcg(schur, rhs_u, tol=tol, maxiter=maxiter, x0=x0, **_preconditioner(K, precond))
     p = m_solver.solve(b_p - C @ u)
 
     scale = max(np.linalg.norm(rhs_u), np.linalg.norm(b_p), 1e-300)

@@ -275,11 +275,3 @@ def scale_loads(loads: LoadSpec, eps: float, t: float, x1, x2):
     )
     h = eps * loads.h(x1, x2, t)
     return f, h
-
-
-def default_materials() -> tuple[HookeTensor, BiotParams]:
-    """Demo parameters: stiff fibers, soft gel, unit Biot constants."""
-    return (
-        HookeTensor(fiber=isotropic(10.0, 0.3), gel=isotropic(1.0, 0.35)),
-        BiotParams(c=1.0, alpha=1.0, K=np.eye(3)),
-    )

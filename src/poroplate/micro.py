@@ -14,12 +14,18 @@ with nested CG (inner B-solves).  With the consistent initial displacement
 U(0) = B^-1 F(0) the two recursions are algebraically identical, which the
 acceptance suite checks to 1e-7.
 
+Every CG solve on the displacement (the monolithic Schur operator
+B + alpha^2 C^T (cM + dt D)^-1 C, the inner and final B-solves of the pressure
+ODE and the initial state) is preconditioned by one geometric-multigrid
+V-cycle on B (`fem.multigrid`), built on the first solve: B does not depend on
+dt, so one hierarchy serves every step size and both steppers.
+
 The gel cells are congruent translates of one cell (`MicroMesh.cell_nodes`,
 `cell_elems`, and the cell-major `gel_nodes`), so M, D and C repeat one cell
 block.  The operators that depend on the step size, cM + dt D with its
-cell-block inverse, the Jacobi term of the monolithic Schur operator and the
-block preconditioner of the pressure ODE, are built from cell 0 once per dt
-(`GalerkinSystem.step_operators`) and read by both steppers.
+cell-block inverse and the block preconditioner of the pressure ODE, are built
+from cell 0 once per dt (`GalerkinSystem.step_operators`) and read by both
+steppers.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import scipy.sparse as sp
 from . import fem
 from .errors import AssemblyError, GeometryError
 from .fem.constraints import ConstraintSet, Reducer
+from .fem.multigrid import VCycle
 from .fem.solvers import RepeatedBlockSolver, pcg, solve_saddle, solve_spd
 from .geometry import GEL, MicroMesh, _StructuredHexMesh
 from .material import (BiotParams, HookeTensor, LoadSpec, eval_t_parts, require_admissible,
@@ -83,7 +90,6 @@ class StepOperators:
 
     S: sp.csr_matrix                    # cM + dt D
     S_solver: RepeatedBlockSolver       # S^-1, one dense block per gel cell
-    diag_extra: np.ndarray | None       # alpha^2 diag(C^T S^-1 C); None when alpha = 0
     prec: RepeatedBlockSolver           # Schur-ODE preconditioner: S + alpha^2 C diag(B)^-1 C^T blocks
 
 
@@ -107,6 +113,7 @@ class GalerkinSystem:
     grad_sq: sp.csr_matrix      # ||grad U||^2 on full dofs
     grad_p_sq: sp.csr_matrix    # ||grad p||^2 on gel dofs (unscaled)
     _step_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _multigrid: VCycle | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_p(self) -> int:
@@ -127,12 +134,23 @@ class GalerkinSystem:
     def G(self, t: float) -> np.ndarray:
         return eval_t_parts(self.g_parts, t, self.loads.h.t_off, self.n_p)
 
+    @property
+    def multigrid(self) -> VCycle:
+        """The V-cycle preconditioner of B, built on first use and kept."""
+        if self._multigrid is None:
+            self._multigrid = VCycle(self.B, self.mesh.grid.nelems, self.reducer.free)
+        return self._multigrid
+
+    def solve_B(self, rhs: np.ndarray, tol: float, x0=None) -> np.ndarray:
+        """B^-1 rhs by multigrid-preconditioned CG."""
+        return solve_spd(self.B, rhs, tol=tol, x0=x0, precond=self.multigrid)
+
     def step_operators(self, dt: float) -> StepOperators:
         """The implicit Euler operators of step size dt, built once per dt.
 
         The gel cells are congruent: M, D and C repeat one cell block, so the
-        pressure block, the Jacobi term and the preconditioner come from cell 0
-        and are tiled over the cells.
+        pressure block and the preconditioner come from cell 0 and are tiled
+        over the cells.
         """
         if dt <= 0.0:
             raise AssemblyError(f"time step must be positive, got {dt}")
@@ -144,22 +162,14 @@ class GalerkinSystem:
         S = (c * self.M + dt * self.D).tocsr()
         S_local = S[:ng, :ng].toarray()
         S_solver = RepeatedBlockSolver(S_local, n_cells)
-        diag_extra, prec = None, S_solver
+        prec = S_solver
         if alpha != 0.0:
-            # reduced displacement dofs of each cell's gel nodes, which carry
-            # that cell's rows of C (gel nodes never touch the clamped boundary)
-            gel_dofs = 3 * self.mesh.gel_nodes[:, None] + np.arange(3)
-            cell_dofs = np.searchsorted(self.reducer.free, gel_dofs).reshape(n_cells, -1)
             C0 = self.C[:ng]
-            C0_dense = C0[:, cell_dofs[0]].toarray()
-            diag_extra = np.zeros(self.B.shape[0])
-            diag_extra[cell_dofs] = alpha**2 * np.einsum(
-                "ij,ik,kj->j", C0_dense, S_solver.inverse, C0_dense, optimize=True)
             dB = self.B.diagonal()
             dB = np.where(dB > 0, dB, 1.0)
             X = (C0.multiply(1.0 / dB)).tocsr()
             prec = RepeatedBlockSolver(S_local + alpha**2 * (X @ C0.T).toarray(), n_cells)
-        ops = StepOperators(S=S, S_solver=S_solver, diag_extra=diag_extra, prec=prec)
+        ops = StepOperators(S=S, S_solver=S_solver, prec=prec)
         self._step_cache[key] = ops
         return ops
 
@@ -225,7 +235,7 @@ def initial_state(sys: GalerkinSystem, tol: float = 1e-10) -> MicroState:
     """Zero data; if F(0) != 0 the quasi-static constraint fixes U(0) = B^-1 F(0)."""
     F0 = sys.F(0.0)
     if np.linalg.norm(F0) > 0.0:
-        U_red = solve_spd(sys.B, F0, tol=tol)
+        U_red = sys.solve_B(F0, tol)
     else:
         U_red = np.zeros(sys.B.shape[0])
     U = sys.reducer.expand(U_red).reshape(-1, 3)
@@ -243,7 +253,7 @@ def step_monolithic(sys: GalerkinSystem, state: MicroState, dt: float, *,
     b_p = dt * sys.G(t1) + sys.biot.c * (sys.M @ state.p) + alpha * (sys.C @ U_red)
     u, p = solve_saddle(sys.B, alpha * sys.C, ops.S, (b_u, b_p),
                         m_solver=ops.S_solver, tol=tol, rtol_check=1e-9,
-                        x0=U_red, diag_extra=ops.diag_extra)
+                        x0=U_red, precond=sys.multigrid)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
@@ -256,7 +266,7 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
     U_red = state.U_red if state.U_red is not None else sys.reducer.restrict(state.U.reshape(-1))
 
     def B_inv(v):
-        return solve_spd(sys.B, v, tol=inner_tol)
+        return sys.solve_B(v, inner_tol)
 
     F1 = sys.F(t1)
     dF = F1 - sys.F(state.t)
@@ -275,7 +285,7 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
         rhs -= alpha * (sys.C @ B_inv(dF))
 
     p, _ = pcg(A_op, rhs, tol=tol, precond=ops.prec.solve, x0=state.p)
-    u = solve_spd(sys.B, F1 + alpha * (sys.C.T @ p), tol=inner_tol, x0=U_red)
+    u = sys.solve_B(F1 + alpha * (sys.C.T @ p), inner_tol, x0=U_red)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 

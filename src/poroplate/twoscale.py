@@ -25,6 +25,11 @@ moments of the correctors, the oracle from its own cell operator.  With the
 pressure blocks M_x (x) S_y the step's Schur term is
 Gamma^T (M_x^-1 (x) S_y^-1) Gamma = sum_{k,l} (v_k . S_y^-1 v_l) G_k^T M_x^-1 G_l
 (`kron_schur`), so no (nn * ng, n_red) block is ever formed.
+
+The dense blocks of the plate side (M_x, S_y and the Schur matrix) are small
+and reused every step, so they are inverted once through numpy's LAPACK and
+applied as matrix products: every dense kernel of a step then runs on numpy's
+BLAS, without switching to the separate BLAS library scipy loads.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .cell import (
 from .errors import AssemblyError, BudgetError, SolverError
 from .fem import elements as el
 from .fem.constraints import Reducer
-from .fem.solvers import DenseFactor
 from .geometry import GEL, CellMesh, MicroMesh, PlateMesh
 from .material import BiotParams, HookeTensor, LoadSpec, eval_t_parts, t_degree_terms
 from .plate import PlateSpace, build_plate_space, plate_mass, scatter_local, scatter_vector
@@ -80,18 +84,6 @@ def unfold(values: np.ndarray, micro: MicroMesh, cell: CellMesh, scale_exp: int 
         raise AssemblyError("field must be nodal on the micro mesh")
     data = values[micro.cell_nodes] * micro.eps ** (-scale_exp)
     return UnfoldedField(eps=micro.eps, scale_exp=scale_exp, data=data, cell_mesh=cell)
-
-
-def unfold_pressure(p: np.ndarray, micro: MicroMesh, cell: CellMesh, scale_exp: int = 1) -> np.ndarray:
-    """(n_cells, n_gel_cell) unfolded gel pressure; gel dofs are cell-major."""
-    _check_matched(micro, cell)
-    n = micro.n
-    li, lj, lk = micro.gel_local_template.T
-    template_ids = li + (n + 1) * (lj + (n + 1) * lk)
-    if not np.array_equal(template_ids, cell.gel_nodes()):
-        raise AssemblyError("micro gel template does not match the cell-mesh gel ordering")
-    ng = micro.n_gel_local
-    return p.reshape(micro.total_cells, ng) * micro.eps ** (-scale_exp)
 
 
 def unfolded_l2(uf: UnfoldedField) -> float:
@@ -159,27 +151,16 @@ class CellSampler:
         return np.einsum("qa,ea->eq", self.N, vals)
 
 
-def eng_to_full(strain_eng: np.ndarray) -> np.ndarray:
-    """(..., 6) engineering strain to (..., 3, 3) symmetric tensors."""
-    e = strain_eng
-    out = np.zeros(e.shape[:-1] + (3, 3))
-    out[..., 0, 0] = e[..., 0]
-    out[..., 1, 1] = e[..., 1]
-    out[..., 2, 2] = e[..., 2]
-    out[..., 1, 2] = out[..., 2, 1] = 0.5 * e[..., 3]
-    out[..., 0, 2] = out[..., 2, 0] = 0.5 * e[..., 4]
-    out[..., 0, 1] = out[..., 1, 0] = 0.5 * e[..., 5]
-    return out
-
-
 # ------------------------------------------------------- plate-gel coupling
 
 
-def _cholesky(M: np.ndarray, what: str):
+def _spd_inverse(M: np.ndarray, error: str) -> np.ndarray:
+    """M^-1 = L^-T L^-1 from the Cholesky factor L; SolverError(error) if M is not SPD."""
     try:
-        return la.cho_factor(M)
-    except la.LinAlgError as exc:
-        raise SolverError(f"{what} is not positive definite ({exc})") from exc
+        L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{error} ({exc})") from exc
+    return L_inv.T @ L_inv
 
 
 def plate_coupling_factors(space: PlateSpace) -> list:
@@ -205,16 +186,17 @@ def plate_coupling_factors(space: PlateSpace) -> list:
     return out
 
 
-def kron_schur(A: np.ndarray, G: list, V: np.ndarray, Mx_factor, Sy_factor) -> np.ndarray:
+def kron_schur(A: np.ndarray, G: list, V: np.ndarray, Mx_inv: np.ndarray,
+               Sy_inv: np.ndarray) -> np.ndarray:
     """A + Gamma^T (M_x^-1 (x) S_y^-1) Gamma (symmetrized) for Gamma = sum_k G_k (x) V[k].
 
     The pressure block splits per pair of cell vectors,
-    sum_{k,l} (V_k . S_y^-1 V_l) G_k^T M_x^-1 G_l: six M_x solves and six
+    sum_{k,l} (V_k . S_y^-1 V_l) G_k^T M_x^-1 G_l: six M_x^-1 products and six
     sparse-times-dense products, without forming Gamma.
     """
-    coef = V @ la.cho_solve(Sy_factor, V.T)                        # (6, 6)
+    coef = V @ Sy_inv @ V.T                                        # (6, 6)
     nn, n_red = G[0].shape
-    Y = la.cho_solve(Mx_factor, sp.hstack(G).toarray()).reshape(nn, len(G), n_red)
+    Y = (Mx_inv @ sp.hstack(G).toarray()).reshape(nn, len(G), n_red)
     out = A.copy()
     for g, c in zip(G, coef):
         out += g.T @ np.tensordot(Y, c, axes=(1, 0))
@@ -228,7 +210,7 @@ class _CoupledPlateSystem:
     `_init_pressure`.  The pressure blocks are M_x (x) S_y and the coupling is
     Gamma = sum_k G_k (x) V[k], applied through its factors; an implicit Euler
     step eliminates p through the Schur matrix A + Gamma^T (M_x (x) S_y)^-1 Gamma,
-    factored once per step size.  The step cache holds factors only, never a
+    inverted once per step size.  The step cache holds arrays only, never a
     reference to the system.
     """
 
@@ -239,7 +221,7 @@ class _CoupledPlateSystem:
         self.G = plate_coupling_factors(sp_)
         self.V = V
         self.M_x = plate_mass(sp_)
-        self._M_x_factor = _cholesky(self.M_x, "plate mass matrix")
+        self._M_x_inv = _spd_inverse(self.M_x, "plate mass matrix is not positive definite")
         self.M_gel_y = M_gel_y
         self.S_mass_y = S_mass_y
         self.D_y = D_y
@@ -284,32 +266,29 @@ class _CoupledPlateSystem:
         """Static plate response A W = F(0) of the initial state (p = 0)."""
         F0 = self.F_W(0.0)
         if np.linalg.norm(F0) > 0.0:
-            return la.solve(self._A_plate, F0, assume_a="pos")
+            return np.linalg.solve(self._A_plate, F0)
         return np.zeros(self.space.n_red)
 
     def _prepare_step(self, dt: float):
-        """(Schur factor, S_y Cholesky factor, S_y^-1 V^T) for the step size dt, cached."""
+        """(Schur inverse, S_y^-1, S_y^-1 V^T) for the step size dt, cached."""
         if dt <= 0.0:
             raise AssemblyError(f"time step must be positive, got {dt}")
         key = round(dt, 15)
         if key not in self._step_cache:
-            Sy = _cholesky(self.S_mass_y + dt * self.D_y, "cell pressure block")
-            A = kron_schur(self._A_plate, self.G, self.V, self._M_x_factor, Sy)
-            self._step_cache[key] = (DenseFactor(A), Sy, la.cho_solve(Sy, self.V.T))
+            Sy_inv = _spd_inverse(self.S_mass_y + dt * self.D_y,
+                                 "cell pressure block is not positive definite")
+            A = kron_schur(self._A_plate, self.G, self.V, self._M_x_inv, Sy_inv)
+            A_inv = _spd_inverse(A, "singular dense block (c = 0 with alpha = 0 degenerate config?)")
+            self._step_cache[key] = (A_inv, Sy_inv, Sy_inv @ self.V.T)
         return self._step_cache[key]
-
-    def _S_inv(self, Sy_factor, p: np.ndarray) -> np.ndarray:
-        """(M_x (x) S_y)^-1 p."""
-        X = la.cho_solve(self._M_x_factor, p.reshape(self.space.n_nodes, self.ng))
-        return la.cho_solve(Sy_factor, X.T).T.reshape(-1)
 
     def _solve_step(self, dt: float, t1: float, b2: np.ndarray):
         """W1 and p1 (nn, ng) of  A W1 - Gamma^T p1 = F(t1),  Gamma W1 + S p1 = b2."""
-        factor, Sy, SyV = self._prepare_step(dt)
-        q = self._S_inv(Sy, b2)
-        W1 = factor.solve(self.F_W(t1) + self.gamma_T_apply(q))
+        A_inv, Sy_inv, SyV = self._prepare_step(dt)
+        q = self._kron_apply(self._M_x_inv, Sy_inv, b2)               # (M_x (x) S_y)^-1 b2
+        W1 = A_inv @ (self.F_W(t1) + self.gamma_T_apply(q))
         # p1 = q - S^-1 Gamma W1, with S^-1 Gamma W1 = sum_k (M_x^-1 G_k W1) (x) (S_y^-1 V[k])
-        MGW = la.cho_solve(self._M_x_factor, self._G_apply(W1))
+        MGW = self._M_x_inv @ self._G_apply(W1)
         return W1, q.reshape(self.space.n_nodes, self.ng) - MGW @ SyV.T
 
     def norms(self, state) -> dict:
@@ -858,4 +837,3 @@ def norm_equivalence_spectrum(cell_mesh: CellMesh):
     B = Tmat.T @ Q_R @ Tmat
     vals = la.eigh(0.5 * (A + A.T), 0.5 * (B + B.T), eigvals_only=True)
     return float(vals[0]), float(vals[-1])
-

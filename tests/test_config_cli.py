@@ -79,6 +79,18 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_solver_maxiter_is_an_unknown_key(tmp_path, capsys):
+    # no solver reads an iteration cap from the config, so the key is rejected
+    text = TINY + "\n[solver]\ntol_step = 1e-9\nmaxiter = 500\n"
+    lineno = text.splitlines().index("maxiter = 500") + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: unknown key 'maxiter'"):
+        parse_config(text)
+    cfgp = tmp_path / "maxiter.cfg"
+    cfgp.write_text(text)
+    assert cli.main(["micro", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+    assert f"line {lineno}: unknown key 'maxiter'" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     code = cli.main(["cell", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])

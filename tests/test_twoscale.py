@@ -3,7 +3,6 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +15,7 @@ from poroplate.cell import (
     divergence_moments,
     solve_correctors,
 )
-from poroplate.errors import BudgetError
+from poroplate.errors import BudgetError, SolverError
 from poroplate.geometry import CellGeometry, build_cell_mesh, build_micro_mesh, build_plate_mesh
 from poroplate.material import BiotParams, LoadSpec, Poly2T
 from poroplate.plate import build_plate_space
@@ -334,14 +333,24 @@ def test_kronecker_gamma_matches_element_loop(coupled_m3, biot):
     assert np.abs(msys.Gamma.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_spd_inverse_and_its_error():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((7, 7))
+    M = X @ X.T + 7.0 * np.eye(7)
+    assert np.abs(twoscale._spd_inverse(M, "unused") @ M - np.eye(7)).max() <= 1e-14
+    with pytest.raises(SolverError, match="cell pressure block is not positive definite"):
+        twoscale._spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]),
+                              "cell pressure block is not positive definite")
+
+
 def test_kronecker_schur_matches_dense(coupled_m3, biot):
     op, mom, msys, _ = coupled_m3
     dt = float(np.random.default_rng(7).uniform(0.01, 1.0))
     S_y = msys.S_mass_y + dt * msys.D_y
     G = _macro_gamma_reference(op, mom, msys, biot)
     dense = msys.A_W + G.T @ np.kron(np.linalg.inv(msys.M_x), np.linalg.inv(S_y)) @ G
-    got = twoscale.kron_schur(msys.A_W, msys.G, msys.V, la.cho_factor(msys.M_x),
-                              la.cho_factor(S_y))
+    got = twoscale.kron_schur(msys.A_W, msys.G, msys.V, np.linalg.inv(msys.M_x),
+                              np.linalg.inv(S_y))
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
