@@ -25,7 +25,7 @@ from . import fem
 from .errors import AssemblyError
 from .fem import elements as el
 from .fem.constraints import ConstraintSet, Reducer
-from .fem.solvers import DenseFactor
+from .fem.solvers import inverse
 from .geometry import GEL, CellMesh
 from .material import BiotParams, HookeTensor, require_admissible
 
@@ -209,12 +209,13 @@ def compute_homogenized(mesh: CellMesh, hooke: HookeTensor, correctors: Correcto
 
 
 class PressureCellOperator:
-    """Factorized periodic cell elasticity with the gel divergence coupling.
+    """Inverted periodic cell elasticity with the gel divergence coupling.
 
     Carries everything the macro solver and the two-scale oracle consume: the
-    reduced stiffness K_red and its factor, the dense response map
-    N = C K^-1 C^T on gel pressure dofs, the gel mass/diffusion blocks, and
-    the weight vectors int phi and int y3 phi over the gel.
+    reduced stiffness K_red and the inverse of its mean-pinned extension, the
+    dense response map N = C K^-1 C^T on gel pressure dofs, the gel
+    mass/diffusion blocks, and the weight vectors int phi and int y3 phi over
+    the gel.
     """
 
     def __init__(self, mesh: CellMesh, hooke: HookeTensor, biot: BiotParams):
@@ -228,14 +229,14 @@ class PressureCellOperator:
         self.reducer = Reducer(cell_constraints(mesh))
         K = fem.assemble_elastic_stiffness(mesh, hooke)
         self.K_red = self.reducer.reduce_matrix(K)
-        # extended dense factor [[K, W^T], [W, 0]] pinning the component means
+        # inverse of the extended matrix [[K, W^T], [W, 0]] pinning the component means
         nred = self.reducer.n_reduced
         W = np.stack([w for (w, _, _) in self.reducer.mean_zero])
         ext = np.zeros((nred + len(W), nred + len(W)))
         ext[:nred, :nred] = self.K_red.toarray()
         ext[:nred, nred:] = W.T
         ext[nred:, :nred] = W
-        self._factor = DenseFactor(ext)
+        self._ext_inv = inverse(ext, "extended cell stiffness [[K, W^T], [W, 0]] is singular")
         self._nred = nred
         self._nmult = len(W)
 
@@ -251,7 +252,7 @@ class PressureCellOperator:
         # response map N = C K^-1 C^T (no alpha / |Ycell| factors)
         rhs = np.zeros((nred + len(W), self.C_red.shape[0]))
         rhs[:nred] = self.C_red.T.toarray()
-        sol = self._factor.solve(rhs)[:nred]
+        sol = (self._ext_inv @ rhs)[:nred]
         self.U_C = sol  # reduced responses K^-1 C^T per gel dof
         self.N = np.asarray(self.C_red @ sol)
         self.N = 0.5 * (self.N + self.N.T)
@@ -268,7 +269,7 @@ class PressureCellOperator:
         rhs_red = np.asarray(rhs_red, dtype=float)
         pad = np.zeros((self._nmult,) + rhs_red.shape[1:])
         ext = np.concatenate([rhs_red, pad], axis=0)
-        return self._factor.solve(ext)[: self._nred]
+        return (self._ext_inv @ ext)[: self._nred]
 
     def solve_pressure_corrector(self, p0_cell: np.ndarray) -> np.ndarray:
         """u_p field for a gel pressure: RHS (1/|Ycell|) int_gel alpha p0 div v."""
@@ -283,11 +284,10 @@ class PressureCellOperator:
 
 @dataclass
 class MomentTable:
-    """Divergence moments of the correctors and the pressure-corrector map."""
+    """Divergence moments of the correctors."""
 
     scalars: dict  # ('m'|'b', a, b) -> float, int_gel div chi dy
     nodal: dict    # ('m'|'b', a, b) -> (n_gel,) vector C @ chi
-    up_moment: np.ndarray  # q -> int_gel div u_p dy equals up_moment @ q
 
     def scalar(self, kind: str, a: int, b: int) -> float:
         if (a, b) == (1, 0):
@@ -301,12 +301,10 @@ class MomentTable:
 
 
 def divergence_moments(correctors: CorrectorSet, op: PressureCellOperator) -> MomentTable:
-    """int_gel div_y(chi) dy per corrector plus the u_p moment map."""
+    """int_gel div_y(chi) dy per corrector, as a scalar and per gel dof."""
     scalars, nodal = {}, {}
     for key, field in correctors.fields.items():
         d = op.C @ field.reshape(-1)
         nodal[key] = d
         scalars[key] = float(d.sum())
-    ones = np.ones(op.n_gel)
-    up_moment = (op.biot.alpha / op.cell_volume) * (op.N @ ones)
-    return MomentTable(scalars=scalars, nodal=nodal, up_moment=up_moment)
+    return MomentTable(scalars=scalars, nodal=nodal)

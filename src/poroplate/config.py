@@ -8,13 +8,15 @@ Grammar (one statement per line):
 
 Load expressions are monomial lists ``coeff p1 p2 pt`` (meaning
 ``coeff * x1^p1 * x2^p2 * t^pt``) with terms separated by ``;``.  A load can
-be switched off mid-run via ``t_off``.  Unknown sections or keys are schema
-errors carrying the offending line number.
+be switched off mid-run via ``t_off``.  ``[output] formats`` lists the
+artifact formats, ``csv`` and ``vtk``; CSVs are written whatever it says, so
+in effect it switches VTK output on or off.  Unknown sections, keys or format
+tokens are schema errors carrying the offending line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +33,7 @@ _SCHEMA = {
     "output": {"formats", "snapshot_every"},
     "verify": {"coefficients_file", "seed"},
 }
+_FORMATS = ("csv", "vtk")
 
 DEFAULT_CONFIG_TEXT = """\
 [geometry]
@@ -85,7 +88,6 @@ class RunConfig:
     snapshot_every: int = 0
     coefficients_file: str | None = None
     seed: int = 0
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_sections(text: str) -> dict:
@@ -215,8 +217,12 @@ def parse_config(text: str) -> RunConfig:
     value, ln = get("solver", "budget_dofs", "300000")
     budget = int(_floats(value, ln, "budget_dofs", 1)[0])
 
-    value, _ = get("output", "formats", "csv vtk")
+    value, ln = get("output", "formats", "csv vtk")
     formats = tuple(value.split())
+    for token in formats:
+        if token not in _FORMATS:
+            raise ConfigError(f"line {ln}: unknown output format {token!r} "
+                              f"(known: {', '.join(_FORMATS)})")
     value, ln = get("output", "snapshot_every", "0")
     snapshot_every = int(_floats(value, ln, "snapshot_every", 1)[0])
 
@@ -230,7 +236,6 @@ def parse_config(text: str) -> RunConfig:
         tol_cell=tol_cell, tol_step=tol_step, budget_dofs=budget,
         formats=formats, snapshot_every=snapshot_every,
         coefficients_file=coeff_file, seed=seed,
-        raw={s: {k: v[0] for k, v in kv.items()} for s, kv in sec.items()},
     )
 
 

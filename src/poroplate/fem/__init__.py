@@ -13,7 +13,7 @@ from .assembly import (
     vector_dofs,
 )
 from .constraints import ConstraintSet, Reducer
-from .solvers import DenseFactor, RepeatedBlockSolver, pcg, solve_saddle, solve_spd
+from .solvers import RepeatedBlockSolver, pcg, solve_saddle, solve_spd
 
 __all__ = [
     "assemble_body_force",
@@ -28,7 +28,6 @@ __all__ = [
     "vector_dofs",
     "ConstraintSet",
     "Reducer",
-    "DenseFactor",
     "RepeatedBlockSolver",
     "pcg",
     "solve_saddle",

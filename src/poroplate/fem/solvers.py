@@ -1,20 +1,30 @@
-"""Preconditioned CG and the pressure-Schur block solver.
+"""Preconditioned CG, the pressure-Schur block solver, dense inverses and the
+per-step-size operator cache.
 
 pcg is the only iterative kernel: deterministic (fixed reduction order, no
-threading), with the residual history kept for diagnostics.  It takes either
-a Jacobi diagonal or a general SPD preconditioner; solve_spd and solve_saddle
-use Jacobi unless given one (the micro solves pass the geometric-multigrid
-V-cycle of `fem.multigrid`).  solve_saddle eliminates the pressure block,
-leaving a single SPD displacement solve.
+threading), with the residual history kept for diagnostics.  solve_spd and
+solve_saddle precondition it with Jacobi unless given an SPD preconditioner
+(the micro solves pass the geometric-multigrid V-cycle of `fem.multigrid`).
+solve_saddle eliminates the pressure block, leaving a single SPD displacement
+solve.
+
+Every small dense block the program solves with (the extended cell stiffness,
+the gel cell blocks, the plate-side M_x, S_y and Schur matrices, the gel-box
+extension blocks) is inverted once here, by `inverse` or `spd_inverse` on
+numpy's LAPACK, and then applied as matrix products: every dense kernel runs
+on numpy's BLAS, never on the separate BLAS library scipy loads.  Operators
+that depend on the time step are built once per step size through `StepCache`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..errors import SolverError
+from ..errors import AssemblyError, SolverError
 from .constraints import ConstraintSet, Reducer
+
+# relative block residual a saddle solve must meet after CG on the Schur complement
+SADDLE_RTOL = 1e-9
 
 
 def _as_operator(A):
@@ -23,13 +33,13 @@ def _as_operator(A):
     return lambda x: A @ x
 
 
-def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, diag=None, precond=None, project=None):
+def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None):
     """Preconditioned conjugate gradients on an SPD operator.
 
-    Convergence is on ||r|| / ||b||; returns (x, residual_history).  `diag`
-    gives Jacobi preconditioning, `precond` a general SPD application (at most
-    one of the two).  `project` re-imposes orthogonality to a known kernel
-    each iteration (mean-zero solves on periodic spaces).
+    Convergence is on ||r|| / ||b||; returns (x, residual_history).  `precond`
+    applies an SPD preconditioner (none by default; `jacobi` builds the
+    diagonal one).  `project` re-imposes orthogonality to a known kernel each
+    iteration (mean-zero solves on periodic spaces).
     """
     apply_A = _as_operator(A)
     n = len(b)
@@ -37,14 +47,7 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, diag=None, precond=None, proj
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
-    if diag is not None:
-        safe = np.where(np.abs(diag) > 0.0, diag, 1.0)
-        dinv = 1.0 / safe
-        apply_M = lambda r: dinv * r
-    elif precond is not None:
-        apply_M = precond
-    else:
-        apply_M = lambda r: r
+    apply_M = precond if precond is not None else (lambda r: r)
     x = np.zeros(n) if x0 is None else x0.copy()
     if project is not None:
         x = project(x)
@@ -73,6 +76,11 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, diag=None, precond=None, proj
             return x, history
         z = apply_M(r)
         rz_new = float(r @ z)
+        if rz_new <= 0.0:
+            # r.z underflows to zero when tol is below what the residual can represent
+            raise SolverError(
+                f"CG broke down before reaching tol={tol:.1e}: r.z = {rz_new:.1e} at residual {res:.3e}",
+                history)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(
@@ -105,15 +113,15 @@ def _mean_projector(reducer: Reducer):
     return project, shift
 
 
-def _preconditioner(A, precond):
-    """pcg's preconditioner arguments: `precond` if given, else Jacobi on A."""
-    if precond is not None:
-        return {"precond": precond}
-    return {"diag": A.diagonal() if sp.issparse(A) else np.asarray(A).diagonal()}
+def jacobi(A):
+    """Jacobi preconditioner r -> r / diag(A) of a matrix (zero diagonal entries skipped)."""
+    diag = A.diagonal()
+    dinv = 1.0 / np.where(np.abs(diag) > 0.0, diag, 1.0)
+    return lambda r: dinv * r
 
 
 def solve_spd(A, b, constraints: ConstraintSet | None = None, tol: float = 1e-10,
-              *, x0=None, maxiter=None, precond=None):
+              *, x0=None, precond=None):
     """CG solve of an SPD system with constraints eliminated exactly.
 
     A and b live on the full dof set when constraints are given; the returned
@@ -121,90 +129,108 @@ def solve_spd(A, b, constraints: ConstraintSet | None = None, tol: float = 1e-10
     `precond` acts on the (reduced) space CG runs on; Jacobi by default.
     """
     if constraints is None:
-        x, _ = pcg(A, b, tol=tol, maxiter=maxiter, x0=x0, **_preconditioner(A, precond))
+        x, _ = pcg(A, b, tol=tol, x0=x0, precond=precond if precond is not None else jacobi(A))
         return x
     red = constraints if isinstance(constraints, Reducer) else Reducer(constraints)
     A_red = red.reduce_matrix(A)
     b_red = red.reduce_rhs(b, A)
     project, shift = _mean_projector(red)
     x0_red = red.restrict(x0) if x0 is not None else None
-    x_red, _ = pcg(A_red, b_red, tol=tol, maxiter=maxiter, x0=x0_red,
-                   project=project, **_preconditioner(A_red, precond))
+    x_red, _ = pcg(A_red, b_red, tol=tol, x0=x0_red, project=project,
+                   precond=precond if precond is not None else jacobi(A_red))
     if shift is not None:
         x_red = shift(x_red)
     return red.expand(x_red)
 
 
-class DenseFactor:
-    """Inverse of a small dense (possibly extended/saddle) matrix, applied by products."""
+def inverse(M, error: str) -> np.ndarray:
+    """M^-1 by LU; SolverError(error) if M is singular or the inverse is not finite.
 
-    def __init__(self, M: np.ndarray):
-        singular = "singular dense block (c = 0 with alpha = 0 degenerate config?)"
-        try:
-            self._inverse = np.linalg.inv(np.asarray(M, dtype=float))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(singular) from exc
-        if not np.all(np.isfinite(self._inverse)):
-            raise SolverError(singular)
+    `error` names the block, so a failure says which operator degenerated.
+    """
+    try:
+        M_inv = np.linalg.inv(np.asarray(M, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{error} ({exc})") from exc
+    if not np.all(np.isfinite(M_inv)):
+        raise SolverError(error)
+    return M_inv
 
-    def solve(self, B):
-        return self._inverse @ B
+
+def spd_inverse(M, error: str) -> np.ndarray:
+    """M^-1 = L^-T L^-1 from the Cholesky factor L; SolverError(error) if M is not SPD."""
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{error} ({exc})") from exc
+    return L_inv.T @ L_inv
 
 
 class RepeatedBlockSolver:
     """Inverse of a block-diagonal matrix whose blocks are all the same dense S.
 
-    Vectors are ordered block-major: x.reshape(n_blocks, block_size).
+    Vectors are ordered block-major: x.reshape(n_blocks, block_size).  `error`
+    names the block for the SolverError raised if S is singular.
     """
 
-    def __init__(self, S: np.ndarray, n_blocks: int):
-        S = np.asarray(S, dtype=float)
-        self.block_size = S.shape[0]
+    def __init__(self, S: np.ndarray, n_blocks: int, error: str):
+        self._inverse = inverse(S, error)
+        self.block_size = self._inverse.shape[0]
         self.n_blocks = n_blocks
-        try:
-            self._inverse = np.linalg.inv(S)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("pressure block is singular (c = 0 with alpha = 0?)") from exc
 
     def solve(self, x: np.ndarray) -> np.ndarray:
         X = x.reshape(self.n_blocks, self.block_size)
         return (X @ self._inverse.T).reshape(-1)
 
 
-def solve_saddle(K, C, M_block, rhs, *, m_solver=None, tol=1e-10, rtol_check=1e-9,
-                 x0=None, maxiter=None, precond=None):
+def solve_saddle(K, C, M_block, rhs, *, m_solver, tol=1e-10, x0=None, precond=None):
     """Solve  [K, -C^T; C, M] [u; p] = [b_u; b_p]  by eliminating the pressure block.
 
     K must be SPD on its (already reduced) space, M SPD on the pressure space;
-    this is the one-step implicit form of the coupled system.  The Schur
-    complement K + C^T M^-1 C is solved by CG with inner applications of the
-    supplied pressure-block solver, preconditioned by `precond` (an SPD
-    approximation of K^-1; Jacobi on K by default).
+    this is the one-step implicit form of the coupled system.  K, C and M are
+    sparse.  The Schur complement K + C^T M^-1 C is solved by CG with inner
+    applications of `m_solver` (M^-1), preconditioned by `precond` (an SPD
+    approximation of K^-1; Jacobi on K by default).  Both block residuals of
+    the result are checked against SADDLE_RTOL.
     """
     b_u, b_p = rhs
-    if m_solver is None:
-        m_solver = DenseFactor(M_block.toarray() if sp.issparse(M_block) else np.asarray(M_block))
-    C = C.tocsr() if sp.issparse(C) else np.asarray(C)
-    CT = C.T.tocsr() if sp.issparse(C) else C.T
-
-    no_coupling = (C.nnz == 0) if sp.issparse(C) else not np.any(C)
-    if no_coupling:
-        u = solve_spd(K, b_u, tol=tol, x0=x0, maxiter=maxiter, precond=precond)
-        p = m_solver.solve(b_p)
-        return u, p
+    CT = C.T.tocsr()
 
     def schur(u):
         return K @ u + CT @ m_solver.solve(C @ u)
 
     rhs_u = b_u + CT @ m_solver.solve(b_p)
-    u, _ = pcg(schur, rhs_u, tol=tol, maxiter=maxiter, x0=x0, **_preconditioner(K, precond))
+    u, _ = pcg(schur, rhs_u, tol=tol, x0=x0, precond=precond if precond is not None else jacobi(K))
     p = m_solver.solve(b_p - C @ u)
 
     scale = max(np.linalg.norm(rhs_u), np.linalg.norm(b_p), 1e-300)
     r1 = np.linalg.norm(K @ u - CT @ p - b_u)
     r2 = np.linalg.norm(C @ u + (M_block @ p) - b_p)
-    if max(r1, r2) / scale > rtol_check:
+    if max(r1, r2) / scale > SADDLE_RTOL:
         raise SolverError(
-            f"saddle solve block residuals {r1:.2e}, {r2:.2e} exceed {rtol_check:.1e} (scale {scale:.2e})"
+            f"saddle solve block residuals {r1:.2e}, {r2:.2e} exceed {SADDLE_RTOL:.1e} (scale {scale:.2e})"
         )
     return u, p
+
+
+class StepCache:
+    """Operators of one time-step size, built on the first request and kept.
+
+    Entries are keyed by round(dt, 15), so step sizes that differ only in
+    rounding share one entry.  The build function is passed on every call and
+    never stored, so the cache holds only what the builds return; as long as
+    that does not refer back to the owner, the owner is freed without the
+    cycle collector.
+    """
+
+    def __init__(self):
+        self._entries = {}
+
+    def get(self, dt: float, build):
+        """build(dt) for the first request of this step size, the kept result after."""
+        if dt <= 0.0:
+            raise AssemblyError(f"time step must be positive, got {dt}")
+        key = round(dt, 15)
+        if key not in self._entries:
+            self._entries[key] = build(dt)
+        return self._entries[key]

@@ -1,4 +1,4 @@
-"""Two-phase elastic tensors, Biot parameters, and scaled loads.
+"""Two-phase elastic tensors, Biot parameters, and polynomial loads.
 
 Voigt convention: symmetric 6x6 matrices act on the engineering strain vector
 (e11, e22, e33, 2*e23, 2*e13, 2*e12) and return the stress vector in the same
@@ -19,8 +19,6 @@ from .errors import MaterialError
 # tensor in an orthonormal basis of symmetric 3x3 matrices.
 _KELVIN = np.diag([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
 
-_VOIGT_PAIRS = [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
-
 
 def isotropic(E: float, nu: float) -> np.ndarray:
     """Voigt 6x6 of an isotropic Hooke tensor from Young's modulus and Poisson ratio."""
@@ -34,24 +32,6 @@ def isotropic(E: float, nu: float) -> np.ndarray:
     D[:3, :3] = lam
     D[np.diag_indices(3)] += 2.0 * mu
     D[3, 3] = D[4, 4] = D[5, 5] = mu
-    return D
-
-
-def voigt_to_tensor(D: np.ndarray) -> np.ndarray:
-    """Expand an engineering-Voigt 6x6 into the full 3x3x3x3 tensor."""
-    A = np.zeros((3, 3, 3, 3))
-    for I, (i, j) in enumerate(_VOIGT_PAIRS):
-        for J, (k, l) in enumerate(_VOIGT_PAIRS):
-            A[i, j, k, l] = A[j, i, k, l] = A[i, j, l, k] = A[j, i, l, k] = D[I, J]
-    return A
-
-
-def tensor_to_voigt(A: np.ndarray) -> np.ndarray:
-    """Collapse a minor/major-symmetric 3x3x3x3 tensor onto the engineering Voigt 6x6."""
-    D = np.zeros((6, 6))
-    for I, (i, j) in enumerate(_VOIGT_PAIRS):
-        for J, (k, l) in enumerate(_VOIGT_PAIRS):
-            D[I, J] = A[i, j, k, l]
     return D
 
 
@@ -80,9 +60,6 @@ class HookeTensor:
             if not np.allclose(D, D.T, atol=1e-12 * max(1.0, np.abs(D).max())):
                 raise MaterialError(f"{name} Voigt matrix is not symmetric")
             object.__setattr__(self, name, D)
-
-    def phase(self, label: int) -> np.ndarray:
-        return self.gel if label else self.fiber
 
     def coercivity(self) -> float:
         """Smallest Kelvin eigenvalue over both phases (the c0 of the coercivity bound)."""
@@ -176,9 +153,6 @@ class Poly2T:
             t_off=self.t_off,
         )
 
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c, _, _, _ in self.terms)
-
     def max_t_degree(self) -> int:
         return max((pt for _, _, _, pt in self.terms), default=0)
 
@@ -206,7 +180,8 @@ class LoadSpec:
     """In-plane/transverse body force f=(f1,f2,f3) and gel source h on omega.
 
     The components are given in the strong (already scaled-out) form; the
-    epsilon scalings are always applied by scale_loads, never by the caller.
+    epsilon scalings are always applied by `micro.assemble_micro`, never by the
+    caller.
     """
 
     f1: Poly2T = field(default_factory=Poly2T)
@@ -257,21 +232,3 @@ def load_norm(loads: LoadSpec, omega, T: float, n_gauss: int = 6) -> float:
         h_sq += w * l2_sq(loads.h, t)
     return float(np.sqrt(f_sq) + np.sqrt(h_sq))
 
-
-def scale_loads(loads: LoadSpec, eps: float, t: float, x1, x2):
-    """Micro loads at time t: f_eps = (eps f1, eps f2, eps^2 f3), h_eps = eps h.
-
-    Values are constant through the thickness; callers pass in-plane points.
-    """
-    if eps <= 0.0:
-        raise MaterialError(f"cell size must be positive, got {eps}")
-    f = np.stack(
-        [
-            eps * loads.f1(x1, x2, t),
-            eps * loads.f2(x1, x2, t),
-            eps**2 * loads.f3(x1, x2, t),
-        ],
-        axis=-1,
-    )
-    h = eps * loads.h(x1, x2, t)
-    return f, h

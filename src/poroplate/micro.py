@@ -24,8 +24,8 @@ The gel cells are congruent translates of one cell (`MicroMesh.cell_nodes`,
 `cell_elems`, and the cell-major `gel_nodes`), so M, D and C repeat one cell
 block.  The operators that depend on the step size, cM + dt D with its
 cell-block inverse and the block preconditioner of the pressure ODE, are built
-from cell 0 once per dt (`GalerkinSystem.step_operators`) and read by both
-steppers.
+from cell 0 once per dt (`GalerkinSystem.step_operators`, on the step cache of
+`fem.solvers`) and read by both steppers.
 """
 
 from __future__ import annotations
@@ -39,10 +39,14 @@ from . import fem
 from .errors import AssemblyError, GeometryError
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.multigrid import VCycle
-from .fem.solvers import RepeatedBlockSolver, pcg, solve_saddle, solve_spd
+from .fem.solvers import RepeatedBlockSolver, StepCache, inverse, pcg, solve_saddle, solve_spd
 from .geometry import GEL, MicroMesh, _StructuredHexMesh
 from .material import (BiotParams, HookeTensor, LoadSpec, eval_t_parts, require_admissible,
                        t_degree_terms)
+
+# tolerance of the nested B-solves of the pressure-ODE step, tight enough that
+# their error stays below the outer CG tolerance
+INNER_TOL = 1e-12
 
 
 def clamp_constraints(mesh: MicroMesh) -> ConstraintSet:
@@ -112,7 +116,8 @@ class GalerkinSystem:
     strain_sq: sp.csr_matrix    # ||e(U)||^2 on full dofs
     grad_sq: sp.csr_matrix      # ||grad U||^2 on full dofs
     grad_p_sq: sp.csr_matrix    # ||grad p||^2 on gel dofs (unscaled)
-    _step_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _step_cache: StepCache = field(default_factory=StepCache, init=False, repr=False,
+                                   compare=False)
     _multigrid: VCycle | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -146,32 +151,30 @@ class GalerkinSystem:
         return solve_spd(self.B, rhs, tol=tol, x0=x0, precond=self.multigrid)
 
     def step_operators(self, dt: float) -> StepOperators:
-        """The implicit Euler operators of step size dt, built once per dt.
+        """The implicit Euler operators of step size dt, built once per dt."""
+        return self._step_cache.get(dt, self._build_step_operators)
+
+    def _build_step_operators(self, dt: float) -> StepOperators:
+        """StepOperators of step size dt.
 
         The gel cells are congruent: M, D and C repeat one cell block, so the
         pressure block and the preconditioner come from cell 0 and are tiled
         over the cells.
         """
-        if dt <= 0.0:
-            raise AssemblyError(f"time step must be positive, got {dt}")
-        key = round(dt, 15)
-        if key in self._step_cache:
-            return self._step_cache[key]
         c, alpha = self.biot.c, self.biot.alpha
         ng, n_cells = self.mesh.n_gel_local, self.mesh.total_cells
         S = (c * self.M + dt * self.D).tocsr()
         S_local = S[:ng, :ng].toarray()
-        S_solver = RepeatedBlockSolver(S_local, n_cells)
+        S_solver = RepeatedBlockSolver(S_local, n_cells, "gel cell block cM + dt D is singular")
         prec = S_solver
         if alpha != 0.0:
             C0 = self.C[:ng]
             dB = self.B.diagonal()
             dB = np.where(dB > 0, dB, 1.0)
             X = (C0.multiply(1.0 / dB)).tocsr()
-            prec = RepeatedBlockSolver(S_local + alpha**2 * (X @ C0.T).toarray(), n_cells)
-        ops = StepOperators(S=S, S_solver=S_solver, prec=prec)
-        self._step_cache[key] = ops
-        return ops
+            prec = RepeatedBlockSolver(S_local + alpha**2 * (X @ C0.T).toarray(), n_cells,
+                                       "gel cell block of the pressure-ODE preconditioner is singular")
+        return StepOperators(S=S, S_solver=S_solver, prec=prec)
 
 
 def assemble_micro(mesh: MicroMesh, hooke: HookeTensor, biot: BiotParams, eps: float,
@@ -251,14 +254,13 @@ def step_monolithic(sys: GalerkinSystem, state: MicroState, dt: float, *,
     U_red = state.U_red if state.U_red is not None else sys.reducer.restrict(state.U.reshape(-1))
     b_u = sys.F(t1)
     b_p = dt * sys.G(t1) + sys.biot.c * (sys.M @ state.p) + alpha * (sys.C @ U_red)
-    u, p = solve_saddle(sys.B, alpha * sys.C, ops.S, (b_u, b_p),
-                        m_solver=ops.S_solver, tol=tol, rtol_check=1e-9,
-                        x0=U_red, precond=sys.multigrid)
+    u, p = solve_saddle(sys.B, alpha * sys.C, ops.S, (b_u, b_p), m_solver=ops.S_solver,
+                        tol=tol, x0=U_red, precond=sys.multigrid)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
 def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
-               tol: float = 1e-10, inner_tol: float = 1e-12) -> MicroState:
+               tol: float = 1e-10) -> MicroState:
     """One implicit Euler step of the reduced pressure ODE with nested B-solves."""
     ops = sys.step_operators(dt)
     t1 = state.t + dt
@@ -266,7 +268,7 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
     U_red = state.U_red if state.U_red is not None else sys.reducer.restrict(state.U.reshape(-1))
 
     def B_inv(v):
-        return sys.solve_B(v, inner_tol)
+        return sys.solve_B(v, INNER_TOL)
 
     F1 = sys.F(t1)
     dF = F1 - sys.F(state.t)
@@ -285,7 +287,7 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
         rhs -= alpha * (sys.C @ B_inv(dF))
 
     p, _ = pcg(A_op, rhs, tol=tol, precond=ops.prec.solve, x0=state.p)
-    u = sys.solve_B(F1 + alpha * (sys.C.T @ p), inner_tol, x0=U_red)
+    u = sys.solve_B(F1 + alpha * (sys.C.T @ p), INNER_TOL, x0=U_red)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
@@ -419,10 +421,8 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
     The gel spans the full thickness by default, so the cap values are first
     lifted from the cap-edge trace by a 2D harmonic solve; affine fields are
     then reproduced exactly by the interior elastic solve.  All cells share
-    one factorization (congruent gel boxes) and are solved batched.
+    one inverse (congruent gel boxes) and are solved batched.
     """
-    from scipy.linalg import lu_factor, lu_solve
-
     from .fem import elements as el
 
     U = np.asarray(U, dtype=float).reshape(-1, 3)
@@ -448,14 +448,15 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
         flat = (ii + (gnx + 1) * jj).ravel()
         edge = ((ii == 0) | (ii == gnx) | (jj == 0) | (jj == gny)).ravel()
         edge_flat, int_flat = flat[edge], flat[~edge]
-        lu2 = lu_factor(K2[int_flat][:, int_flat].toarray())
+        K2_inv = inverse(K2[int_flat][:, int_flat].toarray(),
+                         "cap Laplace block of the gel extension is singular")
         K_ib = K2[int_flat][:, edge_flat].toarray()
         for kcap in (gk[0], gk[-1]):
             cap_tpl = np.array([tpl_index[(a, b, kcap)] for b in gj for a in gi])
             cap_vals = vals[:, cap_tpl, :]  # (nc, nn2, 3), flat 2D node order
             bdry = cap_vals[:, edge_flat, :].reshape(n_cells, -1, 3)
             rhs = -np.einsum("ib,cbm->icm", K_ib, bdry).reshape(len(int_flat), -1)
-            sol = lu_solve(lu2, rhs).reshape(len(int_flat), n_cells, 3)
+            sol = (K2_inv @ rhs).reshape(len(int_flat), n_cells, 3)
             cap_vals[:, int_flat, :] = sol.transpose(1, 0, 2)
             vals[:, cap_tpl, :] = cap_vals
 
@@ -469,10 +470,11 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
     int_dofs = (3 * loc_of_tpl[interior][:, None] + np.arange(3)).ravel()
     bnd_dofs = (3 * loc_of_tpl[~interior][:, None] + np.arange(3)).ravel()
     if len(int_dofs):
-        lu3 = lu_factor(K3[int_dofs][:, int_dofs].toarray())
+        K3_inv = inverse(K3[int_dofs][:, int_dofs].toarray(),
+                         "gel-interior elastic block of the gel extension is singular")
         K_ib = K3[int_dofs][:, bnd_dofs].toarray()
         bvals = vals[:, ~interior, :].reshape(n_cells, -1)
-        sol = lu_solve(lu3, -(K_ib @ bvals.T))  # (n_int_dofs, nc)
+        sol = K3_inv @ -(K_ib @ bvals.T)  # (n_int_dofs, nc)
         vals[:, interior, :] = sol.T.reshape(n_cells, -1, 3)
 
     W[nodes_per_cell.ravel()] = vals.reshape(-1, 3)

@@ -27,9 +27,9 @@ Gamma^T (M_x^-1 (x) S_y^-1) Gamma = sum_{k,l} (v_k . S_y^-1 v_l) G_k^T M_x^-1 G_
 (`kron_schur`), so no (nn * ng, n_red) block is ever formed.
 
 The dense blocks of the plate side (M_x, S_y and the Schur matrix) are small
-and reused every step, so they are inverted once through numpy's LAPACK and
-applied as matrix products: every dense kernel of a step then runs on numpy's
-BLAS, without switching to the separate BLAS library scipy loads.
+and reused every step, so they are inverted once by `fem.solvers.spd_inverse`
+and applied as matrix products: every dense kernel of a step then runs on
+numpy's BLAS, without switching to the separate BLAS library scipy loads.
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ from .cell import (
     MEMBRANE_KEYS,
     _ENG_UNIT,
 )
-from .errors import AssemblyError, BudgetError, SolverError
+from .errors import AssemblyError, BudgetError
 from .fem import elements as el
 from .fem.constraints import Reducer
+from .fem.solvers import StepCache, spd_inverse
 from .geometry import GEL, CellMesh, MicroMesh, PlateMesh
 from .material import BiotParams, HookeTensor, LoadSpec, eval_t_parts, t_degree_terms
 from .plate import PlateSpace, build_plate_space, plate_mass, scatter_local, scatter_vector
@@ -154,15 +155,6 @@ class CellSampler:
 # ------------------------------------------------------- plate-gel coupling
 
 
-def _spd_inverse(M: np.ndarray, error: str) -> np.ndarray:
-    """M^-1 = L^-T L^-1 from the Cholesky factor L; SolverError(error) if M is not SPD."""
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(M))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"{error} ({exc})") from exc
-    return L_inv.T @ L_inv
-
-
 def plate_coupling_factors(space: PlateSpace) -> list:
     """The six sparse (nn, n_red) plate factors G_k of the pressure coupling.
 
@@ -210,8 +202,8 @@ class _CoupledPlateSystem:
     `_init_pressure`.  The pressure blocks are M_x (x) S_y and the coupling is
     Gamma = sum_k G_k (x) V[k], applied through its factors; an implicit Euler
     step eliminates p through the Schur matrix A + Gamma^T (M_x (x) S_y)^-1 Gamma,
-    inverted once per step size.  The step cache holds arrays only, never a
-    reference to the system.
+    inverted once per step size on a `StepCache`, which holds arrays only,
+    never a reference to the system.
     """
 
     def _init_pressure(self, A: np.ndarray, V: np.ndarray, M_gel_y: np.ndarray,
@@ -221,14 +213,14 @@ class _CoupledPlateSystem:
         self.G = plate_coupling_factors(sp_)
         self.V = V
         self.M_x = plate_mass(sp_)
-        self._M_x_inv = _spd_inverse(self.M_x, "plate mass matrix is not positive definite")
+        self._M_x_inv = spd_inverse(self.M_x, "plate mass matrix is not positive definite")
         self.M_gel_y = M_gel_y
         self.S_mass_y = S_mass_y
         self.D_y = D_y
         self.w_gel = w_gel
         self.f_parts = _plate_load_parts(sp_, self.loads)
         self.h_parts = _pressure_load_parts(sp_, self.loads, w_gel, self.vol)
-        self._step_cache = {}
+        self._step_cache = StepCache()
 
     @property
     def Gamma(self) -> sp.csr_matrix:
@@ -270,21 +262,16 @@ class _CoupledPlateSystem:
         return np.zeros(self.space.n_red)
 
     def _prepare_step(self, dt: float):
-        """(Schur inverse, S_y^-1, S_y^-1 V^T) for the step size dt, cached."""
-        if dt <= 0.0:
-            raise AssemblyError(f"time step must be positive, got {dt}")
-        key = round(dt, 15)
-        if key not in self._step_cache:
-            Sy_inv = _spd_inverse(self.S_mass_y + dt * self.D_y,
-                                 "cell pressure block is not positive definite")
-            A = kron_schur(self._A_plate, self.G, self.V, self._M_x_inv, Sy_inv)
-            A_inv = _spd_inverse(A, "singular dense block (c = 0 with alpha = 0 degenerate config?)")
-            self._step_cache[key] = (A_inv, Sy_inv, Sy_inv @ self.V.T)
-        return self._step_cache[key]
+        """(Schur inverse, S_y^-1, S_y^-1 V^T) for the step size dt."""
+        Sy_inv = spd_inverse(self.S_mass_y + dt * self.D_y,
+                             "cell pressure block is not positive definite")
+        A = kron_schur(self._A_plate, self.G, self.V, self._M_x_inv, Sy_inv)
+        A_inv = spd_inverse(A, "plate step Schur matrix is not positive definite")
+        return A_inv, Sy_inv, Sy_inv @ self.V.T
 
     def _solve_step(self, dt: float, t1: float, b2: np.ndarray):
         """W1 and p1 (nn, ng) of  A W1 - Gamma^T p1 = F(t1),  Gamma W1 + S p1 = b2."""
-        A_inv, Sy_inv, SyV = self._prepare_step(dt)
+        A_inv, Sy_inv, SyV = self._step_cache.get(dt, self._prepare_step)
         q = self._kron_apply(self._M_x_inv, Sy_inv, b2)               # (M_x (x) S_y)^-1 b2
         W1 = A_inv @ (self.F_W(t1) + self.gamma_T_apply(q))
         # p1 = q - S^-1 Gamma W1, with S^-1 Gamma W1 = sum_k (M_x^-1 G_k W1) (x) (S_y^-1 V[k])

@@ -36,7 +36,7 @@ def test_default_config_parses():
     assert cfg.cell_n == 4
     assert cfg.eps_list == [0.25, 0.125, 0.0625]
     assert cfg.biot.alpha == 1.0
-    assert not cfg.loads.f3.is_zero()
+    assert cfg.loads.f3.terms
 
 
 def test_unknown_section_reports_line():
@@ -89,6 +89,46 @@ def test_solver_maxiter_is_an_unknown_key(tmp_path, capsys):
     cfgp.write_text(text)
     assert cli.main(["micro", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
     assert f"line {lineno}: unknown key 'maxiter'" in capsys.readouterr().err
+
+
+def test_unknown_output_format_rejected(tmp_path, capsys):
+    # a typo must not silently switch VTK output off
+    text = TINY + "\n[output]\nformats = csv vkt\n"
+    lineno = text.splitlines().index("formats = csv vkt") + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: unknown output format 'vkt'"):
+        parse_config(text)
+    cfgp = tmp_path / "formats.cfg"
+    cfgp.write_text(text)
+    assert cli.main(["micro", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+    assert f"line {lineno}: unknown output format 'vkt'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("gel = 1.0 0.35\n", "gel = 1.0 0.35\nbiot_c = 0.0\n", "Biot modulus must be positive"),
+    ("eps_list = 0.25", "eps_list = 0.25 0.3", "eps=0.3 does not tile"),
+], ids=["biot_c_zero", "eps_not_tiling"])
+def test_cli_invalid_data_exit_code(tmp_path, capsys, old, new, message):
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(TINY.replace(old, new))
+    code = cli.main(["micro", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_cli_cg_failure_exit_code(tmp_path, capsys):
+    # one eps-cell; no CG residual can reach tol_cell = 1e-300, so the corrector
+    # CG breaks down once r.z underflows (the stiff phases scale r.z by
+    # 1/diag(K) ~ 1e-9, so it underflows well before ||r|| does)
+    text = TINY.replace("omega = 0.0 1.0 0.0 1.0", "omega = 0.0 0.25 0.0 0.25")
+    text = text.replace("fiber = 10.0 0.3\ngel = 1.0 0.35", "fiber = 1e10 0.3\ngel = 1e9 0.35")
+    cfgp = tmp_path / "cg.cfg"
+    cfgp.write_text(text + "\n[solver]\ntol_cell = 1e-300\n")
+    code = cli.main(["cell", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "solver failure: CG broke down before reaching tol=1.0e-300" in err
+    tail = err.split("residual history tail: ")[1]
+    assert len(tail.strip("[]\n").split(",")) == 5
 
 
 def test_cli_missing_config_exit_code(tmp_path):

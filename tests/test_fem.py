@@ -1,12 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from poroplate import fem
-from poroplate.errors import ConstraintError, MaterialError, SolverError
+from poroplate.errors import AssemblyError, ConstraintError, MaterialError, SolverError
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
-from poroplate.fem.solvers import DenseFactor, RepeatedBlockSolver, pcg, solve_saddle, solve_spd
+from poroplate.fem.solvers import (RepeatedBlockSolver, StepCache, inverse, pcg, solve_saddle,
+                                   solve_spd, spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh
 from poroplate.material import HookeTensor, isotropic
 
@@ -218,7 +222,8 @@ def test_saddle_decoupled_matches_spd():
     M = sp.csr_matrix(np.eye(3))
     C = sp.csr_matrix((3, 8))
     bu, bp = rng.standard_normal(8), rng.standard_normal(3)
-    u, p = solve_saddle(K, C, M, (bu, bp), tol=1e-13)
+    u, p = solve_saddle(K, C, M, (bu, bp), m_solver=RepeatedBlockSolver(M.toarray(), 1, "M"),
+                        tol=1e-13)
     assert np.allclose(u, solve_spd(K, bu, tol=1e-13), atol=1e-10)
     assert np.allclose(p, bp)
 
@@ -228,7 +233,8 @@ def test_saddle_hand_built_2x2():
     K = sp.csr_matrix(np.array([[2.0]]))
     C = sp.csr_matrix(np.array([[1.0]]))
     M = sp.csr_matrix(np.array([[3.0]]))
-    u, p = solve_saddle(K, C, M, (np.array([1.0]), np.array([2.0])), tol=1e-14)
+    u, p = solve_saddle(K, C, M, (np.array([1.0]), np.array([2.0])),
+                        m_solver=RepeatedBlockSolver(M.toarray(), 1, "M"), tol=1e-14)
     assert u[0] == pytest.approx(5.0 / 7.0, rel=1e-10)
     assert p[0] == pytest.approx((2.0 - 5.0 / 7.0) / 3.0, rel=1e-10)
 
@@ -245,7 +251,7 @@ def test_saddle_random_vs_dense_oracle():
     mono = np.block([[K, -C.T], [C, M]])
     ref = np.linalg.solve(mono, np.concatenate([bu, bp]))
     u, p = solve_saddle(sp.csr_matrix(K), sp.csr_matrix(C), sp.csr_matrix(M),
-                        (bu, bp), tol=1e-13)
+                        (bu, bp), m_solver=RepeatedBlockSolver(M, 1, "M"), tol=1e-13)
     assert np.abs(np.concatenate([u, p]) - ref).max() < 1e-8
 
 
@@ -271,16 +277,70 @@ def test_repeated_block_solver():
     rng = np.random.default_rng(2)
     S = rng.standard_normal((4, 4))
     S = S @ S.T + 4 * np.eye(4)
-    solver = RepeatedBlockSolver(S, 3)
+    solver = RepeatedBlockSolver(S, 3, "S")
     x = rng.standard_normal(12)
     y = solver.solve(x)
     for b in range(3):
         assert np.allclose(S @ y[4 * b:4 * (b + 1)], x[4 * b:4 * (b + 1)], atol=1e-12)
 
 
-def test_dense_factor_singular():
-    with pytest.raises(SolverError):
-        DenseFactor(np.zeros((3, 3)))
+def test_inverse_singular():
+    with pytest.raises(SolverError, match="test block is singular"):
+        inverse(np.zeros((3, 3)), "test block is singular")
+    with pytest.raises(SolverError, match="tiny block is singular"):   # inverse overflows
+        inverse(np.array([[1e-320]]), "tiny block is singular")
+
+
+def test_spd_inverse_and_its_error():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((7, 7))
+    M = X @ X.T + 7.0 * np.eye(7)
+    assert np.abs(spd_inverse(M, "unused") @ M - np.eye(7)).max() <= 1e-14
+    with pytest.raises(SolverError, match="cell pressure block is not positive definite"):
+        spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]),
+                    "cell pressure block is not positive definite")
+
+
+def test_step_cache_builds_once_per_step_size():
+    cache, built = StepCache(), []
+
+    def build(dt):
+        built.append(dt)
+        return [dt]
+
+    first = cache.get(0.1, build)
+    assert cache.get(0.1, build) is first
+    assert cache.get(0.1 + 1e-17, build) is first   # equal after rounding to 15 digits
+    cache.get(0.2, build)
+    assert built == [0.1, 0.2]
+    for dt in (0.0, -0.1):
+        with pytest.raises(AssemblyError, match="time step must be positive"):
+            cache.get(dt, build)
+    assert built == [0.1, 0.2]
+
+
+def test_step_cache_owner_freed_without_cycle_collector():
+    class Owner:
+        def __init__(self):
+            self.cache = StepCache()
+
+        def build(self, dt):
+            return np.full(3, dt)
+
+        def ops(self, dt):
+            return self.cache.get(dt, self.build)
+
+    gc.collect()
+    gc.disable()
+    try:
+        owner = Owner()
+        owner.ops(0.5)
+        owner.ops(0.25)
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- C1 element

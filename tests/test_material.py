@@ -11,9 +11,6 @@ from poroplate.material import (
     isotropic,
     kelvin_eigenvalues,
     load_norm,
-    scale_loads,
-    tensor_to_voigt,
-    voigt_to_tensor,
 )
 
 
@@ -63,11 +60,6 @@ def test_coercivity_random_spot_check():
         assert energy >= c0 * np.sum(S * S) - 1e-12
 
 
-def test_voigt_round_trip():
-    D = isotropic(2.0, 0.2)
-    assert np.allclose(tensor_to_voigt(voigt_to_tensor(D)), D, atol=1e-14)
-
-
 def test_permeability_diag_c_K():
     b = BiotParams(K=np.diag([1.0, 2.0, 3.0]))
     assert b.c_K == pytest.approx(1.0)
@@ -84,17 +76,6 @@ def test_biot_validation():
         BiotParams(c=0.0)
     with pytest.raises(MaterialError):
         BiotParams(K=-np.eye(3))
-
-
-def test_scale_loads():
-    loads = LoadSpec(f1=Poly2T.constant(1.0), f3=Poly2T.constant(1.0),
-                     h=Poly2T.constant(1.0))
-    x = np.array([0.3])
-    f, h = scale_loads(loads, 0.25, 0.0, x, x)
-    assert f[0, 0] == pytest.approx(0.25)
-    assert f[0, 2] == pytest.approx(1.0 / 16.0)
-    _, h8 = scale_loads(LoadSpec(h=Poly2T.constant(1.0)), 0.125, 0.0, x, x)
-    assert h8[0] == pytest.approx(0.125)
 
 
 def test_poly_eval_and_cutoff():

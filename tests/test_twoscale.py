@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from poroplate.cell import (
     divergence_moments,
     solve_correctors,
 )
-from poroplate.errors import BudgetError, SolverError
+from poroplate.errors import BudgetError
 from poroplate.geometry import CellGeometry, build_cell_mesh, build_micro_mesh, build_plate_mesh
 from poroplate.material import BiotParams, LoadSpec, Poly2T
 from poroplate.plate import build_plate_space
@@ -333,16 +334,6 @@ def test_kronecker_gamma_matches_element_loop(coupled_m3, biot):
     assert np.abs(msys.Gamma.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_spd_inverse_and_its_error():
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((7, 7))
-    M = X @ X.T + 7.0 * np.eye(7)
-    assert np.abs(twoscale._spd_inverse(M, "unused") @ M - np.eye(7)).max() <= 1e-14
-    with pytest.raises(SolverError, match="cell pressure block is not positive definite"):
-        twoscale._spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]),
-                              "cell pressure block is not positive definite")
-
-
 def test_kronecker_schur_matches_dense(coupled_m3, biot):
     op, mom, msys, _ = coupled_m3
     dt = float(np.random.default_rng(7).uniform(0.01, 1.0))
@@ -415,6 +406,34 @@ def test_systems_freed_without_cycle_collector(cell_pipeline, cell_mesh4, two_ph
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_plate_path_calls_no_scipy_factorization(cell_pipeline, cell_mesh4, two_phase_hooke,
+                                                  biot, ramp_loads, monkeypatch):
+    # the macro solver and the oracle invert their dense blocks on numpy's
+    # LAPACK; each scipy factorization or solve runs on scipy's own BLAS pool
+    # and costs milliseconds per call, so none may run on the plate path
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy factorization or solve called on the plate path")
+
+    pattern = re.compile(r"solve|factor|inv|^lu|^cho|^ldl|splu|spilu")
+    patched = []
+    for mod in (scipy.linalg, scipy.sparse.linalg):
+        for name in dir(mod):
+            if pattern.search(name) and callable(getattr(mod, name)):
+                monkeypatch.setattr(mod, name, forbidden)
+                patched.append(name)
+    assert {"solve", "lu_factor", "cho_factor", "inv", "splu", "spsolve"} <= set(patched)
+    cs, hom, op, mom = cell_pipeline
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 4)
+    msys = twoscale.assemble_macro(hom, op, mom, plate, biot, ramp_loads)
+    _, mtable = twoscale.run_macro(msys, 0.5, 2)
+    _, _, otable = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
+                                             ramp_loads, 0.5, 2)
+    assert mtable[-1]["W3"] > 0.0 and otable[-1]["W3"] > 0.0
 
 
 def test_mup_matches_macro_plate8(cell_pipeline, cell_mesh4, two_phase_hooke, biot, ramp_loads):
