@@ -39,19 +39,19 @@ _ENG_UNIT = {
 }
 
 
-def cell_constraints(mesh: CellMesh, ncomp: int = 3) -> ConstraintSet:
+def cell_constraints(mesh: CellMesh) -> ConstraintSet:
     """Periodic master/slave pairs plus per-component mean-zero functionals."""
-    slaves = (ncomp * mesh.periodic_slaves[:, None] + np.arange(ncomp)).reshape(-1)
-    masters = (ncomp * mesh.periodic_masters[:, None] + np.arange(ncomp)).reshape(-1)
+    slaves = (3 * mesh.periodic_slaves[:, None] + np.arange(3)).reshape(-1)
+    masters = (3 * mesh.periodic_masters[:, None] + np.arange(3)).reshape(-1)
     w_node = fem.lumped_weights(mesh)
     mean_zero = []
-    for c in range(ncomp):
-        w = np.zeros(ncomp * mesh.n_nodes)
-        block = np.zeros(ncomp * mesh.n_nodes)
-        w[c::ncomp] = w_node
-        block[c::ncomp] = 1.0
+    for c in range(3):
+        w = np.zeros(3 * mesh.n_nodes)
+        block = np.zeros(3 * mesh.n_nodes)
+        w[c::3] = w_node
+        block[c::3] = 1.0
         mean_zero.append((w, block))
-    return ConstraintSet(ndof=ncomp * mesh.n_nodes, periodic_slaves=slaves,
+    return ConstraintSet(ndof=3 * mesh.n_nodes, periodic_slaves=slaves,
                          periodic_masters=masters, mean_zero=mean_zero)
 
 

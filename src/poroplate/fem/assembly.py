@@ -116,9 +116,9 @@ def _node_subspace(mesh, nodes: np.ndarray):
     return nodes, len(nodes), sub_of
 
 
-def assemble_scalar_mass(mesh, *, elems_mask=None, nodes=None, scale: float = 1.0) -> sp.csr_matrix:
+def assemble_scalar_mass(mesh, *, elems_mask=None, nodes=None) -> sp.csr_matrix:
     """Scalar mass matrix over the masked elements on the node subspace."""
-    ke = scale * el.hex_scalar_mass_ke(mesh.spacing)
+    ke = el.hex_scalar_mass_ke(mesh.spacing)
     conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
     _, nsub, sub_of = _node_subspace(mesh, nodes)
     conn_sub = conn if sub_of is None else sub_of[conn]
@@ -170,13 +170,13 @@ def assemble_divergence_coupling(mesh, *, gel_nodes=None) -> sp.csr_matrix:
     return C
 
 
-def assemble_body_force(mesh, f_at, *, elems_mask=None) -> np.ndarray:
+def assemble_body_force(mesh, f_at) -> np.ndarray:
     """Load vector int f . v with f evaluated at the quadrature points.
 
     f_at(x, y, z) must return (..., 3) stacked components.
     """
     N, _, wdet, pts = el.hex_qp_data(mesh.spacing)
-    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
+    conn = mesh.elems
     origins = mesh.nodes[conn[:, 0]]
     qp = origins[:, None, :] + (pts[None, :, :] + 1.0) * 0.5 * np.asarray(mesh.spacing)
     fvals = f_at(qp[..., 0], qp[..., 1], qp[..., 2])

@@ -80,7 +80,6 @@ class Reducer:
         self.n_full = n
         self.n_reduced = len(free)
         self.free = free
-        self.root = root
         self.g = np.zeros(n)
         self.g[cons.dirichlet_dofs] = cons.dirichlet_values
         rows = np.arange(n)[~is_dir]

@@ -102,7 +102,6 @@ class _StructuredHexMesh:
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = np.asarray(spacing, dtype=float)
         nx, ny, nz = self.nelems
-        self.nnodes_grid = (nx + 1, ny + 1, nz + 1)
         self.n_nodes = (nx + 1) * (ny + 1) * (nz + 1)
         self.n_elems = nx * ny * nz
 

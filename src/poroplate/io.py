@@ -20,8 +20,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_vtk(path, points, cells, cell_type, point_data=None, cell_data=None,
-              title="poroplate output"):
+def write_vtk(path, points, cells, cell_type, point_data=None, cell_data=None):
     """Legacy ASCII unstructured grid; points (n,2|3), cells (m,k) int."""
     points = np.asarray(points, dtype=float)
     if points.shape[1] == 2:
@@ -29,7 +28,7 @@ def write_vtk(path, points, cells, cell_type, point_data=None, cell_data=None,
     cells = np.asarray(cells, dtype=int)
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write("poroplate output\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {len(points)} double\n")
         for p in points:
             f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")

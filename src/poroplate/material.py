@@ -124,8 +124,8 @@ def require_admissible(hooke: HookeTensor, biot: BiotParams) -> AdmissibilityRep
 class Poly2T:
     """Polynomial in (x1, x2, t): a list of (coeff, px1, px2, pt) monomials.
 
-    An optional cutoff time multiplies the value by the indicator {t <= t_off},
-    which is how runs switch loads off mid-trajectory.
+    An optional cutoff time multiplies the value by the indicator {t <= t_off}
+    (see `switched_off`), which is how runs switch loads off mid-trajectory.
     """
 
     def __init__(self, terms=(), t_off: float | None = None):
@@ -140,7 +140,7 @@ class Poly2T:
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         out = np.zeros(np.broadcast(x1, x2).shape)
-        if self.t_off is not None and t > self.t_off:
+        if switched_off(t, self.t_off):
             return out
         for c, p1, p2, pt in self.terms:
             out += c * x1**p1 * x2**p2 * t**pt
@@ -157,18 +157,25 @@ class Poly2T:
         return max((pt for _, _, _, pt in self.terms), default=0)
 
 
+def switched_off(t: float, t_off) -> bool:
+    """The load cutoff: True once t > t_off, with 1e-12 slack so that a time
+    reached by summing step sizes still counts as t_off."""
+    return t_off is not None and t > t_off + 1e-12
+
+
 def t_degree_terms(poly: Poly2T):
-    """(deg, [(c, p1, p2), ...]) for each time degree that has nonzero monomials."""
+    """(deg, spatial Poly2T of the t^deg monomials) for each time degree that
+    has nonzero monomials; evaluate the spatial part at any t."""
     for deg in range(poly.max_t_degree() + 1):
-        terms = [(c, p1, p2) for (c, p1, p2, pt) in poly.terms if pt == deg and c != 0.0]
+        terms = [(c, p1, p2, 0) for (c, p1, p2, pt) in poly.terms if pt == deg and c != 0.0]
         if terms:
-            yield deg, terms
+            yield deg, Poly2T(terms)
 
 
 def eval_t_parts(parts, t: float, t_off, n: int) -> np.ndarray:
-    """sum vec t^deg over (deg, vec) parts, zero once t > t_off (1e-12 slack)."""
+    """sum vec t^deg over (deg, vec) parts, zero once `switched_off(t, t_off)`."""
     out = np.zeros(n)
-    if t_off is not None and t > t_off + 1e-12:
+    if switched_off(t, t_off):
         return out
     for deg, vec in parts:
         out += vec * t**deg

@@ -58,11 +58,10 @@ def clamp_constraints(mesh: MicroMesh) -> ConstraintSet:
 def _poly_parts(mesh: MicroMesh, poly, comp: int, scale: float):
     """Body-force spatial vectors per time degree for one load component."""
     parts = []
-    for deg, terms in t_degree_terms(poly):
-        def f_at(x, y, z, _terms=terms, _comp=comp):
+    for deg, spatial in t_degree_terms(poly):
+        def f_at(x, y, z, _spatial=spatial):
             v = np.zeros(x.shape + (3,))
-            for c, p1, p2 in _terms:
-                v[..., _comp] += c * x**p1 * y**p2
+            v[..., comp] = _spatial(x, y, 0.0)
             return v
 
         parts.append((deg, scale * fem.assemble_body_force(mesh, f_at)))
@@ -72,15 +71,10 @@ def _poly_parts(mesh: MicroMesh, poly, comp: int, scale: float):
 def _source_parts(mesh: MicroMesh, poly, scale: float):
     parts = []
     gel_mask = mesh.phase == GEL
-    for deg, terms in t_degree_terms(poly):
-        def h_at(x, y, z, _terms=terms):
-            v = np.zeros(x.shape)
-            for c, p1, p2 in _terms:
-                v += c * x**p1 * y**p2
-            return v
-
+    for deg, spatial in t_degree_terms(poly):
         parts.append((deg, scale * fem.assemble_scalar_source(
-            mesh, h_at, elems_mask=gel_mask, nodes=mesh.gel_nodes)))
+            mesh, lambda x, y, z, _spatial=spatial: _spatial(x, y, 0.0),
+            elems_mask=gel_mask, nodes=mesh.gel_nodes)))
     return parts
 
 
@@ -216,7 +210,7 @@ class MicroState:
     t: float
     U: np.ndarray          # (n_nodes, 3), zero on the lateral boundary
     p: np.ndarray          # (n_gel,)
-    U_red: np.ndarray = None
+    U_red: np.ndarray      # reduced displacement the next step reads
 
     def norms(self, sys: GalerkinSystem) -> dict:
         u = self.U.reshape(-1)
@@ -230,8 +224,8 @@ class MicroState:
 
     def energy(self, sys: GalerkinSystem) -> float:
         """c ||p||^2 + ||e(U)||_A^2 (the decay functional of the a priori bound)."""
-        ur = self.U_red if self.U_red is not None else sys.reducer.restrict(self.U.reshape(-1))
-        return float(sys.biot.c * (self.p @ (sys.M @ self.p)) + ur @ (sys.B @ ur))
+        return float(sys.biot.c * (self.p @ (sys.M @ self.p))
+                     + self.U_red @ (sys.B @ self.U_red))
 
 
 def initial_state(sys: GalerkinSystem, tol: float = 1e-10) -> MicroState:
@@ -251,11 +245,10 @@ def step_monolithic(sys: GalerkinSystem, state: MicroState, dt: float, *,
     ops = sys.step_operators(dt)
     t1 = state.t + dt
     alpha = sys.biot.alpha
-    U_red = state.U_red if state.U_red is not None else sys.reducer.restrict(state.U.reshape(-1))
     b_u = sys.F(t1)
-    b_p = dt * sys.G(t1) + sys.biot.c * (sys.M @ state.p) + alpha * (sys.C @ U_red)
+    b_p = dt * sys.G(t1) + sys.biot.c * (sys.M @ state.p) + alpha * (sys.C @ state.U_red)
     u, p = solve_saddle(sys.B, alpha * sys.C, ops.S, (b_u, b_p), m_solver=ops.S_solver,
-                        tol=tol, x0=U_red, precond=sys.multigrid)
+                        tol=tol, x0=state.U_red, precond=sys.multigrid)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
@@ -265,7 +258,6 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
     ops = sys.step_operators(dt)
     t1 = state.t + dt
     alpha, c = sys.biot.alpha, sys.biot.c
-    U_red = state.U_red if state.U_red is not None else sys.reducer.restrict(state.U.reshape(-1))
 
     def B_inv(v):
         return sys.solve_B(v, INNER_TOL)
@@ -287,7 +279,7 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
         rhs -= alpha * (sys.C @ B_inv(dF))
 
     p, _ = pcg(A_op, rhs, tol=tol, precond=ops.prec.solve, x0=state.p)
-    u = sys.solve_B(F1 + alpha * (sys.C.T @ p), INNER_TOL, x0=U_red)
+    u = sys.solve_B(F1 + alpha * (sys.C.T @ p), INNER_TOL, x0=state.U_red)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
@@ -297,7 +289,6 @@ class Trajectory:
 
     states: list
     table: list = field(default_factory=list)
-    decoupled: bool = False
 
     @property
     def final(self) -> MicroState:
@@ -321,7 +312,7 @@ def run_transient(sys: GalerkinSystem, T: float, nsteps: int, *,
     dt = T / nsteps
     step = {"monolithic": step_monolithic, "schur": step_schur}[stepper]
     state = initial_state(sys, tol=tol)
-    traj = Trajectory(states=[state], decoupled=sys.decoupled)
+    traj = Trajectory(states=[state])
     row = state.norms(sys)
     row["energy"] = state.energy(sys)
     traj.table.append(row)

@@ -27,8 +27,6 @@ N_QP_1D = 3
 @dataclass
 class PlateSpace:
     plate: PlateMesh
-    n_mem: int
-    n_bend: int
     mem_red: np.ndarray    # (nn, 2) reduced ids or -1
     bend_red: np.ndarray   # (nn, 4) reduced ids or -1
     n_red: int
@@ -39,6 +37,7 @@ class PlateSpace:
     B_mem: np.ndarray      # (nq, 3, 8)
     B_bend: np.ndarray     # (nq, 3, 16)
     N_bfs: np.ndarray      # (nq, 16) BFS value row
+    E: np.ndarray          # (nq, 6, 24) local W -> membrane strains and negated curvatures (m, -k)
     N_qp: sp.csr_matrix    # (ne * nq, nn): row e * nq + q holds N_bil[q] at quads[e]
 
     @property
@@ -162,15 +161,17 @@ def build_plate_space(plate: PlateMesh) -> PlateSpace:
     B_bend = el.bfs_bending_B((hx, hy), pts)
     N_bfs = el.bfs_basis((hx, hy), pts, (0, 0))
     nq = len(qp_w)
+    E = np.zeros((nq, 6, 24))
+    E[:, :3, :8] = B_mem
+    E[:, 3:, 8:] = -B_bend
     rows = np.broadcast_to(np.arange(ne * nq).reshape(ne, nq, 1), (ne, nq, 4))
     cols = np.broadcast_to(conn[:, None, :], (ne, nq, 4))
     vals = np.broadcast_to(N_bil, (ne, nq, 4))
     N_qp = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(ne * nq, nn))
     return PlateSpace(
-        plate=plate, n_mem=2 * nn, n_bend=4 * nn,
-        mem_red=mem_red, bend_red=bend_red, n_red=n_red, elem_dofs=elem_dofs,
+        plate=plate, mem_red=mem_red, bend_red=bend_red, n_red=n_red, elem_dofs=elem_dofs,
         qp_unit=pts, qp_w=qp_w, N_bil=N_bil, B_mem=B_mem, B_bend=B_bend, N_bfs=N_bfs,
-        N_qp=N_qp,
+        E=E, N_qp=N_qp,
     )
 
 

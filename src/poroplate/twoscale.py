@@ -30,6 +30,13 @@ The dense blocks of the plate side (M_x, S_y and the Schur matrix) are small
 and reused every step, so they are inverted once by `fem.solvers.spd_inverse`
 and applied as matrix products: every dense kernel of a step then runs on
 numpy's BLAS, without switching to the separate BLAS library scipy loads.
+
+The two paths share one state (`PlateState`), initial state, implicit Euler
+step, norm table and trajectory loop on `_CoupledPlateSystem`, and build
+their plate matrices (`A_W`, `S_WW`) from a (6, 6) form pulled back through
+`PlateSpace.E`.  A subclass defines only its cell vectors, its plate matrix,
+the previous-state terms of the pressure equation and its elastic energy.
+`oracle_mismatch` is the one measure of "macro = oracle" (AC5).
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ class UnfoldedField:
     """Field on (macro cell) x (cell-mesh nodes), produced by the unfolding map."""
 
     eps: float
-    scale_exp: int
     data: np.ndarray          # (n_cells, n_cell_nodes) or (..., ncomp)
     cell_mesh: CellMesh
 
@@ -84,7 +90,7 @@ def unfold(values: np.ndarray, micro: MicroMesh, cell: CellMesh, scale_exp: int 
     if values.shape[0] != micro.n_nodes:
         raise AssemblyError("field must be nodal on the micro mesh")
     data = values[micro.cell_nodes] * micro.eps ** (-scale_exp)
-    return UnfoldedField(eps=micro.eps, scale_exp=scale_exp, data=data, cell_mesh=cell)
+    return UnfoldedField(eps=micro.eps, data=data, cell_mesh=cell)
 
 
 def unfolded_l2(uf: UnfoldedField) -> float:
@@ -195,11 +201,47 @@ def kron_schur(A: np.ndarray, G: list, V: np.ndarray, Mx_inv: np.ndarray,
     return 0.5 * (out + out.T)
 
 
+@dataclass
+class PlateState:
+    """Kirchhoff-Love fields and the two-scale gel pressure p0, nodal in x'.
+
+    `W_red` is the reduced plate vector the next step reads.  Only the oracle
+    sets `ubar`, its per-quadrature-point cell warping; its trajectory drops
+    it from every state but the last once the next step has used it.
+    """
+
+    t: float
+    Wm: np.ndarray          # (nn, 2) membrane displacement
+    Wb: np.ndarray          # (nn, 4) BFS dofs of W3 (value, d1, d2, d12)
+    p: np.ndarray           # (nn, n_gel) two-scale pressure p0
+    W_red: np.ndarray       # (n_red,) reduced plate vector
+    ubar: np.ndarray | None = None   # (ne, nq, n_red_cell) oracle warping
+
+    @property
+    def W3(self) -> np.ndarray:
+        return self.Wb[:, 0]
+
+
+def _strain_form(space: PlateSpace, K: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(24, 24) element matrix sum_q w_q E_q^T K E_q of a (6, 6) form on (m, -k)."""
+    E = space.E
+    return np.einsum("q,qab->ab", w, E.transpose(0, 2, 1) @ K @ E)
+
+
+def _plate_matrix(space: PlateSpace, loc: np.ndarray) -> np.ndarray:
+    """Dense reduced plate matrix of one (24, 24) element matrix on every element."""
+    A = np.zeros((space.n_red, space.n_red))
+    scatter_local(A, space.elem_dofs, np.broadcast_to(loc, (len(space.elem_dofs), 24, 24)))
+    return A
+
+
 class _CoupledPlateSystem:
     """Reduced plate dofs W coupled to a two-scale pressure p(x', y), nodal in x'.
 
-    Subclasses set `space`, `ng`, `vol`, `loads`, `biot` and call
-    `_init_pressure`.  The pressure blocks are M_x (x) S_y and the coupling is
+    Subclasses set `space`, `ng`, `vol`, `loads`, `biot`, call
+    `_init_pressure`, and define what the two formulations do differently:
+    `_carried` (the previous-state terms of the pressure equation) and
+    `_elastic_energy`.  The pressure blocks are M_x (x) S_y and the coupling is
     Gamma = sum_k G_k (x) V[k], applied through its factors; an implicit Euler
     step eliminates p through the Schur matrix A + Gamma^T (M_x (x) S_y)^-1 Gamma,
     inverted once per step size on a `StepCache`, which holds arrays only,
@@ -254,12 +296,27 @@ class _CoupledPlateSystem:
     def H(self, t: float) -> np.ndarray:
         return eval_t_parts(self.h_parts, t, self.loads.h.t_off, self.space.n_nodes * self.ng)
 
-    def _initial_W(self) -> np.ndarray:
-        """Static plate response A W = F(0) of the initial state (p = 0)."""
+    def p_mean(self, state: PlateState) -> np.ndarray:
+        """p_m(x') = (1/|Ycell|) int_gel p0 dy per plate node."""
+        return (state.p @ self.w_gel) / self.vol
+
+    def _state(self, t: float, W_red: np.ndarray, p: np.ndarray) -> PlateState:
+        Wm, Wb = self.space.expand(W_red)
+        return PlateState(t=t, Wm=Wm, Wb=Wb, p=p, W_red=W_red)
+
+    def initial_state(self) -> PlateState:
+        """Static plate response A W = F(0) with p = 0."""
         F0 = self.F_W(0.0)
         if np.linalg.norm(F0) > 0.0:
-            return np.linalg.solve(self._A_plate, F0)
-        return np.zeros(self.space.n_red)
+            W_red = np.linalg.solve(self._A_plate, F0)
+        else:
+            W_red = np.zeros(self.space.n_red)
+        return self._state(0.0, W_red, np.zeros((self.space.n_nodes, self.ng)))
+
+    def step(self, state: PlateState, dt: float) -> PlateState:
+        t1 = state.t + dt
+        W1, p1 = self._solve_step(dt, t1, dt * self.H(t1) + self._carried(state))
+        return self._state(t1, W1, p1)
 
     def _prepare_step(self, dt: float):
         """(Schur inverse, S_y^-1, S_y^-1 V^T) for the step size dt."""
@@ -278,9 +335,15 @@ class _CoupledPlateSystem:
         MGW = self._M_x_inv @ self._G_apply(W1)
         return W1, q.reshape(self.space.n_nodes, self.ng) - MGW @ SyV.T
 
-    def norms(self, state) -> dict:
+    def energy(self, state: PlateState) -> float:
+        """c ||p0||^2_{L2(omega x gel)} plus the formulation's elastic energy."""
         p = state.p.reshape(-1)
-        pm = (state.p @ self.w_gel) / self.vol
+        c_term = self.biot.c * float(p @ self._kron_apply(self.M_x, self.M_gel_y, p))
+        return c_term + self._elastic_energy(state)
+
+    def norms(self, state: PlateState) -> dict:
+        p = state.p.reshape(-1)
+        pm = self.p_mean(state)
         return {
             "t": state.t,
             "Wm": float(np.sqrt(sum(state.Wm[:, c] @ (self.M_x @ state.Wm[:, c]) for c in range(2)))),
@@ -291,30 +354,35 @@ class _CoupledPlateSystem:
         }
 
 
+def _step_size(T: float, nsteps: int) -> float:
+    if nsteps < 1:
+        raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
+    return T / nsteps
+
+
+def _trajectory(system: _CoupledPlateSystem, dt: float, nsteps: int):
+    """Implicit Euler states and norm table of either plate system.
+
+    A step reads only the previous warping, so every oracle state but the
+    last drops its `ubar` (ne * nq * n_red_cell doubles) once the next step
+    has used it.
+    """
+    state = system.initial_state()
+    states = [state]
+    table = [system.norms(state)]
+    for _ in range(nsteps):
+        state = system.step(state, dt)
+        states[-1].ubar = None
+        states.append(state)
+        table.append(system.norms(state))
+    return states, table
+
+
 # traces of the unit membrane strains M^11, M^22, M^12 (engineering order)
 _TRACE = np.array([1.0, 1.0, 0.0])[:, None]
 
 
 # ------------------------------------------------------------- macro system
-
-
-@dataclass
-class MacroState:
-    """Kirchhoff-Love fields and the per-macro-node two-scale gel pressure."""
-
-    t: float
-    Wm: np.ndarray          # (nn, 2) membrane displacement
-    Wb: np.ndarray          # (nn, 4) BFS dofs of W3 (value, d1, d2, d12)
-    p: np.ndarray           # (nn, n_gel) two-scale pressure p0
-    W_red: np.ndarray = None
-
-    @property
-    def W3(self) -> np.ndarray:
-        return self.Wb[:, 0]
-
-    def p_mean(self, w_gel: np.ndarray, cell_volume: float) -> np.ndarray:
-        """p_m(x') = (1/|Ycell|) int_gel p0 dy per macro node."""
-        return (self.p @ w_gel) / cell_volume
 
 
 class MacroSystem(_CoupledPlateSystem):
@@ -332,20 +400,10 @@ class MacroSystem(_CoupledPlateSystem):
         self.space = build_plate_space(plate)
         self.vol = op.cell_volume
         self.ng = op.n_gel
-        sp_ = self.space
 
-        # plate stiffness from the homogenized coefficients
-        a, b, c = hom.a_eng, hom.b_eng, hom.c_eng
-        loc = np.zeros((24, 24))
-        for q in range(len(sp_.qp_w)):
-            Bm, Bb, w = sp_.B_mem[q], sp_.B_bend[q], sp_.qp_w[q]
-            loc[:8, :8] += w * Bm.T @ a @ Bm
-            loc[:8, 8:] += -w * Bm.T @ b.T @ Bb
-            loc[8:, :8] += -w * Bb.T @ b @ Bm
-            loc[8:, 8:] += w * Bb.T @ c @ Bb
-        self.A_W = np.zeros((sp_.n_red, sp_.n_red))
-        scatter_local(self.A_W, sp_.elem_dofs,
-                      np.broadcast_to(loc, (len(sp_.elem_dofs), 24, 24)))
+        # plate stiffness from the homogenized coefficients on (m, -k)
+        K = np.block([[hom.a_eng, hom.b_eng.T], [hom.b_eng, hom.c_eng]])
+        self.A_W = _plate_matrix(self.space, _strain_form(self.space, K, self.space.qp_w))
 
         # cell vectors of the coupling: divergence moments plus the traces
         # int phi and int y3 phi, scaled by alpha / |Ycell|
@@ -357,28 +415,16 @@ class MacroSystem(_CoupledPlateSystem):
             (biot.c * M_gel + biot.alpha**2 * op.N) / self.vol,
             op.D_gel.toarray() / self.vol, op.w)
 
-    def initial_state(self) -> MacroState:
-        W_red = self._initial_W()
-        Wm, Wb = self.space.expand(W_red)
-        return MacroState(t=0.0, Wm=Wm, Wb=Wb,
-                          p=np.zeros((self.space.n_nodes, self.ng)), W_red=W_red)
+    def _carried(self, state: PlateState) -> np.ndarray:
+        """S_mass p^n + Gamma W^n: the previous state in the pressure equation."""
+        return self.mass_apply(state.p.reshape(-1)) + self.gamma_apply(state.W_red)
 
-    def step(self, state: MacroState, dt: float) -> MacroState:
-        t1 = state.t + dt
-        W_red = state.W_red if state.W_red is not None else self.space.restrict(state.Wm, state.Wb)
-        b2 = dt * self.H(t1) + self.mass_apply(state.p.reshape(-1)) + self.gamma_apply(W_red)
-        W1, p1 = self._solve_step(dt, t1, b2)
-        Wm, Wb = self.space.expand(W1)
-        return MacroState(t=t1, Wm=Wm, Wb=Wb, p=p1, W_red=W1)
-
-    def energy(self, state: MacroState) -> float:
-        """c ||p0||^2_{L2(omega x gel)} + corrected homogenized elastic energy."""
-        W_red = state.W_red if state.W_red is not None else self.space.restrict(state.Wm, state.Wb)
+    def _elastic_energy(self, state: PlateState) -> float:
+        """Homogenized plate energy plus the corrector part alpha^2/|Y| p0.N p0."""
         p = state.p.reshape(-1)
-        c_term = self.biot.c * float(p @ self._kron_apply(self.M_x, self.M_gel_y, p))
-        el_W = float(W_red @ (self.A_W @ W_red))
+        el_W = float(state.W_red @ (self.A_W @ state.W_red))
         el_p = self.biot.alpha**2 / self.vol * float(p @ self._kron_apply(self.M_x, self.op.N, p))
-        return c_term + el_W + el_p
+        return el_W + el_p
 
 
 def assemble_macro(hom: HomogenizedTensor, op: PressureCellOperator, moments: MomentTable,
@@ -389,36 +435,10 @@ def assemble_macro(hom: HomogenizedTensor, op: PressureCellOperator, moments: Mo
 
 def run_macro(msys: MacroSystem, T: float, nsteps: int):
     """Implicit Euler macro trajectory with the norm/energy table."""
-    if nsteps < 1:
-        raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
-    dt = T / nsteps
-    state = msys.initial_state()
-    states = [state]
-    table = [msys.norms(state)]
-    for _ in range(nsteps):
-        state = msys.step(state, dt)
-        states.append(state)
-        table.append(msys.norms(state))
-    return states, table
+    return _trajectory(msys, _step_size(T, nsteps), nsteps)
 
 
 # ----------------------------------------------------- direct two-scale oracle
-
-
-@dataclass
-class TwoScaleState:
-    """Macro fields plus the per-quadrature-point cell warping of the oracle."""
-
-    t: float
-    Wm: np.ndarray
-    Wb: np.ndarray
-    p: np.ndarray            # (nn, n_gel)
-    ubar: np.ndarray | None  # (ne, nq, n_red_cell) reduced warping; None once a step used it
-    W_red: np.ndarray = None
-
-    @property
-    def W3(self) -> np.ndarray:
-        return self.Wb[:, 0]
 
 
 class MupSystem(_CoupledPlateSystem):
@@ -431,7 +451,8 @@ class MupSystem(_CoupledPlateSystem):
     the plate quadrature map `space.N_qp`.  No corrector fields, divergence
     moments or homogenized coefficients are read.  The W-p coupling of the
     eliminated system is -Gamma^T with the same plate factors G_k as the macro
-    path and cell vectors built from the cell operator's response U_C.
+    path and cell vectors built from the cell operator's response U_C.  Every
+    state carries the warping `ubar` recovered from its W and p.
     """
 
     def __init__(self, cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,
@@ -466,23 +487,17 @@ class MupSystem(_CoupledPlateSystem):
         self.P1 = E_eng.T @ D1 @ E_eng
         self.P2 = E_eng.T @ D2 @ E_eng
 
-        # per-qp elastic blocks (uniform plate grid: one set of nq blocks); E
-        # maps local W to the membrane strains and negated curvatures (m, -k)
-        E = np.zeros((nq, 6, 24))
-        E[:, :3, :8] = sp_.B_mem
-        E[:, 3:, 8:] = -sp_.B_bend
+        # per-qp elastic blocks (uniform plate grid: one set of nq blocks)
         r = np.vstack([self.r_m, self.r_b])
-        self.R_E = r.T @ E                                               # (nq, nred, 24)
+        self.R_E = r.T @ sp_.E                                           # (nq, nred, 24)
         T = op.solve_reduced(self.R_E.transpose(1, 0, 2).reshape(nred, nq * 24))
         self.T_E = np.ascontiguousarray(T.reshape(nred, nq, 24).transpose(1, 0, 2))
-        P_loc = E.transpose(0, 2, 1) @ np.block([[self.P0, self.P1], [self.P1, self.P2]]) @ E
 
         # reduced elastic operator on W: A_WW - sum wtilde R_E^T T_E
         wt = sp_.qp_w / self.vol
-        self._P_bar = np.einsum("q,qab->ab", wt, P_loc)
-        loc = self._P_bar - np.einsum("q,qna,qnb->ab", wt, self.R_E, self.T_E)
-        self.S_WW = np.zeros((sp_.n_red, sp_.n_red))
-        scatter_local(self.S_WW, sp_.elem_dofs, np.broadcast_to(loc, (ne, 24, 24)))
+        self._P_bar = _strain_form(sp_, np.block([[self.P0, self.P1], [self.P1, self.P2]]), wt)
+        self.S_WW = _plate_matrix(
+            sp_, self._P_bar - np.einsum("q,qna,qnb->ab", wt, self.R_E, self.T_E))
 
         # W-p coupling: the direct trace part int phi, int y3 phi of each unit
         # strain and the elastic u_P part r.U_C, per plate factor G_k
@@ -524,53 +539,39 @@ class MupSystem(_CoupledPlateSystem):
         """Q_W W = sum_k (G_k W) (x) V_trace[k]: the direct div(W_L) part of the coupling."""
         return (self._G_apply(W_red) @ self._V_trace).reshape(-1)
 
-    # --------------------------------------------------------------- driver
+    # ------------------------------------------------- formulation-specific
 
-    def initial_state(self) -> TwoScaleState:
-        W_red = self._initial_W()
-        p = np.zeros((self.space.n_nodes, self.ng))
-        ubar = self.recover_ubar(W_red, p.reshape(-1))
-        Wm, Wb = self.space.expand(W_red)
-        return TwoScaleState(t=0.0, Wm=Wm, Wb=Wb, p=p, ubar=ubar, W_red=W_red)
+    def _state(self, t: float, W_red: np.ndarray, p: np.ndarray) -> PlateState:
+        state = super()._state(t, W_red, p)
+        state.ubar = self.recover_ubar(W_red, p.reshape(-1))
+        return state
 
-    def step(self, state: TwoScaleState, dt: float) -> TwoScaleState:
-        t1 = state.t + dt
-        p_flat = state.p.reshape(-1)
-        # b2 collects: dt H + mass p^n + couplings at t^n (W and ubar parts)
-        b2 = dt * self.H(t1) + self._kron_apply(
-            self.M_x, (self.biot.c * self.M_gel_y) / self.vol, p_flat)
-        b2 += self._coupling_from_ubar(state.ubar) + self._coupling_from_W(state.W_red)
-        W1, p1 = self._solve_step(dt, t1, b2)
-        ubar1 = self.recover_ubar(W1, p1.reshape(-1))
-        Wm, Wb = self.space.expand(W1)
-        return TwoScaleState(t=t1, Wm=Wm, Wb=Wb, p=p1, ubar=ubar1, W_red=W1)
+    def _carried(self, state: PlateState) -> np.ndarray:
+        """c-mass p^n plus the couplings of the warping and of W at t^n."""
+        mass = self._kron_apply(self.M_x, (self.biot.c * self.M_gel_y) / self.vol,
+                                state.p.reshape(-1))
+        return mass + (self._coupling_from_ubar(state.ubar) + self._coupling_from_W(state.W_red))
 
-    def energy(self, state: TwoScaleState) -> float:
-        """c ||p0||^2 + (1/|Y|) || E(W) + e_y(ubar) ||_A^2 of the oracle state.
+    def _elastic_energy(self, state: PlateState) -> float:
+        """(1/|Y|) || E(W) + e_y(ubar) ||_A^2 of the oracle state.
 
-        Per quadrature point q the elastic part is
+        Per quadrature point q it is
         w_q/|Y| (W.P_q.W + 2 W.R_q^T.u_q + u_q.K.u_q) with u_q = ubar[:, q].
         """
-        p = state.p.reshape(-1)
-        c_term = self.biot.c * float(p @ self._kron_apply(self.M_x, self.M_gel_y, p))
         Wloc = self._local_W(state.W_red)
         u = state.ubar
         ne, nq, nred = u.shape
         RW = (Wloc @ self.R_E.reshape(nq * nred, 24).T).reshape(ne, nq, nred)
         KU = (u.reshape(-1, nred) @ self.K_red).reshape(u.shape)
         wt = self.space.qp_w / self.vol
-        elastic = (float(np.sum((Wloc @ self._P_bar) * Wloc))
-                   + float(wt @ np.sum((2.0 * RW + KU) * u, axis=(0, 2))))
-        return c_term + elastic
+        return (float(np.sum((Wloc @ self._P_bar) * Wloc))
+                + float(wt @ np.sum((2.0 * RW + KU) * u, axis=(0, 2))))
 
 
-def _qp_values(space: PlateSpace, terms) -> np.ndarray:
-    """(ne, nq) values of sum c x1^p1 x2^p2 at the plate quadrature points."""
+def _qp_values(space: PlateSpace, poly) -> np.ndarray:
+    """(ne, nq) values of a spatial polynomial at the plate quadrature points."""
     qpc = space.qp_coords()
-    out = np.zeros(qpc.shape[:2])
-    for cc, p1, p2 in terms:
-        out += cc * qpc[..., 0] ** p1 * qpc[..., 1] ** p2
-    return out
+    return poly(qpc[..., 0], qpc[..., 1], 0.0)
 
 
 def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
@@ -578,8 +579,8 @@ def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
     out = []
     for comp, poly in enumerate(loads.components()):
         parts = []
-        for deg, terms in t_degree_terms(poly):
-            fv = _qp_values(space, terms)
+        for deg, spatial in t_degree_terms(poly):
+            fv = _qp_values(space, spatial)
             loc = np.zeros((len(space.elem_dofs), 24))
             if comp < 2:
                 loc[:, comp:8:2] = np.einsum("q,qa,eq->ea", space.qp_w, space.N_bil, fv)
@@ -595,8 +596,8 @@ def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
 def _pressure_load_parts(space: PlateSpace, loads: LoadSpec, w_gel: np.ndarray, vol: float):
     """(1/|Ycell|) int h phi on the p dofs, per time degree."""
     parts = []
-    for deg, terms in t_degree_terms(loads.h):
-        hx = space.N_qp.T @ (space.qp_w_rows() * _qp_values(space, terms).ravel())
+    for deg, spatial in t_degree_terms(loads.h):
+        hx = space.N_qp.T @ (space.qp_w_rows() * _qp_values(space, spatial).ravel())
         parts.append((deg, np.outer(hx, w_gel).reshape(-1) / vol))
     return parts
 
@@ -604,24 +605,31 @@ def _pressure_load_parts(space: PlateSpace, loads: LoadSpec, w_gel: np.ndarray, 
 def solve_mup_direct(cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,
                      biot: BiotParams, loads: LoadSpec, T: float, nsteps: int,
                      budget_dofs: int = 300_000):
-    """Monolithic trajectory of the unfolded limit problem (the oracle path).
-
-    A step reads only the previous warping, so every state but the last drops
-    its `ubar` (ne * nq * n_red_cell doubles) once the next step has used it.
-    """
-    if nsteps < 1:
-        raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
+    """Monolithic trajectory of the unfolded limit problem (the oracle path)."""
+    dt = _step_size(T, nsteps)
     msys = MupSystem(cell_mesh, plate, hooke, biot, loads, budget_dofs=budget_dofs)
-    dt = T / nsteps
-    state = msys.initial_state()
-    states = [state]
-    table = [msys.norms(state)]
-    for _ in range(nsteps):
-        state = msys.step(state, dt)
-        states[-1].ubar = None
-        states.append(state)
-        table.append(msys.norms(state))
+    states, table = _trajectory(msys, dt, nsteps)
     return msys, states, table
+
+
+def oracle_mismatch(msys: MacroSystem, mstates, mtable, osys: MupSystem, ostates,
+                    otable) -> float:
+    """Largest relative difference between the macro and the oracle trajectory.
+
+    Per step it compares the table norms Wm, W3 and p_m, each relative to the
+    oracle's value floored at 1e-12 times the step's largest of p_m, Wm and 1;
+    at the final time it compares the fields Wm, W3 and p_m in the Euclidean
+    norm.  This is the acceptance measure of "macro = oracle" (AC5).
+    """
+    worst = 0.0
+    for a, b in zip(mtable[1:], otable[1:]):
+        for key in ("Wm", "W3", "p_m"):
+            scale = max(abs(b[key]), 1e-12 * max(abs(b["p_m"]), abs(b["Wm"]), 1.0))
+            worst = max(worst, abs(a[key] - b[key]) / scale)
+    sf, of = mstates[-1], ostates[-1]
+    for a, b in ((sf.Wm, of.Wm), (sf.W3, of.W3), (msys.p_mean(sf), osys.p_mean(of))):
+        worst = max(worst, float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)))
+    return worst
 
 
 # ------------------------------------------------- Kirchhoff-Love residuals
@@ -660,7 +668,7 @@ class ResidualContext:
 
 def kirchhoff_love_residual(U: np.ndarray, p: np.ndarray, micro: MicroMesh,
                             ctx: ResidualContext, msys: MacroSystem,
-                            mstate: MacroState) -> dict:
+                            mstate: PlateState) -> dict:
     """Discrete L2(omega x Ycell) distances between the unfolded micro solution
     and the Kirchhoff-Love limit built from the macro state."""
     cell = ctx.cell_mesh

@@ -8,9 +8,11 @@ from poroplate.material import (
     LoadSpec,
     Poly2T,
     check_admissible,
+    eval_t_parts,
     isotropic,
     kelvin_eigenvalues,
     load_norm,
+    t_degree_terms,
 )
 
 
@@ -84,6 +86,28 @@ def test_poly_eval_and_cutoff():
     assert p(1.0, 2.0, 0.75) == 0.0
     dp = p.dt()
     assert dp(1.0, 2.0, 0.25) == pytest.approx(2.0)
+
+
+def test_cutoff_agrees_between_poly_and_time_parts():
+    # the stepper evaluates loads as precomputed spatial parts times t^deg;
+    # both evaluations must switch the load off at the same time
+    p = Poly2T([(2.0, 1, 0, 1), (-1.0, 0, 2, 0), (0.5, 2, 1, 2)], t_off=0.5)
+    x1, x2 = np.array([0.3, 0.7, 1.1]), np.array([0.2, 0.9, -0.4])
+    parts = [(deg, spatial(x1, x2, 0.0)) for deg, spatial in t_degree_terms(p)]
+    for t in (0.25, 0.5, 0.5 + 5e-13, 0.5 + 1e-9):
+        np.testing.assert_allclose(eval_t_parts(parts, t, p.t_off, 3), p(x1, x2, t),
+                                   rtol=1e-14, atol=0.0)
+    assert p(x1, x2, 0.5 + 5e-13).any()
+    assert not p(x1, x2, 0.5 + 1e-9).any()
+
+
+def test_time_parts_are_the_monomial_sums():
+    p = Poly2T([(2.0, 1, 0, 1), (-1.0, 0, 2, 0), (0.5, 2, 1, 1), (0.0, 3, 3, 2)])
+    x1, x2 = np.linspace(-1.0, 2.0, 7), np.linspace(0.5, 1.5, 7)
+    got = {deg: spatial(x1, x2, 0.0) for deg, spatial in t_degree_terms(p)}
+    assert sorted(got) == [0, 1]   # degree 2 has only a zero coefficient
+    assert np.array_equal(got[0], np.zeros(7) + -1.0 * x1**0 * x2**2)
+    assert np.array_equal(got[1], np.zeros(7) + 2.0 * x1**1 * x2**0 + 0.5 * x1**2 * x2**1)
 
 
 def test_load_norm_analytic():

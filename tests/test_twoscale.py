@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from poroplate import micro, twoscale
 from poroplate.cell import (
     MEMBRANE_KEYS,
+    HomogenizedTensor,
     PressureCellOperator,
     compute_homogenized,
     divergence_moments,
     solve_correctors,
 )
-from poroplate.errors import BudgetError
+from poroplate.errors import AssemblyError, BudgetError
 from poroplate.geometry import CellGeometry, build_cell_mesh, build_micro_mesh, build_plate_mesh
 from poroplate.material import BiotParams, LoadSpec, Poly2T
 from poroplate.plate import build_plate_space
@@ -168,6 +169,46 @@ def test_macro_membrane_only_keeps_w3_zero(cell_pipeline, biot):
     msys = twoscale.assemble_macro(hom, op, mom, plate, biot0, loads)
     states, _ = twoscale.run_macro(msys, 0.5, 4)
     assert np.abs(states[-1].Wb).max() < 1e-12 * max(np.abs(states[-1].Wm).max(), 1e-30)
+
+
+def _per_qp_plate_stiffness(hom, space):
+    """A_W by the per-quadrature-point block loop over the membrane/bending blocks."""
+    a, b, c = hom.a_eng, hom.b_eng, hom.c_eng
+    loc = np.zeros((24, 24))
+    for q in range(len(space.qp_w)):
+        Bm, Bb, w = space.B_mem[q], space.B_bend[q], space.qp_w[q]
+        loc[:8, :8] += w * Bm.T @ a @ Bm
+        loc[:8, 8:] += -w * Bm.T @ b.T @ Bb
+        loc[8:, :8] += -w * Bb.T @ b @ Bm
+        loc[8:, 8:] += w * Bb.T @ c @ Bb
+    A = np.zeros((space.n_red, space.n_red))
+    for d in space.elem_dofs:
+        mask = d >= 0
+        A[np.ix_(d[mask], d[mask])] += loc[np.ix_(mask, mask)]
+    return A
+
+
+def test_macro_stiffness_matches_per_qp_block_loop(cell_pipeline, biot):
+    # a non-symmetric coupling block b tells b from b^T apart
+    cs, hom, op, mom = cell_pipeline
+    b = 0.05 * np.random.default_rng(5).standard_normal((3, 3))
+    hom_b = HomogenizedTensor(a_eng=hom.a_eng, b_eng=b, c_eng=hom.c_eng)
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 2.0)), 4)
+    msys = twoscale.assemble_macro(hom_b, op, mom, plate, biot, LoadSpec())
+    ref = _per_qp_plate_stiffness(hom_b, msys.space)
+    assert np.abs(msys.A_W - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_zero_steps_rejected_before_any_build(cell_pipeline, cell_mesh4, two_phase_hooke, biot):
+    cs, hom, op, mom = cell_pipeline
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3)
+    msys = twoscale.assemble_macro(hom, op, mom, plate, biot, LoadSpec())
+    with pytest.raises(AssemblyError, match="nsteps"):
+        twoscale.run_macro(msys, 0.5, 0)
+    # budget_dofs=1 would refuse the oracle: nsteps is checked first
+    with pytest.raises(AssemblyError, match="nsteps"):
+        twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot, LoadSpec(),
+                                  0.5, nsteps=0, budget_dofs=1)
 
 
 def test_macro_alpha_zero_per_node_pressure_ode(cell_pipeline):
@@ -541,7 +582,7 @@ def _macro_state_from_fields(plate_m, Wm_fn, Wb_fn, ng):
     Wm = Wm_fn(nodes)
     Wb = Wb_fn(nodes)
     p = np.zeros((plate.n_nodes, ng))
-    return plate, twoscale.MacroState(t=0.0, Wm=Wm, Wb=Wb, p=p)
+    return plate, twoscale.PlateState(t=0.0, Wm=Wm, Wb=Wb, p=p, W_red=space.restrict(Wm, Wb))
 
 
 def test_residual_kl_plug_in(micro_mesh4, cell_mesh4, two_phase_hooke, biot, cell_pipeline):
