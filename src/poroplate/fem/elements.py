@@ -147,18 +147,20 @@ def quad_membrane_B(dN: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------- C1 bending rectangle (BFS)
 
-def _hermite1d(h: float, node: int, kind: int, xi, order: int):
-    """Cubic Hermite basis on [0, h] at xi = x/h: node in {0,1}, kind 0=value 1=slope."""
+def _hermite1d(h: float, xi, order: int) -> dict:
+    """Cubic Hermite basis on [0, h] at xi = x/h, derivative `order` in x only.
+
+    Keyed by (node, kind): node in {0, 1}, kind 0 = value, 1 = slope.
+    """
     xi = np.asarray(xi, dtype=float)
-    if node == 0 and kind == 0:
-        table = (1 - 3 * xi**2 + 2 * xi**3, (-6 * xi + 6 * xi**2) / h, (-6 + 12 * xi) / h**2)
-    elif node == 0 and kind == 1:
-        table = (h * (xi - 2 * xi**2 + xi**3), 1 - 4 * xi + 3 * xi**2, (-4 + 6 * xi) / h)
-    elif node == 1 and kind == 0:
-        table = (3 * xi**2 - 2 * xi**3, (6 * xi - 6 * xi**2) / h, (6 - 12 * xi) / h**2)
-    else:
-        table = (h * (-(xi**2) + xi**3), -2 * xi + 3 * xi**2, (-2 + 6 * xi) / h)
-    return table[order]
+    if order == 0:
+        return {(0, 0): 1 - 3 * xi**2 + 2 * xi**3, (0, 1): h * (xi - 2 * xi**2 + xi**3),
+                (1, 0): 3 * xi**2 - 2 * xi**3, (1, 1): h * (-(xi**2) + xi**3)}
+    if order == 1:
+        return {(0, 0): (-6 * xi + 6 * xi**2) / h, (0, 1): 1 - 4 * xi + 3 * xi**2,
+                (1, 0): (6 * xi - 6 * xi**2) / h, (1, 1): -2 * xi + 3 * xi**2}
+    return {(0, 0): (-6 + 12 * xi) / h**2, (0, 1): (-4 + 6 * xi) / h,
+            (1, 0): (6 - 12 * xi) / h**2, (1, 1): (-2 + 6 * xi) / h}
 
 
 # node-local (i, j) positions matching quad connectivity order
@@ -175,12 +177,12 @@ def bfs_basis(spacing, points, deriv=(0, 0)) -> np.ndarray:
     """
     hx, hy = spacing
     P = np.atleast_2d(points)
+    X = _hermite1d(hx, P[:, 0], deriv[0])
+    Y = _hermite1d(hy, P[:, 1], deriv[1])
     out = np.empty((len(P), 16))
     for a, (ia, ja) in enumerate(_BFS_NODES):
         for d, (kx, ky) in enumerate(_BFS_KINDS):
-            X = _hermite1d(hx, ia, kx, P[:, 0], deriv[0])
-            Y = _hermite1d(hy, ja, ky, P[:, 1], deriv[1])
-            out[:, 4 * a + d] = X * Y
+            out[:, 4 * a + d] = X[ia, kx] * Y[ja, ky]
     return out
 
 

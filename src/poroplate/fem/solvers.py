@@ -48,10 +48,13 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None):
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
     apply_M = precond if precond is not None else (lambda r: r)
-    x = np.zeros(n) if x0 is None else x0.copy()
-    if project is not None:
-        x = project(x)
-    r = b - apply_A(x)
+    if x0 is None:
+        x, r = np.zeros(n), b   # b - A 0, without the operator application
+    else:
+        x = x0.copy()
+        if project is not None:
+            x = project(x)
+        r = b - apply_A(x)
     if project is not None:
         r = project(r)
     z = apply_M(r)

@@ -384,6 +384,46 @@ def test_bfs_patch_test_quadratic():
     assert np.abs(xfull - exact.reshape(-1)).max() < 1e-10
 
 
+def _hermite1d_all_orders(h, node, kind, xi, order):
+    """The one-factor-per-call Hermite formula bfs_basis was first written with."""
+    if node == 0 and kind == 0:
+        table = (1 - 3 * xi**2 + 2 * xi**3, (-6 * xi + 6 * xi**2) / h, (-6 + 12 * xi) / h**2)
+    elif node == 0 and kind == 1:
+        table = (h * (xi - 2 * xi**2 + xi**3), 1 - 4 * xi + 3 * xi**2, (-4 + 6 * xi) / h)
+    elif node == 1 and kind == 0:
+        table = (3 * xi**2 - 2 * xi**3, (6 * xi - 6 * xi**2) / h, (6 - 12 * xi) / h**2)
+    else:
+        table = (h * (-(xi**2) + xi**3), -2 * xi + 3 * xi**2, (-2 + 6 * xi) / h)
+    return table[order]
+
+
+def test_bfs_basis_bit_identical_to_per_factor_formula():
+    hx, hy = 0.3, 0.7
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(64, 2))
+    for dx in range(3):
+        for dy in range(3):
+            ref = np.empty((len(pts), 16))
+            for a, (ia, ja) in enumerate(el._BFS_NODES):
+                for d, (kx, ky) in enumerate(el._BFS_KINDS):
+                    ref[:, 4 * a + d] = (_hermite1d_all_orders(hx, ia, kx, pts[:, 0], dx)
+                                         * _hermite1d_all_orders(hy, ja, ky, pts[:, 1], dy))
+            assert np.array_equal(el.bfs_basis((hx, hy), pts, (dx, dy)), ref), (dx, dy)
+
+
+def test_pcg_cold_start_applies_operator_once_per_iteration():
+    A = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(30, 30)).tocsr()
+    b = np.linspace(1.0, 2.0, 30)
+    calls = []
+
+    def apply_A(x):
+        calls.append(x)
+        return A @ x
+
+    x, hist = pcg(apply_A, b, tol=1e-12)
+    assert len(calls) == len(hist) - 1
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_bfs_interpolates_bicubic_exactly():
     from poroplate.fem.elements import bfs_basis
 

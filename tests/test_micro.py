@@ -41,13 +41,90 @@ def test_diffusion_eps_scaling(micro_mesh4, two_phase_hooke, biot, ramp_loads):
     assert np.abs(diff.data).max() < 1e-14 if diff.nnz else True
 
 
-def test_two_path_equivalence(small_system):
-    tr1 = micro.run_transient(small_system, 0.5, 8, stepper="monolithic")
-    tr2 = micro.run_transient(small_system, 0.5, 8, stepper="schur")
-    for a, b in zip(tr1.table[1:], tr2.table[1:]):
-        assert abs(a["p"] - b["p"]) <= 1e-7 * max(b["p"], 1e-30)
-        assert abs(a["e_U"] - b["e_U"]) <= 1e-7 * max(b["e_U"], 1e-30)
-    assert np.linalg.norm(tr1.final.U - tr2.final.U) <= 1e-7 * np.linalg.norm(tr2.final.U)
+# degree 0, 1 and 2 terms in t, and a cutoff between steps 4 (t = 0.25) and 5 of 8 on [0, 0.5]
+CUTOFF_LOADS = LoadSpec(f1=Poly2T([(0.4, 0, 0, 0), (0.5, 1, 0, 1)], t_off=0.3),
+                        f2=Poly2T([(-0.3, 0, 1, 2)]), f3=Poly2T([(1.0, 0, 0, 1), (0.6, 1, 1, 2)]),
+                        h=Poly2T([(1.0, 0, 0, 1)]))
+
+
+def test_two_path_equivalence(small_system, micro_mesh4, two_phase_hooke, biot):
+    cutoff_system = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, CUTOFF_LOADS)
+    for sys in (small_system, cutoff_system):
+        tr1 = micro.run_transient(sys, 0.5, 8, stepper="monolithic")
+        tr2 = micro.run_transient(sys, 0.5, 8, stepper="schur")
+        for a, b in zip(tr1.table[1:], tr2.table[1:]):
+            assert abs(a["p"] - b["p"]) <= 1e-7 * max(b["p"], 1e-30)
+            assert abs(a["e_U"] - b["e_U"]) <= 1e-7 * max(b["e_U"], 1e-30)
+        assert np.linalg.norm(tr1.final.U - tr2.final.U) <= 1e-7 * np.linalg.norm(tr2.final.U)
+
+
+def _step_schur_reference(sys, state, dt, tol=1e-10):
+    """The pressure-ODE step in its first form: CG on p^{n+1} from p^n, with the
+    right-hand side dt G + (cM + alpha^2 C B^-1 C^T) p^n - alpha C B^-1 (F^{n+1} - F^n)."""
+    ops = sys.step_operators(dt)
+    t1 = state.t + dt
+    alpha, c = sys.biot.alpha, sys.biot.c
+
+    def B_inv(v):
+        return sys.solve_B(v, micro.INNER_TOL)
+
+    F1 = sys.F(t1)
+    dF = F1 - sys.F(state.t)
+
+    def mass_like(z):
+        out = c * (sys.M @ z)
+        if alpha != 0.0:
+            out = out + alpha**2 * (sys.C @ B_inv(sys.C.T @ z))
+        return out
+
+    rhs = dt * sys.G(t1) + mass_like(state.p)
+    if alpha != 0.0 and np.linalg.norm(dF) > 0.0:
+        rhs -= alpha * (sys.C @ B_inv(dF))
+    p, _ = fem.pcg(lambda z: mass_like(z) + dt * (sys.D @ z), rhs, tol=tol,
+                   precond=ops.prec.solve, x0=state.p)
+    u = sys.solve_B(F1 + alpha * (sys.C.T @ p), micro.INNER_TOL, x0=state.U_red)
+    return micro.MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
+
+
+def test_schur_increment_step_matches_reference_form(micro_mesh4, two_phase_hooke, biot):
+    sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, CUTOFF_LOADS)
+    traj = micro.run_transient(sys, 0.5, 8, stepper="schur")
+    ref = traj.states[0]
+    for state in traj.states[1:]:
+        ref = _step_schur_reference(sys, ref, 0.0625)
+        assert state.t == ref.t
+        for new, old in ((state.U_red, ref.U_red), (state.p, ref.p)):
+            assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
+
+
+def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, monkeypatch):
+    sys = micro.assemble_micro(small_system.mesh, small_system.hooke, small_system.biot,
+                               0.25, small_system.loads)
+    assert np.linalg.norm(sys.F(0.0)) == 0.0   # initial_state makes no B-solve
+    solves, outer = [], []
+    real_solve_B, real_pcg = sys.solve_B, micro.pcg
+
+    def counting_solve_B(*args, **kwargs):
+        solves.append(1)
+        return real_solve_B(*args, **kwargs)
+
+    def counting_pcg(A, b, **kwargs):
+        def apply_A(z):
+            outer.append(1)
+            return A(z)
+        return real_pcg(apply_A, b, **kwargs)
+
+    monkeypatch.setattr(sys, "solve_B", counting_solve_B)
+    monkeypatch.setattr(micro, "pcg", counting_pcg)
+    n_parts = sum(len(parts) for parts in sys.f_parts)
+    assert n_parts == 2
+    micro.run_transient(sys, 0.5, 8, stepper="schur")
+    assert len(outer) > 0
+    assert len(solves) == len(outer) + 8 + n_parts
+    # a second trajectory on the same system reuses the load responses
+    del solves[:], outer[:]
+    micro.run_transient(sys, 0.5, 4, stepper="schur")
+    assert len(solves) == len(outer) + 4
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +178,7 @@ def test_system_freed_without_cycle_collector(micro_mesh4, two_phase_hooke, biot
         micro.run_transient(sys, 0.25, 2, stepper="monolithic")
         micro.run_transient(sys, 0.25, 2, stepper="schur")
         assert sys._multigrid is not None   # the V-cycle hierarchy was built and kept
+        assert sys._load_solutions is not None   # and so were the load responses
         ref = weakref.ref(sys)
         del sys
         assert ref() is None
