@@ -79,23 +79,18 @@ def corrector_rhs(mesh: CellMesh, hooke: HookeTensor):
 
     Keys 'm'+(a,b) use S = M^ab, keys 'b'+(a,b) use S = y3 M^ab.
     """
-    N, dN, wdet, pts = el.hex_qp_data(mesh.spacing)
+    _, dN, wdet, _ = el.hex_qp_data(mesh.spacing)
     Bq = el.hex_strain_B(dN)  # (nq, 6, 24)
-    z0 = mesh.nodes[mesh.elems[:, 0], 2]
-    zq = z0[:, None] + (pts[None, :, 2] + 1.0) * 0.5 * mesh.spacing[2]  # (ne, nq)
-    dofs = fem.vector_dofs(mesh.elems)
+    zq = fem.assembly.qp_points(mesh)[..., 2]  # (ne, nq)
+    dofs, ndof = fem.assembly.element_dofs(mesh, ncomp=3)
     out = {}
     D = np.stack([hooke.fiber, hooke.gel])[mesh.phase]  # (ne, 6, 6)
     for key in MEMBRANE_KEYS:
         sig = np.einsum("eij,j->ei", D, _ENG_UNIT[key])  # (ne, 6)
         fe_m = np.einsum("q,qia,ei->ea", wdet, Bq, sig)  # constant-in-z part
         fe_b = np.einsum("q,eq,qia,ei->ea", wdet, zq, Bq, sig)
-        r_m = np.zeros(3 * mesh.n_nodes)
-        r_b = np.zeros(3 * mesh.n_nodes)
-        np.add.at(r_m, dofs.ravel(), fe_m.ravel())
-        np.add.at(r_b, dofs.ravel(), fe_b.ravel())
-        out[("m",) + key] = r_m
-        out[("b",) + key] = r_b
+        out[("m",) + key] = fem.assembly.scatter_vector(dofs, fe_m, ndof)
+        out[("b",) + key] = fem.assembly.scatter_vector(dofs, fe_b, ndof)
     return out
 
 
@@ -117,7 +112,6 @@ class CorrectorSet:
 
 def solve_correctors(mesh: CellMesh, hooke: HookeTensor, tol: float = 1e-10) -> CorrectorSet:
     """Solve the six cell problems in the periodic mean-zero space (CG)."""
-    fem.assembly.require_coercive(hooke)
     K = fem.assemble_elastic_stiffness(mesh, hooke)
     cons = Reducer(cell_constraints(mesh))
     rhs = corrector_rhs(mesh, hooke)

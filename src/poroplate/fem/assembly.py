@@ -1,8 +1,12 @@
 """Sparse assembly of the bilinear forms on the structured meshes.
 
-Every mesh is a uniform grid, so one element matrix per phase is computed and
-scattered; accumulation is chunked COO -> CSR with int32 indices to keep the
-peak memory bounded on the finest micro meshes.
+Every mesh is a uniform grid, so each operator is one element matrix (one per
+phase, or per label) summed into a global array.  That sum is made here only:
+`scatter` for matrices and `scatter_vector` for vectors, on the element dof
+ids of `element_dofs` and the quadrature points of `qp_points`.  A negative
+dof id marks an eliminated dof (a clamped plate dof) and its entries are
+dropped.  Matrices are accumulated as chunked COO -> CSR with int32 indices
+to keep the peak memory bounded on the finest micro meshes.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AssemblyError, MaterialError
-from ..material import BiotParams, HookeTensor, kelvin_eigenvalues
+from ..material import BiotParams, HookeTensor
 from . import elements as el
 
 _CHUNK = 2_000_000  # COO entries per accumulation chunk
@@ -24,27 +28,72 @@ def vector_dofs(conn: np.ndarray, ncomp: int = 3) -> np.ndarray:
     return dofs
 
 
-def scatter(conn_dofs: np.ndarray, ke_stack, ndof: int) -> sp.csr_matrix:
-    """Accumulate element matrices into CSR.
+def element_dofs(mesh, elems_mask=None, nodes=None, ncomp: int = 1):
+    """(dofs (ne, 8*ncomp), ndof) of the masked elements on a node subset.
 
-    ke_stack is (ne, k, k) or a callable idx -> (len(idx), k, k) producing the
-    element matrices for a chunk of element indices.
+    With `nodes` given, node nodes[i] is renumbered i and the masked elements
+    must touch no other node; otherwise every mesh node keeps its id.
     """
-    ne, k = conn_dofs.shape
-    A = sp.csr_matrix((ndof, ndof))
-    per = max(1, _CHUNK // (k * k))
+    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
+    if nodes is None:
+        return vector_dofs(conn, ncomp), ncomp * mesh.n_nodes
+    sub_of = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    sub_of[nodes] = np.arange(len(nodes))
+    conn = sub_of[conn]
+    if np.any(conn < 0):
+        raise AssemblyError("masked elements touch nodes outside the given node subset")
+    return vector_dofs(conn, ncomp), ncomp * len(nodes)
+
+
+def qp_points(mesh, elems_mask=None) -> np.ndarray:
+    """(ne, nq, 3) physical quadrature points of the masked elements."""
+    pts = el.hex_qp_data(mesh.spacing)[3]
+    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
+    origins = mesh.nodes[conn[:, 0]]
+    return origins[:, None, :] + (pts[None, :, :] + 1.0) * 0.5 * np.asarray(mesh.spacing)
+
+
+def scatter(row_dofs: np.ndarray, ke: np.ndarray, shape, col_dofs=None,
+            phase=None) -> sp.csr_matrix:
+    """Sum element matrices into a CSR matrix of the given shape.
+
+    Element e adds ke (or ke[phase[e]] when a label per element is given) at
+    rows row_dofs[e] and columns col_dofs[e] (row_dofs[e] by default); entries
+    with a negative row or column id are dropped.
+    """
+    col_dofs = row_dofs if col_dofs is None else col_dofs
+    (ne, kr), kc = row_dofs.shape, col_dofs.shape[1]
+    drop = np.any(row_dofs < 0) or np.any(col_dofs < 0)
+    A = None
+    per = max(1, _CHUNK // (kr * kc))
     for start in range(0, ne, per):
-        idx = np.arange(start, min(start + per, ne))
-        kes = ke_stack(idx) if callable(ke_stack) else ke_stack[idx]
-        d = conn_dofs[idx]
-        rows = np.repeat(d, k, axis=1).ravel()
-        cols = np.tile(d, (1, k)).ravel()
-        A = A + sp.coo_matrix(
-            (kes.ravel(), (rows.astype(np.int32), cols.astype(np.int32))), shape=(ndof, ndof)
-        ).tocsr()
-    A.sum_duplicates()
+        idx = slice(start, min(start + per, ne))
+        rows = np.broadcast_to(row_dofs[idx, :, None], (idx.stop - start, kr, kc))
+        cols = np.broadcast_to(col_dofs[idx, None, :], rows.shape)
+        vals = np.broadcast_to(ke if phase is None else ke[phase[idx]], rows.shape)
+        if drop:
+            keep = (rows >= 0) & (cols >= 0)
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        part = sp.csr_matrix(
+            (vals.ravel(), (rows.astype(np.int32).ravel(), cols.astype(np.int32).ravel())),
+            shape=shape)
+        A = part if A is None else A + part
+    if A is None:
+        return sp.csr_matrix(shape)
     A.eliminate_zeros()
     return A
+
+
+def scatter_vector(dofs: np.ndarray, fe: np.ndarray, n: int) -> np.ndarray:
+    """Sum element vectors fe (ne, k) at dofs (ne, k) into a length-n vector.
+
+    Entries with a negative id are dropped; the sum runs in input order.
+    """
+    dofs, fe = dofs.ravel(), fe.ravel()
+    if np.any(dofs < 0):
+        keep = dofs >= 0
+        dofs, fe = dofs[keep], fe[keep]
+    return np.bincount(dofs, weights=fe, minlength=n)
 
 
 def bilinear_grid_forms(nx: int, ny: int, hx: float, hy: float):
@@ -56,17 +105,8 @@ def bilinear_grid_forms(nx: int, ny: int, hx: float, hy: float):
     a, b = np.meshgrid(np.arange(nx), np.arange(ny))
     conn = (a + (nx + 1) * b).reshape(-1, 1) + np.array([0, 1, nx + 2, nx + 1])
     n = (nx + 1) * (ny + 1)
-    return tuple(scatter(conn, np.broadcast_to(ke, (len(conn), 4, 4)), n) for ke in (
+    return tuple(scatter(conn, ke, (n, n)) for ke in (
         np.einsum("q,qa,qb->ab", w, N, N), np.einsum("q,qai,qbi->ab", w, dN, dN)))
-
-
-def _per_phase_stack(phase: np.ndarray, ke_fiber: np.ndarray, ke_gel: np.ndarray):
-    table = np.stack([ke_fiber, ke_gel])
-
-    def build(idx):
-        return table[phase[idx]]
-
-    return build
 
 
 def require_coercive(hooke: HookeTensor, tol: float = 1e-12) -> float:
@@ -79,22 +119,16 @@ def require_coercive(hooke: HookeTensor, tol: float = 1e-12) -> float:
 def assemble_elastic_stiffness(mesh, hooke: HookeTensor) -> sp.csr_matrix:
     """Global stiffness int A e(u):e(v) with the per-phase constant tensors."""
     require_coercive(hooke)
-    for name, D in (("fiber", hooke.fiber), ("gel", hooke.gel)):
-        if np.min(kelvin_eigenvalues(D)) <= 1e-12:
-            raise MaterialError(f"{name} phase tensor not coercive")
-    ke_f = el.hex_elastic_ke(mesh.spacing, hooke.fiber)
-    ke_g = el.hex_elastic_ke(mesh.spacing, hooke.gel)
-    dofs = vector_dofs(mesh.elems)
-    return scatter(dofs, _per_phase_stack(mesh.phase, ke_f, ke_g), 3 * mesh.n_nodes)
+    ke = np.stack([el.hex_elastic_ke(mesh.spacing, D) for D in (hooke.fiber, hooke.gel)])
+    dofs, n = element_dofs(mesh, ncomp=3)
+    return scatter(dofs, ke, (n, n), phase=mesh.phase)
 
 
 def assemble_strain_product(mesh, elems_mask=None) -> sp.csr_matrix:
     """Quadratic form of ||e(u)||^2_{L2} (identity tensor on symmetric matrices)."""
-    D = np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
-    ke = el.hex_elastic_ke(mesh.spacing, D)
-    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
-    dofs = vector_dofs(conn)
-    return scatter(dofs, lambda idx: np.broadcast_to(ke, (len(idx),) + ke.shape), 3 * mesh.n_nodes)
+    ke = el.hex_elastic_ke(mesh.spacing, np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]))
+    dofs, n = element_dofs(mesh, elems_mask, ncomp=3)
+    return scatter(dofs, ke, (n, n))
 
 
 def assemble_vector_gradient_product(mesh) -> sp.csr_matrix:
@@ -103,28 +137,14 @@ def assemble_vector_gradient_product(mesh) -> sp.csr_matrix:
     ke = np.zeros((24, 24))
     for c in range(3):
         ke[c::3, c::3] = kd
-    dofs = vector_dofs(mesh.elems)
-    return scatter(dofs, lambda idx: np.broadcast_to(ke, (len(idx),) + ke.shape), 3 * mesh.n_nodes)
-
-
-def _node_subspace(mesh, nodes: np.ndarray):
-    """Map global node ids to subspace dof ids (identity when nodes is None)."""
-    if nodes is None:
-        return np.arange(mesh.n_nodes), mesh.n_nodes, None
-    sub_of = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    sub_of[nodes] = np.arange(len(nodes))
-    return nodes, len(nodes), sub_of
+    dofs, n = element_dofs(mesh, ncomp=3)
+    return scatter(dofs, ke, (n, n))
 
 
 def assemble_scalar_mass(mesh, *, elems_mask=None, nodes=None) -> sp.csr_matrix:
     """Scalar mass matrix over the masked elements on the node subspace."""
-    ke = el.hex_scalar_mass_ke(mesh.spacing)
-    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
-    _, nsub, sub_of = _node_subspace(mesh, nodes)
-    conn_sub = conn if sub_of is None else sub_of[conn]
-    if sub_of is not None and np.any(conn_sub < 0):
-        raise AssemblyError("mass assembly touches nodes outside the given subspace")
-    return scatter(conn_sub, lambda idx: np.broadcast_to(ke, (len(idx),) + ke.shape), nsub)
+    dofs, n = element_dofs(mesh, elems_mask, nodes)
+    return scatter(dofs, el.hex_scalar_mass_ke(mesh.spacing), (n, n))
 
 
 def assemble_scalar_diffusion(mesh, K: np.ndarray, *, elems_mask=None, nodes=None,
@@ -135,39 +155,18 @@ def assemble_scalar_diffusion(mesh, K: np.ndarray, *, elems_mask=None, nodes=Non
         raise MaterialError("diffusion coefficient must be a symmetric 3x3 matrix")
     if np.min(np.linalg.eigvalsh(K)) <= 0.0:
         raise MaterialError("refusing assembly: diffusion coefficient is not positive definite")
-    ke = scale * el.hex_scalar_diffusion_ke(mesh.spacing, K)
-    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
-    _, nsub, sub_of = _node_subspace(mesh, nodes)
-    conn_sub = conn if sub_of is None else sub_of[conn]
-    if sub_of is not None and np.any(conn_sub < 0):
-        raise AssemblyError("diffusion assembly touches nodes outside the given subspace")
-    return scatter(conn_sub, lambda idx: np.broadcast_to(ke, (len(idx),) + ke.shape), nsub)
+    dofs, n = element_dofs(mesh, elems_mask, nodes)
+    return scatter(dofs, scale * el.hex_scalar_diffusion_ke(mesh.spacing, K), (n, n))
 
 
-def assemble_divergence_coupling(mesh, *, gel_nodes=None) -> sp.csr_matrix:
+def assemble_divergence_coupling(mesh, *, gel_nodes) -> sp.csr_matrix:
     """C[j, dof] = int_gel phi_j div(xi_dof): pressure rows on gel nodes only."""
     gel_mask = mesh.phase == 1
     if not np.any(gel_mask):
         raise AssemblyError("mesh has no gel elements to couple")
-    if gel_nodes is None:
-        gel_nodes = getattr(mesh, "gel_nodes", None)
-    if gel_nodes is None:
-        gel_nodes = np.unique(mesh.elems[gel_mask])
-    sub_of = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    sub_of[gel_nodes] = np.arange(len(gel_nodes))
-    conn = mesh.elems[gel_mask]
-    p_rows = sub_of[conn]
-    if np.any(p_rows < 0):
-        raise AssemblyError("gel node list does not cover the gel elements")
-    u_cols = vector_dofs(conn)
-    ce = el.hex_divergence_ke(mesh.spacing)
-    ne = len(conn)
-    rows = np.repeat(p_rows, 24, axis=1).ravel()
-    cols = np.tile(u_cols, (1, 8)).reshape(ne, 8, 24).reshape(ne, -1).ravel()
-    vals = np.broadcast_to(ce, (ne, 8, 24)).reshape(ne, -1).ravel()
-    C = sp.coo_matrix((vals, (rows, cols)), shape=(len(gel_nodes), 3 * mesh.n_nodes)).tocsr()
-    C.sum_duplicates()
-    return C
+    p_rows, n_p = element_dofs(mesh, gel_mask, gel_nodes)
+    u_cols, n_u = element_dofs(mesh, gel_mask, ncomp=3)
+    return scatter(p_rows, el.hex_divergence_ke(mesh.spacing), (n_p, n_u), col_dofs=u_cols)
 
 
 def assemble_body_force(mesh, f_at) -> np.ndarray:
@@ -175,30 +174,20 @@ def assemble_body_force(mesh, f_at) -> np.ndarray:
 
     f_at(x, y, z) must return (..., 3) stacked components.
     """
-    N, _, wdet, pts = el.hex_qp_data(mesh.spacing)
-    conn = mesh.elems
-    origins = mesh.nodes[conn[:, 0]]
-    qp = origins[:, None, :] + (pts[None, :, :] + 1.0) * 0.5 * np.asarray(mesh.spacing)
-    fvals = f_at(qp[..., 0], qp[..., 1], qp[..., 2])
-    fe = np.einsum("q,qa,eqi->eai", wdet, N, fvals).reshape(len(conn), 24)
-    F = np.zeros(3 * mesh.n_nodes)
-    np.add.at(F, vector_dofs(conn).ravel(), fe.ravel())
-    return F
+    N, _, wdet, _ = el.hex_qp_data(mesh.spacing)
+    qp = qp_points(mesh)
+    fe = np.einsum("q,qa,eqi->eai", wdet, N, f_at(qp[..., 0], qp[..., 1], qp[..., 2]))
+    dofs, n = element_dofs(mesh, ncomp=3)
+    return scatter_vector(dofs, fe, n)
 
 
 def assemble_scalar_source(mesh, h_at, *, elems_mask=None, nodes=None) -> np.ndarray:
     """Load vector int h q over masked elements on the node subspace."""
-    N, _, wdet, pts = el.hex_qp_data(mesh.spacing)
-    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
-    _, nsub, sub_of = _node_subspace(mesh, nodes)
-    conn_sub = conn if sub_of is None else sub_of[conn]
-    origins = mesh.nodes[conn[:, 0]]
-    qp = origins[:, None, :] + (pts[None, :, :] + 1.0) * 0.5 * np.asarray(mesh.spacing)
-    hvals = h_at(qp[..., 0], qp[..., 1], qp[..., 2])
-    he = np.einsum("q,qa,eq->ea", wdet, N, hvals)
-    G = np.zeros(nsub)
-    np.add.at(G, conn_sub.ravel(), he.ravel())
-    return G
+    N, _, wdet, _ = el.hex_qp_data(mesh.spacing)
+    qp = qp_points(mesh, elems_mask)
+    he = np.einsum("q,qa,eq->ea", wdet, N, h_at(qp[..., 0], qp[..., 1], qp[..., 2]))
+    dofs, n = element_dofs(mesh, elems_mask, nodes)
+    return scatter_vector(dofs, he, n)
 
 
 def lumped_weights(mesh, *, elems_mask=None, nodes=None, weight=None) -> np.ndarray:

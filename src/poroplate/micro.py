@@ -482,9 +482,8 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
     # 3D homogeneous elastic solve on the gel interior, Dirichlet walls + caps
     gel_grid = _StructuredHexMesh((gnx, gny, gnz), origin=(0.0, 0.0, 0.0), spacing=(h, h, h))
     keg = el.hex_elastic_ke((h, h, h), hooke.gel)
-    dofs3 = fem.vector_dofs(gel_grid.elems)
-    K3 = fem.assembly.scatter(dofs3, lambda idx: np.broadcast_to(keg, (len(idx), 24, 24)),
-                              3 * gel_grid.n_nodes)
+    dofs3, n3 = fem.assembly.element_dofs(gel_grid, ncomp=3)
+    K3 = fem.assembly.scatter(dofs3, keg, (n3, n3))
     loc_of_tpl = (li - gi[0]) + (gnx + 1) * ((lj - gj[0]) + (gny + 1) * (lk - gk[0]))
     int_dofs = (3 * loc_of_tpl[interior][:, None] + np.arange(3)).ravel()
     bnd_dofs = (3 * loc_of_tpl[~interior][:, None] + np.arange(3)).ravel()

@@ -175,20 +175,6 @@ def build_plate_space(plate: PlateMesh) -> PlateSpace:
     )
 
 
-def scatter_local(A: np.ndarray, elem_dofs: np.ndarray, locals_: np.ndarray):
-    """Accumulate (ne, k, k) local matrices into the dense reduced matrix (-1 dofs dropped)."""
-    rows = np.broadcast_to(elem_dofs[:, :, None], locals_.shape)
-    cols = np.broadcast_to(elem_dofs[:, None, :], locals_.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    np.add.at(A, (rows[keep], cols[keep]), locals_[keep])
-
-
-def scatter_vector(F: np.ndarray, elem_dofs: np.ndarray, locals_: np.ndarray):
-    """Accumulate (ne, k) local vectors into the reduced vector (-1 dofs dropped)."""
-    keep = elem_dofs >= 0
-    np.add.at(F, elem_dofs[keep], locals_[keep])
-
-
 def plate_mass(space: PlateSpace) -> np.ndarray:
     """Dense bilinear mass matrix on all plate nodes (no boundary reduction)."""
     Q = space.N_qp

@@ -64,7 +64,7 @@ from .fem.constraints import Reducer
 from .fem.solvers import StepCache, spd_inverse
 from .geometry import GEL, CellMesh, MicroMesh, PlateMesh
 from .material import BiotParams, HookeTensor, LoadSpec, eval_t_parts, t_degree_terms
-from .plate import PlateSpace, build_plate_space, plate_mass, scatter_local, scatter_vector
+from .plate import PlateSpace, build_plate_space, plate_mass
 
 # ------------------------------------------------------------------ unfolding
 
@@ -79,8 +79,9 @@ class UnfoldedField:
 
 
 def _check_matched(micro: MicroMesh, cell: CellMesh):
-    if micro.n != cell.n:
-        raise AssemblyError(f"micro mesh (n={micro.n}) and cell mesh (n={cell.n}) are not matched")
+    if micro.n != cell.n or micro.geom != cell.geom:
+        raise AssemblyError(f"micro mesh (n={micro.n}, {micro.geom}) and cell mesh "
+                            f"(n={cell.n}, {cell.geom}) are not matched")
 
 
 def unfold(values: np.ndarray, micro: MicroMesh, cell: CellMesh, scale_exp: int = 0) -> UnfoldedField:
@@ -129,17 +130,11 @@ class CellSampler:
 
     def __init__(self, mesh: CellMesh):
         self.mesh = mesh
-        self.N, self.dN, self.wdet, self.pts = el.hex_qp_data(mesh.spacing)
+        self.N, self.dN, self.wdet, _ = el.hex_qp_data(mesh.spacing)
         self.B = el.hex_strain_B(self.dN)
         self.conn = mesh.elems
         self.vdofs = fem.vector_dofs(mesh.elems)
-        z0 = mesh.nodes[mesh.elems[:, 0], 2]
-        self.z_q = z0[:, None] + (self.pts[None, :, 2] + 1.0) * 0.5 * mesh.spacing[2]
-        self.y_q = np.stack([
-            mesh.nodes[mesh.elems[:, 0], i][:, None]
-            + (self.pts[None, :, i] + 1.0) * 0.5 * mesh.spacing[i]
-            for i in range(3)
-        ], axis=-1)  # (ne, nq, 3)
+        self.y_q = fem.assembly.qp_points(mesh)  # (ne, nq, 3)
         self.gel_elems = np.flatnonzero(mesh.phase == GEL)
 
     def values(self, nodal: np.ndarray) -> np.ndarray:
@@ -151,11 +146,12 @@ class CellSampler:
         flat = nodal_vec.reshape(-1)[self.vdofs]
         return np.einsum("qiA,eA->eqi", self.B, flat)
 
-    def scalar_values_gel(self, nodal_gel: np.ndarray, gel_dof_of_node: np.ndarray) -> np.ndarray:
-        """(n_gel_elems, nq) values of a gel nodal field at gel-element qps."""
-        conn = self.conn[self.gel_elems]
-        vals = nodal_gel[gel_dof_of_node[conn]]
-        return np.einsum("qa,ea->eq", self.N, vals)
+    def scalar_values_gel(self, nodal_gel: np.ndarray, gel_dofs: np.ndarray) -> np.ndarray:
+        """(n_gel_elems, nq) values of a gel nodal field at gel-element qps.
+
+        gel_dofs holds the (n_gel_elems, 8) gel dof ids of the gel elements.
+        """
+        return np.einsum("qa,ea->eq", self.N, nodal_gel[gel_dofs])
 
 
 # ------------------------------------------------------- plate-gel coupling
@@ -168,19 +164,13 @@ def plate_coupling_factors(space: PlateSpace) -> list:
     the engineering membrane strains m(V) and curvatures k(V) of a reduced
     plate vector V, on the shared plate quadrature rule.
     """
-    ne = len(space.elem_dofs)
     w_N = space.qp_w[:, None] * space.N_bil                       # (nq, 4)
     out = []
     for B, dofs in ((space.B_mem, space.elem_dofs[:, :8]),
                     (-space.B_bend, space.elem_dofs[:, 8:])):
         loc = np.einsum("qa,qIl->Ial", w_N, B)                     # (3, 4, nloc)
-        rows = np.broadcast_to(space.plate.quads[:, :, None], (ne, 4, dofs.shape[1]))
-        cols = np.broadcast_to(dofs[:, None, :], rows.shape)
-        keep = cols >= 0
-        for blk in loc:
-            vals = np.broadcast_to(blk, rows.shape)[keep]
-            out.append(sp.csr_matrix((vals, (rows[keep], cols[keep])),
-                                     shape=(space.n_nodes, space.n_red)))
+        out += [fem.assembly.scatter(space.plate.quads, blk, (space.n_nodes, space.n_red),
+                                     col_dofs=dofs) for blk in loc]
     return out
 
 
@@ -230,9 +220,8 @@ def _strain_form(space: PlateSpace, K: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _plate_matrix(space: PlateSpace, loc: np.ndarray) -> np.ndarray:
     """Dense reduced plate matrix of one (24, 24) element matrix on every element."""
-    A = np.zeros((space.n_red, space.n_red))
-    scatter_local(A, space.elem_dofs, np.broadcast_to(loc, (len(space.elem_dofs), 24, 24)))
-    return A
+    n = space.n_red
+    return fem.assembly.scatter(space.elem_dofs, loc, (n, n)).toarray()
 
 
 class _CoupledPlateSystem:
@@ -586,9 +575,7 @@ def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
                 loc[:, comp:8:2] = np.einsum("q,qa,eq->ea", space.qp_w, space.N_bil, fv)
             else:
                 loc[:, 8:] = np.einsum("q,qa,eq->ea", space.qp_w, space.N_bfs, fv)
-            F = np.zeros(space.n_red)
-            scatter_vector(F, space.elem_dofs, loc)
-            parts.append((deg, F))
+            parts.append((deg, fem.assembly.scatter_vector(space.elem_dofs, loc, space.n_red)))
         out.append(parts)
     return out
 
@@ -643,7 +630,6 @@ class ResidualContext:
         self.op = op
         self.sampler = CellSampler(cell_mesh)
         s = self.sampler
-        self.nq_flat = s.y_q.shape[0] * s.y_q.shape[1]
         self.y_flat = s.y_q.reshape(-1, 3)
         self.w_flat = np.tile(s.wdet, s.y_q.shape[0])
         # corrector strains at the cell qps, engineering components
@@ -656,10 +642,8 @@ class ResidualContext:
         cols = [op.reducer.expand(op.U_C[:, j]).reshape(-1, 3) for j in range(op.n_gel)]
         self.UPS = np.stack([s.strains(c).reshape(-1, 6) for c in cols])
         # gel-side sampling
-        gel_dof_of_node = np.full(cell_mesh.n_nodes, -1, dtype=np.int64)
-        gel_dof_of_node[op.gel_nodes] = np.arange(op.n_gel)
-        self.gel_dof_of_node = gel_dof_of_node
         self.gel_elems = s.gel_elems
+        self.gel_dofs, _ = fem.assembly.element_dofs(cell_mesh, s.gel_elems, op.gel_nodes)
         yg = s.y_q[self.gel_elems]
         self.yg_flat = yg.reshape(-1, 3)
         self.wg_flat = np.tile(s.wdet, len(self.gel_elems))
@@ -671,8 +655,7 @@ def kirchhoff_love_residual(U: np.ndarray, p: np.ndarray, micro: MicroMesh,
                             mstate: PlateState) -> dict:
     """Discrete L2(omega x Ycell) distances between the unfolded micro solution
     and the Kirchhoff-Love limit built from the macro state."""
-    cell = ctx.cell_mesh
-    _check_matched(micro, cell)
+    _check_matched(micro, ctx.cell_mesh)
     eps = micro.eps
     alpha = msys.biot.alpha
     space = msys.space
@@ -712,17 +695,15 @@ def kirchhoff_love_residual(U: np.ndarray, p: np.ndarray, micro: MicroMesh,
         e3 += eps**2 * float(np.einsum("p,pc,c->", ctx.w_flat, d3**2, ctx.eng_frob))
         # pressure residual on the gel
         pk = p.reshape(micro.total_cells, ng)[k] / eps       # (1/eps) Pi(p)
-        pvals = s.scalar_values_gel(pk, ctx.gel_dof_of_node).reshape(-1)
+        pvals = s.scalar_values_gel(pk, ctx.gel_dofs).reshape(-1)
         gts = np.stack([a1 + eps * (k2[k, 0] + ctx.yg_flat[:, 0]),
                         a2 + eps * (k2[k, 1] + ctx.yg_flat[:, 1])], axis=-1)
         # p0 at (x', y): interpolate the nodal gel fields in x', sample in y
         p0t = space.eval_bilinear_nodal(mstate.p, gts)       # (P_gel, ng)
-        conn = cell.elems[ctx.gel_elems]
-        dof_conn = ctx.gel_dof_of_node[conn]                 # (neg, 8)
         nq = s.N.shape[0]
         p0t_r = p0t.reshape(len(ctx.gel_elems), nq, ng)
         gathered = np.take_along_axis(
-            p0t_r, np.broadcast_to(dof_conn[:, None, :], (len(ctx.gel_elems), nq, 8)), axis=2)
+            p0t_r, np.broadcast_to(ctx.gel_dofs[:, None, :], (len(ctx.gel_elems), nq, 8)), axis=2)
         p0_target = np.einsum("qa,eqa->eq", s.N, gathered)
         d4 = pvals - p0_target.reshape(-1)
         e4 += eps**2 * float(ctx.wg_flat @ d4**2)

@@ -70,23 +70,19 @@ class AcceptanceSuite:
     def __init__(self, cfg: RunConfig | None = None):
         self.cfg = cfg if cfg is not None else default_config()
         self._study = None
-        self._cell_cache = {}
+        self._cell = None
 
     # ------------------------------------------------------------- caches
 
-    def cell_pipeline(self, n=None, hooke=None):
-        cfg = self.cfg
-        n = n if n is not None else cfg.cell_n
-        hooke = hooke if hooke is not None else cfg.hooke
-        key = (n, id(hooke))
-        if key not in self._cell_cache:
-            mesh = build_cell_mesh(cfg.geom, n)
-            cs = solve_correctors(mesh, hooke, tol=cfg.tol_cell)
-            hom = compute_homogenized(mesh, hooke, cs)
-            op = PressureCellOperator(mesh, hooke, cfg.biot)
-            mom = divergence_moments(cs, op)
-            self._cell_cache[key] = (mesh, cs, hom, op, mom)
-        return self._cell_cache[key]
+    def cell_pipeline(self):
+        if self._cell is None:
+            cfg = self.cfg
+            mesh = build_cell_mesh(cfg.geom, cfg.cell_n)
+            cs = solve_correctors(mesh, cfg.hooke, tol=cfg.tol_cell)
+            hom = compute_homogenized(mesh, cfg.hooke, cs)
+            op = PressureCellOperator(mesh, cfg.hooke, cfg.biot)
+            self._cell = (mesh, cs, hom, op, divergence_moments(cs, op))
+        return self._cell
 
     def study(self):
         if self._study is None:

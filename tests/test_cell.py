@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poroplate import fem
 from poroplate.cell import (
@@ -106,27 +108,61 @@ def test_corrector_is_energy_minimizer(cell_mesh4, two_phase_hooke):
             assert e1 > e0 + 1e-12
 
 
-def test_reuss_voigt_bounds(cell_mesh4, two_phase_hooke):
-    cs = solve_correctors(cell_mesh4, two_phase_hooke)
-    hom = compute_homogenized(cell_mesh4, two_phase_hooke, cs)
-    frac_g = cell_mesh4.geom.gel_volume / cell_mesh4.volume
+# gel box edges and thickness-span ends that lie on the n = 4 cell grid
+_EDGES = st.sampled_from([(0.25, 0.5), (0.25, 0.75), (0.5, 0.75)])
+_Z_SPANS = st.lists(st.sampled_from([-1.0 + 0.25 * k for k in range(9)]), min_size=2,
+                    max_size=2, unique=True).map(lambda z: tuple(sorted(z)))
+_FIBER = st.tuples(st.floats(0.1, 100.0), st.floats(0.0, 0.45))
+_GEL = st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 0.45))
+
+
+def _homogenized(box, z_span, fiber, gel):
+    """(mesh, hooke, homogenized tensor) of an isotropic two-phase n = 4 cell."""
+    mesh = build_cell_mesh(CellGeometry(gel_box=box, z_span=z_span), 4)
+    hooke = HookeTensor(fiber=isotropic(*fiber), gel=isotropic(*gel))
+    return mesh, hooke, compute_homogenized(mesh, hooke, solve_correctors(mesh, hooke))
+
+
+@settings(max_examples=8, deadline=None)
+@given(box=st.tuples(_EDGES, _EDGES), z_span=_Z_SPANS, fiber=_FIBER, gel=_GEL)
+@example(box=((0.25, 0.75), (0.25, 0.75)), z_span=(-1.0, 1.0), fiber=(10.0, 0.3),
+         gel=(1.0, 0.35))
+def test_homogenized_block_spd_within_reuss_voigt(box, z_span, fiber, gel):
+    mesh, hooke, hom = _homogenized(box, z_span, fiber, gel)
+    blk = hom.kelvin_block(1.0)
+    assert np.abs(blk - blk.T).max() < 1e-12
+    assert np.linalg.eigvalsh(blk).min() > 1e-10
+    assert hom.min_eigenvalue() > 1e-10
+    frac_g = mesh.geom.gel_volume / mesh.volume
     ix = np.ix_([0, 1, 5], [0, 1, 5])
-    a_V = ((1 - frac_g) * two_phase_hooke.fiber + frac_g * two_phase_hooke.gel)[ix]
-    S_avg = ((1 - frac_g) * np.linalg.inv(two_phase_hooke.fiber)
-             + frac_g * np.linalg.inv(two_phase_hooke.gel))
+    a_V = ((1 - frac_g) * hooke.fiber + frac_g * hooke.gel)[ix]
+    S_avg = (1 - frac_g) * np.linalg.inv(hooke.fiber) + frac_g * np.linalg.inv(hooke.gel)
     a_R = np.linalg.inv(S_avg[ix])
     S2 = np.diag([1.0, 1.0, np.sqrt(2.0)])
     assert np.linalg.eigvalsh(S2 @ (a_V - hom.a_eng) @ S2).min() > -1e-10
     assert np.linalg.eigvalsh(S2 @ (hom.a_eng - a_R) @ S2).min() > -1e-10
 
 
-def test_block_matrix_positive_definite(cell_mesh4, two_phase_hooke):
-    cs = solve_correctors(cell_mesh4, two_phase_hooke)
-    hom = compute_homogenized(cell_mesh4, two_phase_hooke, cs)
-    blk = hom.kelvin_block(1.0)
-    assert np.abs(blk - blk.T).max() < 1e-12
-    assert np.linalg.eigvalsh(blk).min() > 1e-10
-    assert hom.min_eigenvalue() > 1e-10
+@settings(max_examples=8, deadline=None)
+@given(box=st.tuples(_EDGES, _EDGES), z=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+       fiber=_FIBER, gel=_GEL)
+def test_mirror_symmetric_cell_has_no_coupling(box, z, fiber, gel):
+    # a cell symmetric under y3 -> -y3 has b = 0
+    _, _, hom = _homogenized(box, (-z, z), fiber, gel)
+    assert np.abs(hom.b_eng).max() <= 1e-12 * np.abs(hom.a_eng).max()
+
+
+@settings(max_examples=8, deadline=None)
+@given(box=st.tuples(_EDGES, _EDGES), z_span=_Z_SPANS, fiber=_FIBER, gel=_GEL)
+def test_swapped_gel_box_swaps_in_plane_directions(box, z_span, fiber, gel):
+    # exchanging the two box edges is the y1 <-> y2 reflection of the cell:
+    # a11 <-> a22 (likewise b and c), the shear entries stay
+    homs = [_homogenized(bx, z_span, fiber, gel)[2] for bx in (box, box[::-1])]
+    P = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    scale = np.abs(homs[0].a_eng).max()
+    for name in ("a_eng", "b_eng", "c_eng"):
+        M, M_swap = (getattr(h, name) for h in homs)
+        assert np.abs(P @ M @ P - M_swap).max() <= 1e-12 * scale
 
 
 def _refinement_slope(geom, hooke):

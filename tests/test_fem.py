@@ -1,9 +1,12 @@
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poroplate import fem
 from poroplate.errors import AssemblyError, ConstraintError, MaterialError, SolverError
@@ -153,6 +156,55 @@ def test_divergence_theorem_facet_oracle(cell_mesh4):
                     mesh.grid.node_id(i + 1, j + 1, kk), mesh.grid.node_id(i, j + 1, kk)]
             total += face_flux(mesh.nodes[face], v[face], np.array([0.0, 0.0, sign]))
     assert lhs == pytest.approx(total, rel=1e-10)
+
+
+# -------------------------------------------------------------- accumulation
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), ne=st.integers(0, 12),
+       k=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), square=st.booleans(),
+       n_labels=st.sampled_from([None, 1, 3]), chunk=st.integers(1, 60))
+@example(seed=0, ne=6, k=(4, 3), shape=(2, 3), square=False, n_labels=3, chunk=7)
+def test_scatter_matches_element_loop(seed, ne, k, shape, square, n_labels, chunk):
+    # scatter/scatter_vector against a dense element loop: ids drawn from
+    # [-2, n) so rows and columns both carry eliminated (negative) dofs, and
+    # an element may repeat an id
+    rng = np.random.default_rng(seed)
+    kr, kc = (k[0], k[0]) if square else k
+    shape = (shape[0], shape[0]) if square else shape
+    rows = rng.integers(-2, shape[0], (ne, kr))
+    cols = rows if square else rng.integers(-2, shape[1], (ne, kc))
+    if n_labels is None:
+        ke, label = rng.standard_normal((kr, kc)), None
+        ke_of = [ke] * ne
+    else:
+        ke, label = rng.standard_normal((n_labels, kr, kc)), rng.integers(0, n_labels, ne)
+        ke_of = ke[label]
+    fe = rng.standard_normal((ne, kr))
+    ref_A = np.zeros(shape)
+    ref_F = np.zeros(shape[0])
+    for e in range(ne):
+        r, c = rows[e] >= 0, cols[e] >= 0
+        np.add.at(ref_A, np.ix_(rows[e][r], cols[e][c]), ke_of[e][np.ix_(r, c)])
+        np.add.at(ref_F, rows[e][r], fe[e][r])
+    with mock.patch.object(fem.assembly, "_CHUNK", chunk):
+        A = fem.assembly.scatter(rows, ke, shape, col_dofs=None if square else cols, phase=label)
+    F = fem.assembly.scatter_vector(rows, fe, shape[0])
+    assert A.shape == shape and F.shape == (shape[0],)
+    assert np.abs(A.toarray() - ref_A).max() <= 1e-14 * max(np.abs(ref_A).max(), 1.0)
+    assert np.abs(F - ref_F).max() <= 1e-14 * max(np.abs(ref_F).max(), 1.0)
+
+
+def test_element_dofs_rejects_nodes_outside_subset(cell_mesh4):
+    gel_mask, gel_nodes = cell_mesh4.phase == GEL, cell_mesh4.gel_nodes()
+    dofs, n = fem.assembly.element_dofs(cell_mesh4, gel_mask, gel_nodes, ncomp=3)
+    assert n == 3 * len(gel_nodes) and dofs.shape == (gel_mask.sum(), 24)
+    assert np.array_equal(np.unique(dofs), np.arange(n))
+    with pytest.raises(AssemblyError, match="outside the given node subset"):
+        fem.assembly.element_dofs(cell_mesh4, None, gel_nodes)
+    with pytest.raises(AssemblyError, match="outside the given node subset"):
+        fem.assemble_scalar_source(cell_mesh4, lambda x, y, z: x, nodes=gel_nodes)
 
 
 # ------------------------------------------------------------------ solvers

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poroplate.geometry import build_plate_mesh
-from poroplate.plate import build_plate_space, plate_mass, scatter_local, scatter_vector
+from poroplate.plate import build_plate_space, plate_mass
 
 
 @pytest.fixture(scope="module")
@@ -23,21 +23,3 @@ def test_plate_mass_matches_element_loop(space):
         ref[np.ix_(conn, conn)] += me
     assert np.abs(plate_mass(space) - ref).max() <= 1e-14 * np.abs(ref).max()
 
-
-def test_scatter_matches_element_loop(space):
-    rng = np.random.default_rng(1)
-    ne = len(space.elem_dofs)
-    loc_A = rng.standard_normal((ne, 24, 24))
-    loc_F = rng.standard_normal((ne, 24))
-    ref_A = np.zeros((space.n_red, space.n_red))
-    ref_F = np.zeros(space.n_red)
-    for e, d in enumerate(space.elem_dofs):
-        mask = d >= 0
-        ref_A[np.ix_(d[mask], d[mask])] += loc_A[e][np.ix_(mask, mask)]
-        ref_F[d[mask]] += loc_F[e][mask]
-    A = np.zeros_like(ref_A)
-    F = np.zeros_like(ref_F)
-    scatter_local(A, space.elem_dofs, loc_A)
-    scatter_vector(F, space.elem_dofs, loc_F)
-    assert np.abs(A - ref_A).max() <= 1e-14 * np.abs(ref_A).max()
-    assert np.abs(F - ref_F).max() <= 1e-14 * np.abs(ref_F).max()

@@ -74,6 +74,28 @@ def test_unfold_rejects_mismatched_grids(micro_mesh4, default_geom):
         twoscale.unfold(np.zeros(micro_mesh4.n_nodes), micro_mesh4, cell8)
 
 
+
+@pytest.mark.parametrize("cell_box, micro_box", [
+    # 81 against 36 gel nodes per cell: the unfolded field has the wrong width
+    (((0.25, 0.75), (0.25, 0.75)), ((0.5, 0.75), (0.5, 0.75))),
+    # the same gel-node count in a transposed box: only the geometry differs
+    (((0.25, 0.75), (0.25, 0.5)), ((0.25, 0.5), (0.25, 0.75))),
+])
+def test_unfold_and_residual_reject_mismatched_geometry(cell_box, micro_box, two_phase_hooke,
+                                                        biot):
+    cell = build_cell_mesh(CellGeometry(gel_box=cell_box), 4)
+    mm = build_micro_mesh(CellGeometry(gel_box=micro_box), 0.5, ((0.0, 1.0), (0.0, 1.0)), 4)
+    with pytest.raises(AssemblyError, match="not matched") as err:
+        twoscale.unfold(np.zeros(mm.n_nodes), mm, cell)
+    assert str(CellGeometry(gel_box=cell_box)) in str(err.value)
+    assert str(CellGeometry(gel_box=micro_box)) in str(err.value)
+    ctx = twoscale.ResidualContext(cell, solve_correctors(cell, two_phase_hooke),
+                                   PressureCellOperator(cell, two_phase_hooke, biot))
+    # the check comes before the macro system or state is read
+    with pytest.raises(AssemblyError, match="not matched"):
+        twoscale.kirchhoff_love_residual(np.zeros((mm.n_nodes, 3)), np.zeros(len(mm.gel_nodes)),
+                                         mm, ctx, None, None)
+
 # --------------------------------------------------------------- macro solver
 
 def test_macro_zero_loads(cell_pipeline, biot):
