@@ -8,6 +8,15 @@ solve_saddle precondition it with Jacobi unless given an SPD preconditioner
 solve_saddle eliminates the pressure block, leaving a single SPD displacement
 solve.
 
+A time-stepper solves one SPD operator per step size with a right-hand side
+that changes smoothly from step to step.  A `SolutionSpace` keeps up to
+PROJECTION_DIM A-orthonormal earlier solutions with their images (Fischer,
+CMAME 163, 1998); pcg given `space=` starts from the A-projection of the new
+solution onto their span, which costs no operator application, and adds its
+own correction afterwards.  A space belongs to one operator: whoever owns the
+operator owns the space, and every later solve with it starts from what the
+earlier ones left, a second trajectory of the same step size included.
+
 Every small dense block the program solves with (the extended cell stiffness,
 the gel cell blocks, the plate-side M_x, S_y and Schur matrices, the gel-box
 extension blocks) is inverted once here, by `inverse` or `spd_inverse` on
@@ -27,28 +36,93 @@ from .constraints import ConstraintSet, Reducer
 SADDLE_RTOL = 1e-9
 
 
+# largest number of earlier solutions a SolutionSpace keeps before it restarts
+PROJECTION_DIM = 20
+
+
 def _as_operator(A):
     if callable(A):
         return A
     return lambda x: A @ x
 
 
-def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None):
+def _norm(v) -> float:
+    """2-norm of v, rescaled by max|v| when the plain sum of squares underflows to 0."""
+    nrm = float(np.linalg.norm(v))
+    if nrm == 0.0:
+        vmax = float(np.abs(v).max(initial=0.0))
+        if vmax > 0.0:
+            nrm = vmax * float(np.linalg.norm(v / vmax))
+    return nrm
+
+
+class SolutionSpace:
+    """Earlier solutions of one SPD operator A, kept A-orthonormal with their images.
+
+    `X[j]` and `AX[j] = A X[j]` are arrays only.  `start(b)` gives the
+    A-projection x0 = sum_j (X[j].b) X[j] of A^-1 b onto the span and
+    r0 = b - A x0 from the stored images; `add` appends a solve's correction
+    x - x0, whose image r0 - r is CG's own recursion, so the images carry the
+    drift between CG's recursive and true residual.  A full space restarts
+    from the newest solution alone.
+    """
+
+    def __init__(self):
+        self.X: list[np.ndarray] = []
+        self.AX: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    def start(self, b):
+        x0, r0 = np.zeros(len(b)), b
+        for x, ax in zip(self.X, self.AX):
+            coef = float(x @ b)
+            x0 = x0 + coef * x
+            r0 = r0 - coef * ax
+        return x0, r0
+
+    def add(self, b, x0, r0, x, r):
+        """Keep what the solve from (x0, r0) to (x, r) of A x = b learned."""
+        if len(self.X) >= PROJECTION_DIM:
+            self.X, self.AX = [], []
+            e, Ae = x, b - r
+        else:
+            e, Ae = x - x0, r0 - r
+        for _ in range(2):   # Gram-Schmidt in the A inner product, repeated once
+            for xj, axj in zip(self.X, self.AX):
+                coef = float(axj @ e)
+                e = e - coef * xj
+                Ae = Ae - coef * axj
+        energy = float(e @ Ae)
+        if energy > 0.0:
+            scale = 1.0 / np.sqrt(energy)
+            self.X.append(scale * e)
+            self.AX.append(scale * Ae)
+
+
+def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, space=None):
     """Preconditioned conjugate gradients on an SPD operator.
 
     Convergence is on ||r|| / ||b||; returns (x, residual_history).  `precond`
     applies an SPD preconditioner (none by default; `jacobi` builds the
     diagonal one).  `project` re-imposes orthogonality to a known kernel each
-    iteration (mean-zero solves on periodic spaces).
+    iteration (mean-zero solves on periodic spaces).  CG starts from zero,
+    from `x0`, or from the projection onto the `space` of earlier solutions of
+    A, which then keeps this solve's correction.
     """
+    if x0 is not None and space is not None:
+        raise ValueError("pcg takes a start x0 or a solution space, not both")
     apply_A = _as_operator(A)
     n = len(b)
     maxiter = maxiter if maxiter is not None else max(200, 12 * n)
-    bnorm = np.linalg.norm(b)
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros(n), [0.0]
     apply_M = precond if precond is not None else (lambda r: r)
-    if x0 is None:
+    if space is not None:
+        x, r = space.start(b)
+    elif x0 is None:
         x, r = np.zeros(n), b   # b - A 0, without the operator application
     else:
         x = x0.copy()
@@ -57,13 +131,17 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None):
         r = b - apply_A(x)
     if project is not None:
         r = project(r)
+    x_start, r_start = x, r
     z = apply_M(r)
     p = z.copy()
     rz = float(r @ z)
-    history = [float(np.linalg.norm(r) / bnorm)]
-    if history[-1] <= tol:
-        return x, history
-    for _ in range(maxiter):
+    history = [_norm(r) / bnorm]
+    while history[-1] > tol:
+        if len(history) > maxiter:
+            raise SolverError(
+                f"CG did not reach tol={tol:.1e} in {maxiter} iterations (residual {history[-1]:.3e})",
+                history,
+            )
         Ap = apply_A(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -73,23 +151,21 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None):
         r = r - alpha * Ap
         if project is not None:
             r = project(r)
-        res = float(np.linalg.norm(r) / bnorm)
-        history.append(res)
-        if res <= tol:
-            return x, history
+        history.append(_norm(r) / bnorm)
+        if history[-1] <= tol:
+            break
         z = apply_M(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
             # r.z underflows to zero when tol is below what the residual can represent
             raise SolverError(
-                f"CG broke down before reaching tol={tol:.1e}: r.z = {rz_new:.1e} at residual {res:.3e}",
+                f"CG broke down before reaching tol={tol:.1e}: r.z = {rz_new:.1e} at residual {history[-1]:.3e}",
                 history)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise SolverError(
-        f"CG did not reach tol={tol:.1e} in {maxiter} iterations (residual {history[-1]:.3e})",
-        history,
-    )
+    if space is not None:
+        space.add(b, x_start, r_start, x, r)
+    return x, history
 
 
 def _mean_projector(reducer: Reducer):
@@ -186,15 +262,16 @@ class RepeatedBlockSolver:
         return (X @ self._inverse.T).reshape(-1)
 
 
-def solve_saddle(K, C, M_block, rhs, *, m_solver, tol=1e-10, x0=None, precond=None):
+def solve_saddle(K, C, M_block, rhs, *, m_solver, tol=1e-10, space=None, precond=None):
     """Solve  [K, -C^T; C, M] [u; p] = [b_u; b_p]  by eliminating the pressure block.
 
     K must be SPD on its (already reduced) space, M SPD on the pressure space;
     this is the one-step implicit form of the coupled system.  K, C and M are
     sparse.  The Schur complement K + C^T M^-1 C is solved by CG with inner
     applications of `m_solver` (M^-1), preconditioned by `precond` (an SPD
-    approximation of K^-1; Jacobi on K by default).  Both block residuals of
-    the result are checked against SADDLE_RTOL.
+    approximation of K^-1; Jacobi on K by default), from the projection onto
+    `space` when given.  Both block residuals of the result are checked
+    against SADDLE_RTOL.
     """
     b_u, b_p = rhs
     CT = C.T.tocsr()
@@ -203,7 +280,8 @@ def solve_saddle(K, C, M_block, rhs, *, m_solver, tol=1e-10, x0=None, precond=No
         return K @ u + CT @ m_solver.solve(C @ u)
 
     rhs_u = b_u + CT @ m_solver.solve(b_p)
-    u, _ = pcg(schur, rhs_u, tol=tol, x0=x0, precond=precond if precond is not None else jacobi(K))
+    u, _ = pcg(schur, rhs_u, tol=tol, space=space,
+               precond=precond if precond is not None else jacobi(K))
     p = m_solver.solve(b_p - C @ u)
 
     scale = max(np.linalg.norm(rhs_u), np.linalg.norm(b_p), 1e-300)

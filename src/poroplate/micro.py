@@ -22,6 +22,15 @@ consistency B U^n - alpha C^T p^n = F^n of every state replaces
 alpha^2 C B^-1 C^T p^n by alpha C (U^n - B^-1 F^n).  What remains is one
 B-solve per outer CG iteration and the final displacement solve.
 
+Both steppers start their step CG from the projection onto earlier solutions
+of the same step operator (`fem.solvers.SolutionSpace`): the monolithic
+displacement Schur system and the pressure-ODE increment each keep one space on
+the operators of their step size.  The right-hand side changes smoothly from
+step to step, so the start is close and costs no operator application; a
+second trajectory with the same dt on one system starts from the space the
+first one left, so its states agree with a fresh system's to the solver
+tolerance, not bit for bit.
+
 Every CG solve on the displacement (the monolithic Schur operator
 B + alpha^2 C^T (cM + dt D)^-1 C, the inner and final B-solves of the pressure
 ODE and the initial state) is preconditioned by one geometric-multigrid
@@ -47,7 +56,8 @@ from . import fem
 from .errors import AssemblyError, GeometryError
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.multigrid import VCycle
-from .fem.solvers import RepeatedBlockSolver, StepCache, inverse, pcg, solve_saddle, solve_spd
+from .fem.solvers import (RepeatedBlockSolver, SolutionSpace, StepCache, inverse, pcg,
+                          solve_saddle, solve_spd)
 from .geometry import GEL, MicroMesh, _StructuredHexMesh
 from .material import (BiotParams, HookeTensor, LoadSpec, eval_t_parts, require_admissible,
                        t_degree_terms)
@@ -91,12 +101,17 @@ class StepOperators:
     """Operators of one step size, shared by both steppers.
 
     Factors and arrays only: the system caches them, so they must not refer
-    back to it.
+    back to it.  The two solution spaces grow with every step of size dt, and
+    every later step of that size starts its CG from them.
     """
 
     S: sp.csr_matrix                    # cM + dt D
     S_solver: RepeatedBlockSolver       # S^-1, one dense block per gel cell
     prec: RepeatedBlockSolver           # Schur-ODE preconditioner: S + alpha^2 C diag(B)^-1 C^T blocks
+    # earlier solutions of the monolithic displacement Schur system
+    u_space: SolutionSpace = field(default_factory=SolutionSpace)
+    # earlier pressure increments of the Schur-ODE step
+    p_space: SolutionSpace = field(default_factory=SolutionSpace)
 
 
 @dataclass
@@ -261,14 +276,15 @@ def initial_state(sys: GalerkinSystem, tol: float = 1e-10) -> MicroState:
 
 def step_monolithic(sys: GalerkinSystem, state: MicroState, dt: float, *,
                     tol: float = 1e-10) -> MicroState:
-    """One implicit Euler step by pressure-Schur elimination (single SPD solve)."""
+    """One implicit Euler step by pressure-Schur elimination (single SPD solve),
+    started from the projection onto the earlier displacements of step size dt."""
     ops = sys.step_operators(dt)
     t1 = state.t + dt
     alpha = sys.biot.alpha
     b_u = sys.F(t1)
     b_p = dt * sys.G(t1) + sys.biot.c * (sys.M @ state.p) + alpha * (sys.C @ state.U_red)
     u, p = solve_saddle(sys.B, alpha * sys.C, ops.S, (b_u, b_p), m_solver=ops.S_solver,
-                        tol=tol, x0=state.U_red, precond=sys.multigrid)
+                        tol=tol, space=ops.u_space, precond=sys.multigrid)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
@@ -282,7 +298,8 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
     right-hand side b - A p^n = dt (G^{n+1} - D p^n) - alpha C (L^{n+1} - L^n)
     costs no B-solve, and its tolerance is rescaled so that the stopping rule
     stays ||b - A p|| <= tol ||b||.  Each outer iteration makes one inner
-    B-solve; the final displacement solve makes one more.
+    B-solve; the final displacement solve makes one more.  CG starts from the
+    projection of the increment onto the earlier increments of step size dt.
     """
     ops = sys.step_operators(dt)
     t1 = state.t + dt
@@ -305,7 +322,8 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
     p = state.p
     r0_norm = np.linalg.norm(r0)
     if r0_norm > 0.0:
-        dp, _ = pcg(A_op, r0, tol=tol * np.linalg.norm(b) / r0_norm, precond=ops.prec.solve)
+        dp, _ = pcg(A_op, r0, tol=tol * np.linalg.norm(b) / r0_norm, precond=ops.prec.solve,
+                    space=ops.p_space)
         p = p + dp
     u = sys.solve_B(sys.F(t1) + alpha * (sys.C.T @ p), INNER_TOL, x0=state.U_red)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)

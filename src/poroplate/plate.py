@@ -106,7 +106,7 @@ class PlateSpace:
         out = {}
         for name, d in (("v", (0, 0)), ("gx", (1, 0)), ("gy", (0, 1)),
                         ("kxx", (2, 0)), ("kyy", (0, 2)), ("kxy", (1, 1))):
-            basis = _bfs_rows(h, loc, d)
+            basis = el.bfs_basis(h, loc, d)
             out[name] = np.einsum("pa,pa->p", basis, dofs)
         grad = np.stack([out["gx"], out["gy"]], axis=-1)
         curv = np.stack([out["kxx"], out["kyy"], 2.0 * out["kxy"]], axis=-1)
@@ -118,10 +118,6 @@ class PlateSpace:
         conn = self.plate.quads[eid]
         Nv = el.quad_shape(2.0 * loc - 1.0)
         return np.einsum("pa,pa...->p...", Nv, f[conn])
-
-
-def _bfs_rows(spacing, pts, deriv):
-    return el.bfs_basis(spacing, pts, deriv)
 
 
 def build_plate_space(plate: PlateMesh) -> PlateSpace:

@@ -131,6 +131,18 @@ def test_cli_cg_failure_exit_code(tmp_path, capsys):
     assert len(tail.strip("[]\n").split(",")) == 5
 
 
+def test_cli_micro_cg_underflow_exit_code(tmp_path, capsys):
+    # no step residual can reach tol_step = 1e-300: once the sum of squares in
+    # ||r|| underflows, the norm is recomputed scaled by max|r|, so CG goes on
+    # until r.z underflows and reports the breakdown instead of converging
+    text = TINY.replace("omega = 0.0 1.0 0.0 1.0", "omega = 0.0 0.25 0.0 0.25")
+    cfgp = tmp_path / "underflow.cfg"
+    cfgp.write_text(text + "\n[solver]\ntol_step = 1e-300\n")
+    code = cli.main(["micro", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_SOLVER
+    assert "solver failure: CG broke down before reaching tol=1.0e-300" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     code = cli.main(["cell", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")])

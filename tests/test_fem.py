@@ -12,8 +12,8 @@ from poroplate import fem
 from poroplate.errors import AssemblyError, ConstraintError, MaterialError, SolverError
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
-from poroplate.fem.solvers import (RepeatedBlockSolver, StepCache, inverse, pcg, solve_saddle,
-                                   solve_spd, spd_inverse)
+from poroplate.fem.solvers import (PROJECTION_DIM, RepeatedBlockSolver, SolutionSpace, StepCache,
+                                   _norm, inverse, pcg, solve_saddle, solve_spd, spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh
 from poroplate.material import HookeTensor, isotropic
 
@@ -474,6 +474,51 @@ def test_pcg_cold_start_applies_operator_once_per_iteration():
     x, hist = pcg(apply_A, b, tol=1e-12)
     assert len(calls) == len(hist) - 1
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_pcg_projected_start_over_successive_right_hand_sides():
+    # right-hand sides that change smoothly: each solve starts from the
+    # projection onto the earlier ones at no operator application, meets its
+    # tolerance, and leaves an A-orthonormal space that restarts when full
+    n = 60
+    A = sp.diags([-1.0, 2.05, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
+    s = np.linspace(0.0, 1.0, n)
+    space, calls, iters = SolutionSpace(), [], []
+
+    def apply_A(x):
+        calls.append(1)
+        return A @ x
+
+    for k in range(PROJECTION_DIM + 5):
+        b = np.sin(np.pi * s * (1.0 + 0.01 * k)) + 0.1 * k * s
+        del calls[:]
+        x, hist = pcg(apply_A, b, tol=1e-10, space=space)
+        assert len(calls) == len(hist) - 1
+        assert np.linalg.norm(A @ x - b) <= 1.01e-10 * np.linalg.norm(b)
+        assert 0 < len(space) <= PROJECTION_DIM
+        iters.append(len(calls))
+        # the images come from CG's recursion, so a short solve's correction
+        # carries the recursive residual's drift, scaled up by its normalization
+        X, AX = np.array(space.X).T, np.array(space.AX).T
+        assert np.abs(X.T @ AX - np.eye(len(space))).max() < 1e-4
+        assert np.abs(AX - A @ X).max() < 1e-4 * np.abs(AX).max()
+    assert len(space) < PROJECTION_DIM   # it restarted from one solution
+    assert max(iters[4:PROJECTION_DIM]) < iters[0] / 2
+    # a right-hand side inside the span is solved by the start alone
+    del calls[:]
+    x, hist = pcg(apply_A, A @ space.X[0], tol=1e-10, space=space)
+    assert calls == [] and hist[0] <= 1e-10
+    with pytest.raises(ValueError, match="not both"):
+        pcg(A, b, x0=np.zeros(n), space=space)
+
+
+def test_norm_rescales_when_the_sum_of_squares_underflows():
+    v = np.full(30, 1e-170)
+    assert np.linalg.norm(v) == 0.0
+    assert _norm(v) == pytest.approx(1e-170 * np.sqrt(30.0), rel=1e-14)
+    assert _norm(np.zeros(3)) == 0.0
+    w = np.linspace(-1.0, 2.0, 30)
+    assert _norm(w) == np.linalg.norm(w)
 
 
 def test_bfs_interpolates_bicubic_exactly():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poroplate import fem, micro
+from poroplate.config import default_config
 from poroplate.geometry import CellGeometry, build_micro_mesh
 from poroplate.material import BiotParams, LoadSpec, Poly2T
 
@@ -58,9 +59,14 @@ def test_two_path_equivalence(small_system, micro_mesh4, two_phase_hooke, biot):
         assert np.linalg.norm(tr1.final.U - tr2.final.U) <= 1e-7 * np.linalg.norm(tr2.final.U)
 
 
-def _step_schur_reference(sys, state, dt, tol=1e-10):
+def _step_schur_reference(sys, state, dt, tol=1e-10, basis=()):
     """The pressure-ODE step in its first form: CG on p^{n+1} from p^n, with the
-    right-hand side dt G + (cM + alpha^2 C B^-1 C^T) p^n - alpha C B^-1 (F^{n+1} - F^n)."""
+    right-hand side dt G + (cM + alpha^2 C B^-1 C^T) p^n - alpha C B^-1 (F^{n+1} - F^n).
+
+    `basis` holds the A-orthonormal pressure increments the stepper's solution
+    space held before this step; CG starts from p^n plus the projection of the
+    increment onto them, p^n + sum_j x_j x_j^T (rhs - A p^n), as the stepper does.
+    """
     ops = sys.step_operators(dt)
     t1 = state.t + dt
     alpha, c = sys.biot.alpha, sys.biot.c
@@ -77,24 +83,35 @@ def _step_schur_reference(sys, state, dt, tol=1e-10):
             out = out + alpha**2 * (sys.C @ B_inv(sys.C.T @ z))
         return out
 
+    def A(z):
+        return mass_like(z) + dt * (sys.D @ z)
+
     rhs = dt * sys.G(t1) + mass_like(state.p)
     if alpha != 0.0 and np.linalg.norm(dF) > 0.0:
         rhs -= alpha * (sys.C @ B_inv(dF))
-    p, _ = fem.pcg(lambda z: mass_like(z) + dt * (sys.D @ z), rhs, tol=tol,
-                   precond=ops.prec.solve, x0=state.p)
+    start = state.p
+    if basis:
+        r = rhs - A(state.p)
+        start = state.p + sum((x @ r) * x for x in basis)
+    p, _ = fem.pcg(A, rhs, tol=tol, precond=ops.prec.solve, x0=start)
     u = sys.solve_B(F1 + alpha * (sys.C.T @ p), micro.INNER_TOL, x0=state.U_red)
     return micro.MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
 def test_schur_increment_step_matches_reference_form(micro_mesh4, two_phase_hooke, biot):
+    # the stepper starts each step from its solution space, so the reference
+    # is given a snapshot of that space taken before the same step
     sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, CUTOFF_LOADS)
-    traj = micro.run_transient(sys, 0.5, 8, stepper="schur")
-    ref = traj.states[0]
-    for state in traj.states[1:]:
-        ref = _step_schur_reference(sys, ref, 0.0625)
+    dt = 0.0625
+    state = ref = micro.initial_state(sys)
+    for _ in range(8):
+        basis = [x.copy() for x in sys.step_operators(dt).p_space.X]
+        state = micro.step_schur(sys, state, dt)
+        ref = _step_schur_reference(sys, ref, dt, basis=basis)
         assert state.t == ref.t
         for new, old in ((state.U_red, ref.U_red), (state.p, ref.p)):
             assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
+    assert len(sys.step_operators(dt).p_space) > 0
 
 
 def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, monkeypatch):
@@ -147,6 +164,74 @@ def test_two_path_equivalence_across_materials(micro_mesh2, two_phase_hooke, ram
             assert abs(a[key] - b[key]) <= 1e-7 * max(b[key], 1e-30)
 
 
+def _monolithic_block_residuals(sys, s0, dt, s1):
+    """Relative residuals of the implicit-Euler block equations
+
+        B U1 - alpha C^T p1 = F(t1)
+        alpha C (U1 - U0) + (cM + dt D) p1 = dt G(t1) + cM p0
+
+    recomputed from the assembled operators, the first scaled by the
+    right-hand side of the displacement system left after eliminating p1."""
+    a, c = sys.biot.alpha, sys.biot.c
+    S = (c * sys.M + dt * sys.D).tocsc()
+    F1, G1 = sys.F(s1.t), sys.G(s1.t)
+    b_p = dt * G1 + c * (sys.M @ s0.p) + a * (sys.C @ s0.U_red)
+    r1 = sys.B @ s1.U_red - a * (sys.C.T @ s1.p) - F1
+    r2 = a * (sys.C @ (s1.U_red - s0.U_red)) + S @ s1.p - (dt * G1 + c * (sys.M @ s0.p))
+    rhs_u = F1 + a * (sys.C.T @ spla.spsolve(S, b_p))
+    return np.linalg.norm(r1) / np.linalg.norm(rhs_u), np.linalg.norm(r2) / np.linalg.norm(b_p)
+
+
+@settings(max_examples=4, deadline=None)
+@given(c=st.floats(0.1, 2.0), alpha=st.floats(0.0, 1.5),
+       k=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0)))
+@example(c=1.0, alpha=1.0, k=(1.0, 1.0, 1.0))
+def test_projected_steps_meet_their_stopping_rules(micro_mesh2, two_phase_hooke, ramp_loads,
+                                                   c, alpha, k):
+    # more steps than a solution space holds, so both spaces restart on the way
+    tol, T, nsteps = 1e-9, 0.5, fem.solvers.PROJECTION_DIM + 4
+    dt = T / nsteps
+    sys = micro.assemble_micro(micro_mesh2, two_phase_hooke,
+                               BiotParams(c=c, alpha=alpha, K=np.diag(k)), 0.5, ramp_loads)
+    mono = micro.run_transient(sys, T, nsteps, stepper="monolithic", tol=tol)
+    schur = micro.run_transient(sys, T, nsteps, stepper="schur", tol=tol)
+    ops = sys.step_operators(dt)
+    assert 0 < len(ops.u_space) <= fem.solvers.PROJECTION_DIM
+    for s0, s1 in zip(mono.states, mono.states[1:]):
+        assert max(_monolithic_block_residuals(sys, s0, dt, s1)) <= 1.01 * tol
+    # the Schur-ODE step A p1 = b with B^-1 applied exactly by a sparse factorization
+    B_inv = spla.factorized(sys.B.tocsc())
+    for s0, s1 in zip(schur.states, schur.states[1:]):
+        A_p1 = c * (sys.M @ s1.p) + dt * (sys.D @ s1.p)
+        b = dt * sys.G(s1.t) + c * (sys.M @ s0.p)
+        if alpha != 0.0:
+            A_p1 += alpha**2 * (sys.C @ B_inv(sys.C.T @ s1.p))
+            b += alpha * (sys.C @ (s0.U_red - B_inv(sys.F(s1.t))))
+        assert np.linalg.norm(b - A_p1) <= 1.01 * tol * np.linalg.norm(b)
+    for a, b in zip(mono.table[1:], schur.table[1:]):
+        for key in ("e_U", "p"):
+            assert abs(a[key] - b[key]) <= 1e-7 * max(b[key], 1e-30)
+
+
+def test_schur_outer_iterations_on_the_demo_config(monkeypatch):
+    # eps = 1/4, 16 steps: 96 outer operator applications when every step's CG
+    # started from zero, 39 from the projection onto the earlier increments
+    cfg = default_config()
+    mesh = build_micro_mesh(cfg.geom, 0.25, cfg.omega, cfg.cell_n)
+    sys = micro.assemble_micro(mesh, cfg.hooke, cfg.biot, 0.25, cfg.loads)
+    outer, real_pcg = [], micro.pcg
+
+    def counting_pcg(A, b, **kwargs):
+        def apply_A(z):
+            outer.append(1)
+            return A(z)
+        return real_pcg(apply_A, b, **kwargs)
+
+    monkeypatch.setattr(micro, "pcg", counting_pcg)
+    micro.run_transient(sys, cfg.T, 16, stepper="schur", tol=cfg.tol_step)
+    assert 0 < len(outer) <= 45
+
+
 def test_step_operators_built_once_per_step_size(micro_mesh4, two_phase_hooke, biot,
                                                  ramp_loads, monkeypatch):
     built = []
@@ -179,6 +264,11 @@ def test_system_freed_without_cycle_collector(micro_mesh4, two_phase_hooke, biot
         micro.run_transient(sys, 0.25, 2, stepper="schur")
         assert sys._multigrid is not None   # the V-cycle hierarchy was built and kept
         assert sys._load_solutions is not None   # and so were the load responses
+        ops = sys.step_operators(0.125)   # and both solution spaces, arrays only
+        for space in (ops.u_space, ops.p_space):
+            assert len(space) > 0
+            assert set(vars(space)) == {"X", "AX"}
+            assert all(type(v) is np.ndarray for v in space.X + space.AX)
         ref = weakref.ref(sys)
         del sys
         assert ref() is None
