@@ -221,8 +221,8 @@ class PressureCellOperator:
         if len(self.gel_nodes) == 0:
             raise AssemblyError("cell mesh has no gel phase; pressure operator undefined")
         self.reducer = Reducer(cell_constraints(mesh))
-        K = fem.assemble_elastic_stiffness(mesh, hooke)
-        self.K_red = self.reducer.reduce_matrix(K)
+        node_map = self.reducer.node_map(3)   # periodic slaves -> masters: sums give P^T K P
+        self.K_red = fem.assemble_elastic_stiffness(mesh, hooke, node_map)
         # inverse of the extended matrix [[K, W^T], [W, 0]] pinning the component means
         nred = self.reducer.n_reduced
         W = np.stack([w for (w, _, _) in self.reducer.mean_zero])
@@ -235,7 +235,8 @@ class PressureCellOperator:
         self._nmult = len(W)
 
         self.C = fem.assemble_divergence_coupling(mesh, gel_nodes=self.gel_nodes)
-        self.C_red = (self.C @ self.reducer.P).tocsr()
+        self.C_red = fem.assemble_divergence_coupling(mesh, gel_nodes=self.gel_nodes,
+                                                      node_map=node_map)
         gel_mask = mesh.phase == GEL
         self.M_gel = fem.assemble_scalar_mass(mesh, elems_mask=gel_mask, nodes=self.gel_nodes)
         self.D_gel = fem.assemble_scalar_diffusion(mesh, biot.K, elems_mask=gel_mask,

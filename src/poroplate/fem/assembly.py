@@ -2,11 +2,18 @@
 
 Every mesh is a uniform grid, so each operator is one element matrix (one per
 phase, or per label) summed into a global array.  That sum is made here only:
-`scatter` for matrices and `scatter_vector` for vectors, on the element dof
-ids of `element_dofs` and the quadrature points of `qp_points`.  A negative
-dof id marks an eliminated dof (a clamped plate dof) and its entries are
-dropped.  Matrices are accumulated as chunked COO -> CSR with int32 indices
-to keep the peak memory bounded on the finest micro meshes.
+`scatter` for matrices and `scatter_vector` for vectors, on the element node
+ids of `element_nodes` (or the dof ids of `element_dofs`) and the quadrature
+points of `qp_points`.  A negative id marks an eliminated node or dof (a
+clamped node, a clamped plate dof) and its entries are dropped.
+
+`scatter` sums on node pairs: an element matrix with b x b' blocks per node
+pair (3 x 3 for elasticity, 1 x 3 for the divergence coupling) is summed
+block-wise into the node-pair pattern and expanded to a canonical CSR matrix
+with int32 indices; a scalar form already has one entry per node pair and
+goes through a plain COO -> CSR.  A node map that sends periodic slave nodes to their
+masters and clamped nodes to -1 (`Reducer.node_map`) assembles P^T A P on the
+reduced dofs directly, without the full matrix.
 """
 
 from __future__ import annotations
@@ -18,8 +25,6 @@ from ..errors import AssemblyError, MaterialError
 from ..material import BiotParams, HookeTensor
 from . import elements as el
 
-_CHUNK = 2_000_000  # COO entries per accumulation chunk
-
 
 def vector_dofs(conn: np.ndarray, ncomp: int = 3) -> np.ndarray:
     """(ne, 8*ncomp) dof ids, node-major component order."""
@@ -28,21 +33,32 @@ def vector_dofs(conn: np.ndarray, ncomp: int = 3) -> np.ndarray:
     return dofs
 
 
+def element_nodes(mesh, elems_mask=None, node_map=None):
+    """(ids (ne, 8), n) of the masked elements' nodes on n nodes.
+
+    With `node_map` (the new id of every mesh node, -1 where dropped) the ids
+    are renumbered through it; otherwise every mesh node keeps its id.
+    """
+    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
+    if node_map is None:
+        return conn, mesh.n_nodes
+    return node_map[conn], int(node_map.max(initial=-1)) + 1
+
+
 def element_dofs(mesh, elems_mask=None, nodes=None, ncomp: int = 1):
     """(dofs (ne, 8*ncomp), ndof) of the masked elements on a node subset.
 
     With `nodes` given, node nodes[i] is renumbered i and the masked elements
     must touch no other node; otherwise every mesh node keeps its id.
     """
-    conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
-    if nodes is None:
-        return vector_dofs(conn, ncomp), ncomp * mesh.n_nodes
-    sub_of = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    sub_of[nodes] = np.arange(len(nodes))
-    conn = sub_of[conn]
-    if np.any(conn < 0):
+    sub_of = None
+    if nodes is not None:
+        sub_of = np.full(mesh.n_nodes, -1, dtype=np.int64)
+        sub_of[nodes] = np.arange(len(nodes))
+    conn, n = element_nodes(mesh, elems_mask, sub_of)
+    if nodes is not None and np.any(conn < 0):
         raise AssemblyError("masked elements touch nodes outside the given node subset")
-    return vector_dofs(conn, ncomp), ncomp * len(nodes)
+    return vector_dofs(conn, ncomp), ncomp * n
 
 
 def qp_points(mesh, elems_mask=None) -> np.ndarray:
@@ -53,35 +69,72 @@ def qp_points(mesh, elems_mask=None) -> np.ndarray:
     return origins[:, None, :] + (pts[None, :, :] + 1.0) * 0.5 * np.asarray(mesh.spacing)
 
 
-def scatter(row_dofs: np.ndarray, ke: np.ndarray, shape, col_dofs=None,
-            phase=None) -> sp.csr_matrix:
-    """Sum element matrices into a CSR matrix of the given shape.
+def scatter(rows: np.ndarray, ke: np.ndarray, shape, cols=None, phase=None) -> sp.csr_matrix:
+    """Sum element matrices into a canonical CSR matrix of the given shape.
 
-    Element e adds ke (or ke[phase[e]] when a label per element is given) at
-    rows row_dofs[e] and columns col_dofs[e] (row_dofs[e] by default); entries
-    with a negative row or column id are dropped.
+    Element e couples the nodes rows[e] (ne, k) with the nodes cols[e]
+    (ne, k'; rows[e] by default) through ke, or ke[phase[e]] when a label per
+    element is given.  ke is (k*b, k'*b') for b dofs per row node and b' per
+    column node, node-major: dof c of node i is global dof b*i + c.  Entries
+    at a negative node id are dropped.
     """
-    col_dofs = row_dofs if col_dofs is None else col_dofs
-    (ne, kr), kc = row_dofs.shape, col_dofs.shape[1]
-    drop = np.any(row_dofs < 0) or np.any(col_dofs < 0)
-    A = None
-    per = max(1, _CHUNK // (kr * kc))
-    for start in range(0, ne, per):
-        idx = slice(start, min(start + per, ne))
-        rows = np.broadcast_to(row_dofs[idx, :, None], (idx.stop - start, kr, kc))
-        cols = np.broadcast_to(col_dofs[idx, None, :], rows.shape)
-        vals = np.broadcast_to(ke if phase is None else ke[phase[idx]], rows.shape)
-        if drop:
-            keep = (rows >= 0) & (cols >= 0)
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        part = sp.csr_matrix(
-            (vals.ravel(), (rows.astype(np.int32).ravel(), cols.astype(np.int32).ravel())),
-            shape=shape)
-        A = part if A is None else A + part
-    if A is None:
-        return sp.csr_matrix(shape)
+    cols = rows if cols is None else cols
+    (ne, kr), kc = rows.shape, cols.shape[1]
+    br, bc = ke.shape[-2] // kr, ke.shape[-1] // kc
+    r = np.broadcast_to(rows.astype(np.int32)[:, :, None], (ne, kr, kc))
+    c = np.broadcast_to(cols.astype(np.int32)[:, None, :], r.shape)
+    keep = (r >= 0) & (c >= 0) if np.any(rows < 0) or np.any(cols < 0) else None
+
+    def entries(x):
+        """One value per (element, local node pair), dropped pairs left out."""
+        x = np.broadcast_to(x, r.shape)
+        return x.ravel() if keep is None else x[keep]
+
+    if br == bc == 1:
+        # scalar forms: an entry per node pair already, so a plain COO -> CSR
+        vals = ke if phase is None else ke[phase]
+        A = sp.csr_matrix((entries(vals), (entries(r), entries(c))), shape=shape)
+    else:
+        A = _block_sum(r, cols, ke, shape, phase, entries)
     A.eliminate_zeros()
+    if A.data.base is not None and A.data.base.size > A.nnz:
+        A = A.copy()   # eliminate_zeros kept views on the longer arrays: release them
     return A
+
+
+def _block_sum(r, cols, ke, shape, phase, entries) -> sp.csr_matrix:
+    """`scatter` of b x b' node blocks, summed on the node-pair pattern.
+
+    Each (element, local node pair) is one entry, with its row node r (an
+    (ne, k, k') view) and the key (column node, block index).  One COO -> CSR
+    pass counts the keys per row node; on each node pair, the counts times
+    the stacked element blocks are the pair's block sum.  No array holds
+    every element's scalar entries.
+    """
+    kr, kc = r.shape[1:]
+    br, bc = ke.shape[-2] // kr, ke.shape[-1] // kc
+    # blocks[l*k*k' + i*k' + j] is the (i, j) node block of label l
+    blocks = ke.reshape(-1, kr, br, kc, bc).swapaxes(2, 3).reshape(-1, br * bc)
+    nb, n_c = len(blocks), shape[1] // bc
+    idx = np.int32 if n_c * nb < 2**31 else np.int64
+    key = cols.astype(idx)[:, None, :] * nb + np.arange(kr * kc, dtype=idx).reshape(kr, kc)
+    if phase is not None:
+        key += (phase.astype(idx) * (kr * kc))[:, None, None]
+    key = entries(key)
+    # per row node, how often each (column node, block) occurs, sorted by column node
+    count = sp.csr_matrix((np.ones(len(key)), (entries(r), key)), shape=(shape[0] // br, n_c * nb))
+    del key
+    pair_col, blk = np.divmod(count.indices, nb)
+    first = np.ones(len(blk), dtype=bool)   # a node pair starts here
+    first[1:] = pair_col[1:] != pair_col[:-1]
+    first[count.indptr[:-1][np.diff(count.indptr) > 0]] = True
+    starts = np.flatnonzero(first)
+    pair_ptr = np.searchsorted(starts, count.indptr)
+    vals = sp.csr_matrix((count.data, blk, np.append(starts, len(blk))),
+                         shape=(len(starts), nb)) @ blocks
+    pair_col = pair_col[starts]
+    del count, blk, first, starts   # only the pair pattern and its block sums stay
+    return sp.bsr_matrix((vals.reshape(-1, br, bc), pair_col, pair_ptr), shape=shape).tocsr()
 
 
 def scatter_vector(dofs: np.ndarray, fe: np.ndarray, n: int) -> np.ndarray:
@@ -116,29 +169,29 @@ def require_coercive(hooke: HookeTensor, tol: float = 1e-12) -> float:
     return c0
 
 
-def assemble_elastic_stiffness(mesh, hooke: HookeTensor) -> sp.csr_matrix:
-    """Global stiffness int A e(u):e(v) with the per-phase constant tensors."""
+def assemble_elastic_stiffness(mesh, hooke: HookeTensor, node_map=None) -> sp.csr_matrix:
+    """Global stiffness int A e(u):e(v) with the per-phase constant tensors.
+
+    With the `node_map` of a `Reducer` it is the reduced stiffness P^T K P.
+    """
     require_coercive(hooke)
     ke = np.stack([el.hex_elastic_ke(mesh.spacing, D) for D in (hooke.fiber, hooke.gel)])
-    dofs, n = element_dofs(mesh, ncomp=3)
-    return scatter(dofs, ke, (n, n), phase=mesh.phase)
+    nodes, n = element_nodes(mesh, node_map=node_map)
+    return scatter(nodes, ke, (3 * n, 3 * n), phase=mesh.phase)
 
 
 def assemble_strain_product(mesh, elems_mask=None) -> sp.csr_matrix:
     """Quadratic form of ||e(u)||^2_{L2} (identity tensor on symmetric matrices)."""
     ke = el.hex_elastic_ke(mesh.spacing, np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]))
-    dofs, n = element_dofs(mesh, elems_mask, ncomp=3)
-    return scatter(dofs, ke, (n, n))
+    nodes, n = element_nodes(mesh, elems_mask)
+    return scatter(nodes, ke, (3 * n, 3 * n))
 
 
 def assemble_vector_gradient_product(mesh) -> sp.csr_matrix:
-    """Quadratic form of ||grad u||^2_{L2} for vector fields (componentwise)."""
-    kd = el.hex_scalar_diffusion_ke(mesh.spacing, np.eye(3))
-    ke = np.zeros((24, 24))
-    for c in range(3):
-        ke[c::3, c::3] = kd
-    dofs, n = element_dofs(mesh, ncomp=3)
-    return scatter(dofs, ke, (n, n))
+    """Quadratic form of ||grad u||^2_{L2} for vector fields: the scalar form per component."""
+    nodes, n = element_nodes(mesh)
+    K = scatter(nodes, el.hex_scalar_diffusion_ke(mesh.spacing, np.eye(3)), (n, n))
+    return sp.kron(K, sp.identity(3), format="csr")
 
 
 def assemble_scalar_mass(mesh, *, elems_mask=None, nodes=None) -> sp.csr_matrix:
@@ -159,14 +212,17 @@ def assemble_scalar_diffusion(mesh, K: np.ndarray, *, elems_mask=None, nodes=Non
     return scatter(dofs, scale * el.hex_scalar_diffusion_ke(mesh.spacing, K), (n, n))
 
 
-def assemble_divergence_coupling(mesh, *, gel_nodes) -> sp.csr_matrix:
-    """C[j, dof] = int_gel phi_j div(xi_dof): pressure rows on gel nodes only."""
+def assemble_divergence_coupling(mesh, *, gel_nodes, node_map=None) -> sp.csr_matrix:
+    """C[j, dof] = int_gel phi_j div(xi_dof): pressure rows on gel nodes only.
+
+    With the `node_map` of a `Reducer` the columns are the reduced dofs: C P.
+    """
     gel_mask = mesh.phase == 1
     if not np.any(gel_mask):
         raise AssemblyError("mesh has no gel elements to couple")
     p_rows, n_p = element_dofs(mesh, gel_mask, gel_nodes)
-    u_cols, n_u = element_dofs(mesh, gel_mask, ncomp=3)
-    return scatter(p_rows, el.hex_divergence_ke(mesh.spacing), (n_p, n_u), col_dofs=u_cols)
+    u_cols, n_u = element_nodes(mesh, gel_mask, node_map)
+    return scatter(p_rows, el.hex_divergence_ke(mesh.spacing), (n_p, 3 * n_u), cols=u_cols)
 
 
 def assemble_body_force(mesh, f_at) -> np.ndarray:

@@ -77,13 +77,14 @@ class Reducer:
         free = np.flatnonzero(~(is_slave | is_dir))
         red_of = np.full(n, -1, dtype=np.int64)
         red_of[free] = np.arange(len(free))
+        self.dof_map = red_of[root]   # reduced dof of every dof, -1 where eliminated
         self.n_full = n
         self.n_reduced = len(free)
         self.free = free
         self.g = np.zeros(n)
         self.g[cons.dirichlet_dofs] = cons.dirichlet_values
         rows = np.arange(n)[~is_dir]
-        cols = red_of[root[rows]]
+        cols = self.dof_map[rows]
         if np.any(cols < 0):
             raise ConstraintError("periodic master resolves to an eliminated dof")
         self.P = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, self.n_reduced))
@@ -96,6 +97,19 @@ class Reducer:
             c_red = block[self.free]  # constant-1 field on the block, reduced
             measure = float(np.asarray(w_full) @ block)
             self.mean_zero.append((w_red, c_red, measure))
+
+    def node_map(self, ncomp: int) -> np.ndarray:
+        """Reduced node of every node (-1 where eliminated), for ncomp dofs per node.
+
+        A matrix assembled on these node ids is P^T A P (see `fem.assembly`);
+        the constraints must act on whole nodes.
+        """
+        dofs = self.dof_map.reshape(-1, ncomp)
+        nodes = dofs[:, 0] // ncomp
+        whole = np.where(nodes[:, None] < 0, -1, ncomp * nodes[:, None] + np.arange(ncomp))
+        if not np.array_equal(dofs, whole):
+            raise ConstraintError(f"constraints do not act on whole nodes of {ncomp} dofs")
+        return nodes
 
     def reduce_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
         return (self.P.T @ A @ self.P).tocsr()

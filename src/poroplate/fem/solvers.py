@@ -132,16 +132,25 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
     if project is not None:
         r = project(r)
     x_start, r_start = x, r
-    z = apply_M(r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = rz = None
     history = [_norm(r) / bnorm]
+    # the residual is checked before it is preconditioned: a start that
+    # already meets tol costs no preconditioner application
     while history[-1] > tol:
         if len(history) > maxiter:
             raise SolverError(
                 f"CG did not reach tol={tol:.1e} in {maxiter} iterations (residual {history[-1]:.3e})",
                 history,
             )
+        z = apply_M(r)
+        rz_new = float(r @ z)
+        if rz_new <= 0.0:
+            # r.z underflows to zero when tol is below what the residual can represent
+            raise SolverError(
+                f"CG broke down before reaching tol={tol:.1e}: r.z = {rz_new:.1e} at residual {history[-1]:.3e}",
+                history)
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = apply_A(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -152,17 +161,6 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
         if project is not None:
             r = project(r)
         history.append(_norm(r) / bnorm)
-        if history[-1] <= tol:
-            break
-        z = apply_M(r)
-        rz_new = float(r @ z)
-        if rz_new <= 0.0:
-            # r.z underflows to zero when tol is below what the residual can represent
-            raise SolverError(
-                f"CG broke down before reaching tol={tol:.1e}: r.z = {rz_new:.1e} at residual {history[-1]:.3e}",
-                history)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     if space is not None:
         space.add(b, x_start, r_start, x, r)
     return x, history

@@ -216,10 +216,9 @@ def assemble_micro(mesh: MicroMesh, hooke: HookeTensor, biot: BiotParams, eps: f
         raise AssemblyError("micro mesh has no gel phase")
     loads = loads if loads is not None else LoadSpec()
     reducer = Reducer(clamp_constraints(mesh))
-    B_full = fem.assemble_elastic_stiffness(mesh, hooke)
-    B = reducer.reduce_matrix(B_full)
-    C_full = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes)
-    C = (C_full @ reducer.P).tocsr()
+    node_map = reducer.node_map(3)
+    B = fem.assemble_elastic_stiffness(mesh, hooke, node_map)
+    C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes, node_map=node_map)
     M, D = fem.assembly.micro_pressure_blocks(biot, mesh, eps)
     f_parts = [
         _poly_parts(mesh, loads.f1, 0, eps),
@@ -500,8 +499,8 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
     # 3D homogeneous elastic solve on the gel interior, Dirichlet walls + caps
     gel_grid = _StructuredHexMesh((gnx, gny, gnz), origin=(0.0, 0.0, 0.0), spacing=(h, h, h))
     keg = el.hex_elastic_ke((h, h, h), hooke.gel)
-    dofs3, n3 = fem.assembly.element_dofs(gel_grid, ncomp=3)
-    K3 = fem.assembly.scatter(dofs3, keg, (n3, n3))
+    nodes3, n3 = fem.assembly.element_nodes(gel_grid)
+    K3 = fem.assembly.scatter(nodes3, keg, (3 * n3, 3 * n3))
     loc_of_tpl = (li - gi[0]) + (gnx + 1) * ((lj - gj[0]) + (gny + 1) * (lk - gk[0]))
     int_dofs = (3 * loc_of_tpl[interior][:, None] + np.arange(3)).ravel()
     bnd_dofs = (3 * loc_of_tpl[~interior][:, None] + np.arange(3)).ravel()

@@ -170,7 +170,7 @@ def plate_coupling_factors(space: PlateSpace) -> list:
                     (-space.B_bend, space.elem_dofs[:, 8:])):
         loc = np.einsum("qa,qIl->Ial", w_N, B)                     # (3, 4, nloc)
         out += [fem.assembly.scatter(space.plate.quads, blk, (space.n_nodes, space.n_red),
-                                     col_dofs=dofs) for blk in loc]
+                                     cols=dofs) for blk in loc]
     return out
 
 

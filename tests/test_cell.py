@@ -222,6 +222,16 @@ def test_pressure_corrector_zero_and_linearity(cell_mesh4, two_phase_hooke, biot
     assert np.abs(u2 - 2.0 * u1).max() < 1e-12
 
 
+def test_operator_reduced_blocks_match_reduction(cell_mesh4, two_phase_hooke, biot):
+    # K_red and C_red sum periodic slave nodes onto their masters: P^T K P and C P
+    op = PressureCellOperator(cell_mesh4, two_phase_hooke, biot)
+    P = op.reducer.P
+    K_ref = op.reducer.reduce_matrix(fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke))
+    for A, ref in ((op.K_red, K_ref), (op.C_red, op.C @ P)):
+        assert A.shape == ref.shape and A.has_canonical_format
+        assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
+
+
 def test_pressure_corrector_dense_oracle(two_phase_hooke, biot):
     # independent dense KKT solve (explicit multiplier rows for periodicity and
     # mean-zero) on a small cell, constant gel pressure

@@ -1,6 +1,5 @@
 import gc
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,8 @@ from poroplate.errors import AssemblyError, ConstraintError, MaterialError, Solv
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
 from poroplate.fem.solvers import (PROJECTION_DIM, RepeatedBlockSolver, SolutionSpace, StepCache,
-                                   _norm, inverse, pcg, solve_saddle, solve_spd, spd_inverse)
+                                   _norm, inverse, jacobi, pcg, solve_saddle, solve_spd,
+                                   spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh
 from poroplate.material import HookeTensor, isotropic
 
@@ -160,38 +160,45 @@ def test_divergence_theorem_facet_oracle(cell_mesh4):
 
 # -------------------------------------------------------------- accumulation
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16), ne=st.integers(0, 12),
        k=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       b=st.tuples(st.sampled_from([1, 3]), st.sampled_from([1, 3])),
        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)), square=st.booleans(),
-       n_labels=st.sampled_from([None, 1, 3]), chunk=st.integers(1, 60))
-@example(seed=0, ne=6, k=(4, 3), shape=(2, 3), square=False, n_labels=3, chunk=7)
-def test_scatter_matches_element_loop(seed, ne, k, shape, square, n_labels, chunk):
-    # scatter/scatter_vector against a dense element loop: ids drawn from
-    # [-2, n) so rows and columns both carry eliminated (negative) dofs, and
-    # an element may repeat an id
+       n_labels=st.sampled_from([None, 1, 3]))
+@example(seed=0, ne=6, k=(4, 3), b=(1, 1), shape=(2, 3), square=False, n_labels=3)
+@example(seed=1, ne=7, k=(8, 8), b=(1, 3), shape=(4, 6), square=False, n_labels=None)
+@example(seed=2, ne=9, k=(4, 4), b=(3, 3), shape=(5, 5), square=True, n_labels=3)
+def test_scatter_matches_element_loop(seed, ne, k, b, shape, square, n_labels):
+    # scatter/scatter_vector against a dense element loop on dofs: node ids
+    # drawn from [-2, n) so rows and columns both carry dropped (negative)
+    # nodes, and an element may repeat a node; b = (b, b') dofs per row and
+    # column node, node-major within the element matrix
     rng = np.random.default_rng(seed)
     kr, kc = (k[0], k[0]) if square else k
+    br, bc = (b[0], b[0]) if square else b
     shape = (shape[0], shape[0]) if square else shape
     rows = rng.integers(-2, shape[0], (ne, kr))
     cols = rows if square else rng.integers(-2, shape[1], (ne, kc))
     if n_labels is None:
-        ke, label = rng.standard_normal((kr, kc)), None
+        ke, label = rng.standard_normal((kr * br, kc * bc)), None
         ke_of = [ke] * ne
     else:
-        ke, label = rng.standard_normal((n_labels, kr, kc)), rng.integers(0, n_labels, ne)
+        ke, label = rng.standard_normal((n_labels, kr * br, kc * bc)), rng.integers(0, n_labels, ne)
         ke_of = ke[label]
     fe = rng.standard_normal((ne, kr))
-    ref_A = np.zeros(shape)
+    ref_A = np.zeros((shape[0] * br, shape[1] * bc))
     ref_F = np.zeros(shape[0])
     for e in range(ne):
-        r, c = rows[e] >= 0, cols[e] >= 0
-        np.add.at(ref_A, np.ix_(rows[e][r], cols[e][c]), ke_of[e][np.ix_(r, c)])
-        np.add.at(ref_F, rows[e][r], fe[e][r])
-    with mock.patch.object(fem.assembly, "_CHUNK", chunk):
-        A = fem.assembly.scatter(rows, ke, shape, col_dofs=None if square else cols, phase=label)
+        rd = (br * rows[e][:, None] + np.arange(br)).ravel()
+        cd = (bc * cols[e][:, None] + np.arange(bc)).ravel()
+        r, c = np.repeat(rows[e] >= 0, br), np.repeat(cols[e] >= 0, bc)
+        np.add.at(ref_A, np.ix_(rd[r], cd[c]), ke_of[e][np.ix_(r, c)])
+        np.add.at(ref_F, rows[e][rows[e] >= 0], fe[e][rows[e] >= 0])
+    A = fem.assembly.scatter(rows, ke, ref_A.shape, cols=None if square else cols, phase=label)
     F = fem.assembly.scatter_vector(rows, fe, shape[0])
-    assert A.shape == shape and F.shape == (shape[0],)
+    assert A.shape == ref_A.shape and F.shape == (shape[0],)
+    assert A.has_canonical_format and A.indices.dtype == np.int32
     assert np.abs(A.toarray() - ref_A).max() <= 1e-14 * max(np.abs(ref_A).max(), 1.0)
     assert np.abs(F - ref_F).max() <= 1e-14 * max(np.abs(ref_F).max(), 1.0)
 
@@ -255,6 +262,16 @@ def test_periodic_chain_resolution():
     red = Reducer(cons)
     x = red.expand(np.array([5.0, 7.0]))
     assert np.allclose(x, [5.0, 7.0, 5.0, 5.0])
+
+
+def test_node_map_of_whole_node_constraints():
+    # node 1 clamped, or node 2 periodic on node 0; a lone dof is not a node
+    clamp = Reducer(ConstraintSet(ndof=9, dirichlet_dofs=[3, 4, 5]))
+    assert clamp.node_map(3).tolist() == [0, -1, 1]
+    periodic = Reducer(ConstraintSet(ndof=9, periodic_slaves=[6, 7, 8], periodic_masters=[0, 1, 2]))
+    assert periodic.node_map(3).tolist() == [0, 1, 0]
+    with pytest.raises(ConstraintError, match="whole nodes"):
+        Reducer(ConstraintSet(ndof=9, dirichlet_dofs=[4])).node_map(3)
 
 
 def test_reduction_preserves_symmetry(cell_mesh4, two_phase_hooke):
@@ -474,6 +491,29 @@ def test_pcg_cold_start_applies_operator_once_per_iteration():
     x, hist = pcg(apply_A, b, tol=1e-12)
     assert len(calls) == len(hist) - 1
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_pcg_preconditions_only_residuals_above_tolerance():
+    # one preconditioner application per iteration, none for a start that
+    # already meets the tolerance
+    A = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(30, 30)).tocsr()
+    b = np.linspace(1.0, 2.0, 30)
+    calls, jac = [], jacobi(A)
+
+    def precond(r):
+        calls.append(1)
+        return jac(r)
+
+    x, hist = pcg(A, b, tol=1e-12, precond=precond)
+    assert len(hist) > 2 and len(calls) == len(hist) - 1
+    del calls[:]
+    _, hist = pcg(A, b, tol=1e-12, x0=x, precond=precond)
+    assert hist[-1] <= 1e-12 and len(hist) == 1 and calls == []
+    space = SolutionSpace()
+    pcg(A, b, tol=1e-12, precond=precond, space=space)
+    del calls[:]
+    _, hist = pcg(A, 2.0 * b, tol=1e-12, precond=precond, space=space)
+    assert len(hist) == 1 and calls == []
 
 
 def test_pcg_projected_start_over_successive_right_hand_sides():

@@ -13,6 +13,22 @@ from poroplate.geometry import CellGeometry, build_micro_mesh
 from poroplate.material import BiotParams, LoadSpec, Poly2T
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_reduced_assembly_matches_full_assembly_and_reduction(default_geom, two_phase_hooke,
+                                                              biot, eps):
+    # B and C are assembled on the reduced dofs; the reference assembles the
+    # full matrices and reduces them through P
+    mesh = build_micro_mesh(default_geom, eps, ((0.0, 1.0), (0.0, 1.0)), 4)
+    sysm = micro.assemble_micro(mesh, two_phase_hooke, biot, eps)
+    P = sysm.reducer.P
+    B_ref = sysm.reducer.reduce_matrix(fem.assemble_elastic_stiffness(mesh, two_phase_hooke))
+    C_ref = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes) @ P
+    for A, ref in ((sysm.B, B_ref), (sysm.C, C_ref)):
+        assert A.shape == ref.shape
+        assert A.has_canonical_format and A.indices.dtype == A.indptr.dtype == np.int32
+        assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
+
+
 @pytest.fixture(scope="module")
 def small_system(micro_mesh4, two_phase_hooke, biot, ramp_loads):
     return micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, ramp_loads)
