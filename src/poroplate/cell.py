@@ -13,11 +13,20 @@ problem):
   int A e_y(u_p) : e_y(v) dy = (1/|Ycell|) int_gel alpha p0 div_y(v) dy.
 
 All cell problems live in the periodic mean-zero space; |Ycell| = 2.
+
+A `CellProblem` is that space for one cell mesh and elasticity tensor: the
+`Reducer` of `cell_constraints`, the stiffness K_red assembled straight onto
+the reduced dofs, and, built on first use, the six reduced corrector
+right-hand sides and the averaged Voigt matrices D0-D2.  The correctors carry
+theirs, so the homogenized tensor assembles nothing and forms its Gram
+products on reduced vectors; the pressure cell operator, the two-scale oracle
+and the norm-equivalence spectrum each build their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +34,7 @@ from . import fem
 from .errors import AssemblyError
 from .fem import elements as el
 from .fem.constraints import ConstraintSet, Reducer
-from .fem.solvers import inverse
+from .fem.solvers import inverse, jacobi
 from .geometry import GEL, CellMesh
 from .material import BiotParams, HookeTensor, require_admissible
 
@@ -94,11 +103,37 @@ def corrector_rhs(mesh: CellMesh, hooke: HookeTensor):
     return out
 
 
+class CellProblem:
+    """The periodic mean-zero cell elasticity problem of one mesh and tensor.
+
+    `reducer` realizes `cell_constraints`, `node_map` is its node map and
+    K_red = P^T K P is assembled on it.  `r_red` (P^T r of every
+    `corrector_rhs` vector, same keys) and `voigt` (D0, D1, D2 of
+    `averaged_voigt`) are built on first use.
+    """
+
+    def __init__(self, mesh: CellMesh, hooke: HookeTensor):
+        self.mesh = mesh
+        self.hooke = hooke
+        self.reducer = Reducer(cell_constraints(mesh))
+        self.node_map = self.reducer.node_map(3)   # periodic slaves -> masters
+        self.K_red = fem.assemble_elastic_stiffness(mesh, hooke, self.node_map)
+
+    @cached_property
+    def r_red(self) -> dict:
+        P = self.reducer.P
+        return {key: P.T @ r for key, r in corrector_rhs(self.mesh, self.hooke).items()}
+
+    @cached_property
+    def voigt(self):
+        return averaged_voigt(self.mesh, self.hooke)
+
+
 @dataclass
 class CorrectorSet:
-    """Nodal corrector fields chi_m^ab, chi_b^ab on the cell mesh (keys 11, 22, 12)."""
+    """Nodal corrector fields chi_m^ab, chi_b^ab (keys 11, 22, 12) of one cell problem."""
 
-    mesh: CellMesh
+    problem: CellProblem
     fields: dict  # ('m'|'b', a, b) -> (n_nodes, 3)
 
     def field(self, kind: str, a: int, b: int) -> np.ndarray:
@@ -106,20 +141,31 @@ class CorrectorSet:
             a, b = 0, 1
         return self.fields[(kind, a, b)]
 
-    def flat(self, kind: str, a: int, b: int) -> np.ndarray:
-        return self.field(kind, a, b).reshape(-1)
-
 
 def solve_correctors(mesh: CellMesh, hooke: HookeTensor, tol: float = 1e-10) -> CorrectorSet:
-    """Solve the six cell problems in the periodic mean-zero space (CG)."""
-    K = fem.assemble_elastic_stiffness(mesh, hooke)
-    cons = Reducer(cell_constraints(mesh))
-    rhs = corrector_rhs(mesh, hooke)
+    """Solve the six cell problems K_red c = -r_red in the periodic mean-zero space.
+
+    Jacobi-CG runs on the reduced dofs with the constant fields projected out
+    of its residual; each solution is then shifted to mean zero.
+    """
+    problem = CellProblem(mesh, hooke)
+    red = problem.reducer
+    kernels = [c / np.linalg.norm(c) for _, c, _ in red.mean_zero]
+
+    def project(v):
+        for k in kernels:
+            v = v - (k @ v) * k
+        return v
+
+    precond = jacobi(problem.K_red)
     fields = {}
-    for key, r in rhs.items():
-        x = fem.solve_spd(K, -r, cons, tol=tol)
-        fields[key] = x.reshape(-1, 3)
-    return CorrectorSet(mesh=mesh, fields=fields)
+    for key, r in problem.r_red.items():
+        # fem.solvers.pcg is looked up per call, so an instrumented pcg sees these solves
+        x, _ = fem.solvers.pcg(problem.K_red, -r, tol=tol, project=project, precond=precond)
+        for w, c, measure in red.mean_zero:
+            x = x - ((w @ x) / measure) * c
+        fields[key] = red.expand(x).reshape(-1, 3)
+    return CorrectorSet(problem=problem, fields=fields)
 
 
 @dataclass(frozen=True)
@@ -137,16 +183,6 @@ class HomogenizedTensor:
     a_eng: np.ndarray
     b_eng: np.ndarray
     c_eng: np.ndarray
-
-    def tensor(self, which: str) -> np.ndarray:
-        """Full 2x2x2x2 array of one coefficient family."""
-        M = {"a": self.a_eng, "b": self.b_eng, "c": self.c_eng}[which]
-        t = np.zeros((2, 2, 2, 2))
-        idx = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 2}
-        for ab, I in idx.items():
-            for cd, J in idx.items():
-                t[ab + cd] = M[I, J]
-        return t
 
     def kelvin_block(self, sign: float = 1.0) -> np.ndarray:
         """Symmetric 6x6 of [[a, sign*b^T], [sign*b, c]] in the orthonormal basis.
@@ -171,28 +207,33 @@ def compute_homogenized(mesh: CellMesh, hooke: HookeTensor, correctors: Correcto
 
     Each entry is the full corrected-strain energy product, which agrees with
     the moment formulas at the discrete solution and is symmetric by
-    construction.
+    construction.  Nothing is assembled: K_red, the reduced right-hand sides
+    and D0-D2 come from the correctors' `CellProblem`, and every product runs
+    on reduced vectors (r.c = r_red.c_red, c.K c = c_red.K_red c_red).
     """
-    if correctors.mesh is not mesh and correctors.mesh.n_nodes != mesh.n_nodes:
+    problem = correctors.problem
+    if problem.mesh is not mesh and problem.mesh.n_nodes != mesh.n_nodes:
         raise AssemblyError("correctors were solved on a different cell mesh")
-    K = fem.assemble_elastic_stiffness(mesh, hooke)
-    rhs = corrector_rhs(mesh, hooke)
-    D0, D1, D2 = averaged_voigt(mesh, hooke)
+    if hooke is not problem.hooke and not all(
+            np.array_equal(getattr(hooke, ph), getattr(problem.hooke, ph)) for ph in ("fiber", "gel")):
+        raise AssemblyError("correctors were solved with a different elasticity tensor")
+    rhs = problem.r_red
+    D0, D1, D2 = problem.voigt
+    chi = {key: problem.reducer.restrict(f.reshape(-1)) for key, f in correctors.fields.items()}
+    K_chi = {key: problem.K_red @ v for key, v in chi.items()}
     vol = mesh.volume
 
     def gram(kind_x, kind_y, Dxy):
         G = np.zeros((3, 3))
         for I, kx in enumerate(MEMBRANE_KEYS):
-            cx = correctors.flat(kind_x, *kx)
-            rx = rhs[(kind_x,) + kx]
+            x = (kind_x,) + kx
             for J, ky in enumerate(MEMBRANE_KEYS):
-                cy = correctors.flat(kind_y, *ky)
-                ry = rhs[(kind_y,) + ky]
+                y = (kind_y,) + ky
                 G[I, J] = (
                     _ENG_UNIT[kx] @ Dxy @ _ENG_UNIT[ky]
-                    + rx @ cy
-                    + ry @ cx
-                    + cx @ (K @ cy)
+                    + rhs[x] @ chi[y]
+                    + rhs[y] @ chi[x]
+                    + chi[x] @ K_chi[y]
                 ) / vol
         return G
 
@@ -205,11 +246,11 @@ def compute_homogenized(mesh: CellMesh, hooke: HookeTensor, correctors: Correcto
 class PressureCellOperator:
     """Inverted periodic cell elasticity with the gel divergence coupling.
 
-    Carries everything the macro solver and the two-scale oracle consume: the
-    reduced stiffness K_red and the inverse of its mean-pinned extension, the
-    dense response map N = C K^-1 C^T on gel pressure dofs, the gel
-    mass/diffusion blocks, and the weight vectors int phi and int y3 phi over
-    the gel.
+    Carries everything the macro solver and the two-scale oracle consume: its
+    own `CellProblem` (`problem`; `reducer` and `K_red` are read from it), the
+    inverse of the mean-pinned extension of K_red, the dense response map
+    N = C K^-1 C^T on gel pressure dofs, the gel mass/diffusion blocks, and
+    the weight vectors int phi and int y3 phi over the gel.
     """
 
     def __init__(self, mesh: CellMesh, hooke: HookeTensor, biot: BiotParams):
@@ -220,9 +261,9 @@ class PressureCellOperator:
         self.gel_nodes = mesh.gel_nodes()
         if len(self.gel_nodes) == 0:
             raise AssemblyError("cell mesh has no gel phase; pressure operator undefined")
-        self.reducer = Reducer(cell_constraints(mesh))
-        node_map = self.reducer.node_map(3)   # periodic slaves -> masters: sums give P^T K P
-        self.K_red = fem.assemble_elastic_stiffness(mesh, hooke, node_map)
+        self.problem = CellProblem(mesh, hooke)
+        self.reducer = self.problem.reducer
+        self.K_red = self.problem.K_red
         # inverse of the extended matrix [[K, W^T], [W, 0]] pinning the component means
         nred = self.reducer.n_reduced
         W = np.stack([w for (w, _, _) in self.reducer.mean_zero])
@@ -236,7 +277,7 @@ class PressureCellOperator:
 
         self.C = fem.assemble_divergence_coupling(mesh, gel_nodes=self.gel_nodes)
         self.C_red = fem.assemble_divergence_coupling(mesh, gel_nodes=self.gel_nodes,
-                                                      node_map=node_map)
+                                                      node_map=self.problem.node_map)
         gel_mask = mesh.phase == GEL
         self.M_gel = fem.assemble_scalar_mass(mesh, elems_mask=gel_mask, nodes=self.gel_nodes)
         self.D_gel = fem.assemble_scalar_diffusion(mesh, biot.K, elems_mask=gel_mask,
@@ -265,16 +306,6 @@ class PressureCellOperator:
         pad = np.zeros((self._nmult,) + rhs_red.shape[1:])
         ext = np.concatenate([rhs_red, pad], axis=0)
         return (self._ext_inv @ ext)[: self._nred]
-
-    def solve_pressure_corrector(self, p0_cell: np.ndarray) -> np.ndarray:
-        """u_p field for a gel pressure: RHS (1/|Ycell|) int_gel alpha p0 div v."""
-        p0 = np.asarray(p0_cell, dtype=float)
-        if p0.shape != (self.n_gel,):
-            raise AssemblyError(f"pressure field must have {self.n_gel} gel dofs, got {p0.shape}")
-        scale = self.biot.alpha / self.cell_volume
-        rhs_red = scale * (self.C_red.T @ p0)
-        u_red = self.solve_reduced(rhs_red)
-        return self.reducer.expand(u_red).reshape(-1, 3)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Constraint handling by exact elimination.
 
-Dirichlet dofs are removed, periodic slave dofs are identified with their
-masters, and mean-zero functionals are carried along for the solver (realized
-by projection, which for compatible right-hand sides yields the same solution
-as a single Lagrange multiplier while keeping the operator SPD for CG).
+Dirichlet dofs (homogeneous: every clamp of the package is zero) are removed,
+periodic slave dofs are identified with their masters, and mean-zero
+functionals are carried along for the solver (realized by projection, which
+for compatible right-hand sides yields the same solution as a single Lagrange
+multiplier while keeping the operator SPD for CG).
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from ..errors import ConstraintError
 
 @dataclass
 class ConstraintSet:
-    """Dirichlet values, periodic master/slave pairs, optional mean-zero blocks."""
+    """Zero Dirichlet dofs, periodic master/slave pairs, optional mean-zero blocks."""
 
     ndof: int
     dirichlet_dofs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    dirichlet_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     periodic_slaves: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     periodic_masters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     # each mean-zero block: (weights over full dofs, indicator of the dof block)
@@ -30,18 +30,6 @@ class ConstraintSet:
 
     def __post_init__(self):
         self.dirichlet_dofs = np.asarray(self.dirichlet_dofs, dtype=np.int64)
-        self.dirichlet_values = np.asarray(self.dirichlet_values, dtype=float)
-        if len(self.dirichlet_values) == 0 and len(self.dirichlet_dofs):
-            self.dirichlet_values = np.zeros(len(self.dirichlet_dofs))
-        if len(self.dirichlet_dofs) != len(self.dirichlet_values):
-            raise ConstraintError("dirichlet dofs/values length mismatch")
-        uniq, counts = np.unique(self.dirichlet_dofs, return_counts=True)
-        if np.any(counts > 1):
-            # duplicates are fine only when the prescribed values agree
-            for d in uniq[counts > 1]:
-                vals = self.dirichlet_values[self.dirichlet_dofs == d]
-                if np.ptp(vals) > 0.0:
-                    raise ConstraintError(f"dof {d} has inconsistent Dirichlet values {sorted(set(vals))}")
         self.periodic_slaves = np.asarray(self.periodic_slaves, dtype=np.int64)
         self.periodic_masters = np.asarray(self.periodic_masters, dtype=np.int64)
         dir_set = set(self.dirichlet_dofs.tolist())
@@ -50,7 +38,7 @@ class ConstraintSet:
 
 
 class Reducer:
-    """Affine map full = P @ reduced + g realizing a ConstraintSet exactly."""
+    """Linear map full = P @ reduced realizing a ConstraintSet exactly."""
 
     def __init__(self, cons: ConstraintSet):
         n = cons.ndof
@@ -81,14 +69,11 @@ class Reducer:
         self.n_full = n
         self.n_reduced = len(free)
         self.free = free
-        self.g = np.zeros(n)
-        self.g[cons.dirichlet_dofs] = cons.dirichlet_values
         rows = np.arange(n)[~is_dir]
         cols = self.dof_map[rows]
         if np.any(cols < 0):
             raise ConstraintError("periodic master resolves to an eliminated dof")
         self.P = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, self.n_reduced))
-        self.has_lift = bool(np.any(self.g))
         # mean-zero data in reduced coordinates: (weights, shift direction, measure)
         self.mean_zero = []
         for w_full, block_full in cons.mean_zero:
@@ -114,15 +99,8 @@ class Reducer:
     def reduce_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
         return (self.P.T @ A @ self.P).tocsr()
 
-    def reduce_rhs(self, b: np.ndarray, A: sp.spmatrix | None = None) -> np.ndarray:
-        if self.has_lift:
-            if A is None:
-                raise ConstraintError("nonzero Dirichlet values need the matrix to lift the rhs")
-            b = b - A @ self.g
-        return self.P.T @ b
-
     def expand(self, x_red: np.ndarray) -> np.ndarray:
-        return self.P @ x_red + self.g
+        return self.P @ x_red
 
     def restrict(self, x_full: np.ndarray) -> np.ndarray:
         """Reduced coefficients of a full vector (reads free dofs)."""

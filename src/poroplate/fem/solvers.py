@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import AssemblyError, SolverError
-from .constraints import ConstraintSet, Reducer
 
 # relative block residual a saddle solve must meet after CG on the Schur complement
 SADDLE_RTOL = 1e-9
@@ -166,30 +165,6 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
     return x, history
 
 
-def _mean_projector(reducer: Reducer):
-    """Residual projector and final mean shift for mean-zero constrained solves."""
-    if not reducer.mean_zero:
-        return None, None
-    kernels = []
-    for _, c_red, _ in reducer.mean_zero:
-        nrm = np.linalg.norm(c_red)
-        if nrm > 0:
-            kernels.append(c_red / nrm)
-
-    def project(v):
-        for k in kernels:
-            v = v - (k @ v) * k
-        return v
-
-    def shift(x):
-        for w_red, c_red, measure in reducer.mean_zero:
-            if measure != 0.0:
-                x = x - ((w_red @ x) / measure) * c_red
-        return x
-
-    return project, shift
-
-
 def jacobi(A):
     """Jacobi preconditioner r -> r / diag(A) of a matrix (zero diagonal entries skipped)."""
     diag = A.diagonal()
@@ -197,27 +172,13 @@ def jacobi(A):
     return lambda r: dinv * r
 
 
-def solve_spd(A, b, constraints: ConstraintSet | None = None, tol: float = 1e-10,
-              *, x0=None, precond=None):
-    """CG solve of an SPD system with constraints eliminated exactly.
+def solve_spd(A, b, tol: float = 1e-10, *, x0=None, precond=None):
+    """CG solve of an SPD system A x = b (A already on the unknowns CG runs on).
 
-    A and b live on the full dof set when constraints are given; the returned
-    vector is expanded back to full dofs (Dirichlet values included).
-    `precond` acts on the (reduced) space CG runs on; Jacobi by default.
+    `precond` applies an SPD preconditioner; Jacobi on A by default.
     """
-    if constraints is None:
-        x, _ = pcg(A, b, tol=tol, x0=x0, precond=precond if precond is not None else jacobi(A))
-        return x
-    red = constraints if isinstance(constraints, Reducer) else Reducer(constraints)
-    A_red = red.reduce_matrix(A)
-    b_red = red.reduce_rhs(b, A)
-    project, shift = _mean_projector(red)
-    x0_red = red.restrict(x0) if x0 is not None else None
-    x_red, _ = pcg(A_red, b_red, tol=tol, x0=x0_red, project=project,
-                   precond=precond if precond is not None else jacobi(A_red))
-    if shift is not None:
-        x_red = shift(x_red)
-    return red.expand(x_red)
+    x, _ = pcg(A, b, tol=tol, x0=x0, precond=precond if precond is not None else jacobi(A))
+    return x
 
 
 def inverse(M, error: str) -> np.ndarray:

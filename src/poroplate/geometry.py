@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GeometryError
 
@@ -453,18 +451,3 @@ def build_plate_mesh(omega, m: int) -> PlateMesh:
         spacing=(hx, hy),
     )
 
-
-def phase_components(elems: np.ndarray, mask: np.ndarray) -> int:
-    """Number of face-connected components among the masked elements."""
-    sel = np.flatnonzero(mask)
-    if len(sel) == 0:
-        return 0
-    conn = elems[sel]
-    # two hexes are face-adjacent iff they share 4 nodes
-    rows = np.repeat(np.arange(len(sel)), 8)
-    cols = conn.ravel()
-    incidence = sp.csr_matrix((np.ones(len(cols)), (rows, cols)))
-    shared = incidence @ incidence.T
-    adj = shared >= 4
-    ncomp, _ = connected_components(adj, directed=False)
-    return int(ncomp)

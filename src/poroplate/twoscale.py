@@ -4,11 +4,11 @@ two-scale oracle, and the micro-to-limit convergence harness.
 The macro solver is the exact corrector elimination of the unfolded limit
 problem; the oracle discretizes that limit problem monolithically (macro
 fields, per-quadrature-point cell warping, nodal-in-x two-scale pressure).
-The oracle builds its own `PressureCellOperator` (one cell factor, the gel
-blocks and the response map U_C) and moves its per-quadrature-point fields
-through the plate quadrature map `PlateSpace.N_qp`; it reads no corrector
-fields, divergence moments or homogenized tensor, so agreement between the
-two paths checks the whole cell/homogenization pipeline.
+The oracle builds its own `PressureCellOperator` (its own `CellProblem` and
+cell factor, the gel blocks and the response map U_C) and moves its
+per-quadrature-point fields through the plate quadrature map `PlateSpace.N_qp`;
+it reads no corrector fields, divergence moments or homogenized tensor, so
+agreement between the two paths checks the whole cell/homogenization pipeline.
 
 Both paths share the structure of the plate-gel pressure coupling.  The gel
 pressure p0(x', y) is nodal in x' (plate node i) and lives on the gel dofs j
@@ -49,18 +49,15 @@ import scipy.sparse as sp
 
 from . import fem
 from .cell import (
+    CellProblem,
     HomogenizedTensor,
     MomentTable,
     PressureCellOperator,
-    averaged_voigt,
-    cell_constraints,
-    corrector_rhs,
     MEMBRANE_KEYS,
     _ENG_UNIT,
 )
 from .errors import AssemblyError, BudgetError
 from .fem import elements as el
-from .fem.constraints import Reducer
 from .fem.solvers import StepCache, spd_inverse
 from .geometry import GEL, CellMesh, MicroMesh, PlateMesh
 from .material import BiotParams, HookeTensor, LoadSpec, eval_t_parts, t_degree_terms
@@ -467,10 +464,10 @@ class MupSystem(_CoupledPlateSystem):
                 f"two-scale oracle needs {total} dofs, over the budget of {budget_dofs}")
         self.K_red = op.K_red.toarray()   # dense: the energy applies it to nq*ne fields
 
-        rhs = corrector_rhs(cell_mesh, hooke)
-        self.r_m = np.stack([red.P.T @ rhs[("m",) + k] for k in MEMBRANE_KEYS])  # (3, nred)
-        self.r_b = np.stack([red.P.T @ rhs[("b",) + k] for k in MEMBRANE_KEYS])
-        D0, D1, D2 = averaged_voigt(cell_mesh, hooke)
+        r_red = op.problem.r_red
+        self.r_m = np.stack([r_red[("m",) + k] for k in MEMBRANE_KEYS])  # (3, nred)
+        self.r_b = np.stack([r_red[("b",) + k] for k in MEMBRANE_KEYS])
+        D0, D1, D2 = op.problem.voigt
         E_eng = np.stack([_ENG_UNIT[k] for k in MEMBRANE_KEYS], axis=1)  # (6, 3)
         self.P0 = E_eng.T @ D0 @ E_eng
         self.P1 = E_eng.T @ D1 @ E_eng
@@ -765,25 +762,16 @@ def norm_equivalence_spectrum(cell_mesh: CellMesh):
     R^3 x R^3 x (periodic mean-zero vector fields); right form:
     |eta|^2 + |zeta|^2 + ||w||^2_{H1}.  Returns (c_min, C_max).
     """
-    from .material import HookeTensor as _HT
-
-    red = Reducer(cell_constraints(cell_mesh))
-    nred = red.n_reduced
     ident = np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
-    id_hooke = _HT(fiber=ident, gel=ident)
-    K_I = red.reduce_matrix(fem.assemble_strain_product(cell_mesh)).toarray()
-    rhs = corrector_rhs(cell_mesh, id_hooke)
+    # the identity tensor's stiffness is the strain form ||e(w)||^2
+    problem = CellProblem(cell_mesh, HookeTensor(fiber=ident, gel=ident))
+    red = problem.reducer
+    nred = red.n_reduced
+    K_I = problem.K_red.toarray()
+    rhs = problem.r_red
     # eta patterns: M^11, M^22, 2 M^12; zeta patterns carry -y3
-    r_eta = np.stack([
-        red.P.T @ rhs[("m", 0, 0)],
-        red.P.T @ rhs[("m", 1, 1)],
-        2.0 * (red.P.T @ rhs[("m", 0, 1)]),
-    ])
-    r_zeta = -np.stack([
-        red.P.T @ rhs[("b", 0, 0)],
-        red.P.T @ rhs[("b", 1, 1)],
-        2.0 * (red.P.T @ rhs[("b", 0, 1)]),
-    ])
+    r_eta = np.stack([rhs[("m", 0, 0)], rhs[("m", 1, 1)], 2.0 * rhs[("m", 0, 1)]])
+    r_zeta = -np.stack([rhs[("b", 0, 0)], rhs[("b", 1, 1)], 2.0 * rhs[("b", 0, 1)]])
     n = 6 + nred
     Q_S = np.zeros((n, n))
     # (eta, zeta) own block: int |P|^2 with |Ycell| = 2, int y3^2 dy = 2/3,

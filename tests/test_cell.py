@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poroplate import fem
+from poroplate import cell, fem, twoscale
 from poroplate.cell import (
+    _ENG_UNIT,
+    MEMBRANE_KEYS,
+    CellProblem,
     PressureCellOperator,
     cell_constraints,
     compute_homogenized,
@@ -12,9 +15,11 @@ from poroplate.cell import (
     divergence_moments,
     solve_correctors,
 )
+from poroplate.errors import AssemblyError
 from poroplate.fem.constraints import Reducer
-from poroplate.geometry import GEL, CellGeometry, build_cell_mesh
+from poroplate.geometry import GEL, CellGeometry, build_cell_mesh, build_plate_mesh
 from poroplate.material import BiotParams, HookeTensor, isotropic
+from poroplate.verify import AcceptanceSuite
 
 
 @pytest.fixture(scope="module")
@@ -213,12 +218,18 @@ def test_refinement_consistency_two_phase(default_geom, two_phase_hooke):
     assert slope >= 1.0
 
 
+def _pressure_corrector(op, p0):
+    """u_p field for a gel pressure: RHS (1/|Ycell|) int_gel alpha p0 div v."""
+    rhs_red = op.biot.alpha / op.cell_volume * (op.C_red.T @ p0)
+    return op.reducer.expand(op.solve_reduced(rhs_red))
+
+
 def test_pressure_corrector_zero_and_linearity(cell_mesh4, two_phase_hooke, biot):
     op = PressureCellOperator(cell_mesh4, two_phase_hooke, biot)
-    assert np.abs(op.solve_pressure_corrector(np.zeros(op.n_gel))).max() == 0.0
+    assert np.abs(_pressure_corrector(op, np.zeros(op.n_gel))).max() == 0.0
     p0 = np.linspace(0.0, 1.0, op.n_gel)
-    u1 = op.solve_pressure_corrector(p0)
-    u2 = op.solve_pressure_corrector(2.0 * p0)
+    u1 = _pressure_corrector(op, p0)
+    u2 = _pressure_corrector(op, 2.0 * p0)
     assert np.abs(u2 - 2.0 * u1).max() < 1e-12
 
 
@@ -239,7 +250,7 @@ def test_pressure_corrector_dense_oracle(two_phase_hooke, biot):
     mesh = build_cell_mesh(geom, 3)
     op = PressureCellOperator(mesh, two_phase_hooke, biot)
     p0 = np.ones(op.n_gel)
-    u = op.solve_pressure_corrector(p0).reshape(-1)
+    u = _pressure_corrector(op, p0)
 
     K = fem.assemble_elastic_stiffness(mesh, two_phase_hooke).toarray()
     C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes()).toarray()
@@ -308,7 +319,7 @@ def test_divergence_moments(cell_mesh4, two_phase_hooke, biot):
     zero = {k: np.zeros_like(v) for k, v in cs.fields.items()}
     from poroplate.cell import CorrectorSet, divergence_moments as dm
 
-    mom0 = dm(CorrectorSet(mesh=mesh, fields=zero), op)
+    mom0 = dm(CorrectorSet(problem=cs.problem, fields=zero), op)
     assert all(abs(v) == 0.0 for v in mom0.scalars.values())
 
 
@@ -323,3 +334,103 @@ def test_operator_requires_gel(two_phase_hooke, biot):
 
     with pytest.raises(AssemblyError):
         PressureCellOperator(mesh, two_phase_hooke, biot)
+
+
+# ------------------------------------------------- one cell problem, reused
+
+def test_cell_problem_matches_full_dof_reduction(cell_mesh4, two_phase_hooke):
+    # K_red assembled on the node map and r_red against P^T of the full-dof forms
+    problem = CellProblem(cell_mesh4, two_phase_hooke)
+    red = problem.reducer
+    K_ref = red.reduce_matrix(fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke))
+    assert problem.K_red.shape == K_ref.shape
+    assert abs(problem.K_red - K_ref).max() <= 1e-14 * abs(K_ref).max()
+    rhs = corrector_rhs(cell_mesh4, two_phase_hooke)
+    assert problem.r_red.keys() == rhs.keys()
+    for key, r in rhs.items():
+        ref = red.P.T @ r
+        assert np.abs(problem.r_red[key] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_homogenized_matches_full_dof_gram(cell_mesh4, two_phase_hooke):
+    # the Gram products of the coefficients formed on full dofs
+    cs = solve_correctors(cell_mesh4, two_phase_hooke)
+    hom = compute_homogenized(cell_mesh4, two_phase_hooke, cs)
+    K = fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke)
+    rhs = corrector_rhs(cell_mesh4, two_phase_hooke)
+    D0, D1, D2 = cell.averaged_voigt(cell_mesh4, two_phase_hooke)
+    vol = cell_mesh4.volume
+
+    def gram(kind_x, kind_y, Dxy):
+        G = np.zeros((3, 3))
+        for I, kx in enumerate(MEMBRANE_KEYS):
+            cx = cs.field(kind_x, *kx).reshape(-1)
+            rx = rhs[(kind_x,) + kx]
+            for J, ky in enumerate(MEMBRANE_KEYS):
+                cy = cs.field(kind_y, *ky).reshape(-1)
+                ry = rhs[(kind_y,) + ky]
+                G[I, J] = (
+                    _ENG_UNIT[kx] @ Dxy @ _ENG_UNIT[ky]
+                    + rx @ cy
+                    + ry @ cx
+                    + cx @ (K @ cy)
+                ) / vol
+        return G
+
+    refs = {"a_eng": gram("m", "m", D0), "b_eng": gram("b", "m", D1), "c_eng": gram("b", "b", D2)}
+    scale = max(np.abs(ref).max() for ref in refs.values())
+    for name, ref in refs.items():
+        assert np.abs(getattr(hom, name) - ref).max() <= 1e-12 * scale
+
+
+def test_homogenized_rejects_another_tensor(cell_mesh4, two_phase_hooke, homogeneous_hooke):
+    cs = solve_correctors(cell_mesh4, two_phase_hooke)
+    with pytest.raises(AssemblyError, match="different elasticity tensor"):
+        compute_homogenized(cell_mesh4, homogeneous_hooke, cs)
+    # an equal tensor built anew is accepted
+    same = HookeTensor(fiber=two_phase_hooke.fiber.copy(), gel=two_phase_hooke.gel.copy())
+    assert compute_homogenized(cell_mesh4, same, cs).min_eigenvalue() > 0.0
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Calls of the cell-problem builders and of CG, counted from here on."""
+    counts = dict.fromkeys(("assemble_elastic_stiffness", "corrector_rhs", "reduce_matrix",
+                            "pcg"), 0)
+
+    def count(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(fem, "assemble_elastic_stiffness")
+    count(cell, "corrector_rhs")
+    count(Reducer, "reduce_matrix")
+    count(fem.solvers, "pcg")
+    return counts
+
+
+def test_cell_pipeline_builds_each_cell_problem_once(call_counts):
+    # one stiffness for the correctors' problem and one for the pressure
+    # operator's, both on the reduced dofs; one CG per corrector
+    AcceptanceSuite().cell_pipeline()
+    assert call_counts == {"assemble_elastic_stiffness": 2, "corrector_rhs": 1,
+                           "reduce_matrix": 0, "pcg": 6}
+
+
+def test_oracle_builds_its_cell_problem_once(call_counts, cell_mesh4, two_phase_hooke, biot):
+    twoscale.MupSystem(cell_mesh4, build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 4),
+                       two_phase_hooke, biot)
+    assert call_counts["assemble_elastic_stiffness"] == 1
+    assert call_counts["corrector_rhs"] == 1
+
+
+def test_spectrum_assembles_the_strain_form_reduced(call_counts, cell_mesh4):
+    # only the H1 form is still reduced from full dofs
+    twoscale.norm_equivalence_spectrum(cell_mesh4)
+    assert call_counts["assemble_elastic_stiffness"] == 1
+    assert call_counts["reduce_matrix"] == 1

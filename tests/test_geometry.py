@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from poroplate.errors import GeometryError
 from poroplate.geometry import (
@@ -8,8 +10,23 @@ from poroplate.geometry import (
     build_cell_mesh,
     build_micro_mesh,
     build_plate_mesh,
-    phase_components,
 )
+
+
+def phase_components(elems: np.ndarray, mask: np.ndarray) -> int:
+    """Number of face-connected components among the masked elements."""
+    sel = np.flatnonzero(mask)
+    if len(sel) == 0:
+        return 0
+    conn = elems[sel]
+    # two hexes are face-adjacent iff they share 4 nodes
+    rows = np.repeat(np.arange(len(sel)), 8)
+    cols = conn.ravel()
+    incidence = sp.csr_matrix((np.ones(len(cols)), (rows, cols)))
+    shared = incidence @ incidence.T
+    adj = shared >= 4
+    ncomp, _ = connected_components(adj, directed=False)
+    return int(ncomp)
 
 
 def test_cell_mesh_counts(cell_mesh4):

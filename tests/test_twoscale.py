@@ -23,6 +23,16 @@ from poroplate.material import BiotParams, LoadSpec, Poly2T
 from poroplate.plate import build_plate_space
 
 
+def full_tensor(M: np.ndarray) -> np.ndarray:
+    """Full 2x2x2x2 array of a 3x3 coefficient matrix in the engineering basis."""
+    t = np.zeros((2, 2, 2, 2))
+    idx = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 2}
+    for ab, I in idx.items():
+        for cd, J in idx.items():
+            t[ab + cd] = M[I, J]
+    return t
+
+
 @pytest.fixture(scope="module")
 def cell_pipeline(cell_mesh4, two_phase_hooke, biot):
     cs = solve_correctors(cell_mesh4, two_phase_hooke)
@@ -117,7 +127,7 @@ def test_macro_bending_vs_independent_assembly(cell_pipeline):
     state = msys.initial_state()  # static solve of the elastic block
 
     # independent bending assembly: 1D Hermite polynomials, full 4-index
-    # contraction with hom.tensor('c'), same 3x3 rule as the macro space
+    # contraction with the full tensor of c, same 3x3 rule as the macro space
     hx, hy = plate.spacing
     xq, wq = np.polynomial.legendre.leggauss(3)
     xq = 0.5 * (xq + 1.0)
@@ -135,7 +145,7 @@ def test_macro_bending_vs_independent_assembly(cell_pipeline):
 
     nodes_loc = [(0, 0), (1, 0), (1, 1), (0, 1)]
     kinds = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    ctens = hom.tensor("c")
+    ctens = full_tensor(hom.c_eng)
 
     def d2(poly, h, order):
         q = poly
