@@ -212,7 +212,8 @@ def compute_homogenized(mesh: CellMesh, hooke: HookeTensor, correctors: Correcto
     on reduced vectors (r.c = r_red.c_red, c.K c = c_red.K_red c_red).
     """
     problem = correctors.problem
-    if problem.mesh is not mesh and problem.mesh.n_nodes != mesh.n_nodes:
+    if problem.mesh is not mesh and not (np.array_equal(problem.mesh.nodes, mesh.nodes)
+                                         and np.array_equal(problem.mesh.phase, mesh.phase)):
         raise AssemblyError("correctors were solved on a different cell mesh")
     if hooke is not problem.hooke and not all(
             np.array_equal(getattr(hooke, ph), getattr(problem.hooke, ph)) for ph in ("fiber", "gel")):

@@ -11,7 +11,8 @@ solve.
 A time-stepper solves one SPD operator per step size with a right-hand side
 that changes smoothly from step to step.  A `SolutionSpace` keeps up to
 PROJECTION_DIM A-orthonormal earlier solutions with their images (Fischer,
-CMAME 163, 1998); pcg given `space=` starts from the A-projection of the new
+CMAME 163, 1998), and with their side images when the operator also returns
+T p beside A p; pcg given `space=` starts from the A-projection of the new
 solution onto their span, which costs no operator application, and adds its
 own correction afterwards.  A space belongs to one operator: whoever owns the
 operator owns the space, and every later solve with it starts from what the
@@ -58,49 +59,65 @@ def _norm(v) -> float:
 class SolutionSpace:
     """Earlier solutions of one SPD operator A, kept A-orthonormal with their images.
 
-    `X[j]` and `AX[j] = A X[j]` are arrays only.  `start(b)` gives the
-    A-projection x0 = sum_j (X[j].b) X[j] of A^-1 b onto the span and
-    r0 = b - A x0 from the stored images; `add` appends a solve's correction
-    x - x0, whose image r0 - r is CG's own recursion, so the images carry the
-    drift between CG's recursive and true residual.  A full space restarts
-    from the newest solution alone.
+    `X[j]` and `AX[j] = A X[j]` are arrays only, and so is `TX[j] = T X[j]`
+    when A's solves carry the side image T x of a linear map T (`pcg(side=)`;
+    `TX` stays empty otherwise).  `start(b)` gives the A-projection
+    x0 = sum_j (X[j].b) X[j] of A^-1 b onto the span, r0 = b - A x0 and T x0
+    from the stored images; `add` appends a solve's correction x - x0, whose
+    image r0 - r is CG's own recursion, so the images carry the drift between
+    CG's recursive and true residual.  Every coefficient applied to X and AX
+    is applied to TX as well.  A full space restarts from the newest solution
+    alone.
     """
 
     def __init__(self):
         self.X: list[np.ndarray] = []
         self.AX: list[np.ndarray] = []
+        self.TX: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self.X)
 
-    def start(self, b):
+    def start(self, b, t0=None):
+        """(x0, r0, T x0); `t0` is T 0 for a solve with side images, else None."""
+        if self.X and (t0 is None) != (not self.TX):
+            raise ValueError("a solution space keeps side images for every solution or for none")
         x0, r0 = np.zeros(len(b)), b
-        for x, ax in zip(self.X, self.AX):
+        for j, (x, ax) in enumerate(zip(self.X, self.AX)):
             coef = float(x @ b)
             x0 = x0 + coef * x
             r0 = r0 - coef * ax
-        return x0, r0
+            if t0 is not None:
+                t0 = t0 + coef * self.TX[j]
+        return x0, r0, t0
 
-    def add(self, b, x0, r0, x, r):
-        """Keep what the solve from (x0, r0) to (x, r) of A x = b learned."""
+    def add(self, b, x0, r0, x, r, t0=None, t=None):
+        """Keep what the solve from (x0, r0) to (x, r) of A x = b learned; t0
+        and t are T x0 and T x for a solve with side images."""
         if len(self.X) >= PROJECTION_DIM:
-            self.X, self.AX = [], []
-            e, Ae = x, b - r
+            self.X, self.AX, self.TX = [], [], []
+            e, Ae, Te = x, b - r, t
         else:
             e, Ae = x - x0, r0 - r
+            Te = None if t is None else t - t0
         for _ in range(2):   # Gram-Schmidt in the A inner product, repeated once
-            for xj, axj in zip(self.X, self.AX):
+            for j, (xj, axj) in enumerate(zip(self.X, self.AX)):
                 coef = float(axj @ e)
                 e = e - coef * xj
                 Ae = Ae - coef * axj
+                if Te is not None:
+                    Te = Te - coef * self.TX[j]
         energy = float(e @ Ae)
         if energy > 0.0:
             scale = 1.0 / np.sqrt(energy)
             self.X.append(scale * e)
             self.AX.append(scale * Ae)
+            if Te is not None:
+                self.TX.append(scale * Te)
 
 
-def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, space=None):
+def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, space=None,
+        side=None):
     """Preconditioned conjugate gradients on an SPD operator.
 
     Convergence is on ||r|| / ||b||; returns (x, residual_history).  `precond`
@@ -109,28 +126,36 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
     iteration (mean-zero solves on periodic spaces).  CG starts from zero,
     from `x0`, or from the projection onto the `space` of earlier solutions of
     A, which then keeps this solve's correction.
+
+    `side=m` says that the operator A returns the pair (A p, T p), where T p
+    in R^m is a by-product of applying A by a linear map T.  CG then carries
+    T x with the same step lengths as x (the space keeps T of its solutions
+    too) and returns (x, residual_history, T x); the history stays second.
     """
     if x0 is not None and space is not None:
         raise ValueError("pcg takes a start x0 or a solution space, not both")
     apply_A = _as_operator(A)
+    apply = apply_A if side is not None else (lambda v: (apply_A(v), None))
     n = len(b)
     maxiter = maxiter if maxiter is not None else max(200, 12 * n)
+    t = None if side is None else np.zeros(side)   # T x
     bnorm = _norm(b)
     if bnorm == 0.0:
-        return np.zeros(n), [0.0]
+        return (np.zeros(n), [0.0]) if t is None else (np.zeros(n), [0.0], t)
     apply_M = precond if precond is not None else (lambda r: r)
     if space is not None:
-        x, r = space.start(b)
+        x, r, t = space.start(b, t)
     elif x0 is None:
         x, r = np.zeros(n), b   # b - A 0, without the operator application
     else:
         x = x0.copy()
         if project is not None:
             x = project(x)
-        r = b - apply_A(x)
+        Ax, t = apply(x)
+        r = b - Ax
     if project is not None:
         r = project(r)
-    x_start, r_start = x, r
+    x_start, r_start, t_start = x, r, t
     p = rz = None
     history = [_norm(r) / bnorm]
     # the residual is checked before it is preconditioned: a start that
@@ -150,19 +175,21 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
                 history)
         p = z.copy() if p is None else z + (rz_new / rz) * p
         rz = rz_new
-        Ap = apply_A(p)
+        Ap, Tp = apply(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SolverError("CG broke down: operator not positive definite on the search space", history)
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
+        if t is not None:
+            t = t + alpha * Tp
         if project is not None:
             r = project(r)
         history.append(_norm(r) / bnorm)
     if space is not None:
-        space.add(b, x_start, r_start, x, r)
-    return x, history
+        space.add(b, x_start, r_start, x, r, t_start, t)
+    return (x, history) if t is None else (x, history, t)
 
 
 def jacobi(A):

@@ -20,7 +20,11 @@ times fixed spatial parts, so B^-1 F(t) is a sum of the parts' responses,
 each solved once per system (`GalerkinSystem.load_response`), and the
 consistency B U^n - alpha C^T p^n = F^n of every state replaces
 alpha^2 C B^-1 C^T p^n by alpha C (U^n - B^-1 F^n).  What remains is one
-B-solve per outer CG iteration and the final displacement solve.
+B-solve per outer CG iteration.  The final displacement solve starts
+converged: its start U^n + B^-1 (F^{n+1} - F^n) + alpha B^-1 C^T (p^{n+1} - p^n)
+is made of the load responses and of B^-1 C^T of the increment, which the
+outer CG carries as a side image of its inner solves (`pcg(side=)`), so it
+costs one B matvec to confirm the tolerance.
 
 Both steppers start their step CG from the projection onto earlier solutions
 of the same step operator (`fem.solvers.SolutionSpace`): the monolithic
@@ -48,6 +52,7 @@ from cell 0 once per dt (`GalerkinSystem.step_operators`, on the step cache of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,7 +107,9 @@ class StepOperators:
 
     Factors and arrays only: the system caches them, so they must not refer
     back to it.  The two solution spaces grow with every step of size dt, and
-    every later step of that size starts its CG from them.
+    every later step of that size starts its CG from them.  The pressure
+    space also keeps B^-1 C^T of each increment it holds (`TX`, none when
+    alpha = 0), the side images the Schur-ODE step's final solve starts from.
     """
 
     S: sp.csr_matrix                    # cM + dt D
@@ -297,34 +304,44 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
     right-hand side b - A p^n = dt (G^{n+1} - D p^n) - alpha C (L^{n+1} - L^n)
     costs no B-solve, and its tolerance is rescaled so that the stopping rule
     stays ||b - A p|| <= tol ||b||.  Each outer iteration makes one inner
-    B-solve; the final displacement solve makes one more.  CG starts from the
-    projection of the increment onto the earlier increments of step size dt.
+    B-solve y = B^-1 C^T z, which A_op returns beside A z, so CG carries
+    B^-1 C^T dp with the increment dp.  CG starts from the projection of the
+    increment onto the earlier increments of step size dt.  The final
+    displacement solve B u = F^{n+1} + alpha C^T p^{n+1} keeps INNER_TOL and
+    starts from u0 = U^n + (L^{n+1} - L^n) + alpha B^-1 C^T dp, which already
+    meets it up to round-off: the solve checks it with one matvec.
     """
     ops = sys.step_operators(dt)
     t1 = state.t + dt
     alpha, c = sys.biot.alpha, sys.biot.c
 
     def A_op(z):
-        out = c * (sys.M @ z)
-        if alpha != 0.0:
-            out = out + alpha**2 * (sys.C @ sys.solve_B(sys.C.T @ z, INNER_TOL))
-        return out + dt * (sys.D @ z)
+        if alpha == 0.0:
+            return c * (sys.M @ z) + dt * (sys.D @ z)
+        y = sys.solve_B(sys.C.T @ z, INNER_TOL)
+        return c * (sys.M @ z) + alpha**2 * (sys.C @ y) + dt * (sys.D @ z), y
 
     G1 = sys.G(t1)
     r0 = dt * (G1 - sys.D @ state.p)
     b = dt * G1 + c * (sys.M @ state.p)
+    p, u0 = state.p, state.U_red
     if alpha != 0.0:
-        L1 = sys.load_response(t1)
-        r0 -= alpha * (sys.C @ (L1 - sys.load_response(state.t)))
+        L1, Ln = sys.load_response(t1), sys.load_response(state.t)
+        r0 -= alpha * (sys.C @ (L1 - Ln))
         b += alpha * (sys.C @ (state.U_red - L1))
+        u0 = u0 + (L1 - Ln)
 
-    p = state.p
     r0_norm = np.linalg.norm(r0)
     if r0_norm > 0.0:
-        dp, _ = pcg(A_op, r0, tol=tol * np.linalg.norm(b) / r0_norm, precond=ops.prec.solve,
-                    space=ops.p_space)
+        solve = partial(pcg, A_op, r0, tol=tol * np.linalg.norm(b) / r0_norm,
+                        precond=ops.prec.solve, space=ops.p_space)
+        if alpha == 0.0:
+            dp, _ = solve()
+        else:
+            dp, _, B_inv_CT_dp = solve(side=len(u0))
+            u0 = u0 + alpha * B_inv_CT_dp
         p = p + dp
-    u = sys.solve_B(sys.F(t1) + alpha * (sys.C.T @ p), INNER_TOL, x0=state.U_red)
+    u = sys.solve_B(sys.F(t1) + alpha * (sys.C.T @ p), INNER_TOL, x0=u0)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 

@@ -392,6 +392,18 @@ def test_homogenized_rejects_another_tensor(cell_mesh4, two_phase_hooke, homogen
     assert compute_homogenized(cell_mesh4, same, cs).min_eigenvalue() > 0.0
 
 
+def test_homogenized_rejects_another_mesh(cell_mesh4, two_phase_hooke):
+    cs = solve_correctors(cell_mesh4, two_phase_hooke)
+    # the same 225 nodes, with another gel box
+    other = build_cell_mesh(CellGeometry(gel_box=((0.25, 0.5), (0.25, 0.5))), 4)
+    assert other.n_nodes == cell_mesh4.n_nodes
+    with pytest.raises(AssemblyError, match="different cell mesh"):
+        compute_homogenized(other, two_phase_hooke, cs)
+    # an equal mesh built anew is accepted
+    same = build_cell_mesh(cell_mesh4.geom, 4)
+    assert compute_homogenized(same, two_phase_hooke, cs).min_eigenvalue() > 0.0
+
+
 @pytest.fixture
 def call_counts(monkeypatch):
     """Calls of the cell-problem builders and of CG, counted from here on."""

@@ -548,6 +548,82 @@ def test_pcg_projected_start_over_successive_right_hand_sides():
         pcg(A, b, x0=np.zeros(n), space=space)
 
 
+def _paired_operator():
+    """A random SPD A and a dense linear T, applied together as (A v, T v)."""
+    rng = np.random.default_rng(0)
+    Q = rng.standard_normal((40, 40))
+    A = Q @ Q.T + 40.0 * np.eye(40)
+    T = rng.standard_normal((7, 40))
+    return A, T, lambda v: (A @ v, T @ v)
+
+
+def _side_error(T, x, tx):
+    """Normwise relative error ||tx - T x|| / (||T|| ||x||) of a side image."""
+    return np.linalg.norm(tx - T @ x) / (np.linalg.norm(T, 2) * np.linalg.norm(x))
+
+
+def test_pcg_carries_the_side_image_of_its_solution():
+    A, T, op = _paired_operator()
+    n, m = T.shape[1], T.shape[0]
+    s = np.linspace(0.0, 1.0, n)
+    b = np.sin(np.pi * s)
+    # cold start, and a start from x0 (whose side image comes with A x0)
+    x, _, tx = pcg(op, b, tol=1e-12, side=m)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert _side_error(T, x, tx) <= 1e-12
+    x, _, tx = pcg(op, 2.0 * b, tol=1e-12, x0=x, side=m)
+    assert _side_error(T, x, tx) <= 1e-12
+    # projected starts over successive right-hand sides, past PROJECTION_DIM
+    space, restarted = SolutionSpace(), False
+    for k in range(2 * PROJECTION_DIM):
+        b = np.sin(np.pi * s * (1.0 + 0.01 * k)) + 0.1 * k * s
+        full = len(space) == PROJECTION_DIM
+        x, _, tx = pcg(op, b, tol=1e-10, space=space, side=m)
+        assert _side_error(T, x, tx) <= 1e-12
+        assert len(space.TX) == len(space.X) > 0
+        if len(space) == 1:
+            # a whole solution (the first, or the one a full space restarts from)
+            restarted |= full
+            assert _side_error(T, space.X[0], space.TX[0]) <= 1e-12
+        # a short solve's correction x - x0 carries the round-off of x, scaled
+        # up by its normalization; T of that round-off is in X[j] but not in
+        # TX[j], which is as exact as AX[j] (both near 3e-7 here)
+        for xj, txj in zip(space.X, space.TX):
+            assert _side_error(T, xj, txj) <= 1e-5
+    assert restarted
+    # a right-hand side inside the span: T x comes from the kept images alone
+    x, hist, tx = pcg(op, A @ space.X[0], tol=1e-10, space=space, side=m)
+    assert len(hist) == 1 and _side_error(T, x, tx) <= 1e-12
+    # a space keeps side images for all of its solutions or for none
+    with pytest.raises(ValueError, match="side images"):
+        pcg(A, b, tol=1e-10, space=space)
+    plain = SolutionSpace()
+    pcg(A, b, tol=1e-10, space=plain)
+    assert plain.TX == []
+    with pytest.raises(ValueError, match="side images"):
+        pcg(op, b, tol=1e-10, space=plain, side=m)
+
+
+def test_pcg_history_stays_second_for_plain_and_paired_operators():
+    # the benchmark's tracer counts iterations as len(result[1]) - 1
+    A, T, op = _paired_operator()
+    b = np.linspace(1.0, 2.0, A.shape[0])
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return op(v)
+
+    plain = pcg(A, b, tol=1e-10)
+    paired = pcg(counted, b, tol=1e-10, side=T.shape[0])
+    assert len(plain) == 2 and len(paired) == 3
+    hist = plain[1]
+    assert type(hist) is list and all(type(h) is float for h in hist)
+    assert hist[0] == 1.0 and hist[-1] <= 1e-10 < min(hist[:-1])
+    assert paired[1] == hist and len(calls) == len(hist) - 1
+    assert pcg(A, np.zeros_like(b))[1] == pcg(op, np.zeros_like(b), side=T.shape[0])[1] == [0.0]
+
+
 def test_norm_rescales_when_the_sum_of_squares_underflows():
     v = np.full(30, 1e-170)
     assert np.linalg.norm(v) == 0.0

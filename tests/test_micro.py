@@ -248,6 +248,30 @@ def test_schur_outer_iterations_on_the_demo_config(monkeypatch):
     assert 0 < len(outer) <= 45
 
 
+def test_schur_final_displacement_solve_starts_converged(monkeypatch):
+    # eps = 1/4, 16 steps: the final solve B u = F(t1) + alpha C^T p starts from
+    # U^n + (L^{n+1} - L^n) + alpha B^-1 C^T dp, whose last term the outer CG
+    # carried; it took 21-24 iterations per step when it started from U^n
+    cfg = default_config()
+    mesh = build_micro_mesh(cfg.geom, 0.25, cfg.omega, cfg.cell_n)
+    sys = micro.assemble_micro(mesh, cfg.hooke, cfg.biot, 0.25, cfg.loads)
+    final, real_pcg = [], fem.solvers.pcg
+
+    def counting_pcg(A, b, **kwargs):
+        result = real_pcg(A, b, **kwargs)
+        if kwargs.get("x0") is not None:   # only the final displacement solve has a start
+            final.append(len(result[1]) - 1)
+        return result
+
+    monkeypatch.setattr(fem.solvers, "pcg", counting_pcg)
+    traj = micro.run_transient(sys, cfg.T, 16, stepper="schur", tol=cfg.tol_step)
+    assert len(final) == 16 and sum(final) <= 16
+    alpha = sys.biot.alpha
+    for s in traj.states[1:]:
+        rhs = sys.F(s.t) + alpha * (sys.C.T @ s.p)
+        assert np.linalg.norm(sys.B @ s.U_red - rhs) <= 1.01 * micro.INNER_TOL * np.linalg.norm(rhs)
+
+
 def test_step_operators_built_once_per_step_size(micro_mesh4, two_phase_hooke, biot,
                                                  ramp_loads, monkeypatch):
     built = []
@@ -283,8 +307,11 @@ def test_system_freed_without_cycle_collector(micro_mesh4, two_phase_hooke, biot
         ops = sys.step_operators(0.125)   # and both solution spaces, arrays only
         for space in (ops.u_space, ops.p_space):
             assert len(space) > 0
-            assert set(vars(space)) == {"X", "AX"}
-            assert all(type(v) is np.ndarray for v in space.X + space.AX)
+            assert set(vars(space)) == {"X", "AX", "TX"}
+            assert all(type(v) is np.ndarray for v in space.X + space.AX + space.TX)
+        # the pressure increments keep their displacement images B^-1 C^T X[j]
+        assert ops.u_space.TX == [] and len(ops.p_space.TX) == len(ops.p_space) > 0
+        assert all(v.shape == (sys.B.shape[0],) for v in ops.p_space.TX)
         ref = weakref.ref(sys)
         del sys
         assert ref() is None
