@@ -276,7 +276,6 @@ class PressureCellOperator:
         self._nred = nred
         self._nmult = len(W)
 
-        self.C = fem.assemble_divergence_coupling(mesh, gel_nodes=self.gel_nodes)
         self.C_red = fem.assemble_divergence_coupling(mesh, gel_nodes=self.gel_nodes,
                                                       node_map=self.problem.node_map)
         gel_mask = mesh.phase == GEL
@@ -328,10 +327,14 @@ class MomentTable:
 
 
 def divergence_moments(correctors: CorrectorSet, op: PressureCellOperator) -> MomentTable:
-    """int_gel div_y(chi) dy per corrector, as a scalar and per gel dof."""
+    """int_gel div_y(chi) dy per corrector, as a scalar and per gel dof.
+
+    The coupling acts on the reduced dofs (C P), and a periodic corrector
+    field is P of its reduced coefficients.
+    """
     scalars, nodal = {}, {}
     for key, field in correctors.fields.items():
-        d = op.C @ field.reshape(-1)
+        d = op.C_red @ op.reducer.restrict(field.reshape(-1))
         nodal[key] = d
         scalars[key] = float(d.sum())
     return MomentTable(scalars=scalars, nodal=nodal)

@@ -225,16 +225,17 @@ def assemble_divergence_coupling(mesh, *, gel_nodes, node_map=None) -> sp.csr_ma
     return scatter(p_rows, el.hex_divergence_ke(mesh.spacing), (n_p, 3 * n_u), cols=u_cols)
 
 
-def assemble_body_force(mesh, f_at) -> np.ndarray:
+def assemble_body_force(mesh, f_at, node_map) -> np.ndarray:
     """Load vector int f . v with f evaluated at the quadrature points.
 
-    f_at(x, y, z) must return (..., 3) stacked components.
+    f_at(x, y, z) must return (..., 3) stacked components.  On the nodes of
+    the `node_map` of a `Reducer` it is the reduced load P^T f.
     """
     N, _, wdet, _ = el.hex_qp_data(mesh.spacing)
     qp = qp_points(mesh)
     fe = np.einsum("q,qa,eqi->eai", wdet, N, f_at(qp[..., 0], qp[..., 1], qp[..., 2]))
-    dofs, n = element_dofs(mesh, ncomp=3)
-    return scatter_vector(dofs, fe, n)
+    nodes, n = element_nodes(mesh, node_map=node_map)
+    return scatter_vector(vector_dofs(nodes), fe, 3 * n)
 
 
 def assemble_scalar_source(mesh, h_at, *, elems_mask=None, nodes=None) -> np.ndarray:

@@ -172,14 +172,37 @@ def t_degree_terms(poly: Poly2T):
             yield deg, Poly2T(terms)
 
 
-def eval_t_parts(parts, t: float, t_off, n: int) -> np.ndarray:
-    """sum vec t^deg over (deg, vec) parts, zero once `switched_off(t, t_off)`."""
-    out = np.zeros(n)
-    if switched_off(t, t_off):
+@dataclass(frozen=True)
+class LoadSeries:
+    """A time-dependent length-n vector sum vec t^deg over (deg, t_off, vec)
+    parts, each part zero once `switched_off(t, t_off)`.
+
+    The loads are polynomial in t, so every load vector and every linear
+    response to one is a few fixed spatial vectors: `build` makes them from
+    the loads, `map` sends them through a linear map of the space.
+    """
+
+    parts: tuple
+    n: int
+
+    @classmethod
+    def build(cls, polys, vector, n: int) -> "LoadSeries":
+        """One part per time degree of each poly; vector(k, spatial) is the
+        length-n vector of polys[k]'s spatial `t_degree_terms` polynomial."""
+        return cls(tuple((deg, poly.t_off, vector(k, spatial))
+                         for k, poly in enumerate(polys)
+                         for deg, spatial in t_degree_terms(poly)), n)
+
+    def __call__(self, t: float) -> np.ndarray:
+        out = np.zeros(self.n)
+        for deg, t_off, vec in self.parts:
+            if not switched_off(t, t_off):
+                out += vec * t**deg
         return out
-    for deg, vec in parts:
-        out += vec * t**deg
-    return out
+
+    def map(self, f) -> "LoadSeries":
+        """The series of f(vec) for a linear map f of the length-n vectors."""
+        return LoadSeries(tuple((deg, t_off, f(vec)) for deg, t_off, vec in self.parts), self.n)
 
 
 @dataclass

@@ -15,9 +15,10 @@ U(0) = B^-1 F(0) the two recursions are algebraically identical, which the
 acceptance suite checks to 1e-7.
 
 The pressure-ODE step solves for the increment p^{n+1} - p^n.  Its right-hand
-side needs no B-solve: B does not depend on t and F(t) is a sum of t^deg
-times fixed spatial parts, so B^-1 F(t) is a sum of the parts' responses,
-each solved once per system (`GalerkinSystem.load_response`), and the
+side needs no B-solve: B does not depend on t and F(t) is a `LoadSeries`,
+a sum of t^deg times fixed spatial parts, so B^-1 F(t) is the series of the
+parts' responses, each solved once per system (`GalerkinSystem.load_response`,
+which also gives the initial state), and the
 consistency B U^n - alpha C^T p^n = F^n of every state replaces
 alpha^2 C B^-1 C^T p^n by alpha C (U^n - B^-1 F^n).  What remains is one
 B-solve per outer CG iteration.  The final displacement solve starts
@@ -52,7 +53,7 @@ from cell 0 once per dt (`GalerkinSystem.step_operators`, on the step cache of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,8 +65,7 @@ from .fem.multigrid import VCycle
 from .fem.solvers import (RepeatedBlockSolver, SolutionSpace, StepCache, inverse, pcg,
                           solve_saddle, solve_spd)
 from .geometry import GEL, MicroMesh, _StructuredHexMesh
-from .material import (BiotParams, HookeTensor, LoadSpec, eval_t_parts, require_admissible,
-                       t_degree_terms)
+from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec, require_admissible
 
 # tolerance of the nested B-solves of the pressure-ODE step, tight enough that
 # their error stays below the outer CG tolerance
@@ -76,29 +76,6 @@ def clamp_constraints(mesh: MicroMesh) -> ConstraintSet:
     """Homogeneous Dirichlet on the lateral boundary, all three components."""
     dofs = (3 * mesh.lateral_nodes[:, None] + np.arange(3)).reshape(-1)
     return ConstraintSet(ndof=3 * mesh.n_nodes, dirichlet_dofs=dofs)
-
-
-def _poly_parts(mesh: MicroMesh, poly, comp: int, scale: float):
-    """Body-force spatial vectors per time degree for one load component."""
-    parts = []
-    for deg, spatial in t_degree_terms(poly):
-        def f_at(x, y, z, _spatial=spatial):
-            v = np.zeros(x.shape + (3,))
-            v[..., comp] = _spatial(x, y, 0.0)
-            return v
-
-        parts.append((deg, scale * fem.assemble_body_force(mesh, f_at)))
-    return parts
-
-
-def _source_parts(mesh: MicroMesh, poly, scale: float):
-    parts = []
-    gel_mask = mesh.phase == GEL
-    for deg, spatial in t_degree_terms(poly):
-        parts.append((deg, scale * fem.assemble_scalar_source(
-            mesh, lambda x, y, z, _spatial=spatial: _spatial(x, y, 0.0),
-            elems_mask=gel_mask, nodes=mesh.gel_nodes)))
-    return parts
 
 
 @dataclass(frozen=True)
@@ -134,17 +111,14 @@ class GalerkinSystem:
     C: sp.csr_matrix            # gel pressure x reduced displacement, unscaled
     M: sp.csr_matrix            # gel pressure mass, unscaled
     D: sp.csr_matrix            # eps^2 K diffusion on the gel
-    loads: LoadSpec
-    f_parts: list
-    g_parts: list
+    F: LoadSeries               # reduced displacement load (eps scalings included)
+    G: LoadSeries               # gel pressure source (eps scaling included)
     strain_sq: sp.csr_matrix    # ||e(U)||^2 on full dofs
     grad_sq: sp.csr_matrix      # ||grad U||^2 on full dofs
     grad_p_sq: sp.csr_matrix    # ||grad p||^2 on gel dofs (unscaled)
     _step_cache: StepCache = field(default_factory=StepCache, init=False, repr=False,
                                    compare=False)
     _multigrid: VCycle | None = field(default=None, init=False, repr=False, compare=False)
-    # (deg, B^-1 P^T vec) per f_parts entry: arrays only, like the hierarchy above
-    _load_solutions: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_p(self) -> int:
@@ -153,17 +127,6 @@ class GalerkinSystem:
     @property
     def decoupled(self) -> bool:
         return self.biot.alpha == 0.0
-
-    def F(self, t: float) -> np.ndarray:
-        """Reduced displacement load vector at time t (eps scalings included)."""
-        full = np.zeros(3 * self.mesh.n_nodes)
-        for comp, parts in enumerate(self.f_parts):
-            poly = self.loads.components()[comp]
-            full += eval_t_parts(parts, t, poly.t_off, len(full))
-        return self.reducer.P.T @ full
-
-    def G(self, t: float) -> np.ndarray:
-        return eval_t_parts(self.g_parts, t, self.loads.h.t_off, self.n_p)
 
     @property
     def multigrid(self) -> VCycle:
@@ -176,15 +139,11 @@ class GalerkinSystem:
         """B^-1 rhs by multigrid-preconditioned CG."""
         return solve_spd(self.B, rhs, tol=tol, x0=x0, precond=self.multigrid)
 
-    def load_response(self, t: float) -> np.ndarray:
-        """B^-1 F(t), from one B-solve per load part made on first use and kept."""
-        if self._load_solutions is None:
-            self._load_solutions = [[(deg, self.solve_B(self.reducer.P.T @ vec, INNER_TOL))
-                                     for deg, vec in parts] for parts in self.f_parts]
-        out = np.zeros(self.B.shape[0])
-        for parts, poly in zip(self._load_solutions, self.loads.components()):
-            out += eval_t_parts(parts, t, poly.t_off, len(out))
-        return out
+    @cached_property
+    def load_response(self) -> LoadSeries:
+        """t -> B^-1 F(t), from one B-solve per part of F made on first use and
+        kept (arrays only, like the hierarchy above)."""
+        return self.F.map(partial(self.solve_B, tol=INNER_TOL))
 
     def step_operators(self, dt: float) -> StepOperators:
         """The implicit Euler operators of step size dt, built once per dt."""
@@ -227,16 +186,24 @@ def assemble_micro(mesh: MicroMesh, hooke: HookeTensor, biot: BiotParams, eps: f
     B = fem.assemble_elastic_stiffness(mesh, hooke, node_map)
     C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes, node_map=node_map)
     M, D = fem.assembly.micro_pressure_blocks(biot, mesh, eps)
-    f_parts = [
-        _poly_parts(mesh, loads.f1, 0, eps),
-        _poly_parts(mesh, loads.f2, 1, eps),
-        _poly_parts(mesh, loads.f3, 2, eps**2),
-    ]
-    g_parts = _source_parts(mesh, loads.h, eps)
     gel_mask = mesh.phase == GEL
+    f_scale = (eps, eps, eps**2)
+
+    def body_force(comp, spatial):
+        def f_at(x, y, z):
+            v = np.zeros(x.shape + (3,))
+            v[..., comp] = spatial(x, y, 0.0)
+            return v
+        return f_scale[comp] * fem.assemble_body_force(mesh, f_at, node_map)
+
+    def source(_, spatial):
+        return eps * fem.assemble_scalar_source(mesh, lambda x, y, z: spatial(x, y, 0.0),
+                                                elems_mask=gel_mask, nodes=mesh.gel_nodes)
+
     return GalerkinSystem(
-        mesh=mesh, hooke=hooke, biot=biot, eps=eps, reducer=reducer,
-        B=B, C=C, M=M, D=D, loads=loads, f_parts=f_parts, g_parts=g_parts,
+        mesh=mesh, hooke=hooke, biot=biot, eps=eps, reducer=reducer, B=B, C=C, M=M, D=D,
+        F=LoadSeries.build(loads.components(), body_force, B.shape[0]),
+        G=LoadSeries.build((loads.h,), source, M.shape[0]),
         strain_sq=fem.assemble_strain_product(mesh),
         grad_sq=fem.assemble_vector_gradient_product(mesh),
         grad_p_sq=fem.assemble_scalar_diffusion(mesh, np.eye(3), elems_mask=gel_mask,
@@ -269,11 +236,12 @@ class MicroState:
                      + self.U_red @ (sys.B @ self.U_red))
 
 
-def initial_state(sys: GalerkinSystem, tol: float = 1e-10) -> MicroState:
-    """Zero data; if F(0) != 0 the quasi-static constraint fixes U(0) = B^-1 F(0)."""
-    F0 = sys.F(0.0)
-    if np.linalg.norm(F0) > 0.0:
-        U_red = sys.solve_B(F0, tol)
+def initial_state(sys: GalerkinSystem) -> MicroState:
+    """Zero data; if F(0) != 0 the quasi-static constraint fixes U(0) = B^-1 F(0),
+    read from the load responses.  Without F(0) no response is solved, so the
+    monolithic path never pays for them."""
+    if np.linalg.norm(sys.F(0.0)) > 0.0:
+        U_red = sys.load_response(0.0)
     else:
         U_red = np.zeros(sys.B.shape[0])
     U = sys.reducer.expand(U_red).reshape(-1, 3)
@@ -373,7 +341,7 @@ def run_transient(sys: GalerkinSystem, T: float, nsteps: int, *,
         raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
     dt = T / nsteps
     step = {"monolithic": step_monolithic, "schur": step_schur}[stepper]
-    state = initial_state(sys, tol=tol)
+    state = initial_state(sys)
     traj = Trajectory(states=[state])
     row = state.norms(sys)
     row["energy"] = state.energy(sys)

@@ -60,7 +60,7 @@ from .errors import AssemblyError, BudgetError
 from .fem import elements as el
 from .fem.solvers import StepCache, spd_inverse
 from .geometry import GEL, CellMesh, MicroMesh, PlateMesh
-from .material import BiotParams, HookeTensor, LoadSpec, eval_t_parts, t_degree_terms
+from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec
 from .plate import PlateSpace, build_plate_space, plate_mass
 
 # ------------------------------------------------------------------ unfolding
@@ -224,8 +224,8 @@ def _plate_matrix(space: PlateSpace, loc: np.ndarray) -> np.ndarray:
 class _CoupledPlateSystem:
     """Reduced plate dofs W coupled to a two-scale pressure p(x', y), nodal in x'.
 
-    Subclasses set `space`, `ng`, `vol`, `loads`, `biot`, call
-    `_init_pressure`, and define what the two formulations do differently:
+    Subclasses set `space`, `ng`, `vol`, `biot`, call `_init_pressure`
+    with their loads, and define what the two formulations do differently:
     `_carried` (the previous-state terms of the pressure equation) and
     `_elastic_energy`.  The pressure blocks are M_x (x) S_y and the coupling is
     Gamma = sum_k G_k (x) V[k], applied through its factors; an implicit Euler
@@ -234,9 +234,11 @@ class _CoupledPlateSystem:
     never a reference to the system.
     """
 
-    def _init_pressure(self, A: np.ndarray, V: np.ndarray, M_gel_y: np.ndarray,
-                       S_mass_y: np.ndarray, D_y: np.ndarray, w_gel: np.ndarray):
+    def _init_pressure(self, loads: LoadSpec | None, A: np.ndarray, V: np.ndarray,
+                       M_gel_y: np.ndarray, S_mass_y: np.ndarray, D_y: np.ndarray,
+                       w_gel: np.ndarray):
         sp_ = self.space
+        loads = loads if loads is not None else LoadSpec()
         self._A_plate = A
         self.G = plate_coupling_factors(sp_)
         self.V = V
@@ -246,14 +248,26 @@ class _CoupledPlateSystem:
         self.S_mass_y = S_mass_y
         self.D_y = D_y
         self.w_gel = w_gel
-        self.f_parts = _plate_load_parts(sp_, self.loads)
-        self.h_parts = _pressure_load_parts(sp_, self.loads, w_gel, self.vol)
-        self._step_cache = StepCache()
+        qpc = sp_.qp_coords()
 
-    @property
-    def Gamma(self) -> sp.csr_matrix:
-        """Sparse Gamma = sum_k G_k (x) V[k]; row (plate node i, gel dof j) is i * ng + j."""
-        return sum(sp.kron(g, v[:, None], format="csr") for g, v in zip(self.G, self.V))
+        def plate_load(comp, spatial):
+            """int f_comp V_comp on the reduced plate dofs."""
+            fv = spatial(qpc[..., 0], qpc[..., 1], 0.0)
+            loc = np.zeros((len(sp_.elem_dofs), 24))
+            if comp < 2:
+                loc[:, comp:8:2] = np.einsum("q,qa,eq->ea", sp_.qp_w, sp_.N_bil, fv)
+            else:
+                loc[:, 8:] = np.einsum("q,qa,eq->ea", sp_.qp_w, sp_.N_bfs, fv)
+            return fem.assembly.scatter_vector(sp_.elem_dofs, loc, sp_.n_red)
+
+        def pressure_load(_, spatial):
+            """(1/|Ycell|) int h phi on the p dofs."""
+            hx = sp_.N_qp.T @ (sp_.qp_w_rows() * spatial(qpc[..., 0], qpc[..., 1], 0.0).ravel())
+            return np.outer(hx, w_gel).reshape(-1) / self.vol
+
+        self.F_W = LoadSeries.build(loads.components(), plate_load, sp_.n_red)
+        self.H = LoadSeries.build((loads.h,), pressure_load, sp_.n_nodes * self.ng)
+        self._step_cache = StepCache()
 
     def _G_apply(self, W: np.ndarray) -> np.ndarray:
         """(nn, 6) columns G_k W."""
@@ -274,13 +288,6 @@ class _CoupledPlateSystem:
 
     def mass_apply(self, p: np.ndarray) -> np.ndarray:
         return self._kron_apply(self.M_x, self.S_mass_y, p)
-
-    def F_W(self, t: float) -> np.ndarray:
-        return sum(eval_t_parts(parts, t, poly.t_off, self.space.n_red)
-                   for poly, parts in zip(self.loads.components(), self.f_parts))
-
-    def H(self, t: float) -> np.ndarray:
-        return eval_t_parts(self.h_parts, t, self.loads.h.t_off, self.space.n_nodes * self.ng)
 
     def p_mean(self, state: PlateState) -> np.ndarray:
         """p_m(x') = (1/|Ycell|) int_gel p0 dy per plate node."""
@@ -382,7 +389,6 @@ class MacroSystem(_CoupledPlateSystem):
         self.hom = hom
         self.op = op
         self.biot = biot
-        self.loads = loads if loads is not None else LoadSpec()
         self.space = build_plate_space(plate)
         self.vol = op.cell_volume
         self.ng = op.n_gel
@@ -397,7 +403,7 @@ class MacroSystem(_CoupledPlateSystem):
         cb = np.stack([moments.vec("b", *k) for k in MEMBRANE_KEYS]) + _TRACE * op.w3
         M_gel = op.M_gel.toarray()
         self._init_pressure(
-            self.A_W, biot.alpha / self.vol * np.vstack([cm, cb]), M_gel,
+            loads, self.A_W, biot.alpha / self.vol * np.vstack([cm, cb]), M_gel,
             (biot.c * M_gel + biot.alpha**2 * op.N) / self.vol,
             op.D_gel.toarray() / self.vol, op.w)
 
@@ -446,7 +452,6 @@ class MupSystem(_CoupledPlateSystem):
                  budget_dofs: int = 300_000):
         self.cell_mesh = cell_mesh
         self.biot = biot
-        self.loads = loads if loads is not None else LoadSpec()
         self.space = build_plate_space(plate)
         self.vol = cell_mesh.volume
         sp_ = self.space
@@ -490,7 +495,7 @@ class MupSystem(_CoupledPlateSystem):
         scale = biot.alpha / self.vol
         self._V_trace = scale * np.vstack([_TRACE * op.w, _TRACE * op.w3])
         M_gel = op.M_gel.toarray()
-        self._init_pressure(self.S_WW, self._V_trace - scale * (r @ op.U_C), M_gel,
+        self._init_pressure(loads, self.S_WW, self._V_trace - scale * (r @ op.U_C), M_gel,
                             (biot.c * M_gel + biot.alpha**2 * op.N) / self.vol,
                             op.D_gel.toarray() / self.vol, op.w)
 
@@ -552,38 +557,6 @@ class MupSystem(_CoupledPlateSystem):
         wt = self.space.qp_w / self.vol
         return (float(np.sum((Wloc @ self._P_bar) * Wloc))
                 + float(wt @ np.sum((2.0 * RW + KU) * u, axis=(0, 2))))
-
-
-def _qp_values(space: PlateSpace, poly) -> np.ndarray:
-    """(ne, nq) values of a spatial polynomial at the plate quadrature points."""
-    qpc = space.qp_coords()
-    return poly(qpc[..., 0], qpc[..., 1], 0.0)
-
-
-def _plate_load_parts(space: PlateSpace, loads: LoadSpec):
-    """Per load component, reduced vectors per time degree: int (f1 V1 + f2 V2 + f3 V3)."""
-    out = []
-    for comp, poly in enumerate(loads.components()):
-        parts = []
-        for deg, spatial in t_degree_terms(poly):
-            fv = _qp_values(space, spatial)
-            loc = np.zeros((len(space.elem_dofs), 24))
-            if comp < 2:
-                loc[:, comp:8:2] = np.einsum("q,qa,eq->ea", space.qp_w, space.N_bil, fv)
-            else:
-                loc[:, 8:] = np.einsum("q,qa,eq->ea", space.qp_w, space.N_bfs, fv)
-            parts.append((deg, fem.assembly.scatter_vector(space.elem_dofs, loc, space.n_red)))
-        out.append(parts)
-    return out
-
-
-def _pressure_load_parts(space: PlateSpace, loads: LoadSpec, w_gel: np.ndarray, vol: float):
-    """(1/|Ycell|) int h phi on the p dofs, per time degree."""
-    parts = []
-    for deg, spatial in t_degree_terms(loads.h):
-        hx = space.N_qp.T @ (space.qp_w_rows() * _qp_values(space, spatial).ravel())
-        parts.append((deg, np.outer(hx, w_gel).reshape(-1) / vol))
-    return parts
 
 
 def solve_mup_direct(cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poroplate.errors import MaterialError
 from poroplate.material import (
     BiotParams,
     HookeTensor,
+    LoadSeries,
     LoadSpec,
     Poly2T,
     check_admissible,
-    eval_t_parts,
     isotropic,
     kelvin_eigenvalues,
     load_norm,
+    switched_off,
     t_degree_terms,
 )
 
@@ -88,17 +91,37 @@ def test_poly_eval_and_cutoff():
     assert dp(1.0, 2.0, 0.25) == pytest.approx(2.0)
 
 
-def test_cutoff_agrees_between_poly_and_time_parts():
-    # the stepper evaluates loads as precomputed spatial parts times t^deg;
-    # both evaluations must switch the load off at the same time
-    p = Poly2T([(2.0, 1, 0, 1), (-1.0, 0, 2, 0), (0.5, 2, 1, 2)], t_off=0.5)
+# coefficients away from underflow, where relative rounding bounds do not hold
+_COEFF = st.floats(-2.0, 2.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-6)
+_MONOMIAL = st.tuples(_COEFF, st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
+_CUTOFF_EXAMPLE = [(2.0, 1, 0, 1), (-1.0, 0, 2, 0), (0.5, 2, 1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(_MONOMIAL, min_size=1, max_size=6), t_off=st.floats(0.05, 2.0),
+       dt=st.one_of(st.sampled_from([-1e-3, 0.0, 5e-13, 1e-9, 1e-3]),
+                    st.floats(-2e-12, 2e-12)))
+@example(terms=_CUTOFF_EXAMPLE, t_off=0.5, dt=-0.25)
+@example(terms=_CUTOFF_EXAMPLE, t_off=0.5, dt=5e-13)
+@example(terms=_CUTOFF_EXAMPLE, t_off=0.5, dt=1e-9)
+def test_cutoff_agrees_between_poly_and_time_parts(terms, t_off, dt):
+    # the steppers evaluate loads as a LoadSeries of spatial parts times t^deg;
+    # it must equal the polynomial and switch the load off at the same time
+    p = Poly2T(terms, t_off=t_off)
     x1, x2 = np.array([0.3, 0.7, 1.1]), np.array([0.2, 0.9, -0.4])
-    parts = [(deg, spatial(x1, x2, 0.0)) for deg, spatial in t_degree_terms(p)]
-    for t in (0.25, 0.5, 0.5 + 5e-13, 0.5 + 1e-9):
-        np.testing.assert_allclose(eval_t_parts(parts, t, p.t_off, 3), p(x1, x2, t),
-                                   rtol=1e-14, atol=0.0)
-    assert p(x1, x2, 0.5 + 5e-13).any()
-    assert not p(x1, x2, 0.5 + 1e-9).any()
+    series = LoadSeries.build((p,), lambda _, spatial: spatial(x1, x2, 0.0), 3)
+    assert len(series.parts) == len(list(t_degree_terms(p)))
+    t = t_off + dt
+    got = series(t)
+    if switched_off(t, t_off):
+        assert not got.any() and not p(x1, x2, t).any()
+    else:
+        # the series sums per time degree, the polynomial per monomial
+        size = sum(abs(c) * np.abs(x1)**p1 * np.abs(x2)**p2 * t**pt for c, p1, p2, pt in terms)
+        assert np.all(np.abs(got - p(x1, x2, t)) <= 1e-14 * size)
+    assert np.array_equal(series.map(lambda v: 2.0 * v)(t), 2.0 * got)
+    if terms == _CUTOFF_EXAMPLE and dt > 0.0:
+        assert got.any() == (dt < 1e-12)   # the 1e-12 slack of the cutoff
 
 
 def test_time_parts_are_the_monomial_sums():

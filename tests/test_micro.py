@@ -10,16 +10,37 @@ from hypothesis import strategies as st
 from poroplate import fem, micro
 from poroplate.config import default_config
 from poroplate.geometry import CellGeometry, build_micro_mesh
-from poroplate.material import BiotParams, LoadSpec, Poly2T
+from poroplate.material import BiotParams, LoadSpec, Poly2T, t_degree_terms
+
+# degree 0, 1 and 2 terms in t, and a cutoff between steps 4 (t = 0.25) and 5 of 8 on [0, 0.5]
+CUTOFF_LOADS = LoadSpec(f1=Poly2T([(0.4, 0, 0, 0), (0.5, 1, 0, 1)], t_off=0.3),
+                        f2=Poly2T([(-0.3, 0, 1, 2)]), f3=Poly2T([(1.0, 0, 0, 1), (0.6, 1, 1, 2)]),
+                        h=Poly2T([(1.0, 0, 0, 1)]))
+
+
+def _full_body_force_parts(mesh, loads, eps):
+    """(deg, t_off, full-dof vector) per time degree of each load component,
+    assembled on every mesh node (the identity node map)."""
+    identity = np.arange(mesh.n_nodes)
+    parts = []
+    for comp, (poly, scale) in enumerate(zip(loads.components(), (eps, eps, eps**2))):
+        for deg, spatial in t_degree_terms(poly):
+            def f_at(x, y, z, comp=comp, spatial=spatial):
+                v = np.zeros(x.shape + (3,))
+                v[..., comp] = spatial(x, y, 0.0)
+                return v
+            parts.append((deg, poly.t_off,
+                          scale * fem.assemble_body_force(mesh, f_at, identity)))
+    return parts
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_reduced_assembly_matches_full_assembly_and_reduction(default_geom, two_phase_hooke,
                                                               biot, eps):
-    # B and C are assembled on the reduced dofs; the reference assembles the
-    # full matrices and reduces them through P
+    # B, C and the load parts are assembled on the reduced dofs; the reference
+    # assembles them on all dofs and reduces them through P
     mesh = build_micro_mesh(default_geom, eps, ((0.0, 1.0), (0.0, 1.0)), 4)
-    sysm = micro.assemble_micro(mesh, two_phase_hooke, biot, eps)
+    sysm = micro.assemble_micro(mesh, two_phase_hooke, biot, eps, CUTOFF_LOADS)
     P = sysm.reducer.P
     B_ref = sysm.reducer.reduce_matrix(fem.assemble_elastic_stiffness(mesh, two_phase_hooke))
     C_ref = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes) @ P
@@ -27,6 +48,12 @@ def test_reduced_assembly_matches_full_assembly_and_reduction(default_geom, two_
         assert A.shape == ref.shape
         assert A.has_canonical_format and A.indices.dtype == A.indptr.dtype == np.int32
         assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
+    # the clamp removes whole nodes, so every free dof keeps its element sum
+    ref_parts = _full_body_force_parts(mesh, CUTOFF_LOADS, eps)
+    assert len(sysm.F.parts) == len(ref_parts) == 5 and sysm.F.n == sysm.B.shape[0]
+    for (deg, t_off, vec), (ref_deg, ref_t_off, ref) in zip(sysm.F.parts, ref_parts):
+        assert (deg, t_off) == (ref_deg, ref_t_off)
+        assert np.array_equal(vec, sysm.reducer.restrict(ref))
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +83,6 @@ def test_diffusion_eps_scaling(micro_mesh4, two_phase_hooke, biot, ramp_loads):
         micro_mesh4, biot.K, elems_mask=micro_mesh4.phase == 1, nodes=micro_mesh4.gel_nodes)
     diff = sys.D - 0.25**2 * D_unscaled
     assert np.abs(diff.data).max() < 1e-14 if diff.nnz else True
-
-
-# degree 0, 1 and 2 terms in t, and a cutoff between steps 4 (t = 0.25) and 5 of 8 on [0, 0.5]
-CUTOFF_LOADS = LoadSpec(f1=Poly2T([(0.4, 0, 0, 0), (0.5, 1, 0, 1)], t_off=0.3),
-                        f2=Poly2T([(-0.3, 0, 1, 2)]), f3=Poly2T([(1.0, 0, 0, 1), (0.6, 1, 1, 2)]),
-                        h=Poly2T([(1.0, 0, 0, 1)]))
 
 
 def test_two_path_equivalence(small_system, micro_mesh4, two_phase_hooke, biot):
@@ -130,9 +151,10 @@ def test_schur_increment_step_matches_reference_form(micro_mesh4, two_phase_hook
     assert len(sys.step_operators(dt).p_space) > 0
 
 
-def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, monkeypatch):
+def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, ramp_loads,
+                                                          monkeypatch):
     sys = micro.assemble_micro(small_system.mesh, small_system.hooke, small_system.biot,
-                               0.25, small_system.loads)
+                               0.25, ramp_loads)
     assert np.linalg.norm(sys.F(0.0)) == 0.0   # initial_state makes no B-solve
     solves, outer = [], []
     real_solve_B, real_pcg = sys.solve_B, micro.pcg
@@ -149,7 +171,7 @@ def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, monkeypa
 
     monkeypatch.setattr(sys, "solve_B", counting_solve_B)
     monkeypatch.setattr(micro, "pcg", counting_pcg)
-    n_parts = sum(len(parts) for parts in sys.f_parts)
+    n_parts = len(sys.F.parts)
     assert n_parts == 2
     micro.run_transient(sys, 0.5, 8, stepper="schur")
     assert len(outer) > 0
@@ -248,13 +270,17 @@ def test_schur_outer_iterations_on_the_demo_config(monkeypatch):
     assert 0 < len(outer) <= 45
 
 
-def test_schur_final_displacement_solve_starts_converged(monkeypatch):
+@pytest.mark.parametrize("loads", [None, CUTOFF_LOADS], ids=["demo", "cutoff"])
+def test_schur_final_displacement_solve_starts_converged(monkeypatch, loads):
     # eps = 1/4, 16 steps: the final solve B u = F(t1) + alpha C^T p starts from
     # U^n + (L^{n+1} - L^n) + alpha B^-1 C^T dp, whose last term the outer CG
-    # carried; it took 21-24 iterations per step when it started from U^n
+    # carried; it took 21-24 iterations per step when it started from U^n.  The
+    # start assumes that U^n meets B U^n - alpha C^T p^n = F^n to INNER_TOL, so
+    # the initial state U(0) = B^-1 F(0) of the cutoff loads (F(0) != 0) must too
     cfg = default_config()
     mesh = build_micro_mesh(cfg.geom, 0.25, cfg.omega, cfg.cell_n)
-    sys = micro.assemble_micro(mesh, cfg.hooke, cfg.biot, 0.25, cfg.loads)
+    sys = micro.assemble_micro(mesh, cfg.hooke, cfg.biot, 0.25, loads or cfg.loads)
+    assert (np.linalg.norm(sys.F(0.0)) > 0.0) == (loads is not None)
     final, real_pcg = [], fem.solvers.pcg
 
     def counting_pcg(A, b, **kwargs):
@@ -265,7 +291,10 @@ def test_schur_final_displacement_solve_starts_converged(monkeypatch):
 
     monkeypatch.setattr(fem.solvers, "pcg", counting_pcg)
     traj = micro.run_transient(sys, cfg.T, 16, stepper="schur", tol=cfg.tol_step)
-    assert len(final) == 16 and sum(final) <= 16
+    assert len(final) == 16 and sum(final) <= 16 and final[0] == 0
+    F0 = sys.F(0.0)
+    assert np.linalg.norm(sys.B @ traj.states[0].U_red - F0) <= (
+        1.01 * micro.INNER_TOL * np.linalg.norm(F0))
     alpha = sys.biot.alpha
     for s in traj.states[1:]:
         rhs = sys.F(s.t) + alpha * (sys.C.T @ s.p)
@@ -303,7 +332,8 @@ def test_system_freed_without_cycle_collector(micro_mesh4, two_phase_hooke, biot
         micro.run_transient(sys, 0.25, 2, stepper="monolithic")
         micro.run_transient(sys, 0.25, 2, stepper="schur")
         assert sys._multigrid is not None   # the V-cycle hierarchy was built and kept
-        assert sys._load_solutions is not None   # and so were the load responses
+        # and so were the load responses, arrays only
+        assert all(type(v) is np.ndarray for _, _, v in vars(sys)["load_response"].parts)
         ops = sys.step_operators(0.125)   # and both solution spaces, arrays only
         for space in (ops.u_space, ops.p_space):
             assert len(space) > 0

@@ -288,8 +288,9 @@ def test_macro_constant_source_saturates(cell_pipeline, biot):
     # step residuals of the coupled equations (exact dense solve)
     dt = 8.0 / 32
     s0, s1 = states[-2], states[-1]
-    r1 = msys.A_W @ s1.W_red - msys.Gamma.T @ s1.p.reshape(-1) - msys.F_W(s1.t)
-    lhs = (msys.Gamma @ (s1.W_red - s0.W_red)
+    Gamma = _gamma(msys)
+    r1 = msys.A_W @ s1.W_red - Gamma.T @ s1.p.reshape(-1) - msys.F_W(s1.t)
+    lhs = (Gamma @ (s1.W_red - s0.W_red)
            + msys.mass_apply(s1.p.reshape(-1) - s0.p.reshape(-1))
            + dt * msys._kron_apply(msys.M_x, msys.D_y, s1.p.reshape(-1)))
     r2 = lhs - dt * msys.H(s1.t)
@@ -378,6 +379,11 @@ def coupled_m3(cell_pipeline, cell_mesh4, two_phase_hooke, biot, ramp_loads):
     return op, mom, msys, osys
 
 
+def _gamma(sys):
+    """Sparse Gamma = sum_k G_k (x) V[k]; row (plate node i, gel dof j) is i * ng + j."""
+    return sum(sp.kron(g, v[:, None], format="csr") for g, v in zip(sys.G, sys.V))
+
+
 def _element_loop_gamma(space, cm, cb, scale):
     """Gamma[(i, j), V] = scale sum_e sum_q w_q N_i(q) [m(V).cm - k(V).cb]_j."""
     ng = cm.shape[1]
@@ -403,8 +409,12 @@ def _macro_gamma_reference(op, mom, msys, biot):
 def test_kronecker_gamma_matches_element_loop(coupled_m3, biot):
     op, mom, msys, _ = coupled_m3
     ref = _macro_gamma_reference(op, mom, msys, biot)
-    assert sp.issparse(msys.Gamma)
-    assert np.abs(msys.Gamma.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(_gamma(msys).toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the step applies Gamma and Gamma^T through the factors
+    rng = np.random.default_rng(5)
+    W, p = rng.standard_normal(ref.shape[1]), rng.standard_normal(ref.shape[0])
+    for got, want in ((msys.gamma_apply(W), ref @ W), (msys.gamma_T_apply(p), ref.T @ p)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_kronecker_schur_matches_dense(coupled_m3, biot):
@@ -423,7 +433,7 @@ def test_oracle_coupling_matches_macro(coupled_m3, biot):
     # factor; it must agree with the corrector-moment Gamma of the macro path
     op, mom, msys, osys = coupled_m3
     ref = _macro_gamma_reference(op, mom, msys, biot)
-    assert np.abs(osys.Gamma.toarray() - ref).max() <= 1e-8 * np.abs(ref).max()
+    assert np.abs(_gamma(osys).toarray() - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 def test_oracle_coupling_matches_its_warping_coupling(coupled_m3):
@@ -433,7 +443,7 @@ def test_oracle_coupling_matches_its_warping_coupling(coupled_m3):
     W = np.random.default_rng(3).standard_normal(osys.space.n_red)
     ubar = osys.recover_ubar(W, np.zeros(osys.space.n_nodes * osys.ng))
     explicit = osys._coupling_from_ubar(ubar) + osys._coupling_from_W(W)
-    got = osys.Gamma @ W
+    got = _gamma(osys) @ W
     assert np.abs(got - explicit).max() <= 1e-8 * np.abs(explicit).max()
 
 
