@@ -61,20 +61,27 @@ class RunReport:
 
 
 def _hom_from_file(path) -> HomogenizedTensor:
-    kv = pio.read_keyvalues(path)
+    try:
+        kv = pio.read_keyvalues(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"coefficients_file {path}: {exc}") from None
     idx = ["11", "22", "12"]
     mats = {}
     for name in ("a", "b", "c"):
         M = np.zeros((3, 3))
         for i in range(3):
             for j in range(3):
-                M[i, j] = kv[f"{name}_{idx[i]}{idx[j]}"]
+                key = f"{name}_{idx[i]}{idx[j]}"
+                if np.ndim(kv.get(key, ())) != 0:
+                    raise ConfigError(
+                        f"coefficients_file {path}: key {key!r} is missing or not one number")
+                M[i, j] = kv[key]
         mats[name] = M
     return HomogenizedTensor(a_eng=mats["a"], b_eng=mats["b"], c_eng=mats["c"])
 
 
 def _cell_stage(cfg: RunConfig, out: str, report: RunReport, want_vtk=True):
-    t0 = time.time()
+    t0 = time.perf_counter()
     mesh = build_cell_mesh(cfg.geom, cfg.cell_n)
     cs = solve_correctors(mesh, cfg.hooke, tol=cfg.tol_cell)
     op = PressureCellOperator(mesh, cfg.hooke, cfg.biot)
@@ -90,7 +97,7 @@ def _cell_stage(cfg: RunConfig, out: str, report: RunReport, want_vtk=True):
              for (kind, a, b) in cs.fields.keys()]
     pio.write_keyvalues(os.path.join(out, "cell_moments.txt"), pairs,
                         header="divergence moments int_gel div chi dy")
-    report.add("cell", "ok", time.time() - t0, correctors=len(cs.fields))
+    report.add("cell", "ok", time.perf_counter() - t0, correctors=len(cs.fields))
     return mesh, cs, op, mom
 
 
@@ -101,7 +108,7 @@ def cmd_cell(cfg, out, report):
 
 def cmd_homogenize(cfg, out, report):
     mesh, cs, op, mom = _cell_stage(cfg, out, report, want_vtk=False)
-    t0 = time.time()
+    t0 = time.perf_counter()
     hom = compute_homogenized(mesh, cfg.hooke, cs)
     with open(os.path.join(out, "homogenized.txt"), "w") as f:
         f.write(pio.hom_table_text(hom))
@@ -112,18 +119,15 @@ def cmd_homogenize(cfg, out, report):
         pio.write_keyvalues(os.path.join(out, "spectrum.kv"),
                             [("c_min", c_min), ("C_max", c_max)],
                             header="norm-equivalence spectrum of the unfolded space")
-    report.add("homogenize", "ok", time.time() - t0, lambda_min=hom.min_eigenvalue())
+    report.add("homogenize", "ok", time.perf_counter() - t0, lambda_min=hom.min_eigenvalue())
     return EXIT_OK
 
 
-def cmd_micro(cfg, out, report, dump_operators=False):
-    t0 = time.time()
+def cmd_micro(cfg, out, report):
+    t0 = time.perf_counter()
     eps = cfg.eps_list[0]
     mesh = build_micro_mesh(cfg.geom, eps, cfg.omega, cfg.cell_n)
     sysm = micro_mod.assemble_micro(mesh, cfg.hooke, cfg.biot, eps, cfg.loads)
-    if dump_operators:
-        for name, A in (("B", sysm.B), ("C", sysm.C), ("M", sysm.M), ("D", sysm.D)):
-            pio.write_matrix_market(os.path.join(out, f"micro_{name}.mtx"), A)
     cfg.loads.check_size(cfg.omega, cfg.T, cfg.hooke.coercivity())
     traj = micro_mod.run_transient(sysm, cfg.T, cfg.nsteps, tol=cfg.tol_step)
     pio.write_csv(os.path.join(out, "micro_norms.csv"), traj.table)
@@ -136,7 +140,7 @@ def cmd_micro(cfg, out, report, dump_operators=False):
                 pdata["pressure"] = pfull
                 pio.write_vtk(os.path.join(out, f"micro_{i:04d}.vtk"), mesh.nodes,
                               mesh.elems, pio.VTK_HEX, point_data=pdata)
-    report.add("micro", "ok", time.time() - t0, eps=eps, steps=cfg.nsteps,
+    report.add("micro", "ok", time.perf_counter() - t0, eps=eps, steps=cfg.nsteps,
                decoupled=sysm.decoupled, korn=traj.korn_constant(eps))
     return EXIT_OK
 
@@ -144,7 +148,7 @@ def cmd_micro(cfg, out, report, dump_operators=False):
 def _macro_stage(cfg, out, report):
     mesh, cs, op, mom = _cell_stage(cfg, out, report, want_vtk=False)
     hom = compute_homogenized(mesh, cfg.hooke, cs)
-    t0 = time.time()
+    t0 = time.perf_counter()
     plate = build_plate_mesh(cfg.omega, cfg.plate_m)
     msys = twoscale.assemble_macro(hom, op, mom, plate, cfg.biot, cfg.loads)
     states, table = twoscale.run_macro(msys, cfg.T, cfg.nsteps)
@@ -154,7 +158,7 @@ def _macro_stage(cfg, out, report):
         pio.write_vtk(os.path.join(out, "macro_final.vtk"), plate.nodes, plate.quads,
                       pio.VTK_QUAD, point_data={"W3": final.W3, "p_mean": msys.p_mean(final),
                                                 "W_membrane": final.Wm})
-    report.add("macro", "ok", time.time() - t0, steps=cfg.nsteps)
+    report.add("macro", "ok", time.perf_counter() - t0, steps=cfg.nsteps)
     return msys, states, table, mesh
 
 
@@ -165,7 +169,7 @@ def cmd_macro(cfg, out, report):
 
 def cmd_mup(cfg, out, report):
     msys, states, table, mesh = _macro_stage(cfg, out, report)
-    t0 = time.time()
+    t0 = time.perf_counter()
     osys, ostates, otable = twoscale.solve_mup_direct(
         mesh, msys.space.plate, cfg.hooke, cfg.biot, cfg.loads, cfg.T, cfg.nsteps,
         budget_dofs=cfg.budget_dofs)
@@ -174,13 +178,13 @@ def cmd_mup(cfg, out, report):
     pio.write_keyvalues(os.path.join(out, "mup_equivalence.txt"),
                         [("max_rel_diff", worst), ("tolerance", 1e-6),
                          ("verdict", "pass" if worst <= 1e-6 else "fail")])
-    report.add("mup", "ok", time.time() - t0, max_rel_diff=worst)
+    report.add("mup", "ok", time.perf_counter() - t0, max_rel_diff=worst)
     report.verdicts["mup_equivalence"] = "pass" if worst <= 1e-6 else "fail"
     return EXIT_OK if worst <= 1e-6 else EXIT_ACCEPT
 
 
 def cmd_converge(cfg, out, report):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, monotone, _ = twoscale.convergence_study(
         cfg.geom, cfg.hooke, cfg.biot, cfg.loads, cfg.omega, cfg.eps_list,
         cfg.cell_n, cfg.plate_m, cfg.T, cfg.nsteps, tol=cfg.tol_step)
@@ -190,7 +194,7 @@ def cmd_converge(cfg, out, report):
     verdict = "pass" if all(monotone.values()) else "fail"
     pio.write_keyvalues(os.path.join(out, "convergence_verdict.txt"),
                         [(k, str(v)) for k, v in monotone.items()] + [("verdict", verdict)])
-    report.add("converge", "ok", time.time() - t0, **monotone)
+    report.add("converge", "ok", time.perf_counter() - t0, **monotone)
     report.verdicts["residual_monotonicity"] = verdict
     return EXIT_OK if verdict == "pass" else EXIT_ACCEPT
 
@@ -234,12 +238,6 @@ def build_parser():
     p.add_argument("--config", metavar="PATH", default=None,
                    help="run configuration file (defaults to the built-in demo config)")
     p.add_argument("--out", metavar="DIR", default="out", help="artifact directory")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for random-field diagnostics")
-    p.add_argument("--budget-dofs", type=int, default=None,
-                   help="dof guard for the two-scale oracle")
-    p.add_argument("--dump-operators", action="store_true",
-                   help="debug: export assembled micro operators in Matrix Market format")
     p.add_argument("--write-default-config", metavar="PATH", default=None,
                    help="write the built-in demo config to PATH and exit")
     return p
@@ -253,10 +251,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         cfg = load_config(args.config) if args.config else default_config()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.budget_dofs is not None:
-            cfg.budget_dofs = args.budget_dofs
     except PoroplateError as exc:
         # geometry/material validation of config data is a config error too
         print(f"config error: {exc}", file=sys.stderr)
@@ -264,10 +258,7 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     report = RunReport()
     try:
-        if args.command == "micro":
-            code = cmd_micro(cfg, args.out, report, dump_operators=args.dump_operators)
-        else:
-            code = COMMANDS[args.command](cfg, args.out, report)
+        code = COMMANDS[args.command](cfg, args.out, report)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

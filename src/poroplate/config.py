@@ -81,13 +81,13 @@ class RunConfig:
     loads: LoadSpec
     T: float
     nsteps: int
-    tol_cell: float = 1e-10
-    tol_step: float = 1e-9
-    budget_dofs: int = 300_000
-    formats: tuple = ("csv", "vtk")
-    snapshot_every: int = 0
-    coefficients_file: str | None = None
-    seed: int = 0
+    tol_cell: float
+    tol_step: float
+    budget_dofs: int
+    formats: tuple
+    snapshot_every: int
+    coefficients_file: str | None
+    seed: int
 
 
 def _parse_sections(text: str) -> dict:
@@ -123,6 +123,13 @@ def _floats(value: str, lineno: int, key: str, count: int | None = None):
     if count is not None and len(vals) != count:
         raise ConfigError(f"line {lineno}: {key} expects {count} numbers, got {len(vals)}")
     return vals
+
+
+def _int(value: str, lineno: int, key: str) -> int:
+    x = _floats(value, lineno, key, 1)[0]
+    if not x.is_integer():
+        raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}")
+    return int(x)
 
 
 def _poly(value: str, lineno: int, key: str, t_off) -> Poly2T:
@@ -172,9 +179,9 @@ def parse_config(text: str) -> RunConfig:
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(f"line {ln}: eps={e} does not tile the omega edge ({a}, {b})")
     value, ln = get("geometry", "cell_n", "4")
-    cell_n = int(_floats(value, ln, "cell_n", 1)[0])
+    cell_n = _int(value, ln, "cell_n")
     value, ln = get("geometry", "plate_m", "8")
-    plate_m = int(_floats(value, ln, "plate_m", 1)[0])
+    plate_m = _int(value, ln, "plate_m")
 
     value, ln = get("material", "fiber", "10.0 0.3")
     Ef, nuf = _floats(value, ln, "fiber", 2)
@@ -204,7 +211,7 @@ def parse_config(text: str) -> RunConfig:
     if T <= 0:
         raise ConfigError(f"line {ln}: T must be positive")
     value, ln = get("time", "nsteps", "8")
-    nsteps = int(_floats(value, ln, "nsteps", 1)[0])
+    nsteps = _int(value, ln, "nsteps")
     if nsteps < 1:
         raise ConfigError(f"line {ln}: nsteps must be >= 1")
 
@@ -215,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
     if tol_cell <= 0 or tol_step <= 0:
         raise ConfigError("solver tolerances must be positive")
     value, ln = get("solver", "budget_dofs", "300000")
-    budget = int(_floats(value, ln, "budget_dofs", 1)[0])
+    budget = _int(value, ln, "budget_dofs")
 
     value, ln = get("output", "formats", "csv vtk")
     formats = tuple(value.split())
@@ -224,11 +231,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {ln}: unknown output format {token!r} "
                               f"(known: {', '.join(_FORMATS)})")
     value, ln = get("output", "snapshot_every", "0")
-    snapshot_every = int(_floats(value, ln, "snapshot_every", 1)[0])
+    snapshot_every = _int(value, ln, "snapshot_every")
 
     coeff_file, _ = get("verify", "coefficients_file", None)
     value, ln = get("verify", "seed", "0")
-    seed = int(_floats(value, ln, "seed", 1)[0])
+    seed = _int(value, ln, "seed")
 
     return RunConfig(
         geom=geom, omega=omega, eps_list=list(eps_list), cell_n=cell_n, plate_m=plate_m,

@@ -105,13 +105,6 @@ def read_keyvalues(path) -> dict:
     return out
 
 
-def write_matrix_market(path, A):
-    """Debug export of an assembled sparse operator."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, A)
-
-
 def hom_table_text(hom) -> str:
     """Human-readable table of the homogenized plate coefficients."""
     lines = ["homogenized plate coefficients (engineering basis e11, e22, 2e12)"]

@@ -132,10 +132,6 @@ class Poly2T:
         self.terms = [(float(c), int(p1), int(p2), int(pt)) for (c, p1, p2, pt) in terms]
         self.t_off = t_off
 
-    @classmethod
-    def constant(cls, value: float) -> "Poly2T":
-        return cls([(value, 0, 0, 0)] if value != 0.0 else [])
-
     def __call__(self, x1, x2, t):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)

@@ -390,14 +390,11 @@ def thickness_first_moment(mesh: MicroMesh, U: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DecompositionReport:
-    """Elementary/warping split of a plate displacement plus the norm table."""
+    """Elementary/warping split of a plate displacement."""
 
     W: np.ndarray          # (n_mid, 3) mid-surface displacement
     R: np.ndarray          # (n_mid, 2) fiber rotations
     wbar: np.ndarray       # (n_nodes, 3) warping, zero thickness average
-    U_mid: np.ndarray | None = None   # complementary split of the gel residual
-    ubar: np.ndarray | None = None
-    norms: dict = field(default_factory=dict)
     max_wbar_average: float = 0.0
 
 
@@ -499,72 +496,3 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
 
     W[nodes_per_cell.ravel()] = vals.reshape(-1, 3)
     return W
-
-
-def decompose_state(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor,
-                    eps: float, p: np.ndarray | None = None) -> DecompositionReport:
-    """Extension + Griso + complementary decomposition with the norm table."""
-    U = np.asarray(U, dtype=float).reshape(-1, 3)
-    w_eps = extend_fiber(U, mesh, hooke)
-    u_eps = U - w_eps
-    rep = griso_decompose(w_eps.reshape(-1), mesh, eps)
-    U_mid = thickness_average(mesh, u_eps)
-    _, nlay, _ = _thickness_ops(mesh)
-    ubar = u_eps - np.tile(U_mid, (nlay, 1))
-    rep.U_mid = U_mid
-    rep.ubar = ubar
-    rep.norms = _estimate_table(mesh, eps, u_eps, rep, U_mid, ubar)
-    if p is not None:
-        gel_mask = mesh.phase == GEL
-        Mp = fem.assemble_scalar_mass(mesh, elems_mask=gel_mask, nodes=mesh.gel_nodes)
-        Dp = fem.assemble_scalar_diffusion(mesh, np.eye(3), elems_mask=gel_mask,
-                                           nodes=mesh.gel_nodes)
-        rep.norms["p"] = float(np.sqrt(max(p @ (Mp @ p), 0.0))) + eps * float(
-            np.sqrt(max(p @ (Dp @ p), 0.0)))
-    return rep
-
-
-def _estimate_table(mesh: MicroMesh, eps: float, u_eps, rep, U_mid, ubar) -> dict:
-    """Discrete left-hand sides of the scale-explicit estimate table."""
-    E = fem.assemble_strain_product(mesh)
-    G = fem.assemble_vector_gradient_product(mesh)
-    Mm = fem.assemble_scalar_mass(mesh)
-    nx, ny = mesh.grid.nelems[0], mesh.grid.nelems[1]
-    M2, K2 = fem.assembly.bilinear_grid_forms(nx, ny, mesh.spacing[0], mesh.spacing[1])
-
-    def energy(Q, v):
-        v = v.reshape(-1)
-        return float(np.sqrt(max(v @ (Q @ v), 0.0)))
-
-    def l2_3d(v):
-        return float(np.sqrt(max(sum(v[:, c] @ (Mm @ v[:, c]) for c in range(3)), 0.0)))
-
-    def l2_2d(f):
-        return float(np.sqrt(max(sum(f[:, c] @ (M2 @ f[:, c]) for c in range(f.shape[1])), 0.0)))
-
-    def h1_2d(f):
-        return float(np.sqrt(max(sum(
-            f[:, c] @ (M2 @ f[:, c]) + f[:, c] @ (K2 @ f[:, c]) for c in range(f.shape[1])), 0.0)))
-
-    W, R, wbar = rep.W, rep.R, rep.wbar
-    grad2 = lambda f: float(np.sqrt(max(sum(f[:, c] @ (K2 @ f[:, c]) for c in range(f.shape[1])), 0.0)))
-    return {
-        "e_u": energy(E, u_eps),
-        "U_mid": l2_2d(U_mid) + eps * grad2(U_mid),
-        "ubar": l2_3d(ubar) + eps * energy(G, ubar),
-        "W_membrane": h1_2d(W[:, :2]),
-        "W3_R": eps * (h1_2d(W[:, 2:3]) + h1_2d(R)),
-        "kl_defect": _kl_defect(mesh, M2, W, R),
-        "wbar": l2_3d(wbar) + eps * energy(G, wbar),
-    }
-
-
-def _kl_defect(mesh: MicroMesh, M2, W, R) -> float:
-    """|| grad W3 + R ||_{L2(omega)} via nodal finite differences on the grid."""
-    nx, ny = mesh.grid.nelems[0], mesh.grid.nelems[1]
-    hx, hy = mesh.spacing[0], mesh.spacing[1]
-    W3 = W[:, 2].reshape(ny + 1, nx + 1).T  # [i, j]
-    gx = np.gradient(W3, hx, axis=0)
-    gy = np.gradient(W3, hy, axis=1)
-    d = np.stack([gx.T.reshape(-1) + R[:, 0], gy.T.reshape(-1) + R[:, 1]], axis=-1)
-    return float(np.sqrt(sum(d[:, c] @ (M2 @ d[:, c]) for c in range(2))))

@@ -224,8 +224,9 @@ def _plate_matrix(space: PlateSpace, loc: np.ndarray) -> np.ndarray:
 class _CoupledPlateSystem:
     """Reduced plate dofs W coupled to a two-scale pressure p(x', y), nodal in x'.
 
-    Subclasses set `space`, `ng`, `vol`, `biot`, call `_init_pressure`
-    with their loads, and define what the two formulations do differently:
+    Subclasses set `space`, `ng`, `vol`, `biot` and the cell operator `op`,
+    call `_init_pressure` with their loads, plate matrix and cell vectors, and
+    define what the two formulations do differently:
     `_carried` (the previous-state terms of the pressure equation) and
     `_elastic_energy`.  The pressure blocks are M_x (x) S_y and the coupling is
     Gamma = sum_k G_k (x) V[k], applied through its factors; an implicit Euler
@@ -234,20 +235,20 @@ class _CoupledPlateSystem:
     never a reference to the system.
     """
 
-    def _init_pressure(self, loads: LoadSpec | None, A: np.ndarray, V: np.ndarray,
-                       M_gel_y: np.ndarray, S_mass_y: np.ndarray, D_y: np.ndarray,
-                       w_gel: np.ndarray):
-        sp_ = self.space
+    def _init_pressure(self, loads: LoadSpec | None, A: np.ndarray, V: np.ndarray):
+        """Plate factors, gel blocks of `self.op` and loads around the plate
+        matrix A and the cell vectors V of the coupling."""
+        sp_, op, biot = self.space, self.op, self.biot
         loads = loads if loads is not None else LoadSpec()
         self._A_plate = A
         self.G = plate_coupling_factors(sp_)
         self.V = V
         self.M_x = plate_mass(sp_)
         self._M_x_inv = spd_inverse(self.M_x, "plate mass matrix is not positive definite")
-        self.M_gel_y = M_gel_y
-        self.S_mass_y = S_mass_y
-        self.D_y = D_y
-        self.w_gel = w_gel
+        self.M_gel_y = op.M_gel.toarray()
+        self.S_mass_y = (biot.c * self.M_gel_y + biot.alpha**2 * op.N) / self.vol
+        self.D_y = op.D_gel.toarray() / self.vol
+        self.w_gel = op.w
         qpc = sp_.qp_coords()
 
         def plate_load(comp, spatial):
@@ -263,7 +264,7 @@ class _CoupledPlateSystem:
         def pressure_load(_, spatial):
             """(1/|Ycell|) int h phi on the p dofs."""
             hx = sp_.N_qp.T @ (sp_.qp_w_rows() * spatial(qpc[..., 0], qpc[..., 1], 0.0).ravel())
-            return np.outer(hx, w_gel).reshape(-1) / self.vol
+            return np.outer(hx, op.w).reshape(-1) / self.vol
 
         self.F_W = LoadSeries.build(loads.components(), plate_load, sp_.n_red)
         self.H = LoadSeries.build((loads.h,), pressure_load, sp_.n_nodes * self.ng)
@@ -401,11 +402,7 @@ class MacroSystem(_CoupledPlateSystem):
         # int phi and int y3 phi, scaled by alpha / |Ycell|
         cm = np.stack([moments.vec("m", *k) for k in MEMBRANE_KEYS]) + _TRACE * op.w
         cb = np.stack([moments.vec("b", *k) for k in MEMBRANE_KEYS]) + _TRACE * op.w3
-        M_gel = op.M_gel.toarray()
-        self._init_pressure(
-            loads, self.A_W, biot.alpha / self.vol * np.vstack([cm, cb]), M_gel,
-            (biot.c * M_gel + biot.alpha**2 * op.N) / self.vol,
-            op.D_gel.toarray() / self.vol, op.w)
+        self._init_pressure(loads, self.A_W, biot.alpha / self.vol * np.vstack([cm, cb]))
 
     def _carried(self, state: PlateState) -> np.ndarray:
         """S_mass p^n + Gamma W^n: the previous state in the pressure equation."""
@@ -494,10 +491,7 @@ class MupSystem(_CoupledPlateSystem):
         # strain and the elastic u_P part r.U_C, per plate factor G_k
         scale = biot.alpha / self.vol
         self._V_trace = scale * np.vstack([_TRACE * op.w, _TRACE * op.w3])
-        M_gel = op.M_gel.toarray()
-        self._init_pressure(loads, self.S_WW, self._V_trace - scale * (r @ op.U_C), M_gel,
-                            (biot.c * M_gel + biot.alpha**2 * op.N) / self.vol,
-                            op.D_gel.toarray() / self.vol, op.w)
+        self._init_pressure(loads, self.S_WW, self._V_trace - scale * (r @ op.U_C))
 
     # ---------------------------------------------------------------- pieces
 

@@ -46,9 +46,9 @@ class CheckResult:
 def _timed(limit):
     def wrap(fn):
         def run(self, *a, **k):
-            t0 = time.time()
+            t0 = time.perf_counter()
             passed, details = fn(self, *a, **k)
-            dt = time.time() - t0
+            dt = time.perf_counter() - t0
             ok = bool(passed) and dt <= limit
             if dt > limit:
                 details["runtime_exceeded"] = dt

@@ -66,6 +66,19 @@ def test_tolerances_positive():
         parse_config(text)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("geometry", "cell_n"), ("geometry", "plate_m"), ("time", "nsteps"),
+    ("solver", "budget_dofs"), ("output", "snapshot_every"), ("verify", "seed"),
+])
+def test_integer_keys_reject_fractions(section, key):
+    # 4.7 must not run as 4
+    text = TINY + f"\n[{section}]\n{key} = 4.7\n"
+    lineno = text.splitlines().index(f"{key} = 4.7") + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: {key} must be an integer, got '4.7'"):
+        parse_config(text)
+    assert getattr(parse_config(TINY + f"\n[{section}]\n{key} = 4.0\n"), key) == 4
+
+
 def test_write_default_config(tmp_path):
     path = tmp_path / "demo.cfg"
     assert cli.main(["cell", "--write-default-config", str(path)]) == 0
@@ -188,6 +201,24 @@ def test_hom_keyvalue_round_trip(tmp_path):
     back = cli._hom_from_file(path)
     assert np.allclose(back.a_eng, hom.a_eng)
     assert np.allclose(back.b_eng, hom.b_eng)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    ("a_1111 = 1.0\n", "key 'a_1122' is missing"),
+    ("a_1111 = 1.0 2.0\n", "key 'a_1111' is missing or not one number"),
+], ids=["missing_file", "missing_key", "two_values"])
+def test_cli_bad_coefficients_file_exit_code(tmp_path, capsys, content, message):
+    coeffs = tmp_path / "coeffs.kv"
+    if content is not None:
+        coeffs.write_text(content)
+    cfgp = tmp_path / "v.cfg"
+    cfgp.write_text(TINY + f"\n[verify]\ncoefficients_file = {coeffs}\n")
+    code = cli.main(["verify-all", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: coefficients_file {coeffs}" in err
+    assert message in err
 
 
 def test_tampered_coefficients_fail_oracle_check():

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no private
-helper outlives its last reader.
+"""No module of the package imports a name it never uses, and no function,
+class or method, private or public, outlives its last reader in the package.
 
 No linter ships with the toolchain, so this parses every module with the
 standard-library `ast`.  Package `__init__.py` files are skipped by the import
@@ -13,7 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "poroplate"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
-ALL_MODULES = sorted(SRC.rglob("*.py"))
+SOURCES = {p.relative_to(SRC).as_posix(): p.read_text() for p in sorted(SRC.rglob("*.py"))}
 
 
 def unused_imports(source: str) -> list:
@@ -45,19 +45,29 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_definitions(tree: ast.Module) -> list:
-    """(line, name) of the module-level private functions, classes and constants
-    and of the private methods of module-level classes."""
+def definitions(tree: ast.Module, constants: bool) -> list:
+    """(line, name) of the module-level functions and classes, of the methods of
+    module-level classes and, if `constants`, of the module-level assignments."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((node.lineno, node.name))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        elif constants and isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out += [(t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
         if isinstance(node, ast.ClassDef):
             out += [(f.lineno, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
-    return [(line, name) for line, name in out if _private(name)]
+    return out
+
+
+def private_definitions(tree: ast.Module) -> list:
+    """Private functions, classes, constants and methods."""
+    return [(line, name) for line, name in definitions(tree, True) if _private(name)]
+
+
+def public_definitions(tree: ast.Module) -> list:
+    """Public functions, classes and methods."""
+    return [(line, name) for line, name in definitions(tree, False) if not name.startswith("_")]
 
 
 def read_names(tree: ast.Module) -> set:
@@ -68,12 +78,12 @@ def read_names(tree: ast.Module) -> set:
                and isinstance(n.ctx, ast.Load)})
 
 
-def unread_private_names(sources: dict) -> list:
-    """(module, line, name) of the private definitions no module reads."""
+def unread_names(sources: dict, defined) -> list:
+    """(module, line, name) of the `defined(tree)` definitions no module reads."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     read = set().union(*(read_names(t) for t in trees.values()))
     return sorted((mod, line, name) for mod, tree in trees.items()
-                  for line, name in private_definitions(tree) if name not in read)
+                  for line, name in defined(tree) if name not in read)
 
 
 def test_detects_an_unread_private_name():
@@ -81,9 +91,23 @@ def test_detects_an_unread_private_name():
          "class Box:\n    def _used(self):\n        return 1\n\n"
          "    def _dead(self):\n        return self._used()\n")
     b = "from a import _helper\n\nprint(_helper())\n"
-    assert unread_private_names({"a": a, "b": b}) == [("a", 2, "_SPARE"), ("a", 13, "_dead")]
+    assert unread_names({"a": a, "b": b}, private_definitions) == [
+        ("a", 2, "_SPARE"), ("a", 13, "_dead")]
 
 
 def test_every_private_name_is_read():
-    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in ALL_MODULES}
-    assert unread_private_names(sources) == []
+    assert unread_names(SOURCES, private_definitions) == []
+
+
+def test_detects_an_unread_public_name():
+    a = ("LIMIT = 3\n\n\ndef helper():\n    return LIMIT\n\n\ndef spare():\n    return 0\n\n\n"
+         "class Box:\n    def used(self):\n        return 1\n\n"
+         "    def dead(self):\n        return self.used()\n")
+    b = "from a import Box, helper\n\nprint(helper(), Box)\n"
+    assert unread_names({"a": a, "b": b}, public_definitions) == [
+        ("a", 8, "spare"), ("a", 16, "dead")]
+
+
+def test_every_public_name_is_read():
+    # a name read only by tests, the benchmark or an `__init__` re-export counts as unread
+    assert unread_names(SOURCES, public_definitions) == []

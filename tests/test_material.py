@@ -141,6 +141,6 @@ def test_load_norm_analytic():
 
 
 def test_large_load_warns():
-    loads = LoadSpec(f1=Poly2T.constant(50.0), bound_K1=0.1)
+    loads = LoadSpec(f1=Poly2T([(50.0, 0, 0, 0)]), bound_K1=0.1)
     with pytest.warns(UserWarning):
         loads.check_size(((0.0, 1.0), (0.0, 1.0)), 1.0, c0=0.7)

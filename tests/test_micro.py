@@ -374,7 +374,7 @@ def test_alpha_zero_decoupled_oracle(micro_mesh4, two_phase_hooke, ramp_loads):
 def test_constant_force_no_source_keeps_pressure_zero(micro_mesh4, two_phase_hooke, biot):
     # G = 0 and F constant in t: db/dt is driven only by -D b, and from zero
     # initial pressure the trajectory stays zero while U sits at the static solve
-    loads = LoadSpec(f1=Poly2T.constant(1.0))
+    loads = LoadSpec(f1=Poly2T([(1.0, 0, 0, 0)]))
     sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, loads)
     traj = micro.run_transient(sys, 0.5, 4, stepper="schur")
     assert max(r["p"] for r in traj.table) < 1e-12
@@ -501,9 +501,6 @@ def test_extension_rigid_and_affine(micro_mesh4, two_phase_hooke):
     U = X @ S.T
     W = micro.extend_fiber(U, micro_mesh4, two_phase_hooke)
     assert np.abs(W - U).max() < 1e-12
-    rep = micro.decompose_state(U, micro_mesh4, two_phase_hooke, 0.25)
-    assert np.abs(rep.ubar).max() < 1e-12
-    assert rep.norms["e_u"] < 1e-12
 
 
 def test_extension_energy_ratio_bounded(default_geom, two_phase_hooke):
@@ -536,15 +533,9 @@ def test_bad_eps_rejected(micro_mesh4, two_phase_hooke, biot):
         micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.5, LoadSpec())
 
 
-def test_decomposition_norm_table(small_system, two_phase_hooke):
-    # the scale-explicit estimate table on a computed trajectory, all rows finite
+def test_extension_residual_vanishes_on_fiber(small_system, two_phase_hooke):
+    # the gel residual U - extend_fiber(U) vanishes on fiber and interface by construction
     traj = micro.run_transient(small_system, 0.25, 2)
-    rep = micro.decompose_state(traj.final.U, small_system.mesh, two_phase_hooke,
-                                0.25, p=traj.final.p)
-    for key in ("e_u", "U_mid", "ubar", "W_membrane", "W3_R", "kl_defect", "wbar", "p"):
-        assert key in rep.norms
-        assert np.isfinite(rep.norms[key])
-    # the gel residual vanishes on fiber and interface by construction
     fiber_mask = np.ones(small_system.mesh.n_nodes, dtype=bool)
     from poroplate.micro import _gel_template_partition
 

@@ -122,7 +122,7 @@ def test_macro_bending_vs_independent_assembly(cell_pipeline):
     cs, hom, op, mom = cell_pipeline
     biot0 = BiotParams(c=1.0, alpha=0.0, K=np.eye(3))
     plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 4)
-    loads = LoadSpec(f3=Poly2T.constant(1.0))
+    loads = LoadSpec(f3=Poly2T([(1.0, 0, 0, 0)]))
     msys = twoscale.assemble_macro(hom, op, mom, plate, biot0, loads)
     state = msys.initial_state()  # static solve of the elastic block
 
@@ -275,7 +275,7 @@ def test_macro_alpha_zero_per_node_pressure_ode(cell_pipeline):
 def test_macro_constant_source_saturates(cell_pipeline, biot):
     cs, hom, op, mom = cell_pipeline
     plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 4)
-    loads = LoadSpec(h=Poly2T.constant(1.0))
+    loads = LoadSpec(h=Poly2T([(1.0, 0, 0, 0)]))
     msys = twoscale.assemble_macro(hom, op, mom, plate, biot, loads)
     states, table = twoscale.run_macro(msys, 8.0, 32)
     pm = [r["p_m"] for r in table]
@@ -345,7 +345,7 @@ def test_mup_alpha_zero_warping_is_corrector_reconstruction(
     cs, hom, op, mom = cell_pipeline
     biot0 = BiotParams(c=1.0, alpha=0.0, K=np.eye(3))
     plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 4)
-    loads = LoadSpec(f1=Poly2T.constant(1.0), f3=Poly2T.constant(1.0))
+    loads = LoadSpec(f1=Poly2T([(1.0, 0, 0, 0)]), f3=Poly2T([(1.0, 0, 0, 0)]))
     msys, states, _ = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke,
                                                 biot0, loads, 0.25, 2)
     st = states[-1]
