@@ -18,6 +18,12 @@ own correction afterwards.  A space belongs to one operator: whoever owns the
 operator owns the space, and every later solve with it starts from what the
 earlier ones left, a second trajectory of the same step size included.
 
+An operator is a matrix or a callable p -> A p, or p -> (A p, T p) with
+`side=`.  The callable takes the search direction alone; pcg tells it the
+current relative residual through the caller's `history` list, whose last
+entry is the residual of the iterate the application serves, so an operator
+built on inner solves can loosen them as the outer residual falls.
+
 Every small dense block the program solves with (the extended cell stiffness,
 the gel cell blocks, the plate-side M_x, S_y and Schur matrices, the gel-box
 extension blocks) is inverted once here, by `inverse` or `spd_inverse` on
@@ -117,7 +123,7 @@ class SolutionSpace:
 
 
 def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, space=None,
-        side=None):
+        side=None, history=None):
     """Preconditioned conjugate gradients on an SPD operator.
 
     Convergence is on ||r|| / ||b||; returns (x, residual_history).  `precond`
@@ -131,6 +137,11 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
     in R^m is a by-product of applying A by a linear map T.  CG then carries
     T x with the same step lengths as x (the space keeps T of its solutions
     too) and returns (x, residual_history, T x); the history stays second.
+
+    `history` is a list the caller owns, to which pcg appends the relative
+    residual of every iterate as it goes, and which it returns as the
+    residual history: an operator that reads history[-1] knows the residual
+    of the iteration it serves.
     """
     if x0 is not None and space is not None:
         raise ValueError("pcg takes a start x0 or a solution space, not both")
@@ -157,7 +168,8 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
         r = project(r)
     x_start, r_start, t_start = x, r, t
     p = rz = None
-    history = [_norm(r) / bnorm]
+    history = [] if history is None else history
+    history.append(_norm(r) / bnorm)
     # the residual is checked before it is preconditioned: a start that
     # already meets tol costs no preconditioner application
     while history[-1] > tol:

@@ -624,6 +624,23 @@ def test_pcg_history_stays_second_for_plain_and_paired_operators():
     assert pcg(A, np.zeros_like(b))[1] == pcg(op, np.zeros_like(b), side=T.shape[0])[1] == [0.0]
 
 
+def test_pcg_shows_the_operator_the_residual_it_serves():
+    # an operator with inner solves reads the outer relative residual from the
+    # caller's history list: before each application its last entry is the
+    # residual of the iterate whose search direction is applied
+    A = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(30, 30)).tocsr()
+    b = np.linspace(1.0, 2.0, 30)
+    history, seen = [], []
+
+    def op(v):
+        seen.append(history[-1])
+        return A @ v
+
+    x, hist = pcg(op, b, tol=1e-10, history=history)
+    assert hist is history and seen == hist[:-1] and len(seen) > 2
+    assert np.array_equal(x, pcg(A, b, tol=1e-10)[0])
+
+
 def test_norm_rescales_when_the_sum_of_squares_underflows():
     v = np.full(30, 1e-170)
     assert np.linalg.norm(v) == 0.0

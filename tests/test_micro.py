@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from poroplate import fem, micro
 from poroplate.config import default_config
+from poroplate.errors import SolverError
 from poroplate.geometry import CellGeometry, build_micro_mesh
 from poroplate.material import BiotParams, LoadSpec, Poly2T, t_degree_terms
 
@@ -156,11 +157,13 @@ def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, ramp_loa
     sys = micro.assemble_micro(small_system.mesh, small_system.hooke, small_system.biot,
                                0.25, ramp_loads)
     assert np.linalg.norm(sys.F(0.0)) == 0.0   # initial_state makes no B-solve
-    solves, outer = [], []
+    solves, outer, final = [], [], []
     real_solve_B, real_pcg = sys.solve_B, micro.pcg
 
     def counting_solve_B(*args, **kwargs):
         solves.append(1)
+        if kwargs.get("x0") is not None:   # one final displacement solve per pass
+            final.append(1)
         return real_solve_B(*args, **kwargs)
 
     def counting_pcg(A, b, **kwargs):
@@ -174,12 +177,13 @@ def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, ramp_loa
     n_parts = len(sys.F.parts)
     assert n_parts == 2
     micro.run_transient(sys, 0.5, 8, stepper="schur")
-    assert len(outer) > 0
-    assert len(solves) == len(outer) + 8 + n_parts
+    assert len(outer) > 0 and len(final) >= 8
+    assert len(solves) == len(outer) + len(final) + n_parts
     # a second trajectory on the same system reuses the load responses
-    del solves[:], outer[:]
+    del solves[:], outer[:], final[:]
     micro.run_transient(sys, 0.5, 4, stepper="schur")
-    assert len(solves) == len(outer) + 4
+    assert len(final) >= 4
+    assert len(solves) == len(outer) + len(final)
 
 
 @pytest.fixture(scope="module")
@@ -270,28 +274,54 @@ def test_schur_outer_iterations_on_the_demo_config(monkeypatch):
     assert 0 < len(outer) <= 45
 
 
-@pytest.mark.parametrize("loads", [None, CUTOFF_LOADS], ids=["demo", "cutoff"])
-def test_schur_final_displacement_solve_starts_converged(monkeypatch, loads):
-    # eps = 1/4, 16 steps: the final solve B u = F(t1) + alpha C^T p starts from
-    # U^n + (L^{n+1} - L^n) + alpha B^-1 C^T dp, whose last term the outer CG
-    # carried; it took 21-24 iterations per step when it started from U^n.  The
-    # start assumes that U^n meets B U^n - alpha C^T p^n = F^n to INNER_TOL, so
-    # the initial state U(0) = B^-1 F(0) of the cutoff loads (F(0) != 0) must too
+def _demo_system(loads=None):
     cfg = default_config()
     mesh = build_micro_mesh(cfg.geom, 0.25, cfg.omega, cfg.cell_n)
-    sys = micro.assemble_micro(mesh, cfg.hooke, cfg.biot, 0.25, loads or cfg.loads)
+    return cfg, micro.assemble_micro(mesh, cfg.hooke, cfg.biot, 0.25, loads or cfg.loads)
+
+
+def _schur_rule_ratios(sys, states, dt, tol):
+    """||b - A p1|| / (tol ||b||) of every Schur-ODE step of a trajectory,
+    with B^-1 applied exactly by a sparse factorization."""
+    c, alpha = sys.biot.c, sys.biot.alpha
+    B_inv = spla.factorized(sys.B.tocsc())
+    ratios = []
+    for s0, s1 in zip(states, states[1:]):
+        A_p1 = c * (sys.M @ s1.p) + dt * (sys.D @ s1.p)
+        b = dt * sys.G(s1.t) + c * (sys.M @ s0.p)
+        if alpha != 0.0:
+            A_p1 += alpha**2 * (sys.C @ B_inv(sys.C.T @ s1.p))
+            b += alpha * (sys.C @ (s0.U_red - B_inv(sys.F(s1.t))))
+        ratios.append(np.linalg.norm(b - A_p1) / (tol * np.linalg.norm(b)))
+    return ratios
+
+
+@pytest.mark.parametrize("loads, bound", [(None, 650), (CUTOFF_LOADS, 1200)],
+                         ids=["demo", "cutoff"])
+def test_schur_B_solve_iterations_and_displacement_residuals(monkeypatch, loads, bound):
+    # eps = 1/4, 16 steps.  The inner B-solves relax as the outer residual
+    # falls; all B-solves of the trajectory (inner, load responses and final)
+    # take 909 iterations (demo) and 1,549 (cutoff) at INNER_TOL throughout.
+    # The final solve B u = F(t1) + alpha C^T p starts from
+    # U^n + (L^{n+1} - L^n) + alpha B^-1 C^T dp, whose last term the outer CG
+    # carried.  That start assumes that U^n meets B U^n - alpha C^T p^n = F^n
+    # to INNER_TOL, so the initial state U(0) = B^-1 F(0) of the cutoff loads
+    # (F(0) != 0) must too
+    cfg, sys = _demo_system(loads)
     assert (np.linalg.norm(sys.F(0.0)) > 0.0) == (loads is not None)
-    final, real_pcg = [], fem.solvers.pcg
+    final, iters, real_pcg = [], [], fem.solvers.pcg
 
     def counting_pcg(A, b, **kwargs):
         result = real_pcg(A, b, **kwargs)
+        iters.append(len(result[1]) - 1)
         if kwargs.get("x0") is not None:   # only the final displacement solve has a start
-            final.append(len(result[1]) - 1)
+            final.append(iters[-1])
         return result
 
     monkeypatch.setattr(fem.solvers, "pcg", counting_pcg)
     traj = micro.run_transient(sys, cfg.T, 16, stepper="schur", tol=cfg.tol_step)
-    assert len(final) == 16 and sum(final) <= 16 and final[0] == 0
+    assert len(final) >= 16 and final[0] == 0
+    assert sum(iters) <= bound
     F0 = sys.F(0.0)
     assert np.linalg.norm(sys.B @ traj.states[0].U_red - F0) <= (
         1.01 * micro.INNER_TOL * np.linalg.norm(F0))
@@ -299,6 +329,64 @@ def test_schur_final_displacement_solve_starts_converged(monkeypatch, loads):
     for s in traj.states[1:]:
         rhs = sys.F(s.t) + alpha * (sys.C.T @ s.p)
         assert np.linalg.norm(sys.B @ s.U_red - rhs) <= 1.01 * micro.INNER_TOL * np.linalg.norm(rhs)
+
+
+def test_schur_steps_meet_the_stopping_rule_across_the_cutoff():
+    # eps = 1/4, 16 steps, f1 off after t = 0.3: the first pass of the step
+    # across the cutoff leaves its pressure-equation residual 3.8x above the
+    # rule, and the step repeats its pass instead of returning that state
+    cfg, sys = _demo_system(CUTOFF_LOADS)
+    traj = micro.run_transient(sys, cfg.T, 16, stepper="schur", tol=cfg.tol_step)
+    ratios = _schur_rule_ratios(sys, traj.states, cfg.T / 16, cfg.tol_step)
+    assert len(ratios) == 16 and max(ratios) <= 1.01
+
+
+def test_schur_step_repeats_its_pass_when_an_inner_solve_is_off(small_system, monkeypatch):
+    # a planted fault: every inner B-solve returns its result times 1 + 1e-6.
+    # The outer CG then converges on a perturbed operator; the step must notice
+    # it, by another pass or a SolverError, and never return a state that
+    # misses the stopping rule
+    sys = micro.assemble_micro(small_system.mesh, small_system.hooke, small_system.biot,
+                               0.25, CUTOFF_LOADS)
+    assert len(sys.load_response.parts) > 0   # the responses are solved before the fault
+    real_solve_B = sys.solve_B
+    passes = []
+
+    def faulty_solve_B(rhs, tol, x0=None):
+        if x0 is not None:   # the final displacement solve, one per pass
+            passes[-1] += 1
+            return real_solve_B(rhs, tol, x0=x0)
+        return (1.0 + 1e-6) * real_solve_B(rhs, tol)
+
+    monkeypatch.setattr(sys, "solve_B", faulty_solve_B)
+    dt, tol = 0.0625, 1e-10
+    states = [micro.initial_state(sys)]
+    for _ in range(8):
+        passes.append(0)
+        try:
+            states.append(micro.step_schur(sys, states[-1], dt, tol=tol))
+        except SolverError:
+            break
+    assert passes[0] > 1 or len(states) == 1
+    assert all(r <= 1.01 for r in _schur_rule_ratios(sys, states, dt, tol))
+
+
+def test_schur_step_raises_when_a_pass_does_not_reduce_the_residual(micro_mesh4, two_phase_hooke,
+                                                                  biot, ramp_loads, monkeypatch):
+    # an outer CG that returns no increment leaves the pressure-equation
+    # residual where it was: the step names itself and carries the residuals
+    sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, ramp_loads)
+    real_pcg = micro.pcg
+
+    def stalled_pcg(A, b, **kwargs):
+        x, history, side = real_pcg(A, b, **kwargs)
+        return 0.0 * x, history, 0.0 * side
+
+    monkeypatch.setattr(micro, "pcg", stalled_pcg)
+    with pytest.raises(SolverError, match="Schur-ODE step to t=0.0625") as info:
+        micro.step_schur(sys, micro.initial_state(sys), 0.0625)
+    norms = info.value.residuals
+    assert len(norms) >= 2 and norms[-1] >= norms[-2] > 0.0
 
 
 def test_step_operators_built_once_per_step_size(micro_mesh4, two_phase_hooke, biot,
