@@ -35,7 +35,7 @@ from .errors import AssemblyError
 from .fem import elements as el
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.solvers import inverse, jacobi
-from .geometry import GEL, CellMesh
+from .geometry import GEL, BrickMesh
 from .material import BiotParams, HookeTensor, require_admissible
 
 MEMBRANE_KEYS = ((0, 0), (1, 1), (0, 1))
@@ -48,10 +48,19 @@ _ENG_UNIT = {
 }
 
 
-def cell_constraints(mesh: CellMesh) -> ConstraintSet:
-    """Periodic master/slave pairs plus per-component mean-zero functionals."""
-    slaves = (3 * mesh.periodic_slaves[:, None] + np.arange(3)).reshape(-1)
-    masters = (3 * mesh.periodic_masters[:, None] + np.arange(3)).reshape(-1)
+def cell_constraints(mesh: BrickMesh) -> ConstraintSet:
+    """Periodic master/slave pairs plus per-component mean-zero functionals.
+
+    The high in-plane faces are slaves of the low faces; the high-high edge
+    belongs to the y-face chain (slave of (i, 0), itself an x-face slave), so
+    every node is a slave at most once.
+    """
+    nx, ny, nz = mesh.nelems
+    node = np.arange(mesh.n_nodes).reshape(nz + 1, ny + 1, nx + 1).T   # node[i, j, k]
+    slave_nodes = np.concatenate([node[nx].ravel(), node[:nx, ny].ravel()])
+    master_nodes = np.concatenate([node[0].ravel(), node[:nx, 0].ravel()])
+    slaves = (3 * slave_nodes[:, None] + np.arange(3)).reshape(-1)
+    masters = (3 * master_nodes[:, None] + np.arange(3)).reshape(-1)
     w_node = fem.lumped_weights(mesh)
     mean_zero = []
     for c in range(3):
@@ -64,15 +73,15 @@ def cell_constraints(mesh: CellMesh) -> ConstraintSet:
                          periodic_masters=masters, mean_zero=mean_zero)
 
 
-def _elem_z_moments(mesh: CellMesh):
+def _elem_z_moments(mesh: BrickMesh):
     """Per-element integrals of 1, y3, y3^2 (exact for the uniform grid)."""
-    vol = mesh.grid.elem_volume
+    vol = mesh.elem_volume
     hz = mesh.spacing[2]
     zc = mesh.nodes[mesh.elems[:, 0], 2] + 0.5 * hz
     return vol * np.ones(mesh.n_elems), vol * zc, vol * (zc**2 + hz**2 / 12.0)
 
 
-def averaged_voigt(mesh: CellMesh, hooke: HookeTensor):
+def averaged_voigt(mesh: BrickMesh, hooke: HookeTensor):
     """(D0, D1, D2): Voigt matrices of int A, int y3 A, int y3^2 A over the cell."""
     m0, m1, m2 = _elem_z_moments(mesh)
     gel = mesh.phase == GEL
@@ -83,7 +92,7 @@ def averaged_voigt(mesh: CellMesh, hooke: HookeTensor):
     return out
 
 
-def corrector_rhs(mesh: CellMesh, hooke: HookeTensor):
+def corrector_rhs(mesh: BrickMesh, hooke: HookeTensor):
     """RHS vectors r[key] with r[dof] = int A(y) S_key : e(xi_dof) dy.
 
     Keys 'm'+(a,b) use S = M^ab, keys 'b'+(a,b) use S = y3 M^ab.
@@ -112,7 +121,7 @@ class CellProblem:
     `averaged_voigt`) are built on first use.
     """
 
-    def __init__(self, mesh: CellMesh, hooke: HookeTensor):
+    def __init__(self, mesh: BrickMesh, hooke: HookeTensor):
         self.mesh = mesh
         self.hooke = hooke
         self.reducer = Reducer(cell_constraints(mesh))
@@ -142,7 +151,7 @@ class CorrectorSet:
         return self.fields[(kind, a, b)]
 
 
-def solve_correctors(mesh: CellMesh, hooke: HookeTensor, tol: float = 1e-10) -> CorrectorSet:
+def solve_correctors(mesh: BrickMesh, hooke: HookeTensor, tol: float = 1e-10) -> CorrectorSet:
     """Solve the six cell problems K_red c = -r_red in the periodic mean-zero space.
 
     Jacobi-CG runs on the reduced dofs with the constant fields projected out
@@ -202,7 +211,7 @@ class HomogenizedTensor:
         return float(np.linalg.eigvalsh(self.kelvin_block(-1.0)).min())
 
 
-def compute_homogenized(mesh: CellMesh, hooke: HookeTensor, correctors: CorrectorSet) -> HomogenizedTensor:
+def compute_homogenized(mesh: BrickMesh, hooke: HookeTensor, correctors: CorrectorSet) -> HomogenizedTensor:
     """Coefficient formulas evaluated with the 1/|Ycell| normalization.
 
     Each entry is the full corrected-strain energy product, which agrees with
@@ -254,12 +263,12 @@ class PressureCellOperator:
     the weight vectors int phi and int y3 phi over the gel.
     """
 
-    def __init__(self, mesh: CellMesh, hooke: HookeTensor, biot: BiotParams):
+    def __init__(self, mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams):
         require_admissible(hooke, biot)
         self.mesh = mesh
         self.biot = biot
         self.cell_volume = mesh.volume
-        self.gel_nodes = mesh.gel_nodes()
+        self.gel_nodes = mesh.gel_nodes
         if len(self.gel_nodes) == 0:
             raise AssemblyError("cell mesh has no gel phase; pressure operator undefined")
         self.problem = CellProblem(mesh, hooke)

@@ -66,7 +66,6 @@ class Reducer:
         red_of = np.full(n, -1, dtype=np.int64)
         red_of[free] = np.arange(len(free))
         self.dof_map = red_of[root]   # reduced dof of every dof, -1 where eliminated
-        self.n_full = n
         self.n_reduced = len(free)
         self.free = free
         rows = np.arange(n)[~is_dir]

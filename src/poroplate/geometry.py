@@ -1,13 +1,20 @@
-"""Periodicity cell, thin-plate, and mid-surface meshes.
+"""Brick meshes of the reference cell and the thin plate; the mid-surface mesh.
 
-All meshes are structured and axis-aligned: the reference cell is the unit
-square cross-section times (-1, 1), the gel phase is an axis-aligned box
-strictly inside the cross-section, and the plate is a rectangle exactly tiled
-by eps-cells.  Keeping phase boundaries on element faces makes every phase
-integral exact.
+The unfolding operator maps every eps-cell of the thin plate omega x (-eps, eps)
+onto one reference cell Y x (-1, 1), so both are one kind of mesh, a
+`BrickMesh`: eps-cells of n x n x 2n bricks tiling omega.  The reference cell
+is the one-cell mesh of the unit square at eps = 1 (`build_cell_mesh`), the
+thin plate the mesh of omega at its eps (`build_micro_mesh`).  The gel phase
+is an axis-aligned box strictly inside the cross-section of every cell, and
+the mid-surface mesh (`PlateMesh`) is a rectangle grid of omega.  Keeping phase
+boundaries on element faces makes every phase integral exact.
 
-Node numbering is lexicographic with x1 fastest:
-node(i, j, k) = i + (nx+1) * (j + (ny+1) * k).
+Node and element numbering is lexicographic with x1 fastest:
+node(i, j, k) = i + (nx+1) * (j + (ny+1) * k).  The eps-cells are translates
+of cell 0, so a mesh also carries each cell's global node and element ids in
+one-cell order and its gel nodes cell-major.  The periodic pairs of the
+reference cell are made by `cell.cell_constraints`, the lateral clamp of the
+plate by `micro.clamp_constraints`.
 """
 
 from __future__ import annotations
@@ -92,73 +99,16 @@ class CellGeometry:
         return CellGeometry(gel_box=box, z_span=span)
 
 
-class _StructuredHexMesh:
-    """Shared structure for the cell and micro meshes (uniform brick grid)."""
-
-    def __init__(self, nelems: tuple[int, int, int], origin, spacing):
-        self.nelems = tuple(int(v) for v in nelems)
-        self.origin = np.asarray(origin, dtype=float)
-        self.spacing = np.asarray(spacing, dtype=float)
-        nx, ny, nz = self.nelems
-        self.n_nodes = (nx + 1) * (ny + 1) * (nz + 1)
-        self.n_elems = nx * ny * nz
-
-    def node_id(self, i, j, k):
-        nx, ny, _ = self.nelems
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        nx, ny, nz = self.nelems
-        i, j, k = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij")
-        coords = np.stack([i, j, k], axis=-1).reshape(-1, 3)
-        # reorder to node_id convention (x fastest)
-        order = np.argsort(self.node_id(coords[:, 0], coords[:, 1], coords[:, 2]), kind="stable")
-        return self.origin + coords[order] * self.spacing
-
-    @property
-    def elems(self) -> np.ndarray:
-        """(n_elems, 8) connectivity in VTK hex ordering, x-fastest element order."""
-        nx, ny, nz = self.nelems
-        i, j, k = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-        base = np.stack([i.ravel(), j.ravel(), k.ravel()], axis=-1)
-        order = np.argsort(base[:, 0] + nx * (base[:, 1] + ny * base[:, 2]), kind="stable")
-        base = base[order]
-        conn = np.empty((len(base), 8), dtype=np.int64)
-        for c, (di, dj, dk) in enumerate(_HEX_CORNERS):
-            conn[:, c] = self.node_id(base[:, 0] + di, base[:, 1] + dj, base[:, 2] + dk)
-        return conn
-
-    def elem_grid_indices(self) -> np.ndarray:
-        nx, ny, nz = self.nelems
-        e = np.arange(self.n_elems)
-        i = e % nx
-        j = (e // nx) % ny
-        k = e // (nx * ny)
-        return np.stack([i, j, k], axis=-1)
-
-    @property
-    def elem_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
-    @property
-    def total_volume(self) -> float:
-        return self.elem_volume * self.n_elems
-
-
-def _phase_labels(mesh: _StructuredHexMesh, geom: CellGeometry, cell_n: int) -> np.ndarray:
-    """Element phase from the fractional position of centers inside their cell."""
-    idx = mesh.elem_grid_indices()
-    phase = np.zeros(mesh.n_elems, dtype=np.uint8)
+def _phase_labels(geom: CellGeometry, n: int, ei, ej, ek) -> np.ndarray:
+    """Phase of the elements at grid indices (ei, ej, ek), from the fractional
+    position of their centers inside their cell."""
+    phase = np.zeros(len(ei), dtype=np.uint8)
     if geom.gel_box is None:
         return phase
     # cell-local element indices; centers at (l + 0.5)/n in cell coordinates
-    li = idx[:, 0] % cell_n
-    lj = idx[:, 1] % cell_n
-    lk = idx[:, 2] % (2 * cell_n)
-    cy1 = (li + 0.5) / cell_n
-    cy2 = (lj + 0.5) / cell_n
-    cy3 = -1.0 + (lk + 0.5) / cell_n
+    cy1 = (ei % n + 0.5) / n
+    cy2 = (ej % n + 0.5) / n
+    cy3 = -1.0 + (ek % (2 * n) + 0.5) / n
     (a, b), (c, d) = geom.gel_box
     z_lo, z_hi = geom.z_span
     inside = (cy1 > a) & (cy1 < b) & (cy2 > c) & (cy2 < d) & (cy3 > z_lo) & (cy3 < z_hi)
@@ -166,147 +116,26 @@ def _phase_labels(mesh: _StructuredHexMesh, geom: CellGeometry, cell_n: int) -> 
     return phase
 
 
-def _interface_facets(mesh: _StructuredHexMesh, phase: np.ndarray):
-    """Quad faces between gel and fiber elements, normals pointing out of the gel.
+@dataclass
+class BrickMesh:
+    """Brick mesh of omega x (-eps, eps) tiled by eps-cells of n x n x 2n bricks.
 
-    Returns (faces, normals): faces is (nf, 4) node ids, normals (nf, 3).
+    The reference cell Y x (-1, 1) is the one-cell mesh of the unit square at
+    eps = 1; the thin plate is the mesh of omega at its eps.
     """
-    nx, ny, nz = mesh.nelems
-    idx = mesh.elem_grid_indices()
-    gel = np.flatnonzero(phase == GEL)
-    faces = []
-    normals = []
-    # face corner offsets per axis/side, consistent outward orientation
-    face_corners = {
-        (0, -1): [(0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1)],
-        (0, +1): [(1, 0, 0), (1, 0, 1), (1, 1, 1), (1, 1, 0)],
-        (1, -1): [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 0, 0)],
-        (1, +1): [(0, 1, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1)],
-        (2, -1): [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
-        (2, +1): [(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 1)],
-    }
-    dims = (nx, ny, nz)
-    for e in gel:
-        i, j, k = idx[e]
-        for axis in range(3):
-            for side in (-1, +1):
-                nb = [i, j, k]
-                nb[axis] += side
-                if not (0 <= nb[axis] < dims[axis]):
-                    continue  # lies on the outer boundary, not an interface
-                nb_e = nb[0] + nx * (nb[1] + ny * nb[2])
-                if phase[nb_e] == GEL:
-                    continue
-                corners = face_corners[(axis, side)]
-                faces.append([mesh.node_id(i + di, j + dj, k + dk) for di, dj, dk in corners])
-                nrm = np.zeros(3)
-                nrm[axis] = float(side)
-                normals.append(nrm)
-    if faces:
-        return np.asarray(faces, dtype=np.int64), np.asarray(normals)
-    return np.zeros((0, 4), dtype=np.int64), np.zeros((0, 3))
-
-
-@dataclass
-class CellMesh:
-    """Hexahedral mesh of the reference cell Y x (-1, 1) with phase labels."""
-
-    geom: CellGeometry
-    n: int
-    grid: _StructuredHexMesh
-    nodes: np.ndarray
-    elems: np.ndarray
-    phase: np.ndarray
-    periodic_slaves: np.ndarray
-    periodic_masters: np.ndarray
-    periodic_shifts: np.ndarray
-    interface_faces: np.ndarray
-    interface_normals: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def n_elems(self) -> int:
-        return len(self.elems)
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return self.grid.spacing
-
-    @property
-    def volume(self) -> float:
-        """|Y_cell| = 2."""
-        return self.grid.total_volume
-
-    def gel_elems(self) -> np.ndarray:
-        return np.flatnonzero(self.phase == GEL)
-
-    def gel_nodes(self) -> np.ndarray:
-        """Nodes of gel elements (where the pressure space lives), sorted."""
-        if not len(self.gel_elems()):
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(self.elems[self.gel_elems()])
-
-
-def build_cell_mesh(geom: CellGeometry, n: int) -> CellMesh:
-    """Structured cell mesh with n subdivisions per unit length (2n through thickness)."""
-    if n < 2:
-        raise GeometryError(f"cell subdivisions must satisfy n >= 2, got {n}")
-    geom = geom.snapped(n)
-    grid = _StructuredHexMesh((n, n, 2 * n), origin=(0.0, 0.0, -1.0), spacing=(1.0 / n, 1.0 / n, 1.0 / n))
-    phase = _phase_labels(grid, geom, n)
-
-    # periodic pairing: high in-plane faces are slaves of the low faces; the
-    # high-high edge belongs to the y-face chain (slave of (i, 0) which is
-    # itself an x-face slave), keeping every node a slave at most once
-    nx, ny, nz = grid.nelems
-    j, k = np.meshgrid(np.arange(ny + 1), np.arange(nz + 1), indexing="ij")
-    sx = grid.node_id(np.full(j.size, nx), j.ravel(), k.ravel())
-    mx = grid.node_id(np.zeros(j.size, dtype=int), j.ravel(), k.ravel())
-    i, k = np.meshgrid(np.arange(nx), np.arange(nz + 1), indexing="ij")
-    sy = grid.node_id(i.ravel(), np.full(i.size, ny), k.ravel())
-    my = grid.node_id(i.ravel(), np.zeros(i.size, dtype=int), k.ravel())
-    slaves = np.concatenate([sx, sy])
-    masters = np.concatenate([mx, my])
-    shifts = np.concatenate([np.tile([1.0, 0.0, 0.0], (len(sx), 1)), np.tile([0.0, 1.0, 0.0], (len(sy), 1))])
-
-    mesh = CellMesh(
-        geom=geom,
-        n=n,
-        grid=grid,
-        nodes=grid.nodes,
-        elems=grid.elems,
-        phase=phase,
-        periodic_slaves=slaves,
-        periodic_masters=masters,
-        periodic_shifts=shifts,
-        interface_faces=None,
-        interface_normals=None,
-    )
-    mesh.interface_faces, mesh.interface_normals = _interface_facets(grid, phase)
-    return mesh
-
-
-@dataclass
-class MicroMesh:
-    """Thin-plate mesh of omega x (-eps, eps) tiled by eps-cells of the cell mesh."""
 
     geom: CellGeometry
     eps: float
     omega: tuple[tuple[float, float], tuple[float, float]]
     n: int
-    grid: _StructuredHexMesh
-    nodes: np.ndarray
-    elems: np.ndarray
-    phase: np.ndarray
     n_cells: tuple[int, int]
-    lateral_nodes: np.ndarray
+    nodes: np.ndarray
+    elems: np.ndarray               # (n_elems, 8) in VTK hex ordering, x-fastest
+    phase: np.ndarray
     gel_nodes: np.ndarray           # cell-major; reshape(total_cells, n_gel_local) per cell
-    gel_local_template: np.ndarray
-    cell_nodes: np.ndarray          # (total_cells, cell-mesh nodes): global node ids
-    cell_elems: np.ndarray          # (total_cells, cell-mesh elements): global element ids
+    gel_local_template: np.ndarray  # (n_gel_local, 3) cell-local grid indices of the gel nodes
+    cell_nodes: np.ndarray          # (total_cells, one-cell nodes): global node ids
+    cell_elems: np.ndarray          # (total_cells, one-cell elements): global element ids
 
     @property
     def n_nodes(self) -> int:
@@ -317,8 +146,23 @@ class MicroMesh:
         return len(self.elems)
 
     @property
+    def nelems(self) -> tuple[int, int, int]:
+        """Elements along x1, x2 and the thickness."""
+        return self.n_cells[0] * self.n, self.n_cells[1] * self.n, 2 * self.n
+
+    @property
     def spacing(self) -> np.ndarray:
-        return self.grid.spacing
+        h = self.eps / self.n
+        return np.array([h, h, h])
+
+    @property
+    def elem_volume(self) -> float:
+        return float(np.prod(self.spacing))
+
+    @property
+    def volume(self) -> float:
+        """|omega x (-eps, eps)|; |Y_cell| = 2 for the reference cell."""
+        return self.elem_volume * self.n_elems
 
     @property
     def total_cells(self) -> int:
@@ -329,8 +173,8 @@ class MicroMesh:
         return len(self.gel_local_template)
 
 
-def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> MicroMesh:
-    """Thin 3D mesh of omega x (-eps, eps); omega must be exactly tiled by eps-cells."""
+def _brick_mesh(geom: CellGeometry, eps: float, omega, n: int) -> BrickMesh:
+    """The brick mesh of omega x (-eps, eps); omega must be exactly tiled by eps-cells."""
     if n < 2:
         raise GeometryError(f"per-cell subdivisions must satisfy n >= 2, got {n}")
     if eps <= 0.0:
@@ -350,27 +194,28 @@ def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> MicroMesh
             raise GeometryError(f"omega corner {a} must sit on the eps-lattice")
         ncells.append(int(round(ratio)))
     ncx, ncy = ncells
+    nx, ny, nz = ncx * n, ncy * n, 2 * n
     h = eps / n
-    grid = _StructuredHexMesh((ncx * n, ncy * n, 2 * n), origin=(a1, a2, -eps), spacing=(h, h, h))
-    phase = _phase_labels(grid, geom, n)
 
-    nx, ny, nz = grid.nelems
-    i, j, k = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij")
-    on_lateral = (i == 0) | (i == nx) | (j == 0) | (j == ny)
-    lateral = grid.node_id(i[on_lateral], j[on_lateral], k[on_lateral])
-    lateral = np.unique(lateral)
+    def node_id(i, j, k):
+        return i + (nx + 1) * (j + (ny + 1) * k)
+
+    k, j, i = (g.ravel() for g in np.meshgrid(np.arange(nz + 1), np.arange(ny + 1),
+                                              np.arange(nx + 1), indexing="ij"))
+    nodes = np.array([a1, a2, -eps], dtype=float) + np.stack([i, j, k], axis=-1) * h
+    ek, ej, ei = (g.ravel() for g in np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
+                                                 indexing="ij"))
+    elems = np.stack([node_id(ei + di, ej + dj, ek + dk) for di, dj, dk in _HEX_CORNERS], axis=-1)
 
     # the eps-cells are translates of cell 0: a cell's global node (element)
-    # ids are the cell-0 ids, in cell-mesh order, plus one per-cell offset
-    lk, lj, li = np.meshgrid(np.arange(2 * n + 1), np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    ek, ej, ei = np.meshgrid(np.arange(2 * n), np.arange(n), np.arange(n), indexing="ij")
+    # ids are the cell-0 ids, in one-cell order, plus one per-cell offset
     cell = np.arange(ncx * ncy)
     ki, kj = cell % ncx, cell // ncx
-    cell_nodes = grid.node_id(li, lj, lk).ravel() + (n * (ki + (nx + 1) * kj))[:, None]
-    cell_elems = (ei + nx * (ej + ny * ek)).ravel() + (n * (ki + nx * kj))[:, None]
+    cell_nodes = np.flatnonzero((i <= n) & (j <= n)) + (n * (ki + (nx + 1) * kj))[:, None]
+    cell_elems = np.flatnonzero((ei < n) & (ej < n)) + (n * (ki + nx * kj))[:, None]
 
     # cell-local gel node template (identical for every cell), ordered
-    # x-fastest to match the sorted gel node list of the matching cell mesh
+    # x-fastest: for one cell it is the sorted list of the gel elements' nodes
     gel_local_nodes = np.zeros((0, 3), dtype=np.int64)
     if geom.gel_box is not None:
         (alo, ahi), (clo, chi) = geom.gel_box
@@ -382,24 +227,32 @@ def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> MicroMesh
         gel_local_nodes = np.stack([LI.ravel(), LJ.ravel(), LK.ravel()], axis=-1)
     # global gel node ordering: cell-major, template order inside each cell
     gel_cell_ids = gel_local_nodes @ np.array([1, n + 1, (n + 1) ** 2])
-    gel_nodes = cell_nodes[:, gel_cell_ids].ravel()
 
-    return MicroMesh(
+    return BrickMesh(
         geom=geom,
         eps=eps,
         omega=((a1, b1), (a2, b2)),
         n=n,
-        grid=grid,
-        nodes=grid.nodes,
-        elems=grid.elems,
-        phase=phase,
         n_cells=(ncx, ncy),
-        lateral_nodes=lateral,
-        gel_nodes=gel_nodes,
+        nodes=nodes,
+        elems=elems,
+        phase=_phase_labels(geom, n, ei, ej, ek),
+        gel_nodes=cell_nodes[:, gel_cell_ids].ravel(),
         gel_local_template=gel_local_nodes,
         cell_nodes=cell_nodes,
         cell_elems=cell_elems,
     )
+
+
+def build_cell_mesh(geom: CellGeometry, n: int) -> BrickMesh:
+    """Reference cell Y x (-1, 1): the one-cell mesh of the unit square at eps = 1,
+    n subdivisions per unit length (2n through the thickness)."""
+    return _brick_mesh(geom, 1.0, ((0.0, 1.0), (0.0, 1.0)), n)
+
+
+def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> BrickMesh:
+    """Thin 3D mesh of omega x (-eps, eps); omega must be exactly tiled by eps-cells."""
+    return _brick_mesh(geom, eps, omega, n)
 
 
 @dataclass

@@ -46,7 +46,7 @@ ODE and the initial state) is preconditioned by one geometric-multigrid
 V-cycle on B (`fem.multigrid`), built on the first solve: B does not depend on
 dt, so one hierarchy serves every step size and both steppers.
 
-The gel cells are congruent translates of one cell (`MicroMesh.cell_nodes`,
+The gel cells are congruent translates of one cell (`BrickMesh.cell_nodes`,
 `cell_elems`, and the cell-major `gel_nodes`), so M, D and C repeat one cell
 block.  The operators that depend on the step size, cM + dt D with its
 cell-block inverse and the block preconditioner of the pressure ODE, are built
@@ -63,12 +63,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .errors import AssemblyError, GeometryError, SolverError
+from .errors import AssemblyError, SolverError
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.multigrid import VCycle
 from .fem.solvers import (RepeatedBlockSolver, SolutionSpace, StepCache, inverse, pcg,
                           solve_saddle, solve_spd)
-from .geometry import GEL, MicroMesh, _StructuredHexMesh
+from .geometry import GEL, BrickMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec, require_admissible
 
 # tolerance of the load responses and of the final displacement solve of the
@@ -77,9 +77,12 @@ from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec, require_adm
 INNER_TOL = 1e-12
 
 
-def clamp_constraints(mesh: MicroMesh) -> ConstraintSet:
+def clamp_constraints(mesh: BrickMesh) -> ConstraintSet:
     """Homogeneous Dirichlet on the lateral boundary, all three components."""
-    dofs = (3 * mesh.lateral_nodes[:, None] + np.arange(3)).reshape(-1)
+    nx, ny, nz = mesh.nelems
+    lateral = np.zeros((nz + 1, ny + 1, nx + 1), dtype=bool)   # [k, j, i]
+    lateral[:, [0, ny], :] = lateral[:, :, [0, nx]] = True
+    dofs = (3 * np.flatnonzero(lateral)[:, None] + np.arange(3)).reshape(-1)
     return ConstraintSet(ndof=3 * mesh.n_nodes, dirichlet_dofs=dofs)
 
 
@@ -107,7 +110,7 @@ class StepOperators:
 class GalerkinSystem:
     """Assembled operators of the micro problem on one mesh."""
 
-    mesh: MicroMesh
+    mesh: BrickMesh
     hooke: HookeTensor
     biot: BiotParams
     eps: float
@@ -137,7 +140,7 @@ class GalerkinSystem:
     def multigrid(self) -> VCycle:
         """The V-cycle preconditioner of B, built on first use and kept."""
         if self._multigrid is None:
-            self._multigrid = VCycle(self.B, self.mesh.grid.nelems, self.reducer.free)
+            self._multigrid = VCycle(self.B, self.mesh.nelems, self.reducer.free)
         return self._multigrid
 
     def solve_B(self, rhs: np.ndarray, tol: float, x0=None) -> np.ndarray:
@@ -177,7 +180,7 @@ class GalerkinSystem:
         return StepOperators(S=S, S_solver=S_solver, prec=prec)
 
 
-def assemble_micro(mesh: MicroMesh, hooke: HookeTensor, biot: BiotParams, eps: float,
+def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: float,
                    loads: LoadSpec | None = None) -> GalerkinSystem:
     """Assemble stiffness, coupling, scaled diffusion, and load parts."""
     require_admissible(hooke, biot)
@@ -392,14 +395,14 @@ def run_transient(sys: GalerkinSystem, T: float, nsteps: int, *,
 
 # --------------------------------------------------------- decomposition ops
 
-def _thickness_ops(mesh: MicroMesh):
+def _thickness_ops(mesh: BrickMesh):
     """Column layout: node id = col + ncol * layer with ncol in-plane nodes."""
-    nx, ny, nz = mesh.grid.nelems
+    nx, ny, nz = mesh.nelems
     ncol = (nx + 1) * (ny + 1)
     return ncol, nz + 1, mesh.spacing[2]
 
 
-def thickness_average(mesh: MicroMesh, U: np.ndarray) -> np.ndarray:
+def thickness_average(mesh: BrickMesh, U: np.ndarray) -> np.ndarray:
     """(1/2eps) int U dx3 per mid-surface node (exact for nodal interpolants)."""
     ncol, nlay, hz = _thickness_ops(mesh)
     V = U.reshape(nlay, ncol, -1)
@@ -408,7 +411,7 @@ def thickness_average(mesh: MicroMesh, U: np.ndarray) -> np.ndarray:
     return np.einsum("k,kcm->cm", w, V) / (2.0 * mesh.eps)
 
 
-def thickness_first_moment(mesh: MicroMesh, U: np.ndarray) -> np.ndarray:
+def thickness_first_moment(mesh: BrickMesh, U: np.ndarray) -> np.ndarray:
     """int x3 U dx3 per mid-surface node, exact per linear layer."""
     ncol, nlay, hz = _thickness_ops(mesh)
     V = U.reshape(nlay, ncol, -1)
@@ -430,10 +433,9 @@ class DecompositionReport:
     max_wbar_average: float = 0.0
 
 
-def griso_decompose(U: np.ndarray, mesh: MicroMesh, eps: float) -> DecompositionReport:
+def griso_decompose(U: np.ndarray, mesh: BrickMesh) -> DecompositionReport:
     """Split U into elementary displacement (W, x3 R) and mean-zero warping."""
-    if abs(mesh.eps - eps) > 1e-12:
-        raise GeometryError("eps does not match the mesh tiling")
+    eps = mesh.eps
     ncol, nlay, hz = _thickness_ops(mesh)
     U = U.reshape(-1, 3)
     W = thickness_average(mesh, U)
@@ -451,7 +453,7 @@ def griso_decompose(U: np.ndarray, mesh: MicroMesh, eps: float) -> Decomposition
                                max_wbar_average=float(np.abs(avg).max()))
 
 
-def _gel_template_partition(mesh: MicroMesh):
+def _gel_template_partition(mesh: BrickMesh):
     """Interior / wall / cap split of the cell-local gel node template."""
     tpl = mesh.gel_local_template
     li, lj, lk = tpl.T
@@ -465,7 +467,7 @@ def _gel_template_partition(mesh: MicroMesh):
     return on_wall, on_cap, interior, full_span
 
 
-def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarray:
+def extend_fiber(U: np.ndarray, mesh: BrickMesh, hooke: HookeTensor) -> np.ndarray:
     """Per-cell elastic extension of the fiber trace into the gel boxes.
 
     The gel spans the full thickness by default, so the cap values are first
@@ -483,7 +485,7 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
     _, on_cap, interior, full_span = _gel_template_partition(mesh)
     li, lj, lk = tpl.T
     gi, gj, gk = np.unique(li), np.unique(lj), np.unique(lk)
-    gnx, gny, gnz = len(gi) - 1, len(gj) - 1, len(gk) - 1
+    gnx, gny = len(gi) - 1, len(gj) - 1
     h = float(mesh.spacing[0])
     n_cells = mesh.total_cells
 
@@ -510,14 +512,15 @@ def extend_fiber(U: np.ndarray, mesh: MicroMesh, hooke: HookeTensor) -> np.ndarr
             cap_vals[:, int_flat, :] = sol.transpose(1, 0, 2)
             vals[:, cap_tpl, :] = cap_vals
 
-    # 3D homogeneous elastic solve on the gel interior, Dirichlet walls + caps
-    gel_grid = _StructuredHexMesh((gnx, gny, gnz), origin=(0.0, 0.0, 0.0), spacing=(h, h, h))
-    keg = el.hex_elastic_ke((h, h, h), hooke.gel)
-    nodes3, n3 = fem.assembly.element_nodes(gel_grid)
-    K3 = fem.assembly.scatter(nodes3, keg, (3 * n3, 3 * n3))
-    loc_of_tpl = (li - gi[0]) + (gnx + 1) * ((lj - gj[0]) + (gny + 1) * (lk - gk[0]))
-    int_dofs = (3 * loc_of_tpl[interior][:, None] + np.arange(3)).ravel()
-    bnd_dofs = (3 * loc_of_tpl[~interior][:, None] + np.arange(3)).ravel()
+    # 3D homogeneous elastic solve on the gel interior, Dirichlet walls + caps,
+    # on the gel elements of cell 0 numbered in template order
+    cell0 = mesh.cell_elems[0]
+    node_map = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    node_map[nodes_per_cell[0]] = np.arange(len(tpl))
+    nodes3, n3 = fem.assembly.element_nodes(mesh, cell0[mesh.phase[cell0] == GEL], node_map)
+    K3 = fem.assembly.scatter(nodes3, el.hex_elastic_ke(mesh.spacing, hooke.gel), (3 * n3, 3 * n3))
+    int_dofs = (3 * np.flatnonzero(interior)[:, None] + np.arange(3)).ravel()
+    bnd_dofs = (3 * np.flatnonzero(~interior)[:, None] + np.arange(3)).ravel()
     if len(int_dofs):
         K3_inv = inverse(K3[int_dofs][:, int_dofs].toarray(),
                          "gel-interior elastic block of the gel extension is singular")

@@ -59,7 +59,7 @@ from .cell import (
 from .errors import AssemblyError, BudgetError
 from .fem import elements as el
 from .fem.solvers import StepCache, spd_inverse
-from .geometry import GEL, CellMesh, MicroMesh, PlateMesh
+from .geometry import GEL, BrickMesh, PlateMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec
 from .plate import PlateSpace, build_plate_space, plate_mass
 
@@ -72,16 +72,16 @@ class UnfoldedField:
 
     eps: float
     data: np.ndarray          # (n_cells, n_cell_nodes) or (..., ncomp)
-    cell_mesh: CellMesh
+    cell_mesh: BrickMesh
 
 
-def _check_matched(micro: MicroMesh, cell: CellMesh):
+def _check_matched(micro: BrickMesh, cell: BrickMesh):
     if micro.n != cell.n or micro.geom != cell.geom:
         raise AssemblyError(f"micro mesh (n={micro.n}, {micro.geom}) and cell mesh "
                             f"(n={cell.n}, {cell.geom}) are not matched")
 
 
-def unfold(values: np.ndarray, micro: MicroMesh, cell: CellMesh, scale_exp: int = 0) -> UnfoldedField:
+def unfold(values: np.ndarray, micro: BrickMesh, cell: BrickMesh, scale_exp: int = 0) -> UnfoldedField:
     """Nodal unfolding (Pi_eps psi)(k, y) = eps^-s psi(eps k + eps y) on matched grids."""
     _check_matched(micro, cell)
     values = np.asarray(values)
@@ -99,7 +99,7 @@ def unfolded_l2(uf: UnfoldedField) -> float:
     return float(np.sqrt(max(total, 0.0)) * uf.eps)
 
 
-def gradient_identity_error(values: np.ndarray, micro: MicroMesh, cell: CellMesh) -> float:
+def gradient_identity_error(values: np.ndarray, micro: BrickMesh, cell: BrickMesh) -> float:
     """max over elements/qps of | grad_y(Pi psi) - eps Pi(grad psi) |."""
     _check_matched(micro, cell)
     uf = unfold(values, micro, cell, scale_exp=0)
@@ -110,7 +110,7 @@ def gradient_identity_error(values: np.ndarray, micro: MicroMesh, cell: CellMesh
     return float(np.abs(g_y - micro.eps * g_x).max())
 
 
-def isometry_error(values: np.ndarray, micro: MicroMesh, cell: CellMesh) -> float:
+def isometry_error(values: np.ndarray, micro: BrickMesh, cell: BrickMesh) -> float:
     """Relative defect of ||Pi psi||^2_{omega x Ycell} = (1/eps) ||psi||^2_{Omega_eps}."""
     uf = unfold(values, micro, cell, scale_exp=0)
     lhs = unfolded_l2(uf) ** 2
@@ -125,7 +125,7 @@ def isometry_error(values: np.ndarray, micro: MicroMesh, cell: CellMesh) -> floa
 class CellSampler:
     """Values/strains/divergence of cell-mesh nodal fields at element qps."""
 
-    def __init__(self, mesh: CellMesh):
+    def __init__(self, mesh: BrickMesh):
         self.mesh = mesh
         self.N, self.dN, self.wdet, _ = el.hex_qp_data(mesh.spacing)
         self.B = el.hex_strain_B(self.dN)
@@ -387,7 +387,6 @@ class MacroSystem(_CoupledPlateSystem):
                  loads: LoadSpec | None = None):
         if hom.min_eigenvalue() <= 1e-10:
             raise AssemblyError("homogenized tensor is not positive definite")
-        self.hom = hom
         self.op = op
         self.biot = biot
         self.space = build_plate_space(plate)
@@ -444,7 +443,7 @@ class MupSystem(_CoupledPlateSystem):
     state carries the warping `ubar` recovered from its W and p.
     """
 
-    def __init__(self, cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,
+    def __init__(self, cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
                  biot: BiotParams, loads: LoadSpec | None = None,
                  budget_dofs: int = 300_000):
         self.cell_mesh = cell_mesh
@@ -457,8 +456,7 @@ class MupSystem(_CoupledPlateSystem):
 
         op = PressureCellOperator(cell_mesh, hooke, biot)
         self.op = op
-        self.red = red = op.reducer
-        nred = red.n_reduced
+        nred = op.reducer.n_reduced
         self.ng = op.n_gel
         total = sp_.n_red + ne * nq * nred + sp_.n_nodes * self.ng
         if total > budget_dofs:
@@ -553,7 +551,7 @@ class MupSystem(_CoupledPlateSystem):
                 + float(wt @ np.sum((2.0 * RW + KU) * u, axis=(0, 2))))
 
 
-def solve_mup_direct(cell_mesh: CellMesh, plate: PlateMesh, hooke: HookeTensor,
+def solve_mup_direct(cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
                      biot: BiotParams, loads: LoadSpec, T: float, nsteps: int,
                      budget_dofs: int = 300_000):
     """Monolithic trajectory of the unfolded limit problem (the oracle path)."""
@@ -589,7 +587,7 @@ def oracle_mismatch(msys: MacroSystem, mstates, mtable, osys: MupSystem, ostates
 class ResidualContext:
     """Precomputed cell-side sampling data for the unfolded residual norms."""
 
-    def __init__(self, cell_mesh: CellMesh, correctors, op: PressureCellOperator):
+    def __init__(self, cell_mesh: BrickMesh, correctors, op: PressureCellOperator):
         self.cell_mesh = cell_mesh
         self.op = op
         self.sampler = CellSampler(cell_mesh)
@@ -614,7 +612,7 @@ class ResidualContext:
         self.eng_frob = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
 
 
-def kirchhoff_love_residual(U: np.ndarray, p: np.ndarray, micro: MicroMesh,
+def kirchhoff_love_residual(U: np.ndarray, p: np.ndarray, micro: BrickMesh,
                             ctx: ResidualContext, msys: MacroSystem,
                             mstate: PlateState) -> dict:
     """Discrete L2(omega x Ycell) distances between the unfolded micro solution
@@ -722,7 +720,7 @@ def convergence_study(geom, hooke: HookeTensor, biot: BiotParams, loads: LoadSpe
 # -------------------------------------------------- unfolded-space spectrum
 
 
-def norm_equivalence_spectrum(cell_mesh: CellMesh):
+def norm_equivalence_spectrum(cell_mesh: BrickMesh):
     """Extremal generalized eigenvalues of the shifted-strain semi-norm.
 
     Left form: || P(eta, zeta, y3) + e_y(w) ||^2_{L2(Ycell)} on

@@ -281,19 +281,19 @@ class AcceptanceSuite:
         eps = 0.25
         mesh = build_micro_mesh(cfg.geom, eps, cfg.omega, cfg.cell_n)
         X = mesh.nodes
-        ncol = (mesh.grid.nelems[0] + 1) * (mesh.grid.nelems[1] + 1)
+        ncol = (mesh.nelems[0] + 1) * (mesh.nelems[1] + 1)
         worst = 0.0
         # rigid in-plane translation
         U = np.zeros((mesh.n_nodes, 3))
         U[:, 0], U[:, 1] = 1.0, -2.0
-        rep = micro_mod.griso_decompose(U, mesh, eps)
+        rep = micro_mod.griso_decompose(U, mesh)
         worst = max(worst, float(np.abs(rep.W - [1.0, -2.0, 0.0]).max()),
                     float(np.abs(rep.R).max()), float(np.abs(rep.wbar).max()))
         # pure fiber rotation U = (x3 g, 0, 0)
         g = X[:, 0] + 2.0 * X[:, 1]
         U = np.zeros((mesh.n_nodes, 3))
         U[:, 0] = X[:, 2] * g
-        rep = micro_mod.griso_decompose(U, mesh, eps)
+        rep = micro_mod.griso_decompose(U, mesh)
         worst = max(worst, float(np.abs(rep.R[:, 0] - g[:ncol]).max()),
                     float(np.abs(rep.W).max()))
         # Kirchhoff-Love field
@@ -301,7 +301,7 @@ class AcceptanceSuite:
         d1 = 2 * X[:, 0] + X[:, 1]
         d2 = -X[:, 1] + X[:, 0]
         U = np.stack([-X[:, 2] * d1, -X[:, 2] * d2, phi], axis=-1)
-        rep = micro_mod.griso_decompose(U, mesh, eps)
+        rep = micro_mod.griso_decompose(U, mesh)
         worst = max(worst, float(np.abs(rep.wbar).max()),
                     float(np.abs(rep.R[:, 0] + d1[:ncol]).max()),
                     float(np.abs(rep.R[:, 1] + d2[:ncol]).max()),

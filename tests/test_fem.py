@@ -34,26 +34,17 @@ def test_stiffness_rigid_rotation():
 
 
 def test_uniaxial_patch_test(homogeneous_hooke):
-    # linear displacement on a 2x2x2 block of hexes is reproduced exactly
-    from poroplate.geometry import _StructuredHexMesh
-
-    grid = _StructuredHexMesh((2, 2, 2), origin=(0, 0, 0), spacing=(0.5, 0.5, 0.5))
-
-    class M:
-        nodes = grid.nodes
-        elems = grid.elems
-        spacing = grid.spacing
-        phase = np.zeros(grid.n_elems, dtype=np.uint8)
-        n_nodes = grid.n_nodes
-
-    K = fem.assemble_elastic_stiffness(M, homogeneous_hooke)
+    # linear displacement on a 2x2x4 block of hexes is reproduced exactly
+    mesh = build_cell_mesh(CellGeometry(gel_box=None), 2)
+    K = fem.assemble_elastic_stiffness(mesh, homogeneous_hooke)
     S = np.array([[0.1, 0.02, 0.0], [0.02, -0.05, 0.01], [0.0, 0.01, 0.03]])
-    u_exact = (grid.nodes @ S.T).reshape(-1)
+    u_exact = (mesh.nodes @ S.T).reshape(-1)
     # fix the boundary nodes to the exact values (the lift g), solve the interior
-    on_bnd = (np.isclose(grid.nodes, 0.0) | np.isclose(grid.nodes, 1.0)).any(axis=1)
+    on_bnd = (np.isclose(mesh.nodes, mesh.nodes.min(axis=0))
+              | np.isclose(mesh.nodes, mesh.nodes.max(axis=0))).any(axis=1)
     bdofs = (3 * np.flatnonzero(on_bnd)[:, None] + np.arange(3)).ravel()
-    free = np.setdiff1d(np.arange(3 * grid.n_nodes), bdofs)
-    g = np.zeros(3 * grid.n_nodes)
+    free = np.setdiff1d(np.arange(3 * mesh.n_nodes), bdofs)
+    g = np.zeros(3 * mesh.n_nodes)
     g[bdofs] = u_exact[bdofs]
     u = g.copy()
     u[free] = solve_spd(K[free][:, free], -(K @ g)[free], tol=1e-13)
@@ -105,58 +96,29 @@ def test_non_coercive_tensor_refused(cell_mesh4):
 
 def test_divergence_identity_field(cell_mesh4):
     # v(x) = x has div v = 3: 1^T C v = 3 |gel|
-    C = fem.assemble_divergence_coupling(cell_mesh4, gel_nodes=cell_mesh4.gel_nodes())
+    C = fem.assemble_divergence_coupling(cell_mesh4, gel_nodes=cell_mesh4.gel_nodes)
     v = cell_mesh4.nodes.reshape(-1)
-    gel_vol = (cell_mesh4.phase == GEL).sum() * cell_mesh4.grid.elem_volume
+    gel_vol = (cell_mesh4.phase == GEL).sum() * cell_mesh4.elem_volume
     assert np.ones(C.shape[0]) @ (C @ v) == pytest.approx(3.0 * gel_vol, rel=1e-12)
 
 
 def test_divergence_rigid_translation(cell_mesh4):
-    C = fem.assemble_divergence_coupling(cell_mesh4, gel_nodes=cell_mesh4.gel_nodes())
+    C = fem.assemble_divergence_coupling(cell_mesh4, gel_nodes=cell_mesh4.gel_nodes)
     v = np.tile([1.0, -2.0, 0.5], cell_mesh4.n_nodes)
     assert np.abs(C @ v).max() < 1e-13
 
 
-def test_divergence_theorem_facet_oracle(cell_mesh4):
+def test_divergence_theorem_facet_oracle(cell_mesh4, gel_flux):
     # independent oracle: 1^T C v equals the boundary flux over the gel
     # boundary, computed by 2x2 Gauss facet quadrature on the interface plus
     # the gel top/bottom caps
     mesh = cell_mesh4
     rng = np.random.default_rng(3)
     v = rng.standard_normal((mesh.n_nodes, 3))
-    C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes())
+    C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes)
     lhs = np.ones(C.shape[0]) @ (C @ v.reshape(-1))
 
-    gq = np.array([-1.0, 1.0]) / np.sqrt(3.0)
-
-    def face_flux(nodes_xyz, vals, normal):
-        # bilinear quad with vertices in cyclic order
-        flux = 0.0
-        for a in gq:
-            for b in gq:
-                N = 0.25 * np.array([(1 - a) * (1 - b), (1 + a) * (1 - b),
-                                     (1 + a) * (1 + b), (1 - a) * (1 + b)])
-                dxa = nodes_xyz.T @ (0.25 * np.array([-(1 - b), (1 - b), (1 + b), -(1 + b)]))
-                dxb = nodes_xyz.T @ (0.25 * np.array([-(1 - a), -(1 + a), (1 + a), (1 - a)]))
-                area = np.linalg.norm(np.cross(dxa, dxb))
-                flux += area * float((N @ vals) @ normal)
-        return flux
-
-    total = 0.0
-    for face, nrm in zip(mesh.interface_faces, mesh.interface_normals):
-        total += face_flux(mesh.nodes[face], v[face], nrm)
-    # gel caps on the plate surfaces (full-span gel): z = +-1 faces of gel elems
-    idx = mesh.grid.elem_grid_indices()
-    nz = mesh.grid.nelems[2]
-    for e in np.flatnonzero(mesh.phase == GEL):
-        i, j, k = idx[e]
-        for k_face, sign in ((0, -1.0), (nz - 1, 1.0)):
-            if k != k_face:
-                continue
-            kk = k if sign < 0 else k + 1
-            face = [mesh.grid.node_id(i, j, kk), mesh.grid.node_id(i + 1, j, kk),
-                    mesh.grid.node_id(i + 1, j + 1, kk), mesh.grid.node_id(i, j + 1, kk)]
-            total += face_flux(mesh.nodes[face], v[face], np.array([0.0, 0.0, sign]))
+    total = gel_flux(mesh, v)
     assert lhs == pytest.approx(total, rel=1e-10)
 
 
@@ -206,7 +168,7 @@ def test_scatter_matches_element_loop(seed, ne, k, b, shape, square, n_labels):
 
 
 def test_element_dofs_rejects_nodes_outside_subset(cell_mesh4):
-    gel_mask, gel_nodes = cell_mesh4.phase == GEL, cell_mesh4.gel_nodes()
+    gel_mask, gel_nodes = cell_mesh4.phase == GEL, cell_mesh4.gel_nodes
     dofs, n = fem.assembly.element_dofs(cell_mesh4, gel_mask, gel_nodes, ncomp=3)
     assert n == 3 * len(gel_nodes) and dofs.shape == (gel_mask.sum(), 24)
     assert np.array_equal(np.unique(dofs), np.arange(n))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from poroplate.cell import cell_constraints
 from poroplate.errors import GeometryError
 from poroplate.geometry import (
     GEL,
@@ -11,6 +14,7 @@ from poroplate.geometry import (
     build_micro_mesh,
     build_plate_mesh,
 )
+from poroplate.micro import clamp_constraints
 
 
 def phase_components(elems: np.ndarray, mask: np.ndarray) -> int:
@@ -37,8 +41,9 @@ def test_cell_mesh_counts(cell_mesh4):
 
 
 def test_cell_mesh_volume(cell_mesh4):
-    vols = cell_mesh4.grid.elem_volume * cell_mesh4.n_elems
+    vols = cell_mesh4.elem_volume * cell_mesh4.n_elems
     assert vols == pytest.approx(2.0, rel=1e-12)
+    assert cell_mesh4.volume == vols
 
 
 def test_gel_box_touching_boundary_errors():
@@ -58,19 +63,26 @@ def test_grid_snap_warns():
 
 def test_periodic_pairs_shift_and_involution(cell_mesh4):
     m = cell_mesh4
-    diffs = m.nodes[m.periodic_slaves] - m.nodes[m.periodic_masters]
+    cons = cell_constraints(m)
+    # the pairs tie whole nodes, component to component
+    slaves, masters = cons.periodic_slaves[::3] // 3, cons.periodic_masters[::3] // 3
+    assert np.array_equal(cons.periodic_slaves, (3 * slaves[:, None] + np.arange(3)).ravel())
+    assert np.array_equal(cons.periodic_masters, (3 * masters[:, None] + np.arange(3)).ravel())
+    diffs = m.nodes[slaves] - m.nodes[masters]
     # every pair differs by exactly e1 or e2
-    assert np.allclose(np.abs(diffs - m.periodic_shifts).max(), 0.0, atol=1e-12)
+    e1 = np.isclose(diffs, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12).all(axis=1)
+    e2 = np.isclose(diffs, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-12).all(axis=1)
+    assert np.all(e1 | e2)
     # slaves are unique and cover exactly the two high faces
-    assert len(np.unique(m.periodic_slaves)) == len(m.periodic_slaves)
+    assert len(np.unique(slaves)) == len(slaves)
     on_high = (np.isclose(m.nodes[:, 0], 1.0) | np.isclose(m.nodes[:, 1], 1.0))
-    assert set(m.periodic_slaves) == set(np.flatnonzero(on_high))
+    assert set(slaves) == set(np.flatnonzero(on_high))
 
 
-def test_interface_faces_walls_only(cell_mesh4):
+def test_interface_faces_walls_only(cell_mesh4, gel_facets):
     # full-span gel: interface facets are the four side walls, none on caps
-    normals = cell_mesh4.interface_normals
-    assert len(cell_mesh4.interface_faces) == 64
+    faces, normals = gel_facets(cell_mesh4)
+    assert len(faces) == 64
     assert np.abs(normals[:, 2]).max() == 0.0
 
 
@@ -100,11 +112,27 @@ def test_tiling_consistency(micro_mesh4, cell_mesh4):
         assert np.array_equal(mesh.phase[emap], cell_mesh4.phase)
 
 
+@st.composite
+def _admissible_cells(draw):
+    """(geometry, n): a gel box and thickness span on the n-grid, or no gel."""
+    n = draw(st.integers(2, 6))
+
+    def grid_span(lo, hi):
+        a = draw(st.integers(lo, hi - 1))
+        return a, draw(st.integers(a + 1, hi))
+
+    box = None
+    if n > 2 and draw(st.booleans()):   # n = 2 leaves no room for a fiber wall
+        box = tuple(tuple(v / n for v in grid_span(1, n - 1)) for _ in range(2))
+    z = grid_span(0, 2 * n)
+    return CellGeometry(gel_box=box, z_span=(-1.0 + z[0] / n, -1.0 + z[1] / n)), n
+
+
 def _ref_cell_maps(mesh, cell):
     """Per-cell node, element and gel node maps, one cell at a time."""
     n = mesh.n
     ki, kj = cell % mesh.n_cells[0], cell // mesh.n_cells[0]
-    nx, ny = mesh.grid.nelems[0], mesh.grid.nelems[1]
+    nx, ny = mesh.nelems[0], mesh.nelems[1]
     li, lj, lk = np.meshgrid(np.arange(n + 1), np.arange(n + 1), np.arange(2 * n + 1), indexing="ij")
     nodes = np.empty((n + 1) * (n + 1) * (2 * n + 1), dtype=np.int64)
     nodes[(li + (n + 1) * (lj + (n + 1) * lk)).ravel()] = (
@@ -130,13 +158,35 @@ def test_cell_tiling_matches_per_cell_maps(default_geom, eps):
         assert np.array_equal(gel[k], gel_k)
 
 
+@settings(max_examples=25, deadline=None)
+@given(cell_geom=_admissible_cells(), eps=st.sampled_from([0.5, 0.25]))
+def test_cell_tiling_is_scaled_shifted_cell(cell_geom, eps):
+    # every eps-cell of the plate is the reference cell scaled by eps and shifted
+    geom, n = cell_geom
+    cell = build_cell_mesh(geom, n)
+    omega = ((0.0, 1.0), (eps, 1.0))
+    mesh = build_micro_mesh(geom, eps, omega, n)
+    k = np.arange(mesh.total_cells)
+    offset = np.stack([omega[0][0] + eps * (k % mesh.n_cells[0]),
+                       omega[1][0] + eps * (k // mesh.n_cells[0]), np.zeros(len(k))], axis=-1)
+    assert np.allclose(mesh.nodes[mesh.cell_nodes], eps * cell.nodes + offset[:, None, :],
+                       rtol=0.0, atol=1e-12)
+    assert np.array_equal(mesh.phase[mesh.cell_elems], np.tile(cell.phase, (len(k), 1)))
+    assert np.array_equal(cell.gel_nodes, np.unique(cell.elems[cell.phase == GEL]))
+    # the per-cell element and gel node maps agree with the node map
+    for c in k:
+        assert np.array_equal(mesh.elems[mesh.cell_elems[c]], mesh.cell_nodes[c][cell.elems])
+    assert np.array_equal(mesh.gel_nodes.reshape(len(k), -1), mesh.cell_nodes[:, cell.gel_nodes])
+
+
 def test_measure_additivity(micro_mesh4):
-    total = micro_mesh4.grid.elem_volume * micro_mesh4.n_elems
+    total = micro_mesh4.elem_volume * micro_mesh4.n_elems
     assert total == pytest.approx(2 * 0.25 * 1.0, rel=1e-12)
+    assert micro_mesh4.volume == total
 
 
 def test_gel_never_touches_lateral(micro_mesh4):
-    lateral = set(micro_mesh4.lateral_nodes.tolist())
+    lateral = set((clamp_constraints(micro_mesh4).dirichlet_dofs // 3).tolist())
     gel_nodes = set(micro_mesh4.gel_nodes.tolist())
     assert not lateral & gel_nodes
 

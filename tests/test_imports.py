@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, and no function,
-class or method, private or public, outlives its last reader in the package.
+class or method, private or public, and no attribute stored on `self`
+outlives its last reader in the package.
 
 No linter ships with the toolchain, so this parses every module with the
 standard-library `ast`.  Package `__init__.py` files are skipped by the import
@@ -70,18 +71,23 @@ def public_definitions(tree: ast.Module) -> list:
     return [(line, name) for line, name in definitions(tree, False) if not name.startswith("_")]
 
 
+def read_attributes(tree: ast.Module) -> set:
+    """Every attribute the module reads."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load)}
+
+
 def read_names(tree: ast.Module) -> set:
     """Every name and attribute the module reads."""
     return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
-             and isinstance(n.ctx, ast.Load)}
-            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
-               and isinstance(n.ctx, ast.Load)})
+             and isinstance(n.ctx, ast.Load)} | read_attributes(tree))
 
 
-def unread_names(sources: dict, defined) -> list:
-    """(module, line, name) of the `defined(tree)` definitions no module reads."""
+def unread_names(sources: dict, defined, reads=read_names) -> list:
+    """(module, line, name) of the `defined(tree)` definitions that no
+    module's `reads(tree)` contains."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    read = set().union(*(read_names(t) for t in trees.values()))
+    read = set().union(*(reads(t) for t in trees.values()))
     return sorted((mod, line, name) for mod, tree in trees.items()
                   for line, name in defined(tree) if name not in read)
 
@@ -111,3 +117,25 @@ def test_detects_an_unread_public_name():
 def test_every_public_name_is_read():
     # a name read only by tests, the benchmark or an `__init__` re-export counts as unread
     assert unread_names(SOURCES, public_definitions) == []
+
+
+def stored_attributes(tree: ast.Module) -> list:
+    """(line, name) of every `self.<name> = ...` assignment."""
+    return [(n.lineno, n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+            and n.value.id == "self"]
+
+
+def test_detects_an_unread_attribute():
+    # a plain name `spare` does not count as reading the attribute
+    a = ("class Box:\n    def __init__(self, n):\n        self.n = n\n"
+         "        self.spare = 2 * n\n        self.a, self.b = n, n\n\n"
+         "    def size(self):\n        return self.n + self.a\n\n\nspare = 3\nprint(spare)\n")
+    b = "from a import Box\n\nprint(Box(1).b)\n"
+    assert unread_names({"a": a, "b": b}, stored_attributes, read_attributes) == [
+        ("a", 4, "spare")]
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute read only by tests or the benchmark counts as unread
+    assert unread_names(SOURCES, stored_attributes, read_attributes) == []

@@ -540,7 +540,7 @@ def test_korn_ratio_stable_under_refinement(default_geom, two_phase_hooke, biot,
 def test_griso_rigid_translation(micro_mesh4):
     U = np.zeros((micro_mesh4.n_nodes, 3))
     U[:, 0], U[:, 1] = 1.0, -2.0
-    rep = micro.griso_decompose(U, micro_mesh4, 0.25)
+    rep = micro.griso_decompose(U, micro_mesh4)
     assert np.abs(rep.W - [1.0, -2.0, 0.0]).max() < 1e-14
     assert np.abs(rep.R).max() < 1e-14
     assert np.abs(rep.wbar).max() < 1e-14
@@ -551,8 +551,8 @@ def test_griso_pure_rotation(micro_mesh4):
     g = X[:, 0] + 2.0 * X[:, 1]
     U = np.zeros((micro_mesh4.n_nodes, 3))
     U[:, 0] = X[:, 2] * g
-    rep = micro.griso_decompose(U, micro_mesh4, 0.25)
-    ncol = (micro_mesh4.grid.nelems[0] + 1) * (micro_mesh4.grid.nelems[1] + 1)
+    rep = micro.griso_decompose(U, micro_mesh4)
+    ncol = (micro_mesh4.nelems[0] + 1) * (micro_mesh4.nelems[1] + 1)
     assert np.abs(rep.R[:, 0] - g[:ncol]).max() < 1e-12
     assert np.abs(rep.W).max() < 1e-13
 
@@ -563,8 +563,8 @@ def test_griso_kirchhoff_love(micro_mesh4):
     d1 = 2 * X[:, 0] + X[:, 1]
     d2 = -X[:, 1] + X[:, 0]
     U = np.stack([-X[:, 2] * d1, -X[:, 2] * d2, phi], axis=-1)
-    rep = micro.griso_decompose(U, micro_mesh4, 0.25)
-    ncol = (micro_mesh4.grid.nelems[0] + 1) * (micro_mesh4.grid.nelems[1] + 1)
+    rep = micro.griso_decompose(U, micro_mesh4)
+    ncol = (micro_mesh4.nelems[0] + 1) * (micro_mesh4.nelems[1] + 1)
     assert np.abs(rep.wbar).max() < 1e-13
     assert np.abs(rep.R[:, 0] + d1[:ncol]).max() < 1e-12
     assert np.abs(rep.R[:, 1] + d2[:ncol]).max() < 1e-12
@@ -573,7 +573,7 @@ def test_griso_kirchhoff_love(micro_mesh4):
 
 def test_wbar_thickness_average_vanishes(small_system):
     traj = micro.run_transient(small_system, 0.25, 2)
-    rep = micro.griso_decompose(traj.final.U, small_system.mesh, 0.25)
+    rep = micro.griso_decompose(traj.final.U, small_system.mesh)
     scale = max(np.abs(traj.final.U).max(), 1e-30)
     assert rep.max_wbar_average <= 1e-10 * scale
 

@@ -60,7 +60,7 @@ def test_prolongation_reproduces_coarse_trilinear_fields(two_phase_hooke, biot, 
     sys = _system(THIRDS, 0.2, 3, two_phase_hooke, biot, ramp_loads)
     mesh = sys.mesh
     _, _, P, _ = sys.multigrid.levels[0]
-    picks = [multigrid.interp_1d(n)[1] for n in mesh.grid.nelems]
+    picks = [multigrid.interp_1d(n)[1] for n in mesh.nelems]
     axes = [np.unique(mesh.nodes[:, a])[picks[a]] for a in range(3)]
     # a random coarse nodal field, zero on the clamped lateral boundary
     nxc, nyc, nzc = (len(p) for p in picks)
@@ -86,7 +86,7 @@ def test_b_solve_iterations_bounded(systems, eps):
 
 def test_odd_element_counts_build_and_converge(two_phase_hooke, biot, ramp_loads):
     sys = _system(THIRDS, 0.2, 3, two_phase_hooke, biot, ramp_loads)
-    assert sys.mesh.grid.nelems == (15, 15, 6)
+    assert sys.mesh.nelems == (15, 15, 6)
     mg = sys.multigrid
     assert len(mg.levels) >= 1 and mg.coarse.shape[0] <= multigrid.COARSE_DOFS
     b = sys.F(0.5)

@@ -351,7 +351,7 @@ def test_mup_alpha_zero_warping_is_corrector_reconstruction(
     st = states[-1]
     space = msys.space
     Wloc = msys._local_W(st.W_red)
-    red = msys.red
+    red = msys.op.reducer
     chi_m = np.stack([red.restrict(cs.field("m", *k).reshape(-1))
                       for k in ((0, 0), (1, 1), (0, 1))])
     chi_b = np.stack([red.restrict(cs.field("b", *k).reshape(-1))
@@ -537,7 +537,7 @@ def _ref_ubar(osys, W, p):
     Wloc = osys._local_W(W)
     P = p.reshape(space.n_nodes, osys.ng)
     nq = len(space.qp_w)
-    ubar = np.empty((len(space.elem_dofs), nq, osys.red.n_reduced))
+    ubar = np.empty((len(space.elem_dofs), nq, osys.op.reducer.n_reduced))
     for q in range(nq):
         RE = np.hstack([osys.r_m.T @ space.B_mem[q], -osys.r_b.T @ space.B_bend[q]])
         TE = op.solve_reduced(RE)
@@ -561,7 +561,7 @@ def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
     _, _, _, osys = coupled_m3
     space, ng = osys.space, osys.ng
     rng = np.random.default_rng(12)
-    ubar = rng.standard_normal((len(space.elem_dofs), len(space.qp_w), osys.red.n_reduced))
+    ubar = rng.standard_normal((len(space.elem_dofs), len(space.qp_w), osys.op.reducer.n_reduced))
     W = rng.standard_normal(space.n_red)
     Wloc = osys._local_W(W)
     scale = biot.alpha / osys.vol
