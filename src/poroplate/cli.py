@@ -171,7 +171,7 @@ def cmd_mup(cfg, out, report):
     msys, states, table, mesh = _macro_stage(cfg, out, report)
     t0 = time.perf_counter()
     osys, ostates, otable = twoscale.solve_mup_direct(
-        mesh, msys.space.plate, cfg.hooke, cfg.biot, cfg.loads, cfg.T, cfg.nsteps,
+        mesh, msys.space, cfg.hooke, cfg.biot, cfg.loads, cfg.T, cfg.nsteps,
         budget_dofs=cfg.budget_dofs)
     pio.write_csv(os.path.join(out, "mup_norms.csv"), otable)
     worst = twoscale.oracle_mismatch(msys, states, table, osys, ostates, otable)

@@ -8,12 +8,11 @@ from .assembly import (
     assemble_scalar_mass,
     assemble_scalar_source,
     assemble_strain_product,
-    assemble_vector_gradient_product,
     lumped_weights,
     vector_dofs,
 )
 from .constraints import ConstraintSet, Reducer
-from .solvers import RepeatedBlockSolver, pcg, solve_saddle, solve_spd
+from .solvers import RepeatedBlockSolver, pcg, solve_saddle
 
 __all__ = [
     "assemble_body_force",
@@ -23,7 +22,6 @@ __all__ = [
     "assemble_scalar_mass",
     "assemble_scalar_source",
     "assemble_strain_product",
-    "assemble_vector_gradient_product",
     "lumped_weights",
     "vector_dofs",
     "ConstraintSet",
@@ -31,5 +29,4 @@ __all__ = [
     "RepeatedBlockSolver",
     "pcg",
     "solve_saddle",
-    "solve_spd",
 ]

@@ -27,7 +27,7 @@ from . import elements as el
 
 
 def vector_dofs(conn: np.ndarray, ncomp: int = 3) -> np.ndarray:
-    """(ne, 8*ncomp) dof ids, node-major component order."""
+    """(ne, k*ncomp) dof ids of (ne, k) node ids, node-major component order."""
     ne, nn = conn.shape
     dofs = (ncomp * conn[:, :, None] + np.arange(ncomp)[None, None, :]).reshape(ne, nn * ncomp)
     return dofs
@@ -185,13 +185,6 @@ def assemble_strain_product(mesh, elems_mask=None) -> sp.csr_matrix:
     ke = el.hex_elastic_ke(mesh.spacing, np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]))
     nodes, n = element_nodes(mesh, elems_mask)
     return scatter(nodes, ke, (3 * n, 3 * n))
-
-
-def assemble_vector_gradient_product(mesh) -> sp.csr_matrix:
-    """Quadratic form of ||grad u||^2_{L2} for vector fields: the scalar form per component."""
-    nodes, n = element_nodes(mesh)
-    K = scatter(nodes, el.hex_scalar_diffusion_ke(mesh.spacing, np.eye(3)), (n, n))
-    return sp.kron(K, sp.identity(3), format="csr")
 
 
 def assemble_scalar_mass(mesh, *, elems_mask=None, nodes=None) -> sp.csr_matrix:

@@ -2,11 +2,10 @@
 per-step-size operator cache.
 
 pcg is the only iterative kernel: deterministic (fixed reduction order, no
-threading), with the residual history kept for diagnostics.  solve_spd and
-solve_saddle precondition it with Jacobi unless given an SPD preconditioner
-(the micro solves pass the geometric-multigrid V-cycle of `fem.multigrid`).
-solve_saddle eliminates the pressure block, leaving a single SPD displacement
-solve.
+threading), with the residual history kept for diagnostics.  solve_saddle
+eliminates the pressure block, leaving a single SPD displacement solve that
+its caller preconditions (the micro step passes the geometric-multigrid
+V-cycle of `fem.multigrid`).
 
 A time-stepper solves one SPD operator per step size with a right-hand side
 that changes smoothly from step to step.  A `SolutionSpace` keeps up to
@@ -211,15 +210,6 @@ def jacobi(A):
     return lambda r: dinv * r
 
 
-def solve_spd(A, b, tol: float = 1e-10, *, x0=None, precond=None):
-    """CG solve of an SPD system A x = b (A already on the unknowns CG runs on).
-
-    `precond` applies an SPD preconditioner; Jacobi on A by default.
-    """
-    x, _ = pcg(A, b, tol=tol, x0=x0, precond=precond if precond is not None else jacobi(A))
-    return x
-
-
 def inverse(M, error: str) -> np.ndarray:
     """M^-1 by LU; SolverError(error) if M is singular or the inverse is not finite.
 
@@ -260,14 +250,14 @@ class RepeatedBlockSolver:
         return (X @ self._inverse.T).reshape(-1)
 
 
-def solve_saddle(K, C, M_block, rhs, *, m_solver, tol=1e-10, space=None, precond=None):
+def solve_saddle(K, C, M_block, rhs, *, m_solver, precond, tol=1e-10, space=None):
     """Solve  [K, -C^T; C, M] [u; p] = [b_u; b_p]  by eliminating the pressure block.
 
     K must be SPD on its (already reduced) space, M SPD on the pressure space;
     this is the one-step implicit form of the coupled system.  K, C and M are
     sparse.  The Schur complement K + C^T M^-1 C is solved by CG with inner
     applications of `m_solver` (M^-1), preconditioned by `precond` (an SPD
-    approximation of K^-1; Jacobi on K by default), from the projection onto
+    approximation of K^-1), from the projection onto
     `space` when given.  Both block residuals of the result are checked
     against SADDLE_RTOL.
     """
@@ -278,8 +268,7 @@ def solve_saddle(K, C, M_block, rhs, *, m_solver, tol=1e-10, space=None, precond
         return K @ u + CT @ m_solver.solve(C @ u)
 
     rhs_u = b_u + CT @ m_solver.solve(b_p)
-    u, _ = pcg(schur, rhs_u, tol=tol, space=space,
-               precond=precond if precond is not None else jacobi(K))
+    u, _ = pcg(schur, rhs_u, tol=tol, space=space, precond=precond)
     p = m_solver.solve(b_p - C @ u)
 
     scale = max(np.linalg.norm(rhs_u), np.linalg.norm(b_p), 1e-300)

@@ -5,9 +5,8 @@ onto one reference cell Y x (-1, 1), so both are one kind of mesh, a
 `BrickMesh`: eps-cells of n x n x 2n bricks tiling omega.  The reference cell
 is the one-cell mesh of the unit square at eps = 1 (`build_cell_mesh`), the
 thin plate the mesh of omega at its eps (`build_micro_mesh`).  The gel phase
-is an axis-aligned box strictly inside the cross-section of every cell, and
-the mid-surface mesh (`PlateMesh`) is a rectangle grid of omega.  Keeping phase
-boundaries on element faces makes every phase integral exact.
+is an axis-aligned box strictly inside the cross-section of every cell.
+Keeping phase boundaries on element faces makes every phase integral exact.
 
 Node and element numbering is lexicographic with x1 fastest:
 node(i, j, k) = i + (nx+1) * (j + (ny+1) * k).  The eps-cells are translates
@@ -15,6 +14,11 @@ of cell 0, so a mesh also carries each cell's global node and element ids in
 one-cell order and its gel nodes cell-major.  The periodic pairs of the
 reference cell are made by `cell.cell_constraints`, the lateral clamp of the
 plate by `micro.clamp_constraints`.
+
+The mid-surface mesh (`PlateMesh`) is a rectangle grid of omega that carries
+the limit problem's space: its clamp as a `Reducer` on the membrane and
+bending dofs, the reduced element dofs and the plate quadrature tables.  The
+macro solver and the two-scale oracle read the one mesh they are given.
 """
 
 from __future__ import annotations
@@ -23,8 +27,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GeometryError
+from .fem import elements as el
+from .fem.assembly import vector_dofs
+from .fem.constraints import ConstraintSet, Reducer
+from .fem.quadrature import gauss_quad
 
 FIBER, GEL = 0, 1
 
@@ -35,6 +44,9 @@ _HEX_CORNERS = np.array(
 )
 
 SNAP_TOL = 1e-9
+
+# Gauss points per direction of the plate quadrature
+N_QP_1D = 3
 
 
 @dataclass(frozen=True)
@@ -255,52 +267,143 @@ def build_micro_mesh(geom: CellGeometry, eps: float, omega, n: int) -> BrickMesh
     return _brick_mesh(geom, eps, omega, n)
 
 
+
+
 @dataclass
 class PlateMesh:
-    """Conforming m x m rectangle mesh of the mid-surface omega."""
+    """Clamped m x m rectangle mesh of the mid-surface omega with its quadrature.
+
+    The full dof layout on nn nodes is the membrane block (W1, W2 per node),
+    then the bending block (w, w_x, w_y, w_xy per node: bilinear membrane,
+    Bogner-Fox-Schmit bending).  The clamp `reducer` removes every dof of the
+    boundary nodes, which realizes W = dW3/dn = 0 exactly; its ascending free
+    dofs order the reduced plate vector, membrane before bending.  One 3 x 3
+    Gauss rule per element serves every plate integral, so the macro path and
+    the two-scale oracle stay algebraically identical.
+    """
 
     omega: tuple[tuple[float, float], tuple[float, float]]
     m: int
     nodes: np.ndarray
-    quads: np.ndarray
-    boundary_nodes: np.ndarray
+    quads: np.ndarray      # (ne, 4) counter-clockwise from the lower-left node
     spacing: tuple[float, float]
+    reducer: Reducer       # the clamp on the full layout [membrane 2/node | bending 4/node]
+    elem_dofs: np.ndarray  # (ne, 24) reduced ids or -1, [mem(8), bend(16)]
+    qp_unit: np.ndarray    # (nq, 2) on [0,1]^2
+    qp_w: np.ndarray       # physical weights (include hx*hy)
+    N_bil: np.ndarray      # (nq, 4) bilinear shapes
+    B_mem: np.ndarray      # (nq, 3, 8)
+    B_bend: np.ndarray     # (nq, 3, 16)
+    N_bfs: np.ndarray      # (nq, 16) BFS value row
+    E: np.ndarray          # (nq, 6, 24) local W -> membrane strains and negated curvatures (m, -k)
+    N_qp: sp.csr_matrix    # (ne * nq, nn): row e * nq + q holds N_bil[q] at quads[e]
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
     @property
-    def n_elems(self) -> int:
-        return len(self.quads)
+    def n_red(self) -> int:
+        return self.reducer.n_reduced
 
-    def node_id(self, i, j):
-        return i + (self.m + 1) * j
+    def qp_coords(self) -> np.ndarray:
+        """(ne, nq, 2) global quadrature point coordinates."""
+        origins = self.nodes[self.quads[:, 0]]
+        return origins[:, None, :] + self.qp_unit[None, :, :] * np.array(self.spacing)
+
+    def qp_w_rows(self) -> np.ndarray:
+        """(ne * nq,) quadrature weights in the row order of `N_qp`."""
+        return np.tile(self.qp_w, len(self.quads))
+
+    def mass(self) -> np.ndarray:
+        """Dense bilinear mass matrix on all plate nodes (no clamp)."""
+        return (self.N_qp.T @ sp.diags(self.qp_w_rows()) @ self.N_qp).toarray()
+
+    def expand(self, W_red: np.ndarray):
+        """Reduced vector -> (membrane (nn,2), bending (nn,4)) nodal arrays."""
+        W = self.reducer.expand(W_red)
+        return W[:2 * self.n_nodes].reshape(-1, 2), W[2 * self.n_nodes:].reshape(-1, 4)
+
+    # ------------------------------------------------------------ evaluation
+
+    def _locate(self, pts: np.ndarray):
+        (a1, _), (a2, _) = self.omega
+        hx, hy = self.spacing
+        m = self.m
+        s = (pts[:, 0] - a1) / hx
+        t = (pts[:, 1] - a2) / hy
+        i = np.clip(np.floor(s - 1e-12).astype(int), 0, m - 1)
+        j = np.clip(np.floor(t - 1e-12).astype(int), 0, m - 1)
+        return i + m * j, np.stack([s - i, t - j], axis=-1)
+
+    def eval_membrane(self, Wm: np.ndarray, pts: np.ndarray):
+        """(values (npts,2), engineering strain (npts,3)) of the membrane field."""
+        eid, loc = self._locate(pts)
+        vals_nodes = Wm[self.quads[eid]]         # (npts, 4, 2)
+        Nv = el.quad_shape(2.0 * loc - 1.0)     # (npts, 4)
+        dN = el.quad_grad_ref(2.0 * loc - 1.0) * (2.0 / np.array(self.spacing))
+        vals = np.einsum("pa,pac->pc", Nv, vals_nodes)
+        grad = np.einsum("pai,pac->pci", dN, vals_nodes)  # (npts, 2comp, 2dir)
+        strain = np.stack([grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1] + grad[:, 1, 0]], axis=-1)
+        return vals, strain
+
+    def eval_bending(self, Wb: np.ndarray, pts: np.ndarray):
+        """(W3, grad W3 (npts,2), curvature eng (npts,3)) of the deflection."""
+        eid, loc = self._locate(pts)
+        dofs = Wb[self.quads[eid]].reshape(len(pts), 16)   # node-major (w, wx, wy, wxy)
+        out = {}
+        for name, d in (("v", (0, 0)), ("gx", (1, 0)), ("gy", (0, 1)),
+                        ("kxx", (2, 0)), ("kyy", (0, 2)), ("kxy", (1, 1))):
+            basis = el.bfs_basis(self.spacing, loc, d)
+            out[name] = np.einsum("pa,pa->p", basis, dofs)
+        grad = np.stack([out["gx"], out["gy"]], axis=-1)
+        curv = np.stack([out["kxx"], out["kyy"], 2.0 * out["kxy"]], axis=-1)
+        return out["v"], grad, curv
+
+    def eval_bilinear_nodal(self, f: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Bilinear interpolation of per-node data f (nn, k) at the points."""
+        eid, loc = self._locate(pts)
+        Nv = el.quad_shape(2.0 * loc - 1.0)
+        return np.einsum("pa,pa...->p...", Nv, f[self.quads[eid]])
 
 
 def build_plate_mesh(omega, m: int) -> PlateMesh:
-    """Quadrilateral mid-surface mesh with m subdivisions per edge."""
+    """Clamped quadrilateral mid-surface mesh with m subdivisions per edge."""
     if m < 2:
         raise GeometryError(f"plate subdivisions must satisfy m >= 2, got {m}")
     (a1, b1), (a2, b2) = omega
     hx, hy = (b1 - a1) / m, (b2 - a2) / m
-    i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-    order = np.argsort((i + (m + 1) * j).ravel(), kind="stable")
-    nodes = np.stack([a1 + i.ravel() * hx, a2 + j.ravel() * hy], axis=-1)[order]
-    ei, ej = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    ei, ej = ei.ravel(), ej.ravel()
-    eorder = np.argsort(ei + m * ej, kind="stable")
-    ei, ej = ei[eorder], ej[eorder]
-    nid = lambda a, b: a + (m + 1) * b
-    quads = np.stack([nid(ei, ej), nid(ei + 1, ej), nid(ei + 1, ej + 1), nid(ei, ej + 1)], axis=-1)
-    bmask = (i == 0) | (i == m) | (j == 0) | (j == m)
-    boundary = np.unique(nid(i[bmask], j[bmask]))
-    return PlateMesh(
-        omega=((a1, b1), (a2, b2)),
-        m=m,
-        nodes=nodes,
-        quads=quads.astype(np.int64),
-        boundary_nodes=boundary,
-        spacing=(hx, hy),
-    )
+    j, i = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    nodes = np.stack([a1 + i * hx, a2 + j * hy], axis=-1)
+    ej, ei = np.divmod(np.arange(m * m), m)
+    q0 = ei + (m + 1) * ej
+    quads = np.stack([q0, q0 + 1, q0 + m + 2, q0 + m + 1], axis=-1)
+    nn = len(nodes)
 
+    def layout(conn):
+        """Full dofs [membrane | bending] of the node rows of conn."""
+        return np.hstack([vector_dofs(conn, 2), 2 * nn + vector_dofs(conn, 4)])
+
+    boundary = np.flatnonzero((i == 0) | (i == m) | (j == 0) | (j == m))
+    reducer = Reducer(ConstraintSet(6 * nn, dirichlet_dofs=layout(boundary[:, None]).ravel()))
+
+    pts, w = gauss_quad(N_QP_1D, unit=True)
+    nq = len(w)
+    dN = el.quad_grad_ref(2.0 * pts - 1.0) * (2.0 / np.array([hx, hy]))
+    B_mem = el.quad_membrane_B(dN)
+    B_bend = el.bfs_bending_B((hx, hy), pts)
+    E = np.zeros((nq, 6, 24))
+    E[:, :3, :8] = B_mem
+    E[:, 3:, 8:] = -B_bend
+    N_bil = el.quad_shape(2.0 * pts - 1.0)
+    ne = len(quads)
+    rows = np.broadcast_to(np.arange(ne * nq).reshape(ne, nq, 1), (ne, nq, 4))
+    cols = np.broadcast_to(quads[:, None, :], (ne, nq, 4))
+    vals = np.broadcast_to(N_bil, (ne, nq, 4))
+    return PlateMesh(
+        omega=((a1, b1), (a2, b2)), m=m, nodes=nodes, quads=quads, spacing=(hx, hy),
+        reducer=reducer, elem_dofs=reducer.dof_map[layout(quads)],
+        qp_unit=pts, qp_w=w * hx * hy, N_bil=N_bil, B_mem=B_mem, B_bend=B_bend,
+        N_bfs=el.bfs_basis((hx, hy), pts, (0, 0)), E=E,
+        N_qp=sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(ne * nq, nn)),
+    )

@@ -95,30 +95,15 @@ class BiotParams:
         return float(np.linalg.eigvalsh(self.K).min())
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    c0: float
-    c_K: float
-    admissible: bool
-    message: str = ""
-
-
-def check_admissible(hooke: HookeTensor, biot: BiotParams, tol: float = 1e-12) -> AdmissibilityReport:
-    """Eigenvalue-based coercivity constants; rejects degenerate inputs."""
+def require_admissible(hooke: HookeTensor, biot: BiotParams):
+    """Reject degenerate inputs: the coercivity constants c0 and c_K must exceed 1e-12."""
+    tol = 1e-12
     c0 = hooke.coercivity()
-    c_K = biot.c_K
     if c0 <= tol:
-        return AdmissibilityReport(c0, c_K, False, f"elastic coercivity c0={c0:.3e} <= {tol:.0e}")
+        raise MaterialError(f"elastic coercivity c0={c0:.3e} <= {tol:.0e}")
+    c_K = biot.c_K
     if c_K <= tol:
-        return AdmissibilityReport(c0, c_K, False, f"permeability constant c_K={c_K:.3e} <= {tol:.0e}")
-    return AdmissibilityReport(c0, c_K, True)
-
-
-def require_admissible(hooke: HookeTensor, biot: BiotParams) -> AdmissibilityReport:
-    report = check_admissible(hooke, biot)
-    if not report.admissible:
-        raise MaterialError(report.message)
-    return report
+        raise MaterialError(f"permeability constant c_K={c_K:.3e} <= {tol:.0e}")
 
 
 class Poly2T:

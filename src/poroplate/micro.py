@@ -66,8 +66,7 @@ from . import fem
 from .errors import AssemblyError, SolverError
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.multigrid import VCycle
-from .fem.solvers import (RepeatedBlockSolver, SolutionSpace, StepCache, inverse, pcg,
-                          solve_saddle, solve_spd)
+from .fem.solvers import RepeatedBlockSolver, SolutionSpace, StepCache, inverse, pcg, solve_saddle
 from .geometry import GEL, BrickMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec, require_admissible
 
@@ -122,7 +121,7 @@ class GalerkinSystem:
     F: LoadSeries               # reduced displacement load (eps scalings included)
     G: LoadSeries               # gel pressure source (eps scaling included)
     strain_sq: sp.csr_matrix    # ||e(U)||^2 on full dofs
-    grad_sq: sp.csr_matrix      # ||grad U||^2 on full dofs
+    grad_sq: sp.csr_matrix      # ||grad U||^2 per component: the scalar form on all nodes
     grad_p_sq: sp.csr_matrix    # ||grad p||^2 on gel dofs (unscaled)
     _step_cache: StepCache = field(default_factory=StepCache, init=False, repr=False,
                                    compare=False)
@@ -145,7 +144,9 @@ class GalerkinSystem:
 
     def solve_B(self, rhs: np.ndarray, tol: float, x0=None) -> np.ndarray:
         """B^-1 rhs by multigrid-preconditioned CG."""
-        return solve_spd(self.B, rhs, tol=tol, x0=x0, precond=self.multigrid)
+        # fem.solvers.pcg is looked up per call, so an instrumented pcg sees these solves
+        x, _ = fem.solvers.pcg(self.B, rhs, tol=tol, x0=x0, precond=self.multigrid)
+        return x
 
     @cached_property
     def load_response(self) -> LoadSeries:
@@ -213,7 +214,7 @@ def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: f
         F=LoadSeries.build(loads.components(), body_force, B.shape[0]),
         G=LoadSeries.build((loads.h,), source, M.shape[0]),
         strain_sq=fem.assemble_strain_product(mesh),
-        grad_sq=fem.assemble_vector_gradient_product(mesh),
+        grad_sq=fem.assemble_scalar_diffusion(mesh, np.eye(3)),
         grad_p_sq=fem.assemble_scalar_diffusion(mesh, np.eye(3), elems_mask=gel_mask,
                                                 nodes=mesh.gel_nodes),
     )
@@ -235,7 +236,7 @@ class MicroState:
             "e_U": float(np.sqrt(max(u @ (sys.strain_sq @ u), 0.0))),
             "p": float(np.sqrt(max(self.p @ (sys.M @ self.p), 0.0))),
             "eps_grad_p": sys.eps * float(np.sqrt(max(self.p @ (sys.grad_p_sq @ self.p), 0.0))),
-            "grad_U": float(np.sqrt(max(u @ (sys.grad_sq @ u), 0.0))),
+            "grad_U": float(np.sqrt(max(u @ (sys.grad_sq @ self.U).ravel(), 0.0))),
         }
 
     def energy(self, sys: GalerkinSystem) -> float:

@@ -6,7 +6,7 @@ problem; the oracle discretizes that limit problem monolithically (macro
 fields, per-quadrature-point cell warping, nodal-in-x two-scale pressure).
 The oracle builds its own `PressureCellOperator` (its own `CellProblem` and
 cell factor, the gel blocks and the response map U_C) and moves its
-per-quadrature-point fields through the plate quadrature map `PlateSpace.N_qp`;
+per-quadrature-point fields through the plate quadrature map `PlateMesh.N_qp`;
 it reads no corrector fields, divergence moments or homogenized tensor, so
 agreement between the two paths checks the whole cell/homogenization pipeline.
 
@@ -34,7 +34,7 @@ numpy's BLAS, without switching to the separate BLAS library scipy loads.
 The two paths share one state (`PlateState`), initial state, implicit Euler
 step, norm table and trajectory loop on `_CoupledPlateSystem`, and build
 their plate matrices (`A_W`, `S_WW`) from a (6, 6) form pulled back through
-`PlateSpace.E`.  A subclass defines only its cell vectors, its plate matrix,
+`PlateMesh.E`.  A subclass defines only its cell vectors, its plate matrix,
 the previous-state terms of the pressure equation and its elastic energy.
 `oracle_mismatch` is the one measure of "macro = oracle" (AC5).
 """
@@ -61,7 +61,6 @@ from .fem import elements as el
 from .fem.solvers import StepCache, spd_inverse
 from .geometry import GEL, BrickMesh, PlateMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec
-from .plate import PlateSpace, build_plate_space, plate_mass
 
 # ------------------------------------------------------------------ unfolding
 
@@ -154,7 +153,7 @@ class CellSampler:
 # ------------------------------------------------------- plate-gel coupling
 
 
-def plate_coupling_factors(space: PlateSpace) -> list:
+def plate_coupling_factors(space: PlateMesh) -> list:
     """The six sparse (nn, n_red) plate factors G_k of the pressure coupling.
 
     G_I[i, V] = int N_i m_I(V) dx' and G_{3+I}[i, V] = -int N_i k_I(V) dx' for
@@ -166,7 +165,7 @@ def plate_coupling_factors(space: PlateSpace) -> list:
     for B, dofs in ((space.B_mem, space.elem_dofs[:, :8]),
                     (-space.B_bend, space.elem_dofs[:, 8:])):
         loc = np.einsum("qa,qIl->Ial", w_N, B)                     # (3, 4, nloc)
-        out += [fem.assembly.scatter(space.plate.quads, blk, (space.n_nodes, space.n_red),
+        out += [fem.assembly.scatter(space.quads, blk, (space.n_nodes, space.n_red),
                                      cols=dofs) for blk in loc]
     return out
 
@@ -209,13 +208,13 @@ class PlateState:
         return self.Wb[:, 0]
 
 
-def _strain_form(space: PlateSpace, K: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _strain_form(space: PlateMesh, K: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(24, 24) element matrix sum_q w_q E_q^T K E_q of a (6, 6) form on (m, -k)."""
     E = space.E
     return np.einsum("q,qab->ab", w, E.transpose(0, 2, 1) @ K @ E)
 
 
-def _plate_matrix(space: PlateSpace, loc: np.ndarray) -> np.ndarray:
+def _plate_matrix(space: PlateMesh, loc: np.ndarray) -> np.ndarray:
     """Dense reduced plate matrix of one (24, 24) element matrix on every element."""
     n = space.n_red
     return fem.assembly.scatter(space.elem_dofs, loc, (n, n)).toarray()
@@ -243,7 +242,7 @@ class _CoupledPlateSystem:
         self._A_plate = A
         self.G = plate_coupling_factors(sp_)
         self.V = V
-        self.M_x = plate_mass(sp_)
+        self.M_x = sp_.mass()
         self._M_x_inv = spd_inverse(self.M_x, "plate mass matrix is not positive definite")
         self.M_gel_y = op.M_gel.toarray()
         self.S_mass_y = (biot.c * self.M_gel_y + biot.alpha**2 * op.N) / self.vol
@@ -389,7 +388,7 @@ class MacroSystem(_CoupledPlateSystem):
             raise AssemblyError("homogenized tensor is not positive definite")
         self.op = op
         self.biot = biot
-        self.space = build_plate_space(plate)
+        self.space = plate
         self.vol = op.cell_volume
         self.ng = op.n_gel
 
@@ -448,7 +447,7 @@ class MupSystem(_CoupledPlateSystem):
                  budget_dofs: int = 300_000):
         self.cell_mesh = cell_mesh
         self.biot = biot
-        self.space = build_plate_space(plate)
+        self.space = plate
         self.vol = cell_mesh.volume
         sp_ = self.space
         nq = len(sp_.qp_w)
@@ -748,7 +747,8 @@ def norm_equivalence_spectrum(cell_mesh: BrickMesh):
     Q_S[6:, 6:] = K_I
 
     M_sc = fem.assemble_scalar_mass(cell_mesh)
-    G_vec = fem.assemble_vector_gradient_product(cell_mesh)
+    G_vec = sp.kron(fem.assemble_scalar_diffusion(cell_mesh, np.eye(3)), sp.identity(3),
+                    format="csr")
     M_vec = sp.kron(M_sc, sp.eye(3), format="csr")
     # note: vector dofs are node-major (3*node+c), matching kron(M, I3)
     H1 = red.reduce_matrix((M_vec + G_vec).tocsr()).toarray()

@@ -12,8 +12,7 @@ from poroplate.errors import AssemblyError, ConstraintError, MaterialError, Solv
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
 from poroplate.fem.solvers import (PROJECTION_DIM, RepeatedBlockSolver, SolutionSpace, StepCache,
-                                   _norm, inverse, jacobi, pcg, solve_saddle, solve_spd,
-                                   spd_inverse)
+                                   _norm, inverse, jacobi, pcg, solve_saddle, spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh
 from poroplate.material import HookeTensor, isotropic
 
@@ -47,7 +46,8 @@ def test_uniaxial_patch_test(homogeneous_hooke):
     g = np.zeros(3 * mesh.n_nodes)
     g[bdofs] = u_exact[bdofs]
     u = g.copy()
-    u[free] = solve_spd(K[free][:, free], -(K @ g)[free], tol=1e-13)
+    Kf = K[free][:, free]
+    u[free], _ = pcg(Kf, -(K @ g)[free], tol=1e-13, precond=jacobi(Kf))
     assert np.abs(u - u_exact).max() < 1e-10
 
 
@@ -180,13 +180,13 @@ def test_element_dofs_rejects_nodes_outside_subset(cell_mesh4):
 
 # ------------------------------------------------------------------ solvers
 
-def test_solve_spd_identity():
+def test_pcg_identity():
     A = sp.eye(10, format="csr")
     b = np.arange(10.0)
-    assert np.allclose(solve_spd(A, b), b)
+    assert np.allclose(pcg(A, b, precond=jacobi(A))[0], b)
 
 
-def test_solve_spd_poisson_closed_form():
+def test_pcg_poisson_closed_form():
     # -u'' = 1 on (0,1), u(0)=u(1)=0, 5 interior points, h=1/6:
     # exact nodal values of the parabola x(1-x)/2 (FD solution is exact)
     n = 5
@@ -195,7 +195,7 @@ def test_solve_spd_poisson_closed_form():
     off = -np.ones(n - 1)
     A = sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
     b = np.ones(n)
-    x = solve_spd(A, b, tol=1e-14)
+    x, _ = pcg(A, b, tol=1e-14, precond=jacobi(A))
     xs = h * np.arange(1, n + 1)
     assert np.allclose(x, xs * (1 - xs) / 2.0, atol=1e-12)
 
@@ -250,8 +250,8 @@ def test_saddle_decoupled_matches_spd():
     C = sp.csr_matrix((3, 8))
     bu, bp = rng.standard_normal(8), rng.standard_normal(3)
     u, p = solve_saddle(K, C, M, (bu, bp), m_solver=RepeatedBlockSolver(M.toarray(), 1, "M"),
-                        tol=1e-13)
-    assert np.allclose(u, solve_spd(K, bu, tol=1e-13), atol=1e-10)
+                        precond=jacobi(K), tol=1e-13)
+    assert np.allclose(u, pcg(K, bu, tol=1e-13, precond=jacobi(K))[0], atol=1e-10)
     assert np.allclose(p, bp)
 
 
@@ -261,7 +261,8 @@ def test_saddle_hand_built_2x2():
     C = sp.csr_matrix(np.array([[1.0]]))
     M = sp.csr_matrix(np.array([[3.0]]))
     u, p = solve_saddle(K, C, M, (np.array([1.0]), np.array([2.0])),
-                        m_solver=RepeatedBlockSolver(M.toarray(), 1, "M"), tol=1e-14)
+                        m_solver=RepeatedBlockSolver(M.toarray(), 1, "M"), precond=jacobi(K),
+                        tol=1e-14)
     assert u[0] == pytest.approx(5.0 / 7.0, rel=1e-10)
     assert p[0] == pytest.approx((2.0 - 5.0 / 7.0) / 3.0, rel=1e-10)
 
@@ -277,8 +278,9 @@ def test_saddle_random_vs_dense_oracle():
     bu, bp = rng.standard_normal(nu), rng.standard_normal(npp)
     mono = np.block([[K, -C.T], [C, M]])
     ref = np.linalg.solve(mono, np.concatenate([bu, bp]))
-    u, p = solve_saddle(sp.csr_matrix(K), sp.csr_matrix(C), sp.csr_matrix(M),
-                        (bu, bp), m_solver=RepeatedBlockSolver(M, 1, "M"), tol=1e-13)
+    Ks = sp.csr_matrix(K)
+    u, p = solve_saddle(Ks, sp.csr_matrix(C), sp.csr_matrix(M), (bu, bp),
+                        m_solver=RepeatedBlockSolver(M, 1, "M"), precond=jacobi(Ks), tol=1e-13)
     assert np.abs(np.concatenate([u, p]) - ref).max() < 1e-8
 
 
@@ -375,10 +377,8 @@ def test_step_cache_owner_freed_without_cycle_collector():
 def test_bfs_patch_test_quadratic():
     """Clamp the boundary dofs to a quadratic and recover it exactly."""
     from poroplate.geometry import build_plate_mesh
-    from poroplate.plate import build_plate_space
 
     plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 4)
-    space = build_plate_space(plate)
 
     def w(x, y):
         return 0.3 * x**2 - 0.1 * x * y + 0.2 * y**2 + 0.5 * x - y + 0.25
@@ -397,13 +397,13 @@ def test_bfs_patch_test_quadratic():
     c = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 0.35]])
     nn = plate.n_nodes
     Kb = np.zeros((4 * nn, 4 * nn))
-    loc = np.einsum("q,qia,ij,qjb->ab", space.qp_w, space.B_bend, c, space.B_bend)
+    loc = np.einsum("q,qia,ij,qjb->ab", plate.qp_w, plate.B_bend, c, plate.B_bend)
     for conn in plate.quads:
         dofs = (4 * conn[:, None] + np.arange(4)).ravel()
         Kb[np.ix_(dofs, dofs)] += loc
-    free = np.ones(4 * nn, dtype=bool)
-    bdofs = (4 * plate.boundary_nodes[:, None] + np.arange(4)).ravel()
-    free[bdofs] = False
+    # the clamped bending dofs, read off the plate clamp's full layout [membrane | bending]
+    free = plate.reducer.dof_map[2 * nn:] >= 0
+    bdofs = np.flatnonzero(~free)
     xfull = np.zeros(4 * nn)
     xfull[bdofs] = exact.reshape(-1)[bdofs]
     rhs = -Kb[np.ix_(free, ~free)] @ xfull[~free]

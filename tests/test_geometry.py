@@ -199,8 +199,12 @@ def test_non_integer_tiling_errors(default_geom):
 def test_plate_mesh_counts():
     pm = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 8)
     assert pm.n_nodes == 81
-    assert pm.n_elems == 64
-    assert len(pm.boundary_nodes) == 32
+    assert len(pm.quads) == 64
+    # the clamp removes all six dofs of the 32 boundary nodes
+    assert pm.n_red == 6 * (81 - 32)
+    clamped = pm.reducer.dof_map < 0
+    assert np.count_nonzero(clamped[:2 * 81]) == 2 * 32
+    assert np.count_nonzero(clamped[2 * 81:]) == 4 * 32
     with pytest.raises(GeometryError):
         build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 1)
 

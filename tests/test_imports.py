@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, and no function,
-class or method, private or public, and no attribute stored on `self`
-outlives its last reader in the package.
+class or method, private or public, no attribute stored on `self` and no
+annotated class field outlives its last reader in the package.  A method,
+a stored attribute or a field is read only as `.name`.
 
 No linter ships with the toolchain, so this parses every module with the
 standard-library `ast`.  Package `__init__.py` files are skipped by the import
@@ -47,28 +48,30 @@ def _private(name: str) -> bool:
 
 
 def definitions(tree: ast.Module, constants: bool) -> list:
-    """(line, name) of the module-level functions and classes, of the methods of
-    module-level classes and, if `constants`, of the module-level assignments."""
+    """(line, name, attribute) of the module-level functions and classes, of
+    the methods of module-level classes and, if `constants`, of the
+    module-level assignments; `attribute` is set for the methods, which only
+    `.name` reads."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append((node.lineno, node.name))
+            out.append((node.lineno, node.name, False))
         elif constants and isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out += [(t.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+            out += [(t.lineno, t.id, False) for t in targets if isinstance(t, ast.Name)]
         if isinstance(node, ast.ClassDef):
-            out += [(f.lineno, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+            out += [(f.lineno, f.name, True) for f in node.body if isinstance(f, ast.FunctionDef)]
     return out
 
 
 def private_definitions(tree: ast.Module) -> list:
     """Private functions, classes, constants and methods."""
-    return [(line, name) for line, name in definitions(tree, True) if _private(name)]
+    return [d for d in definitions(tree, True) if _private(d[1])]
 
 
 def public_definitions(tree: ast.Module) -> list:
     """Public functions, classes and methods."""
-    return [(line, name) for line, name in definitions(tree, False) if not name.startswith("_")]
+    return [d for d in definitions(tree, False) if not d[1].startswith("_")]
 
 
 def read_attributes(tree: ast.Module) -> set:
@@ -78,18 +81,20 @@ def read_attributes(tree: ast.Module) -> set:
 
 
 def read_names(tree: ast.Module) -> set:
-    """Every name and attribute the module reads."""
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
-             and isinstance(n.ctx, ast.Load)} | read_attributes(tree))
+    """Every name the module reads."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
-def unread_names(sources: dict, defined, reads=read_names) -> list:
-    """(module, line, name) of the `defined(tree)` definitions that no
-    module's `reads(tree)` contains."""
+def unread_names(sources: dict, defined) -> list:
+    """(module, line, name) of the `defined(tree)` definitions (line, name,
+    attribute) that no module reads: as `.name` if `attribute` is set, as a
+    name or as `.name` otherwise."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    read = set().union(*(reads(t) for t in trees.values()))
+    attrs = set().union(*(read_attributes(t) for t in trees.values()))
+    names = attrs.union(*(read_names(t) for t in trees.values()))
     return sorted((mod, line, name) for mod, tree in trees.items()
-                  for line, name in defined(tree) if name not in read)
+                  for line, name, attribute in defined(tree)
+                  if name not in (attrs if attribute else names))
 
 
 def test_detects_an_unread_private_name():
@@ -119,9 +124,18 @@ def test_every_public_name_is_read():
     assert unread_names(SOURCES, public_definitions) == []
 
 
+def test_detects_a_method_read_only_as_a_plain_name():
+    # a nested function or a plain name of the same name does not read the method
+    a = ("class Grid:\n    def node_id(self, i):\n        return i\n\n"
+         "    def size(self):\n        return 4\n\n\n"
+         "def build():\n    def node_id(i):\n        return i\n\n"
+         "    return node_id(Grid().size())\n\n\nprint(build())\n")
+    assert unread_names({"a": a}, public_definitions) == [("a", 2, "node_id")]
+
+
 def stored_attributes(tree: ast.Module) -> list:
-    """(line, name) of every `self.<name> = ...` assignment."""
-    return [(n.lineno, n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    """(line, name, True) of every `self.<name> = ...` assignment."""
+    return [(n.lineno, n.attr, True) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
             and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
             and n.value.id == "self"]
 
@@ -132,10 +146,27 @@ def test_detects_an_unread_attribute():
          "        self.spare = 2 * n\n        self.a, self.b = n, n\n\n"
          "    def size(self):\n        return self.n + self.a\n\n\nspare = 3\nprint(spare)\n")
     b = "from a import Box\n\nprint(Box(1).b)\n"
-    assert unread_names({"a": a, "b": b}, stored_attributes, read_attributes) == [
-        ("a", 4, "spare")]
+    assert unread_names({"a": a, "b": b}, stored_attributes) == [("a", 4, "spare")]
 
 
 def test_every_stored_attribute_is_read():
     # an attribute read only by tests or the benchmark counts as unread
-    assert unread_names(SOURCES, stored_attributes, read_attributes) == []
+    assert unread_names(SOURCES, stored_attributes) == []
+
+
+def class_fields(tree: ast.Module) -> list:
+    """(line, name, True) of every annotated field of a module-level class."""
+    return [(f.lineno, f.target.id, True) for node in tree.body if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+
+
+def test_detects_an_unread_field():
+    # a keyword argument or a plain name `c0` does not count as reading the field
+    a = ("from dataclasses import dataclass\n\n\n@dataclass\nclass Report:\n"
+         "    c0: float\n    ok: bool\n\n\nc0 = 1.0\nr = Report(c0=c0, ok=True)\nprint(r.ok)\n")
+    assert unread_names({"a": a}, class_fields) == [("a", 6, "c0")]
+
+
+def test_every_field_is_read():
+    # a field read only by tests or the benchmark counts as unread
+    assert unread_names(SOURCES, class_fields) == []

@@ -10,9 +10,9 @@ from poroplate.material import (
     LoadSeries,
     LoadSpec,
     Poly2T,
-    check_admissible,
     isotropic,
     kelvin_eigenvalues,
+    require_admissible,
     load_norm,
     switched_off,
     t_degree_terms,
@@ -48,9 +48,8 @@ def test_isotropic_rejects_incompressible():
 def test_coercivity_is_two_mu():
     # deviatoric eigenvalue of the isotropic tensor
     h = HookeTensor(isotropic(1.0, 0.3), isotropic(1.0, 0.3))
-    rep = check_admissible(h, BiotParams())
-    assert rep.admissible
-    assert rep.c0 == pytest.approx(2.0 / 2.6, rel=1e-12)
+    require_admissible(h, BiotParams())
+    assert h.coercivity() == pytest.approx(2.0 / 2.6, rel=1e-12)
 
 
 def test_coercivity_random_spot_check():
@@ -72,8 +71,11 @@ def test_permeability_diag_c_K():
 
 def test_zero_tensor_rejected():
     h = HookeTensor(np.zeros((6, 6)), np.zeros((6, 6)))
-    rep = check_admissible(h, BiotParams())
-    assert not rep.admissible
+    with pytest.raises(MaterialError, match="elastic coercivity c0="):
+        require_admissible(h, BiotParams())
+    ok = HookeTensor(isotropic(1.0, 0.3), isotropic(1.0, 0.3))
+    with pytest.raises(MaterialError, match="permeability constant c_K="):
+        require_admissible(ok, BiotParams(K=1e-13 * np.eye(3)))
 
 
 def test_biot_validation():

@@ -20,7 +20,6 @@ from poroplate.cell import (
 from poroplate.errors import AssemblyError, BudgetError
 from poroplate.geometry import CellGeometry, build_cell_mesh, build_micro_mesh, build_plate_mesh
 from poroplate.material import BiotParams, LoadSpec, Poly2T
-from poroplate.plate import build_plate_space
 
 
 def full_tensor(M: np.ndarray) -> np.ndarray:
@@ -182,8 +181,7 @@ def test_macro_bending_vs_independent_assembly(cell_pipeline):
         dofs = (4 * conn[:, None] + np.arange(4)).ravel()
         K[np.ix_(dofs, dofs)] += ke
         F[dofs] += f3e
-    free = np.ones(4 * nn, dtype=bool)
-    free[(4 * plate.boundary_nodes[:, None] + np.arange(4)).ravel()] = False
+    free = plate.reducer.dof_map[2 * nn:] >= 0   # bending block of the clamp
     w_sol = np.zeros(4 * nn)
     w_sol[free] = np.linalg.solve(K[np.ix_(free, free)], F[free])
     ref = w_sol.reshape(nn, 4)
@@ -388,7 +386,7 @@ def _element_loop_gamma(space, cm, cb, scale):
     """Gamma[(i, j), V] = scale sum_e sum_q w_q N_i(q) [m(V).cm - k(V).cb]_j."""
     ng = cm.shape[1]
     G = np.zeros((space.n_nodes * ng, space.n_red))
-    for e, conn in enumerate(space.plate.quads):
+    for e, conn in enumerate(space.quads):
         for q in range(len(space.qp_w)):
             blk = np.concatenate([space.B_mem[q].T @ cm, -space.B_bend[q].T @ cb])  # (24, ng)
             for a in range(4):
@@ -541,7 +539,7 @@ def _ref_ubar(osys, W, p):
     for q in range(nq):
         RE = np.hstack([osys.r_m.T @ space.B_mem[q], -osys.r_b.T @ space.B_bend[q]])
         TE = op.solve_reduced(RE)
-        for e, conn in enumerate(space.plate.quads):
+        for e, conn in enumerate(space.quads):
             pq = space.N_bil[q] @ P[conn]
             ubar[e, q] = osys.biot.alpha * op.U_C @ pq - TE @ Wloc[e]
     return ubar
@@ -567,7 +565,7 @@ def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
     scale = biot.alpha / osys.vol
     ref_u = np.zeros((space.n_nodes, ng))
     ref_W = np.zeros((space.n_nodes, ng))
-    for e, conn in enumerate(space.plate.quads):
+    for e, conn in enumerate(space.quads):
         for q in range(len(space.qp_w)):
             cu = osys.op.C_red @ ubar[e, q]
             trm = (space.B_mem[q][0] + space.B_mem[q][1]) @ Wloc[e, :8]
@@ -619,12 +617,12 @@ def test_load_cutoff_keeps_value_at_t_off(cell_pipeline, micro_mesh4, two_phase_
 
 def _macro_state_from_fields(plate_m, Wm_fn, Wb_fn, ng):
     plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), plate_m)
-    space = build_plate_space(plate)
     nodes = plate.nodes
     Wm = Wm_fn(nodes)
     Wb = Wb_fn(nodes)
     p = np.zeros((plate.n_nodes, ng))
-    return plate, twoscale.PlateState(t=0.0, Wm=Wm, Wb=Wb, p=p, W_red=space.restrict(Wm, Wb))
+    W_red = plate.reducer.restrict(np.concatenate([Wm.ravel(), Wb.ravel()]))
+    return plate, twoscale.PlateState(t=0.0, Wm=Wm, Wb=Wb, p=p, W_red=W_red)
 
 
 def test_residual_kl_plug_in(micro_mesh4, cell_mesh4, two_phase_hooke, biot, cell_pipeline):
