@@ -248,14 +248,15 @@ def lumped_weights(mesh, *, elems_mask=None, nodes=None, weight=None) -> np.ndar
     return assemble_scalar_source(mesh, weight, elems_mask=elems_mask, nodes=nodes)
 
 
-def micro_pressure_blocks(biot: BiotParams, mesh, eps: float):
+def micro_pressure_blocks(biot: BiotParams, mesh):
     """(mass, diffusion) on the gel pressure space of a micro mesh.
 
-    The diffusion carries the eps^2 K scaling of the micro problem; the mass
-    is unscaled (the Biot modulus c multiplies it in the stepper).
+    The diffusion carries the eps^2 K scaling of the micro problem, at the
+    mesh's eps; the mass is unscaled (the Biot modulus c multiplies it in the
+    stepper).
     """
     gel_mask = mesh.phase == 1
     M = assemble_scalar_mass(mesh, elems_mask=gel_mask, nodes=mesh.gel_nodes)
     D = assemble_scalar_diffusion(mesh, biot.K, elems_mask=gel_mask, nodes=mesh.gel_nodes,
-                                  scale=eps**2)
+                                  scale=mesh.eps**2)
     return M, D

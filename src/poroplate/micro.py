@@ -110,7 +110,6 @@ class GalerkinSystem:
     """Assembled operators of the micro problem on one mesh."""
 
     mesh: BrickMesh
-    hooke: HookeTensor
     biot: BiotParams
     eps: float
     reducer: Reducer
@@ -194,7 +193,7 @@ def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: f
     node_map = reducer.node_map(3)
     B = fem.assemble_elastic_stiffness(mesh, hooke, node_map)
     C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes, node_map=node_map)
-    M, D = fem.assembly.micro_pressure_blocks(biot, mesh, eps)
+    M, D = fem.assembly.micro_pressure_blocks(biot, mesh)
     gel_mask = mesh.phase == GEL
     f_scale = (eps, eps, eps**2)
 
@@ -210,7 +209,7 @@ def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: f
                                                 elems_mask=gel_mask, nodes=mesh.gel_nodes)
 
     return GalerkinSystem(
-        mesh=mesh, hooke=hooke, biot=biot, eps=eps, reducer=reducer, B=B, C=C, M=M, D=D,
+        mesh=mesh, biot=biot, eps=eps, reducer=reducer, B=B, C=C, M=M, D=D,
         F=LoadSeries.build(loads.components(), body_force, B.shape[0]),
         G=LoadSeries.build((loads.h,), source, M.shape[0]),
         strain_sq=fem.assemble_strain_product(mesh),

@@ -118,38 +118,6 @@ def isometry_error(values: np.ndarray, micro: BrickMesh, cell: BrickMesh) -> flo
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
-# ------------------------------------------------------- cell-mesh sampling
-
-
-class CellSampler:
-    """Values/strains/divergence of cell-mesh nodal fields at element qps."""
-
-    def __init__(self, mesh: BrickMesh):
-        self.mesh = mesh
-        self.N, self.dN, self.wdet, _ = el.hex_qp_data(mesh.spacing)
-        self.B = el.hex_strain_B(self.dN)
-        self.conn = mesh.elems
-        self.vdofs = fem.vector_dofs(mesh.elems)
-        self.y_q = fem.assembly.qp_points(mesh)  # (ne, nq, 3)
-        self.gel_elems = np.flatnonzero(mesh.phase == GEL)
-
-    def values(self, nodal: np.ndarray) -> np.ndarray:
-        """(ne, nq, k) values of a (n_nodes, k) nodal field."""
-        return np.einsum("qa,ea...->eq...", self.N, nodal[self.conn])
-
-    def strains(self, nodal_vec: np.ndarray) -> np.ndarray:
-        """(ne, nq, 6) engineering strains of a (n_nodes, 3) field."""
-        flat = nodal_vec.reshape(-1)[self.vdofs]
-        return np.einsum("qiA,eA->eqi", self.B, flat)
-
-    def scalar_values_gel(self, nodal_gel: np.ndarray, gel_dofs: np.ndarray) -> np.ndarray:
-        """(n_gel_elems, nq) values of a gel nodal field at gel-element qps.
-
-        gel_dofs holds the (n_gel_elems, 8) gel dof ids of the gel elements.
-        """
-        return np.einsum("qa,ea->eq", self.N, nodal_gel[gel_dofs])
-
-
 # ------------------------------------------------------- plate-gel coupling
 
 
@@ -583,96 +551,117 @@ def oracle_mismatch(msys: MacroSystem, mstates, mtable, osys: MupSystem, ostates
 # ------------------------------------------------- Kirchhoff-Love residuals
 
 
+# Frobenius weights of the engineering strain components
+_ENG_FROB = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+
+
+def _grid_order(points: np.ndarray):
+    """(order, in-plane points (n_ip, 2), thickness points (n_z,)) of points
+    that fill a tensor grid: points[order] runs over the grid in-plane point
+    major, x1 fastest, then thickness point."""
+    (x1, i1), (x2, i2), (x3, i3) = (np.unique(points[:, c], return_inverse=True)
+                                    for c in range(3))
+    slot = (i1 + len(x1) * i2) * len(x3) + i3
+    if len(points) != len(x1) * len(x2) * len(x3) or len(np.unique(slot)) != len(points):
+        raise AssemblyError(f"the {len(points)} cell quadrature points do not fill a "
+                            f"{len(x1)} x {len(x2)} x {len(x3)} grid")
+    return np.argsort(slot), np.stack(np.meshgrid(x1, x2), axis=-1).reshape(-1, 2), x3
+
+
 class ResidualContext:
-    """Precomputed cell-side sampling data for the unfolded residual norms."""
+    """Cell-side tables of the unfolded residual on the cell's quadrature grid.
+
+    The Gauss points of the cell mesh form a tensor grid of n_ip in-plane
+    points y' times n_z thickness points y3.  Every table is laid out
+    (in-plane point, thickness point, ...), so the plate fields, functions of
+    x' = eps (k + y') alone, are evaluated once per in-plane point of a cell.
+    The limit strain E(W) + e_y(u_d) + e_y(u_P) is linear in the membrane
+    strain m, the curvature kappa and the gel pressure p0 at x'; `unit_strains`
+    holds its cell factor for the coefficients (m, -kappa, alpha p0).
+    """
 
     def __init__(self, cell_mesh: BrickMesh, correctors, op: PressureCellOperator):
         self.cell_mesh = cell_mesh
-        self.op = op
-        self.sampler = CellSampler(cell_mesh)
-        s = self.sampler
-        self.y_flat = s.y_q.reshape(-1, 3)
-        self.w_flat = np.tile(s.wdet, s.y_q.shape[0])
-        # corrector strains at the cell qps, engineering components
-        self.chiS_m = np.stack([
-            s.strains(correctors.field("m", *k)).reshape(-1, 6) for k in MEMBRANE_KEYS])
-        self.chiS_b = np.stack([
-            s.strains(correctors.field("b", *k)).reshape(-1, 6) for k in MEMBRANE_KEYS])
-        # pressure-corrector strain responses per gel dof (unit convention:
-        # e(u_P) = alpha * sum_j q_j * UPS[j])
-        cols = [op.reducer.expand(op.U_C[:, j]).reshape(-1, 3) for j in range(op.n_gel)]
-        self.UPS = np.stack([s.strains(c).reshape(-1, 6) for c in cols])
-        # gel-side sampling
-        self.gel_elems = s.gel_elems
-        self.gel_dofs, _ = fem.assembly.element_dofs(cell_mesh, s.gel_elems, op.gel_nodes)
-        yg = s.y_q[self.gel_elems]
-        self.yg_flat = yg.reshape(-1, 3)
-        self.wg_flat = np.tile(s.wdet, len(self.gel_elems))
-        self.eng_frob = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+        N, dN, wdet, _ = el.hex_qp_data(cell_mesh.spacing)
+        nq = len(wdet)
+        y = fem.assembly.qp_points(cell_mesh).reshape(-1, 3)
+        self.order, self.y_ip, self.y3 = _grid_order(y)
+        self.w = np.tile(wdet, cell_mesh.n_elems)[self.order].reshape(len(self.y_ip), -1)
+        # element dofs -> values (3) and engineering strains (6) at each element qp
+        values = np.einsum("qa,cd->qcad", N, np.eye(3)).reshape(nq, 3, 24)
+        self._to_qp = np.concatenate([values, el.hex_strain_B(dN)], axis=1).reshape(-1, 24).T
+        # strains of the correctors and of the unit pressure responses
+        # (e(u_P) = alpha sum_j p0_j e(U_C[:, j])), plus E(W) = m - y3 kappa in the
+        # in-plane components
+        fields = [correctors.field(kind, *key) for kind in "mb" for key in MEMBRANE_KEYS]
+        fields += [op.reducer.expand(u).reshape(-1, 3) for u in op.U_C.T]
+        R = self.sample(np.stack(fields))[..., 3:]                    # (6 + ng, n_ip, n_z, 6)
+        R[:3, ..., [0, 1, 5]] += np.eye(3)[:, None, None, :]
+        R[3:6, ..., [0, 1, 5]] += np.eye(3)[:, None, None, :] * self.y3[:, None]
+        self.unit_strains = np.ascontiguousarray(R.transpose(1, 0, 2, 3))
+        # gel shape values at the gel qps: Phi[i, z, j], zero off the gel
+        gel = np.flatnonzero(cell_mesh.phase == GEL)
+        gel_dofs, ng = fem.assembly.element_dofs(cell_mesh, gel, op.gel_nodes)
+        phi = np.zeros((cell_mesh.n_elems, nq, ng))
+        phi[gel[:, None, None], np.arange(nq)[:, None], gel_dofs[:, None, :]] = N
+        self.gel_shapes = phi.reshape(-1, ng)[self.order].reshape(*self.w.shape, ng)
+
+    def sample(self, nodal: np.ndarray) -> np.ndarray:
+        """(..., n_ip, n_z, 9) values and engineering strains on the grid of
+        (..., n_cell_nodes, 3) nodal fields of the cell mesh."""
+        lead = nodal.shape[:-2]
+        out = nodal[..., self.cell_mesh.elems, :].reshape(*lead, -1, 24) @ self._to_qp
+        return out.reshape(*lead, -1, 9)[..., self.order, :].reshape(*lead, *self.w.shape, 9)
 
 
 def kirchhoff_love_residual(U: np.ndarray, p: np.ndarray, micro: BrickMesh,
                             ctx: ResidualContext, msys: MacroSystem,
                             mstate: PlateState) -> dict:
     """Discrete L2(omega x Ycell) distances between the unfolded micro solution
-    and the Kirchhoff-Love limit built from the macro state."""
+    and the Kirchhoff-Love limit built from the macro state.
+
+    All cells at once: arrays are laid out (cell, in-plane point, thickness
+    point, ...), and the plate fields are evaluated at the in-plane points
+    x' = eps (k + y') of every cell only.
+    """
     _check_matched(micro, ctx.cell_mesh)
     eps = micro.eps
-    alpha = msys.biot.alpha
     space = msys.space
-    U = np.asarray(U).reshape(-1, 3)
-    s = ctx.sampler
-    k2 = np.stack([np.arange(micro.total_cells) % micro.n_cells[0],
-                   np.arange(micro.total_cells) // micro.n_cells[0]], axis=-1)
+    n_cells, n_ip = micro.total_cells, len(ctx.y_ip)
+    cells = np.arange(n_cells)
+    k2 = np.stack([cells % micro.n_cells[0], cells // micro.n_cells[0]], axis=-1)
     (a1, _), (a2, _) = micro.omega
-    ng = ctx.op.n_gel
-    e1 = e2 = e3 = e4 = 0.0
-    for k in range(micro.total_cells):
-        nodal = U[micro.cell_nodes[k]]
-        vals = s.values(nodal).reshape(-1, 3)
-        strains = s.strains(nodal).reshape(-1, 6) / eps**2   # (1/eps) Pi(e(U))
-        y3 = ctx.y_flat[:, 2]
-        pts = np.stack([a1 + eps * (k2[k, 0] + ctx.y_flat[:, 0]),
-                        a2 + eps * (k2[k, 1] + ctx.y_flat[:, 1])], axis=-1)
-        Wm_vals, m_eng = space.eval_membrane(mstate.Wm, pts)
-        W3v, W3g, k_eng = space.eval_bending(mstate.Wb, pts)
-        # in-plane displacement residual
-        tgt = Wm_vals - y3[:, None] * W3g
-        diff = vals[:, :2] / eps - tgt
-        e1 += eps**2 * float(np.einsum("p,pc->", ctx.w_flat, diff**2))
-        # deflection residual
-        d2 = vals[:, 2] - W3v
-        e2 += eps**2 * float(ctx.w_flat @ d2**2)
-        # strain residual: E(W) + e_y(u_d) + e_y(u_P)
-        EW = np.zeros((len(pts), 6))
-        EW[:, 0] = m_eng[:, 0] - y3 * k_eng[:, 0]
-        EW[:, 1] = m_eng[:, 1] - y3 * k_eng[:, 1]
-        EW[:, 5] = m_eng[:, 2] - y3 * k_eng[:, 2]
-        e_ud = (np.einsum("pI,Ipc->pc", m_eng, ctx.chiS_m)
-                - np.einsum("pI,Ipc->pc", k_eng, ctx.chiS_b))
-        qgel = space.eval_bilinear_nodal(mstate.p, pts)      # (P, ng)
-        e_up = alpha * np.einsum("pj,jpc->pc", qgel, ctx.UPS)
-        d3 = strains - (EW + e_ud + e_up)
-        e3 += eps**2 * float(np.einsum("p,pc,c->", ctx.w_flat, d3**2, ctx.eng_frob))
-        # pressure residual on the gel
-        pk = p.reshape(micro.total_cells, ng)[k] / eps       # (1/eps) Pi(p)
-        pvals = s.scalar_values_gel(pk, ctx.gel_dofs).reshape(-1)
-        gts = np.stack([a1 + eps * (k2[k, 0] + ctx.yg_flat[:, 0]),
-                        a2 + eps * (k2[k, 1] + ctx.yg_flat[:, 1])], axis=-1)
-        # p0 at (x', y): interpolate the nodal gel fields in x', sample in y
-        p0t = space.eval_bilinear_nodal(mstate.p, gts)       # (P_gel, ng)
-        nq = s.N.shape[0]
-        p0t_r = p0t.reshape(len(ctx.gel_elems), nq, ng)
-        gathered = np.take_along_axis(
-            p0t_r, np.broadcast_to(ctx.gel_dofs[:, None, :], (len(ctx.gel_elems), nq, 8)), axis=2)
-        p0_target = np.einsum("qa,eqa->eq", s.N, gathered)
-        d4 = pvals - p0_target.reshape(-1)
-        e4 += eps**2 * float(ctx.wg_flat @ d4**2)
+    pts = (np.array([a1, a2]) + eps * (k2[:, None, :] + ctx.y_ip)).reshape(-1, 2)
+    Wm, m = space.eval_membrane(mstate.Wm, pts)
+    W3, grad_W3, kappa = space.eval_bending(mstate.Wb, pts)
+    p0 = space.eval_bilinear_nodal(mstate.p, pts)
+    vs = ctx.sample(np.asarray(U).reshape(-1, 3)[micro.cell_nodes])   # Pi(U), eps Pi(e(U))
+
+    def plate(a):
+        """(cells, n_ip, 1, ...) plate values, constant along the thickness."""
+        return a.reshape(n_cells, n_ip, 1, *a.shape[1:])
+
+    w = eps**2 * ctx.w
+    d = vs[..., :2] / eps - (plate(Wm) - ctx.y3[:, None] * plate(grad_W3))
+    e_inplane = np.einsum("iz,kizc,kizc->", w, d, d)
+    d = vs[..., 2] - plate(W3)
+    e_deflection = np.einsum("iz,kiz,kiz->", w, d, d)
+    pk = np.reshape(p, (n_cells, 1, -1)) / eps                         # (1/eps) Pi(p)
+    d = np.einsum("izj,kij->kiz", ctx.gel_shapes, pk - p0.reshape(n_cells, n_ip, -1),
+                  optimize=True)
+    e_pressure = np.einsum("iz,kiz,kiz->", w, d, d)
+    # (1/eps) Pi(e(U)) minus the limit strain, in place: the strain arrays are
+    # the largest of the call
+    coef = np.hstack([m, -kappa, msys.biot.alpha * p0]).reshape(n_cells, n_ip, -1)
+    d = np.einsum("kiJ,iJzc->kizc", coef, ctx.unit_strains, optimize=True)
+    vs[..., 3:] /= eps**2
+    np.subtract(vs[..., 3:], d, out=d)
+    e_strain = np.einsum("iz,kizc,kizc,c->", w, d, d, _ENG_FROB)
     return {
-        "e_inplane": float(np.sqrt(e1)),
-        "e_deflection": float(np.sqrt(e2)),
-        "e_strain": float(np.sqrt(e3)),
-        "e_pressure": float(np.sqrt(e4)),
+        "e_inplane": float(np.sqrt(e_inplane)),
+        "e_deflection": float(np.sqrt(e_deflection)),
+        "e_strain": float(np.sqrt(e_strain)),
+        "e_pressure": float(np.sqrt(e_pressure)),
     }
 
 

@@ -153,9 +153,9 @@ def test_schur_increment_step_matches_reference_form(micro_mesh4, two_phase_hook
     assert len(sys.step_operators(dt).p_space) > 0
 
 
-def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, ramp_loads,
-                                                          monkeypatch):
-    sys = micro.assemble_micro(small_system.mesh, small_system.hooke, small_system.biot,
+def test_schur_step_makes_one_B_solve_per_outer_iteration(small_system, two_phase_hooke,
+                                                          ramp_loads, monkeypatch):
+    sys = micro.assemble_micro(small_system.mesh, two_phase_hooke, small_system.biot,
                                0.25, ramp_loads)
     assert np.linalg.norm(sys.F(0.0)) == 0.0   # initial_state makes no B-solve
     solves, outer, final = [], [], []
@@ -342,12 +342,13 @@ def test_schur_steps_meet_the_stopping_rule_across_the_cutoff():
     assert len(ratios) == 16 and max(ratios) <= 1.01
 
 
-def test_schur_step_repeats_its_pass_when_an_inner_solve_is_off(small_system, monkeypatch):
+def test_schur_step_repeats_its_pass_when_an_inner_solve_is_off(small_system, two_phase_hooke,
+                                                                monkeypatch):
     # a planted fault: every inner B-solve returns its result times 1 + 1e-6.
     # The outer CG then converges on a perturbed operator; the step must notice
     # it, by another pass or a SolverError, and never return a state that
     # misses the stopping rule
-    sys = micro.assemble_micro(small_system.mesh, small_system.hooke, small_system.biot,
+    sys = micro.assemble_micro(small_system.mesh, two_phase_hooke, small_system.biot,
                                0.25, CUTOFF_LOADS)
     assert len(sys.load_response.parts) > 0   # the responses are solved before the fault
     real_solve_B = sys.solve_B

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poroplate import micro, twoscale
+from poroplate import fem, micro, twoscale
 from poroplate.cell import (
     MEMBRANE_KEYS,
     HomogenizedTensor,
@@ -18,7 +18,14 @@ from poroplate.cell import (
     solve_correctors,
 )
 from poroplate.errors import AssemblyError, BudgetError
-from poroplate.geometry import CellGeometry, build_cell_mesh, build_micro_mesh, build_plate_mesh
+from poroplate.fem import elements as el
+from poroplate.geometry import (
+    GEL,
+    CellGeometry,
+    build_cell_mesh,
+    build_micro_mesh,
+    build_plate_mesh,
+)
 from poroplate.material import BiotParams, LoadSpec, Poly2T
 
 
@@ -690,6 +697,100 @@ def test_residual_two_scale_ansatz(default_geom, homogeneous_hooke, biot):
     res = twoscale.kirchhoff_love_residual(U, p, mesh, ctx, msys, mstate)
     assert res["e_strain"] < 1e-9
     assert res["e_inplane"] < 1e-12
+
+
+def _loop_residual(U, p, micro, cell_mesh, correctors, op, msys, mstate):
+    """The residual cell by cell, every plate field evaluated at every cell qp."""
+    N, dN, wdet, _ = el.hex_qp_data(cell_mesh.spacing)
+    B = el.hex_strain_B(dN)
+    vdofs = fem.vector_dofs(cell_mesh.elems)
+    y_q = fem.assembly.qp_points(cell_mesh)
+
+    def strains(nodal):
+        return np.einsum("qiA,eA->eqi", B, nodal.reshape(-1)[vdofs]).reshape(-1, 6)
+
+    y = y_q.reshape(-1, 3)
+    w = np.tile(wdet, len(y_q))
+    chi_m = np.stack([strains(correctors.field("m", *k)) for k in MEMBRANE_KEYS])
+    chi_b = np.stack([strains(correctors.field("b", *k)) for k in MEMBRANE_KEYS])
+    ups = np.stack([strains(op.reducer.expand(op.U_C[:, j]).reshape(-1, 3))
+                    for j in range(op.n_gel)])
+    gel = np.flatnonzero(cell_mesh.phase == GEL)
+    gel_dofs, ng = fem.assembly.element_dofs(cell_mesh, gel, op.gel_nodes)
+    yg = y_q[gel].reshape(-1, 3)
+    wg = np.tile(wdet, len(gel))
+    frob = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+
+    eps, space, alpha = micro.eps, msys.space, msys.biot.alpha
+    U = U.reshape(-1, 3)
+    (a1, _), (a2, _) = micro.omega
+    e = np.zeros(4)
+    for k in range(micro.total_cells):
+        k1, k2 = k % micro.n_cells[0], k // micro.n_cells[0]
+        nodal = U[micro.cell_nodes[k]]
+        vals = np.einsum("qa,eac->eqc", N, nodal[cell_mesh.elems]).reshape(-1, 3)
+        pts = np.stack([a1 + eps * (k1 + y[:, 0]), a2 + eps * (k2 + y[:, 1])], axis=-1)
+        Wm, m = space.eval_membrane(mstate.Wm, pts)
+        W3, grad_W3, kap = space.eval_bending(mstate.Wb, pts)
+        d1 = vals[:, :2] / eps - (Wm - y[:, 2:] * grad_W3)
+        d2 = vals[:, 2] - W3
+        EW = np.zeros((len(pts), 6))
+        EW[:, [0, 1, 5]] = m - y[:, 2:] * kap
+        e_ud = np.einsum("pI,Ipc->pc", m, chi_m) - np.einsum("pI,Ipc->pc", kap, chi_b)
+        e_up = alpha * np.einsum("pj,jpc->pc", space.eval_bilinear_nodal(mstate.p, pts), ups)
+        d3 = strains(nodal) / eps**2 - (EW + e_ud + e_up)
+        pk = p.reshape(micro.total_cells, ng)[k] / eps
+        gts = np.stack([a1 + eps * (k1 + yg[:, 0]), a2 + eps * (k2 + yg[:, 1])], axis=-1)
+        p0 = space.eval_bilinear_nodal(mstate.p, gts).reshape(len(gel), -1, ng)
+        p0 = np.take_along_axis(p0, np.broadcast_to(gel_dofs[:, None, :], p0.shape[:2] + (8,)),
+                                axis=2)
+        d4 = (np.einsum("qa,ea->eq", N, pk[gel_dofs]) - np.einsum("qa,eqa->eq", N, p0)).ravel()
+        e += eps**2 * np.array([w @ np.sum(d1**2, axis=1), w @ d2**2,
+                                w @ (d3**2 @ frob), wg @ d4**2])
+    return dict(zip(("e_inplane", "e_deflection", "e_strain", "e_pressure"), np.sqrt(e)))
+
+
+@pytest.mark.parametrize("geom", [
+    CellGeometry(),
+    CellGeometry(gel_box=((0.25, 0.5), (0.5, 0.75)), z_span=(-0.5, 0.75)),
+])
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_residual_matches_per_cell_loop(geom, eps, two_phase_hooke):
+    # random nonzero micro fields against a plate state with nonzero Wm, Wb
+    # and p0: every term, the pressure residual and e(u_P) included, is live
+    biot = BiotParams(c=0.7, alpha=0.8, K=np.eye(3))
+    cell = build_cell_mesh(geom, 4)
+    cs = solve_correctors(cell, two_phase_hooke)
+    op = PressureCellOperator(cell, two_phase_hooke, biot)
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3)
+    msys = twoscale.assemble_macro(compute_homogenized(cell, two_phase_hooke, cs), op,
+                                   divergence_moments(cs, op), plate, biot, LoadSpec())
+    rng = np.random.default_rng(7)
+    Wm, Wb = plate.expand(rng.standard_normal(plate.n_red))
+    mstate = twoscale.PlateState(t=0.0, Wm=Wm, Wb=Wb,
+                                 p=rng.standard_normal((plate.n_nodes, op.n_gel)),
+                                 W_red=np.zeros(plate.n_red))
+    mesh = build_micro_mesh(geom, eps, ((0.0, 1.0), (0.0, 1.0)), 4)
+    U = rng.standard_normal((mesh.n_nodes, 3))
+    p = rng.standard_normal(len(mesh.gel_nodes))
+    res = twoscale.kirchhoff_love_residual(U, p, mesh, twoscale.ResidualContext(cell, cs, op),
+                                           msys, mstate)
+    ref = _loop_residual(U, p, mesh, cell, cs, op, msys, mstate)
+    assert set(res) == set(ref)
+    for key, val in ref.items():
+        assert val > 0.0
+        assert abs(res[key] - val) <= 1e-12 * val, key
+
+
+def test_grid_order_rejects_points_off_a_tensor_grid():
+    pts = np.array([[x, y, z] for z in (0.0, 1.0) for y in (0.0, 1.0) for x in (0.0, 1.0)])
+    order, y_ip, y3 = twoscale._grid_order(pts[::-1])
+    np.testing.assert_array_equal(pts[::-1][order],
+                                  np.column_stack([np.repeat(y_ip, 2, axis=0), np.tile(y3, 4)]))
+    with pytest.raises(AssemblyError, match="do not fill"):
+        twoscale._grid_order(pts[1:])
+    with pytest.raises(AssemblyError, match="do not fill"):
+        twoscale._grid_order(np.vstack([pts[1:], pts[1]]))
 
 
 # ------------------------------------------------------------------ spectrum
