@@ -21,12 +21,16 @@ right-hand sides and the averaged Voigt matrices D0-D2.  The correctors carry
 theirs, so the homogenized tensor assembles nothing and forms its Gram
 products on reduced vectors; the pressure cell operator, the two-scale oracle
 and the norm-equivalence spectrum each build their own.
+
+`solve_cell` is the one cell stage of the CLI, the acceptance suite and the
+convergence study.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,3 +351,21 @@ def divergence_moments(correctors: CorrectorSet, op: PressureCellOperator) -> Mo
         nodal[key] = d
         scalars[key] = float(d.sum())
     return MomentTable(scalars=scalars, nodal=nodal)
+
+
+class CellQuantities(NamedTuple):
+    """Everything the plate side reads of one cell: see `solve_cell`."""
+
+    correctors: CorrectorSet
+    hom: HomogenizedTensor
+    op: PressureCellOperator
+    moments: MomentTable
+
+
+def solve_cell(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, tol: float) -> CellQuantities:
+    """The cell problems of one cell mesh: the correctors (CG to `tol`), the
+    homogenized tensor, the pressure cell operator and the divergence moments."""
+    correctors = solve_correctors(mesh, hooke, tol=tol)
+    hom = compute_homogenized(mesh, hooke, correctors)
+    op = PressureCellOperator(mesh, hooke, biot)
+    return CellQuantities(correctors, hom, op, divergence_moments(correctors, op))

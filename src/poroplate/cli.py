@@ -18,13 +18,7 @@ import numpy as np
 from . import io as pio
 from . import micro as micro_mod
 from . import twoscale
-from .cell import (
-    HomogenizedTensor,
-    PressureCellOperator,
-    compute_homogenized,
-    divergence_moments,
-    solve_correctors,
-)
+from .cell import HomogenizedTensor, solve_cell
 from .config import DEFAULT_CONFIG_TEXT, RunConfig, default_config, load_config
 from .errors import ConfigError, PoroplateError, SolverError
 from .geometry import build_cell_mesh, build_micro_mesh, build_plate_mesh
@@ -83,22 +77,19 @@ def _hom_from_file(path) -> HomogenizedTensor:
 def _cell_stage(cfg: RunConfig, out: str, report: RunReport, want_vtk=True):
     t0 = time.perf_counter()
     mesh = build_cell_mesh(cfg.geom, cfg.cell_n)
-    cs = solve_correctors(mesh, cfg.hooke, tol=cfg.tol_cell)
-    op = PressureCellOperator(mesh, cfg.hooke, cfg.biot)
-    mom = divergence_moments(cs, op)
+    cq = solve_cell(mesh, cfg.hooke, cfg.biot, cfg.tol_cell)
+    fields = cq.correctors.fields
     if want_vtk and "vtk" in cfg.formats:
-        pdata = {}
-        for (kind, a, b), fld in cs.fields.items():
-            pdata[f"chi_{kind}_{a + 1}{b + 1}"] = fld
+        pdata = {f"chi_{kind}_{a + 1}{b + 1}": fld for (kind, a, b), fld in fields.items()}
         pio.write_vtk(os.path.join(out, "correctors.vtk"), mesh.nodes, mesh.elems,
                       pio.VTK_HEX, point_data=pdata,
                       cell_data={"phase": mesh.phase.astype(float)})
-    pairs = [(f"moment_{kind}_{a + 1}{b + 1}", mom.scalar(kind, a, b))
-             for (kind, a, b) in cs.fields.keys()]
+    pairs = [(f"moment_{kind}_{a + 1}{b + 1}", cq.moments.scalar(kind, a, b))
+             for (kind, a, b) in fields.keys()]
     pio.write_keyvalues(os.path.join(out, "cell_moments.txt"), pairs,
                         header="divergence moments int_gel div chi dy")
-    report.add("cell", "ok", time.perf_counter() - t0, correctors=len(cs.fields))
-    return mesh, cs, op, mom
+    report.add("cell", "ok", time.perf_counter() - t0, correctors=len(fields))
+    return cq
 
 
 def cmd_cell(cfg, out, report):
@@ -107,15 +98,15 @@ def cmd_cell(cfg, out, report):
 
 
 def cmd_homogenize(cfg, out, report):
-    mesh, cs, op, mom = _cell_stage(cfg, out, report, want_vtk=False)
+    cq = _cell_stage(cfg, out, report, want_vtk=False)
     t0 = time.perf_counter()
-    hom = compute_homogenized(mesh, cfg.hooke, cs)
+    hom = cq.hom
     with open(os.path.join(out, "homogenized.txt"), "w") as f:
         f.write(pio.hom_table_text(hom))
     pio.write_keyvalues(os.path.join(out, "homogenized.kv"), pio.hom_keyvalues(hom),
                         header="plate coefficients, engineering basis (e11, e22, 2e12)")
     if cfg.cell_n <= 6:  # dense-eigen feasible
-        c_min, c_max = twoscale.norm_equivalence_spectrum(mesh)
+        c_min, c_max = twoscale.norm_equivalence_spectrum(cq.op.mesh)
         pio.write_keyvalues(os.path.join(out, "spectrum.kv"),
                             [("c_min", c_min), ("C_max", c_max)],
                             header="norm-equivalence spectrum of the unfolded space")
@@ -146,11 +137,10 @@ def cmd_micro(cfg, out, report):
 
 
 def _macro_stage(cfg, out, report):
-    mesh, cs, op, mom = _cell_stage(cfg, out, report, want_vtk=False)
-    hom = compute_homogenized(mesh, cfg.hooke, cs)
+    cq = _cell_stage(cfg, out, report, want_vtk=False)
     t0 = time.perf_counter()
     plate = build_plate_mesh(cfg.omega, cfg.plate_m)
-    msys = twoscale.assemble_macro(hom, op, mom, plate, cfg.biot, cfg.loads)
+    msys = twoscale.assemble_macro(cq.hom, cq.op, cq.moments, plate, cfg.biot, cfg.loads)
     states, table = twoscale.run_macro(msys, cfg.T, cfg.nsteps)
     pio.write_csv(os.path.join(out, "macro_norms.csv"), table)
     if "vtk" in cfg.formats:
@@ -159,7 +149,7 @@ def _macro_stage(cfg, out, report):
                       pio.VTK_QUAD, point_data={"W3": final.W3, "p_mean": msys.p_mean(final),
                                                 "W_membrane": final.Wm})
     report.add("macro", "ok", time.perf_counter() - t0, steps=cfg.nsteps)
-    return msys, states, table, mesh
+    return msys, states, table, cq.op.mesh
 
 
 def cmd_macro(cfg, out, report):
@@ -175,19 +165,18 @@ def cmd_mup(cfg, out, report):
         budget_dofs=cfg.budget_dofs)
     pio.write_csv(os.path.join(out, "mup_norms.csv"), otable)
     worst = twoscale.oracle_mismatch(msys, states, table, osys, ostates, otable)
+    verdict = "pass" if worst <= twoscale.ORACLE_TOL else "fail"
     pio.write_keyvalues(os.path.join(out, "mup_equivalence.txt"),
-                        [("max_rel_diff", worst), ("tolerance", 1e-6),
-                         ("verdict", "pass" if worst <= 1e-6 else "fail")])
+                        [("max_rel_diff", worst), ("tolerance", twoscale.ORACLE_TOL),
+                         ("verdict", verdict)])
     report.add("mup", "ok", time.perf_counter() - t0, max_rel_diff=worst)
-    report.verdicts["mup_equivalence"] = "pass" if worst <= 1e-6 else "fail"
-    return EXIT_OK if worst <= 1e-6 else EXIT_ACCEPT
+    report.verdicts["mup_equivalence"] = verdict
+    return EXIT_OK if verdict == "pass" else EXIT_ACCEPT
 
 
 def cmd_converge(cfg, out, report):
     t0 = time.perf_counter()
-    rows, monotone, _ = twoscale.convergence_study(
-        cfg.geom, cfg.hooke, cfg.biot, cfg.loads, cfg.omega, cfg.eps_list,
-        cfg.cell_n, cfg.plate_m, cfg.T, cfg.nsteps, tol=cfg.tol_step)
+    rows, monotone, _ = AcceptanceSuite(cfg).study()   # the sweep AC4 and AC6 read
     cols = ["eps", "e_inplane", "e_deflection", "e_strain", "e_pressure",
             "e_U_max", "p_max"]
     pio.write_csv(os.path.join(out, "convergence.csv"), rows, fieldnames=cols)

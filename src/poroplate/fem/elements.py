@@ -175,22 +175,21 @@ def bfs_basis(spacing, points, deriv=(0, 0)) -> np.ndarray:
     points are (xi, eta) in [0, 1]^2; deriv = (dx_order, dy_order), each <= 2.
     Dof order per element: node-major, per node (w, w_x, w_y, w_xy).
     """
+    return bfs_derivatives(spacing, points, (deriv,))[0]
+
+
+def bfs_derivatives(spacing, points, derivs) -> list:
+    """`bfs_basis` of each derivative pattern in `derivs`, from one 1-D Hermite
+    table per axis and derivative order."""
     hx, hy = spacing
     P = np.atleast_2d(points)
-    X = _hermite1d(hx, P[:, 0], deriv[0])
-    Y = _hermite1d(hy, P[:, 1], deriv[1])
-    out = np.empty((len(P), 16))
-    for a, (ia, ja) in enumerate(_BFS_NODES):
-        for d, (kx, ky) in enumerate(_BFS_KINDS):
-            out[:, 4 * a + d] = X[ia, kx] * Y[ja, ky]
-    return out
+    X = {k: _hermite1d(hx, P[:, 0], k) for k in {d[0] for d in derivs}}
+    Y = {k: _hermite1d(hy, P[:, 1], k) for k in {d[1] for d in derivs}}
+    return [np.stack([X[dx][ia, kx] * Y[dy][ja, ky] for ia, ja in _BFS_NODES
+                      for kx, ky in _BFS_KINDS], axis=1) for dx, dy in derivs]
 
 
 def bfs_bending_B(spacing, points) -> np.ndarray:
     """(nq, 3, 16) curvature rows (w_xx, w_yy, 2 w_xy) at unit-square points."""
-    nq = len(np.atleast_2d(points))
-    B = np.empty((nq, 3, 16))
-    B[:, 0, :] = bfs_basis(spacing, points, (2, 0))
-    B[:, 1, :] = bfs_basis(spacing, points, (0, 2))
-    B[:, 2, :] = 2.0 * bfs_basis(spacing, points, (1, 1))
-    return B
+    wxx, wyy, wxy = bfs_derivatives(spacing, points, ((2, 0), (0, 2), (1, 1)))
+    return np.stack([wxx, wyy, 2.0 * wxy], axis=1)

@@ -1,5 +1,5 @@
-"""Preconditioned CG, the pressure-Schur block solver, dense inverses and the
-per-step-size operator cache.
+"""Preconditioned CG, the pressure-Schur block solver, dense inverses, the
+per-step-size operator cache and the time-step loop.
 
 pcg is the only iterative kernel: deterministic (fixed reduction order, no
 threading), with the residual history kept for diagnostics.  solve_saddle
@@ -29,6 +29,8 @@ extension blocks) is inverted once here, by `inverse` or `spd_inverse` on
 numpy's LAPACK, and then applied as matrix products: every dense kernel runs
 on numpy's BLAS, never on the separate BLAS library scipy loads.  Operators
 that depend on the time step are built once per step size through `StepCache`.
+
+`march` is the one time-step loop, of the micro, macro and oracle trajectories.
 """
 
 from __future__ import annotations
@@ -302,3 +304,24 @@ class StepCache:
         if key not in self._entries:
             self._entries[key] = build(dt)
         return self._entries[key]
+
+
+def march(start, step, row, T: float, nsteps: int, retire=lambda state: state):
+    """(states, table) of nsteps steps of size T / nsteps from the state start().
+
+    step(state, dt) gives the next state and row(state) its table row (the
+    norms with the energy), one row per state.  Once a state's successor
+    exists, retire(state) gives what the trajectory keeps of it (None:
+    nothing).  nsteps is checked before start() builds anything.
+    """
+    if nsteps < 1:
+        raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
+    dt = T / nsteps
+    state = start()
+    states, table = [state], [row(state)]
+    for _ in range(nsteps):
+        state = step(state, dt)
+        states[-1] = retire(states[-1])
+        states.append(state)
+        table.append(row(state))
+    return [s for s in states if s is not None], table

@@ -351,20 +351,22 @@ class PlateMesh:
         """(W3, grad W3 (npts,2), curvature eng (npts,3)) of the deflection."""
         eid, loc = self._locate(pts)
         dofs = Wb[self.quads[eid]].reshape(len(pts), 16)   # node-major (w, wx, wy, wxy)
-        out = {}
-        for name, d in (("v", (0, 0)), ("gx", (1, 0)), ("gy", (0, 1)),
-                        ("kxx", (2, 0)), ("kyy", (0, 2)), ("kxy", (1, 1))):
-            basis = el.bfs_basis(self.spacing, loc, d)
-            out[name] = np.einsum("pa,pa->p", basis, dofs)
-        grad = np.stack([out["gx"], out["gy"]], axis=-1)
-        curv = np.stack([out["kxx"], out["kyy"], 2.0 * out["kxy"]], axis=-1)
-        return out["v"], grad, curv
+        v, gx, gy, kxx, kyy, kxy = (
+            np.einsum("pa,pa->p", basis, dofs) for basis in el.bfs_derivatives(
+                self.spacing, loc, ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))))
+        return v, np.stack([gx, gy], axis=-1), np.stack([kxx, kyy, 2.0 * kxy], axis=-1)
 
     def eval_bilinear_nodal(self, f: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of per-node data f (nn, k) at the points."""
         eid, loc = self._locate(pts)
-        Nv = el.quad_shape(2.0 * loc - 1.0)
-        return np.einsum("pa,pa...->p...", Nv, f[self.quads[eid]])
+        return _bilinear_map(self.quads[eid], el.quad_shape(2.0 * loc - 1.0), self.n_nodes) @ f
+
+
+def _bilinear_map(conn: np.ndarray, N: np.ndarray, n_nodes: int) -> sp.csr_matrix:
+    """Sparse (points, nodes) interpolation: row i holds the bilinear shape
+    values N[i] (4,) at the nodes conn[i] (4,) of the quad containing point i."""
+    rows = np.repeat(np.arange(len(N)), 4)
+    return sp.csr_matrix((N.ravel(), (rows, conn.ravel())), shape=(len(N), n_nodes))
 
 
 def build_plate_mesh(omega, m: int) -> PlateMesh:
@@ -397,13 +399,10 @@ def build_plate_mesh(omega, m: int) -> PlateMesh:
     E[:, 3:, 8:] = -B_bend
     N_bil = el.quad_shape(2.0 * pts - 1.0)
     ne = len(quads)
-    rows = np.broadcast_to(np.arange(ne * nq).reshape(ne, nq, 1), (ne, nq, 4))
-    cols = np.broadcast_to(quads[:, None, :], (ne, nq, 4))
-    vals = np.broadcast_to(N_bil, (ne, nq, 4))
     return PlateMesh(
         omega=((a1, b1), (a2, b2)), m=m, nodes=nodes, quads=quads, spacing=(hx, hy),
         reducer=reducer, elem_dofs=reducer.dof_map[layout(quads)],
         qp_unit=pts, qp_w=w * hx * hy, N_bil=N_bil, B_mem=B_mem, B_bend=B_bend,
         N_bfs=el.bfs_basis((hx, hy), pts, (0, 0)), E=E,
-        N_qp=sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(ne * nq, nn)),
+        N_qp=_bilinear_map(np.repeat(quads, nq, axis=0), np.tile(N_bil, (ne, 1)), nn),
     )

@@ -66,7 +66,8 @@ from . import fem
 from .errors import AssemblyError, SolverError
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.multigrid import VCycle
-from .fem.solvers import RepeatedBlockSolver, SolutionSpace, StepCache, inverse, pcg, solve_saddle
+from .fem.solvers import (RepeatedBlockSolver, SolutionSpace, StepCache, inverse, march, pcg,
+                          solve_saddle)
 from .geometry import GEL, BrickMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec, require_admissible
 
@@ -229,19 +230,18 @@ class MicroState:
     U_red: np.ndarray      # reduced displacement the next step reads
 
     def norms(self, sys: GalerkinSystem) -> dict:
+        """The a-priori norms and the energy c ||p||^2 + ||e(U)||_A^2 (the decay
+        functional of the a priori bound): one row of the trajectory table."""
         u = self.U.reshape(-1)
+        p_sq = self.p @ (sys.M @ self.p)
         return {
             "t": self.t,
             "e_U": float(np.sqrt(max(u @ (sys.strain_sq @ u), 0.0))),
-            "p": float(np.sqrt(max(self.p @ (sys.M @ self.p), 0.0))),
+            "p": float(np.sqrt(max(p_sq, 0.0))),
             "eps_grad_p": sys.eps * float(np.sqrt(max(self.p @ (sys.grad_p_sq @ self.p), 0.0))),
             "grad_U": float(np.sqrt(max(u @ (sys.grad_sq @ self.U).ravel(), 0.0))),
+            "energy": float(sys.biot.c * p_sq + self.U_red @ (sys.B @ self.U_red)),
         }
-
-    def energy(self, sys: GalerkinSystem) -> float:
-        """c ||p||^2 + ||e(U)||_A^2 (the decay functional of the a priori bound)."""
-        return float(sys.biot.c * (self.p @ (sys.M @ self.p))
-                     + self.U_red @ (sys.B @ self.U_red))
 
 
 def initial_state(sys: GalerkinSystem) -> MicroState:
@@ -353,7 +353,7 @@ class Trajectory:
     """States plus the per-step norm/energy table of the a-priori quantities."""
 
     states: list
-    table: list = field(default_factory=list)
+    table: list
 
     @property
     def final(self) -> MicroState:
@@ -371,26 +371,13 @@ class Trajectory:
 def run_transient(sys: GalerkinSystem, T: float, nsteps: int, *,
                   stepper: str = "monolithic", tol: float = 1e-10,
                   keep_states: bool = True) -> Trajectory:
-    """Implicit Euler trajectory on [0, T] recording the a-priori norm table."""
-    if nsteps < 1:
-        raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
-    dt = T / nsteps
+    """Implicit Euler trajectory on [0, T] recording the a-priori norm table;
+    without `keep_states` only the final state is kept."""
     step = {"monolithic": step_monolithic, "schur": step_schur}[stepper]
-    state = initial_state(sys)
-    traj = Trajectory(states=[state])
-    row = state.norms(sys)
-    row["energy"] = state.energy(sys)
-    traj.table.append(row)
-    for _ in range(nsteps):
-        state = step(sys, state, dt, tol=tol)
-        if not keep_states:
-            traj.states = [state]
-        else:
-            traj.states.append(state)
-        row = state.norms(sys)
-        row["energy"] = state.energy(sys)
-        traj.table.append(row)
-    return traj
+    states, table = march(partial(initial_state, sys), partial(step, sys, tol=tol),
+                          lambda state: state.norms(sys), T, nsteps,
+                          retire=lambda state: state if keep_states else None)
+    return Trajectory(states, table)
 
 
 # --------------------------------------------------------- decomposition ops

@@ -32,16 +32,18 @@ and applied as matrix products: every dense kernel of a step then runs on
 numpy's BLAS, without switching to the separate BLAS library scipy loads.
 
 The two paths share one state (`PlateState`), initial state, implicit Euler
-step, norm table and trajectory loop on `_CoupledPlateSystem`, and build
+step and norm table on `_CoupledPlateSystem`, run through the one time-step
+loop `fem.solvers.march` as the micro trajectories do, and build
 their plate matrices (`A_W`, `S_WW`) from a (6, 6) form pulled back through
 `PlateMesh.E`.  A subclass defines only its cell vectors, its plate matrix,
 the previous-state terms of the pressure equation and its elastic energy.
-`oracle_mismatch` is the one measure of "macro = oracle" (AC5).
+`oracle_mismatch` is the one measure of "macro = oracle" (AC5), and
+`ORACLE_TOL` its acceptance bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -55,10 +57,11 @@ from .cell import (
     PressureCellOperator,
     MEMBRANE_KEYS,
     _ENG_UNIT,
+    solve_cell,
 )
 from .errors import AssemblyError, BudgetError
 from .fem import elements as el
-from .fem.solvers import StepCache, spd_inverse
+from .fem.solvers import StepCache, march, spd_inverse
 from .geometry import GEL, BrickMesh, PlateMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec
 
@@ -215,7 +218,6 @@ class _CoupledPlateSystem:
         self.M_gel_y = op.M_gel.toarray()
         self.S_mass_y = (biot.c * self.M_gel_y + biot.alpha**2 * op.N) / self.vol
         self.D_y = op.D_gel.toarray() / self.vol
-        self.w_gel = op.w
         qpc = sp_.qp_coords()
 
         def plate_load(comp, spatial):
@@ -259,7 +261,7 @@ class _CoupledPlateSystem:
 
     def p_mean(self, state: PlateState) -> np.ndarray:
         """p_m(x') = (1/|Ycell|) int_gel p0 dy per plate node."""
-        return (state.p @ self.w_gel) / self.vol
+        return (state.p @ self.op.w) / self.vol
 
     def _state(self, t: float, W_red: np.ndarray, p: np.ndarray) -> PlateState:
         Wm, Wb = self.space.expand(W_red)
@@ -296,47 +298,20 @@ class _CoupledPlateSystem:
         MGW = self._M_x_inv @ self._G_apply(W1)
         return W1, q.reshape(self.space.n_nodes, self.ng) - MGW @ SyV.T
 
-    def energy(self, state: PlateState) -> float:
-        """c ||p0||^2_{L2(omega x gel)} plus the formulation's elastic energy."""
-        p = state.p.reshape(-1)
-        c_term = self.biot.c * float(p @ self._kron_apply(self.M_x, self.M_gel_y, p))
-        return c_term + self._elastic_energy(state)
-
     def norms(self, state: PlateState) -> dict:
+        """The norms and the energy, c ||p0||^2_{L2(omega x gel)} plus the
+        formulation's elastic energy: one row of the trajectory table."""
         p = state.p.reshape(-1)
         pm = self.p_mean(state)
+        p0_sq = float(p @ self._kron_apply(self.M_x, self.M_gel_y, p))
         return {
             "t": state.t,
             "Wm": float(np.sqrt(sum(state.Wm[:, c] @ (self.M_x @ state.Wm[:, c]) for c in range(2)))),
             "W3": float(np.sqrt(state.W3 @ (self.M_x @ state.W3))),
-            "p0": float(np.sqrt(max(p @ self._kron_apply(self.M_x, self.M_gel_y, p), 0.0))),
+            "p0": float(np.sqrt(max(p0_sq, 0.0))),
             "p_m": float(np.sqrt(max(pm @ (self.M_x @ pm), 0.0))),
-            "energy": self.energy(state),
+            "energy": self.biot.c * p0_sq + self._elastic_energy(state),
         }
-
-
-def _step_size(T: float, nsteps: int) -> float:
-    if nsteps < 1:
-        raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
-    return T / nsteps
-
-
-def _trajectory(system: _CoupledPlateSystem, dt: float, nsteps: int):
-    """Implicit Euler states and norm table of either plate system.
-
-    A step reads only the previous warping, so every oracle state but the
-    last drops its `ubar` (ne * nq * n_red_cell doubles) once the next step
-    has used it.
-    """
-    state = system.initial_state()
-    states = [state]
-    table = [system.norms(state)]
-    for _ in range(nsteps):
-        state = system.step(state, dt)
-        states[-1].ubar = None
-        states.append(state)
-        table.append(system.norms(state))
-    return states, table
 
 
 # traces of the unit membrane strains M^11, M^22, M^12 (engineering order)
@@ -390,7 +365,7 @@ def assemble_macro(hom: HomogenizedTensor, op: PressureCellOperator, moments: Mo
 
 def run_macro(msys: MacroSystem, T: float, nsteps: int):
     """Implicit Euler macro trajectory with the norm/energy table."""
-    return _trajectory(msys, _step_size(T, nsteps), nsteps)
+    return march(msys.initial_state, msys.step, msys.norms, T, nsteps)
 
 
 # ----------------------------------------------------- direct two-scale oracle
@@ -521,11 +496,26 @@ class MupSystem(_CoupledPlateSystem):
 def solve_mup_direct(cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
                      biot: BiotParams, loads: LoadSpec, T: float, nsteps: int,
                      budget_dofs: int = 300_000):
-    """Monolithic trajectory of the unfolded limit problem (the oracle path)."""
-    dt = _step_size(T, nsteps)
-    msys = MupSystem(cell_mesh, plate, hooke, biot, loads, budget_dofs=budget_dofs)
-    states, table = _trajectory(msys, dt, nsteps)
-    return msys, states, table
+    """Monolithic trajectory of the unfolded limit problem (the oracle path).
+
+    The trajectory's start builds the system, after the nsteps check; its
+    retire drops the warping of each state once the next step has used it.
+    """
+    osys = None
+
+    def start():
+        nonlocal osys
+        osys = MupSystem(cell_mesh, plate, hooke, biot, loads, budget_dofs=budget_dofs)
+        return osys.initial_state()
+
+    states, table = march(start, lambda state, dt: osys.step(state, dt),
+                          lambda state: osys.norms(state), T, nsteps,
+                          retire=lambda state: replace(state, ubar=None))
+    return osys, states, table
+
+
+# largest `oracle_mismatch` at which macro = oracle is accepted
+ORACLE_TOL = 1e-6
 
 
 def oracle_mismatch(msys: MacroSystem, mstates, mtable, osys: MupSystem, ostates,
@@ -667,26 +657,23 @@ def kirchhoff_love_residual(U: np.ndarray, p: np.ndarray, micro: BrickMesh,
 
 def convergence_study(geom, hooke: HookeTensor, biot: BiotParams, loads: LoadSpec,
                       omega, eps_list, n_cell: int, m_plate: int, T: float,
-                      nsteps: int, tol: float = 1e-9):
+                      nsteps: int, tol: float = 1e-9, tol_cell: float = 1e-10):
     """Residual table along an eps sequence against one fixed macro solve.
 
     The micro and macro trajectories use the same implicit Euler grid so the
     time-discretization error cancels from the comparison; only monotone
-    decrease is asserted downstream (the limit carries no proven rate).
+    decrease is asserted downstream (the limit carries no proven rate).  The
+    micro steps solve to `tol`, the correctors to `tol_cell`.
     """
-    from .cell import compute_homogenized, divergence_moments, solve_correctors
     from .geometry import build_cell_mesh, build_micro_mesh, build_plate_mesh
     from .micro import assemble_micro, run_transient
 
     cm = build_cell_mesh(geom, n_cell)
-    cs = solve_correctors(cm, hooke)
-    hom = compute_homogenized(cm, hooke, cs)
-    op = PressureCellOperator(cm, hooke, biot)
-    mom = divergence_moments(cs, op)
+    cq = solve_cell(cm, hooke, biot, tol_cell)
     plate = build_plate_mesh(omega, m_plate)
-    msys = assemble_macro(hom, op, mom, plate, biot, loads)
+    msys = assemble_macro(cq.hom, cq.op, cq.moments, plate, biot, loads)
     mstates, mtable = run_macro(msys, T, nsteps)
-    ctx = ResidualContext(cm, cs, op)
+    ctx = ResidualContext(cm, cq.correctors, cq.op)
     rows = []
     for eps in eps_list:
         mm = build_micro_mesh(geom, eps, omega, n_cell)

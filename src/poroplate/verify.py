@@ -14,13 +14,7 @@ import numpy as np
 
 from . import micro as micro_mod
 from . import twoscale
-from .cell import (
-    HomogenizedTensor,
-    PressureCellOperator,
-    compute_homogenized,
-    divergence_moments,
-    solve_correctors,
-)
+from .cell import HomogenizedTensor, compute_homogenized, solve_cell, solve_correctors
 from .config import RunConfig, default_config
 from .geometry import CellGeometry, build_cell_mesh, build_micro_mesh, build_plate_mesh
 from .material import HookeTensor, LoadSpec, Poly2T, isotropic
@@ -75,13 +69,11 @@ class AcceptanceSuite:
     # ------------------------------------------------------------- caches
 
     def cell_pipeline(self):
+        """The config's `CellQuantities`, solved on first use."""
         if self._cell is None:
             cfg = self.cfg
-            mesh = build_cell_mesh(cfg.geom, cfg.cell_n)
-            cs = solve_correctors(mesh, cfg.hooke, tol=cfg.tol_cell)
-            hom = compute_homogenized(mesh, cfg.hooke, cs)
-            op = PressureCellOperator(mesh, cfg.hooke, cfg.biot)
-            self._cell = (mesh, cs, hom, op, divergence_moments(cs, op))
+            self._cell = solve_cell(build_cell_mesh(cfg.geom, cfg.cell_n), cfg.hooke, cfg.biot,
+                                    cfg.tol_cell)
         return self._cell
 
     def study(self):
@@ -90,7 +82,7 @@ class AcceptanceSuite:
             self._study = twoscale.convergence_study(
                 cfg.geom, cfg.hooke, cfg.biot, cfg.loads, cfg.omega,
                 cfg.eps_list, cfg.cell_n, cfg.plate_m, cfg.T, cfg.nsteps,
-                tol=cfg.tol_step)
+                tol=cfg.tol_step, tol_cell=cfg.tol_cell)
         return self._study
 
     # ------------------------------------------------------------- checks
@@ -123,7 +115,8 @@ class AcceptanceSuite:
     @_timed(60.0)
     def check_ac2(self):
         """Homogenized tensor admissibility and Reuss/Voigt bounds."""
-        mesh, cs, hom, op, mom = self.cell_pipeline()
+        cq = self.cell_pipeline()
+        mesh, hom = cq.op.mesh, cq.hom
         blk = hom.kelvin_block(1.0)
         sym = float(np.abs(blk - blk.T).max())
         lam_min = float(np.linalg.eigvalsh(blk).min())
@@ -176,17 +169,16 @@ class AcceptanceSuite:
     def check_ac5(self, hom_override: HomogenizedTensor | None = None):
         """Corrector-elimination oracle: direct two-scale vs homogenized path."""
         cfg = self.cfg
-        mesh, cs, hom, op, mom = self.cell_pipeline()
-        if hom_override is not None:
-            hom = hom_override
+        cq = self.cell_pipeline()
+        hom = cq.hom if hom_override is None else hom_override
         plate = build_plate_mesh(cfg.omega, 4)
-        msys = twoscale.assemble_macro(hom, op, mom, plate, cfg.biot, cfg.loads)
+        msys = twoscale.assemble_macro(hom, cq.op, cq.moments, plate, cfg.biot, cfg.loads)
         mstates, mtable = twoscale.run_macro(msys, cfg.T, 8)
         osys, ostates, otable = twoscale.solve_mup_direct(
-            mesh, plate, cfg.hooke, cfg.biot, cfg.loads, cfg.T, 8,
+            cq.op.mesh, plate, cfg.hooke, cfg.biot, cfg.loads, cfg.T, 8,
             budget_dofs=cfg.budget_dofs)
         worst = twoscale.oracle_mismatch(msys, mstates, mtable, osys, ostates, otable)
-        return worst <= 1e-6, {"max_rel_diff": worst}
+        return worst <= twoscale.ORACLE_TOL, {"max_rel_diff": worst}
 
     @_timed(1200.0)
     def check_ac6(self):
@@ -222,17 +214,19 @@ class AcceptanceSuite:
         cfg = self.cfg
         eps = 0.25
         mesh = build_micro_mesh(cfg.geom, eps, cfg.omega, cfg.cell_n)
-        zero = LoadSpec()
-        sys0 = micro_mod.assemble_micro(mesh, cfg.hooke, cfg.biot, eps, zero)
-        tr0 = micro_mod.run_transient(sys0, cfg.T, 8, tol=cfg.tol_step)
-        micro_zero = max(max(r["e_U"] for r in tr0.table), max(r["p"] for r in tr0.table))
-
-        mesh_c, cs, hom, op, mom = self.cell_pipeline()
+        cq = self.cell_pipeline()
         plate = build_plate_mesh(cfg.omega, cfg.plate_m)
-        msys0 = twoscale.assemble_macro(hom, op, mom, plate, cfg.biot, zero)
-        _, mt0 = twoscale.run_macro(msys0, cfg.T, 8)
-        macro_zero = max(max(r["Wm"] for r in mt0), max(r["W3"] for r in mt0),
-                         max(r["p0"] for r in mt0))
+
+        def tables(loads, nsteps):
+            """The micro and the macro norm tables of one load history."""
+            sysm = micro_mod.assemble_micro(mesh, cfg.hooke, cfg.biot, eps, loads)
+            msys = twoscale.assemble_macro(cq.hom, cq.op, cq.moments, plate, cfg.biot, loads)
+            return (micro_mod.run_transient(sysm, cfg.T, nsteps, tol=cfg.tol_step).table,
+                    twoscale.run_macro(msys, cfg.T, nsteps)[1])
+
+        micro0, macro0 = tables(LoadSpec(), 8)
+        micro_zero = max(r[k] for r in micro0 for k in ("e_U", "p"))
+        macro_zero = max(r[k] for r in macro0 for k in ("Wm", "W3", "p0"))
 
         t_off = 0.25 * cfg.T
 
@@ -242,16 +236,14 @@ class AcceptanceSuite:
         loads_off = LoadSpec(f1=cut(cfg.loads.f1), f2=cut(cfg.loads.f2),
                              f3=cut(cfg.loads.f3), h=cut(cfg.loads.h))
         nst = 16
-        sys1 = micro_mod.assemble_micro(mesh, cfg.hooke, cfg.biot, eps, loads_off)
-        tr1 = micro_mod.run_transient(sys1, cfg.T, nst, tol=cfg.tol_step)
-        E1 = [r["energy"] for r in tr1.table]
         k0 = int(np.ceil(t_off / (cfg.T / nst))) + 1
-        micro_decay = all(E1[i + 1] <= E1[i] * (1 + 1e-12) + 1e-300 for i in range(k0, nst))
 
-        msys1 = twoscale.assemble_macro(hom, op, mom, plate, cfg.biot, loads_off)
-        _, mt1 = twoscale.run_macro(msys1, cfg.T, nst)
-        E2 = [r["energy"] for r in mt1]
-        macro_decay = all(E2[i + 1] <= E2[i] * (1 + 1e-12) + 1e-300 for i in range(k0, nst))
+        def decays(table):
+            """The energy does not grow from step k0 on."""
+            return all(b["energy"] <= a["energy"] * (1 + 1e-12) + 1e-300
+                       for a, b in zip(table[k0:], table[k0 + 1:]))
+
+        micro_decay, macro_decay = (decays(table) for table in tables(loads_off, nst))
 
         ok = micro_zero <= 1e-12 and macro_zero <= 1e-12 and micro_decay and macro_decay
         return ok, {"micro_zero": micro_zero, "macro_zero": macro_zero,

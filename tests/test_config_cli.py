@@ -128,15 +128,17 @@ def test_cli_invalid_data_exit_code(tmp_path, capsys, old, new, message):
     assert message in capsys.readouterr().err
 
 
-def test_cli_cg_failure_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["cell", "macro", "converge"])
+def test_cli_cg_failure_exit_code(tmp_path, capsys, command):
     # one eps-cell; no CG residual can reach tol_cell = 1e-300, so the corrector
     # CG breaks down once r.z underflows (the stiff phases scale r.z by
-    # 1/diag(K) ~ 1e-9, so it underflows well before ||r|| does)
+    # 1/diag(K) ~ 1e-9, so it underflows well before ||r|| does); every command
+    # that solves the correctors honours tol_cell
     text = TINY.replace("omega = 0.0 1.0 0.0 1.0", "omega = 0.0 0.25 0.0 0.25")
     text = text.replace("fiber = 10.0 0.3\ngel = 1.0 0.35", "fiber = 1e10 0.3\ngel = 1e9 0.35")
     cfgp = tmp_path / "cg.cfg"
     cfgp.write_text(text + "\n[solver]\ntol_cell = 1e-300\n")
-    code = cli.main(["cell", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    code = cli.main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_SOLVER
     err = capsys.readouterr().err
     assert "solver failure: CG broke down before reaching tol=1.0e-300" in err
@@ -168,15 +170,27 @@ def test_cli_has_no_threads_flag():
         cli.build_parser().parse_args(["cell", "--threads", "2"])
 
 
-def test_cli_micro_deterministic_rerun(tmp_path):
+@pytest.mark.parametrize("command, table, header", [
+    ("micro", "micro_norms.csv", "t,"),
+    ("macro", "macro_norms.csv", "t,"),
+    ("mup", "mup_norms.csv", "t,"),
+    ("converge", "convergence.csv", "eps,"),
+], ids=["micro", "macro", "mup", "converge"])
+def test_cli_deterministic_rerun(tmp_path, command, table, header):
     cfgp = tmp_path / "tiny.cfg"
     cfgp.write_text(TINY)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["micro", "--config", str(cfgp), "--out", str(out1)]) == 0
-    assert cli.main(["micro", "--config", str(cfgp), "--out", str(out2)]) == 0
-    assert filecmp.cmp(out1 / "micro_norms.csv", out2 / "micro_norms.csv", shallow=False)
-    first = (out1 / "micro_norms.csv").read_text().splitlines()
-    assert first[0].startswith("t,")
+    codes = [cli.main([command, "--config", str(cfgp), "--out", str(out)]) for out in (out1, out2)]
+    assert codes[0] == codes[1]
+    # mup's verdict is not checked here: TINY's transverse load leaves Wm at
+    # round-off (~1e-19) in both plate paths, and the final-field part of
+    # `oracle_mismatch` has no floor for it, so mup exits 3 on TINY
+    if command != "mup":
+        assert codes[0] == cli.EXIT_OK
+    assert filecmp.cmp(out1 / table, out2 / table, shallow=False)
+    first = (out1 / table).read_text().splitlines()
+    assert first[0].startswith(header)
+    assert len(first) > 1
 
 
 def test_cli_homogenize_artifacts(tmp_path):
@@ -225,7 +239,7 @@ def test_tampered_coefficients_fail_oracle_check():
     from poroplate.verify import AcceptanceSuite
 
     suite = AcceptanceSuite()
-    mesh, cs, hom, op, mom = suite.cell_pipeline()
+    hom = suite.cell_pipeline().hom
     from poroplate.cell import HomogenizedTensor
 
     bad = HomogenizedTensor(a_eng=hom.a_eng, b_eng=hom.b_eng + 0.05 * np.eye(3),

@@ -12,7 +12,7 @@ from poroplate.errors import AssemblyError, ConstraintError, MaterialError, Solv
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
 from poroplate.fem.solvers import (PROJECTION_DIM, RepeatedBlockSolver, SolutionSpace, StepCache,
-                                   _norm, inverse, jacobi, pcg, solve_saddle, spd_inverse)
+                                   _norm, inverse, jacobi, march, pcg, solve_saddle, spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh
 from poroplate.material import HookeTensor, isotropic
 
@@ -348,6 +348,31 @@ def test_step_cache_builds_once_per_step_size():
     assert built == [0.1, 0.2]
 
 
+def test_march_records_a_row_per_state_and_retires_finished_states():
+    starts = []
+
+    def start():
+        starts.append(0.0)
+        return 1.0
+
+    def run(nsteps, **retire):
+        return march(start, lambda x, dt: x + dt, lambda x: {"x": x}, 1.0, nsteps, **retire)
+
+    states, table = run(4)
+    assert states == [1.0, 1.25, 1.5, 1.75, 2.0]
+    assert table == [{"x": x} for x in states]
+    # a retired state is replaced by what retire keeps of it, or dropped for None
+    assert run(4, retire=lambda x: -x)[0] == [-1.0, -1.25, -1.5, -1.75, 2.0]
+    states, table = run(4, retire=lambda x: None)
+    assert states == [2.0] and len(table) == 5
+    # nsteps is refused before start() builds anything
+    n = len(starts)
+    for nsteps in (0, -1):
+        with pytest.raises(AssemblyError, match="nsteps must be >= 1"):
+            run(nsteps)
+    assert len(starts) == n
+
+
 def test_step_cache_owner_freed_without_cycle_collector():
     class Owner:
         def __init__(self):
@@ -435,6 +460,18 @@ def test_bfs_basis_bit_identical_to_per_factor_formula():
                     ref[:, 4 * a + d] = (_hermite1d_all_orders(hx, ia, kx, pts[:, 0], dx)
                                          * _hermite1d_all_orders(hy, ja, ky, pts[:, 1], dy))
             assert np.array_equal(el.bfs_basis((hx, hy), pts, (dx, dy)), ref), (dx, dy)
+
+
+def test_bfs_derivatives_bit_identical_to_bfs_basis():
+    # the batched patterns share one Hermite table per axis and order
+    spacing = (0.3, 0.7)
+    pts = np.random.default_rng(4).uniform(0.0, 1.0, size=(64, 2))
+    patterns = [(dx, dy) for dx in range(3) for dy in range(3)]
+    for d, got in zip(patterns, el.bfs_derivatives(spacing, pts, patterns)):
+        assert np.array_equal(got, el.bfs_basis(spacing, pts, d)), d
+    B = el.bfs_bending_B(spacing, pts)
+    for row, (d, scale) in enumerate((((2, 0), 1.0), ((0, 2), 1.0), ((1, 1), 2.0))):
+        assert np.array_equal(B[:, row], scale * el.bfs_basis(spacing, pts, d)), d
 
 
 def test_pcg_cold_start_applies_operator_once_per_iteration():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poroplate.fem import elements as el
 from poroplate.geometry import build_plate_mesh
 
 
@@ -15,6 +16,43 @@ def test_qp_map_matches_bilinear_interpolation(plate):
     f = np.random.default_rng(0).standard_normal((plate.n_nodes, 3))
     ref = plate.eval_bilinear_nodal(f, plate.qp_coords().reshape(-1, 2))
     assert np.abs(plate.N_qp @ f - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _points(plate, rng, n):
+    """n random points of omega plus every plate node (element edges and corners)."""
+    (a1, b1), (a2, b2) = plate.omega
+    return np.vstack([rng.uniform([a1, a2], [b1, b2], size=(n, 2)), plate.nodes])
+
+
+def test_bilinear_interpolation_matches_gather_form(plate):
+    # the sparse interpolation matrix sums the four nodal terms in another order
+    # than the (points, 4, k) gather it replaced: equal to round-off only
+    rng = np.random.default_rng(2)
+    pts = _points(plate, rng, 500)
+    eid, loc = plate._locate(pts)
+    Nv = el.quad_shape(2.0 * loc - 1.0)
+    for f in (rng.standard_normal((plate.n_nodes, 7)), rng.standard_normal(plate.n_nodes)):
+        ref = np.einsum("pa,pa...->p...", Nv, f[plate.quads[eid]])
+        got = plate.eval_bilinear_nodal(f, pts)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(f).max()
+
+
+def test_eval_bending_bit_identical_to_per_pattern_basis(plate):
+    # one Hermite table per axis and order serves all six derivative patterns
+    rng = np.random.default_rng(3)
+    Wb = rng.standard_normal((plate.n_nodes, 4))
+    pts = _points(plate, rng, 300)
+    eid, loc = plate._locate(pts)
+    dofs = Wb[plate.quads[eid]].reshape(len(pts), 16)
+
+    def ref(d):
+        return np.einsum("pa,pa->p", el.bfs_basis(plate.spacing, loc, d), dofs)
+
+    v, grad, curv = plate.eval_bending(Wb, pts)
+    assert np.array_equal(v, ref((0, 0)))
+    assert np.array_equal(grad, np.stack([ref((1, 0)), ref((0, 1))], axis=-1))
+    assert np.array_equal(curv, np.stack([ref((2, 0)), ref((0, 2)), 2.0 * ref((1, 1))], axis=-1))
 
 
 def test_plate_mass_matches_element_loop(plate):
