@@ -52,6 +52,11 @@ _ENG_UNIT = {
 }
 
 
+def _key(kind: str, a: int, b: int) -> tuple:
+    """The stored key of a corrector or moment: (1, 0) is (0, 1) by symmetry."""
+    return (kind,) + ((0, 1) if (a, b) == (1, 0) else (a, b))
+
+
 def cell_constraints(mesh: BrickMesh) -> ConstraintSet:
     """Periodic master/slave pairs plus per-component mean-zero functionals.
 
@@ -101,8 +106,8 @@ def corrector_rhs(mesh: BrickMesh, hooke: HookeTensor):
 
     Keys 'm'+(a,b) use S = M^ab, keys 'b'+(a,b) use S = y3 M^ab.
     """
-    _, dN, wdet, _ = el.hex_qp_data(mesh.spacing)
-    Bq = el.hex_strain_B(dN)  # (nq, 6, 24)
+    _, dN, wdet, _ = el.qp_data(mesh.spacing)
+    Bq = el.strain_B(dN)  # (nq, 6, 24)
     zq = fem.assembly.qp_points(mesh)[..., 2]  # (ne, nq)
     dofs, ndof = fem.assembly.element_dofs(mesh, ncomp=3)
     out = {}
@@ -150,9 +155,7 @@ class CorrectorSet:
     fields: dict  # ('m'|'b', a, b) -> (n_nodes, 3)
 
     def field(self, kind: str, a: int, b: int) -> np.ndarray:
-        if (a, b) == (1, 0):
-            a, b = 0, 1
-        return self.fields[(kind, a, b)]
+        return self.fields[_key(kind, a, b)]
 
 
 def solve_correctors(mesh: BrickMesh, hooke: HookeTensor, tol: float = 1e-10) -> CorrectorSet:
@@ -325,18 +328,14 @@ class PressureCellOperator:
 class MomentTable:
     """Divergence moments of the correctors."""
 
-    scalars: dict  # ('m'|'b', a, b) -> float, int_gel div chi dy
     nodal: dict    # ('m'|'b', a, b) -> (n_gel,) vector C @ chi
 
     def scalar(self, kind: str, a: int, b: int) -> float:
-        if (a, b) == (1, 0):
-            a, b = 0, 1
-        return self.scalars[(kind, a, b)]
+        """int_gel div chi dy."""
+        return float(self.vec(kind, a, b).sum())
 
     def vec(self, kind: str, a: int, b: int) -> np.ndarray:
-        if (a, b) == (1, 0):
-            a, b = 0, 1
-        return self.nodal[(kind, a, b)]
+        return self.nodal[_key(kind, a, b)]
 
 
 def divergence_moments(correctors: CorrectorSet, op: PressureCellOperator) -> MomentTable:
@@ -345,12 +344,8 @@ def divergence_moments(correctors: CorrectorSet, op: PressureCellOperator) -> Mo
     The coupling acts on the reduced dofs (C P), and a periodic corrector
     field is P of its reduced coefficients.
     """
-    scalars, nodal = {}, {}
-    for key, field in correctors.fields.items():
-        d = op.C_red @ op.reducer.restrict(field.reshape(-1))
-        nodal[key] = d
-        scalars[key] = float(d.sum())
-    return MomentTable(scalars=scalars, nodal=nodal)
+    return MomentTable(nodal={key: op.C_red @ op.reducer.restrict(field.reshape(-1))
+                              for key, field in correctors.fields.items()})
 
 
 class CellQuantities(NamedTuple):

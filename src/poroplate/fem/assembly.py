@@ -63,7 +63,7 @@ def element_dofs(mesh, elems_mask=None, nodes=None, ncomp: int = 1):
 
 def qp_points(mesh, elems_mask=None) -> np.ndarray:
     """(ne, nq, 3) physical quadrature points of the masked elements."""
-    pts = el.hex_qp_data(mesh.spacing)[3]
+    pts = el.qp_data(mesh.spacing)[3]
     conn = mesh.elems if elems_mask is None else mesh.elems[elems_mask]
     origins = mesh.nodes[conn[:, 0]]
     return origins[:, None, :] + (pts[None, :, :] + 1.0) * 0.5 * np.asarray(mesh.spacing)
@@ -154,7 +154,7 @@ def bilinear_grid_forms(nx: int, ny: int, hx: float, hy: float):
 
     Nodes are numbered x-fastest, a + (nx + 1) * b.
     """
-    N, dN, w, _ = el.quad_qp_data((hx, hy))
+    N, dN, w, _ = el.qp_data((hx, hy))
     a, b = np.meshgrid(np.arange(nx), np.arange(ny))
     conn = (a + (nx + 1) * b).reshape(-1, 1) + np.array([0, 1, nx + 2, nx + 1])
     n = (nx + 1) * (ny + 1)
@@ -224,7 +224,7 @@ def assemble_body_force(mesh, f_at, node_map) -> np.ndarray:
     f_at(x, y, z) must return (..., 3) stacked components.  On the nodes of
     the `node_map` of a `Reducer` it is the reduced load P^T f.
     """
-    N, _, wdet, _ = el.hex_qp_data(mesh.spacing)
+    N, _, wdet, _ = el.qp_data(mesh.spacing)
     qp = qp_points(mesh)
     fe = np.einsum("q,qa,eqi->eai", wdet, N, f_at(qp[..., 0], qp[..., 1], qp[..., 2]))
     nodes, n = element_nodes(mesh, node_map=node_map)
@@ -233,7 +233,7 @@ def assemble_body_force(mesh, f_at, node_map) -> np.ndarray:
 
 def assemble_scalar_source(mesh, h_at, *, elems_mask=None, nodes=None) -> np.ndarray:
     """Load vector int h q over masked elements on the node subspace."""
-    N, _, wdet, _ = el.hex_qp_data(mesh.spacing)
+    N, _, wdet, _ = el.qp_data(mesh.spacing)
     qp = qp_points(mesh, elems_mask)
     he = np.einsum("q,qa,eq->ea", wdet, N, h_at(qp[..., 0], qp[..., 1], qp[..., 2]))
     dofs, n = element_dofs(mesh, elems_mask, nodes)

@@ -1,7 +1,10 @@
-"""Element kernels: trilinear hexahedra, bilinear quads, and the C1 bending rectangle.
+"""Element kernels: the Q1 brick and rectangle, and the C1 bending rectangle.
 
 All meshes in this toolkit are uniform axis-aligned grids, so each kernel is
-computed once per (element size, coefficient) pair and scattered.  Strain
+computed once per (element size, coefficient) pair and scattered.  Every
+basis and Gauss rule is a product of 1-D tables, one per axis: the linear
+table 0.5 (1 +- x) for Q1 in 2-D and 3-D, the cubic Hermite table for the
+Bogner-Fox-Schmit rectangle, the 1-D Gauss-Legendre rule.  Strain
 vectors use the engineering convention matching material.py:
 3D (e11, e22, e33, 2e23, 2e13, 2e12), 2D membrane (e11, e22, 2e12),
 bending curvature (k11, k22, 2k12).
@@ -9,140 +12,109 @@ bending curvature (k11, k22, 2k12).
 
 from __future__ import annotations
 
+import math
+from functools import reduce
+
 import numpy as np
 
-from .quadrature import gauss_hex, gauss_quad
-
-_CORNER_SIGNS = np.array(
-    [(-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1), (-1, -1, 1), (1, -1, 1), (1, 1, 1), (-1, 1, 1)],
-    dtype=float,
+# VTK corner order of the Q1 element: the (i, j, k) offsets of the hexahedron's
+# corners; the first four corners' (i, j) are the quadrilateral's.
+CORNERS = np.array(
+    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)],
+    dtype=np.int64,
 )
+
+# Gauss points per direction of the Q1 kernels: exact for their stiffness
+N_GAUSS = 2
+
+# engineering strain rows as (displacement component, derivative direction)
+# pairs, by dimension: 3-D (e11, e22, e33, 2e23, 2e13, 2e12), 2-D membrane
+# (e11, e22, 2e12)
+_STRAIN_ROWS = {
+    3: (((0, 0),), ((1, 1),), ((2, 2),), ((1, 2), (2, 1)), ((0, 2), (2, 0)), ((0, 1), (1, 0))),
+    2: (((0, 0),), ((1, 1),), ((0, 1), (1, 0))),
+}
+
+
+def gauss1d(n: int, a: float = -1.0, b: float = 1.0):
+    """n-point Gauss-Legendre rule on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * x, half * w
+
+
+def tensor_rule(x: np.ndarray, w: np.ndarray, d: int):
+    """(points (n^d, d), weights (n^d,)) of the d-fold product of the 1-D rule
+    (x, w); the first axis varies slowest."""
+    P = np.stack(np.meshgrid(*[x] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    return P, reduce(np.multiply.outer, [w] * d).ravel()
+
+
+def q1_basis(points: np.ndarray):
+    """(values (nq, 2^d), reference gradients (nq, 2^d, d)) of the Q1 element
+    at points (nq, d) in [-1, 1]^d, d = 2 or 3, in VTK corner order.
+
+    Each is a product over the axes of the 1-D linear table 0.5 (1 +- x) or
+    its slope +-0.5.
+    """
+    P = np.atleast_2d(points)
+    d = P.shape[1]
+    s = 2.0 * CORNERS[:2**d, :d] - 1.0                  # (2^d, d) corner signs
+    val = 0.5 * (1 + s * P[:, None, :])                 # (nq, 2^d, d)
+    slope = np.broadcast_to(0.5 * s, val.shape)
+    N = reduce(np.multiply, [val[..., i] for i in range(d)])
+    dN = np.stack([reduce(np.multiply, [(slope if i == k else val)[..., i] for i in range(d)])
+                   for k in range(d)], axis=-1)
+    return N, dN
+
+
+def qp_data(spacing):
+    """(shape, dN/dx, w*detJ, ref points) of the Q1 element on an axis-aligned
+    box of the given edge lengths, d = len(spacing)."""
+    d = len(spacing)
+    pts, wts = tensor_rule(*gauss1d(N_GAUSS), d)
+    N, dN = q1_basis(pts)
+    return N, dN * (2.0 / np.asarray(spacing, dtype=float)), wts * (math.prod(spacing) / 2**d), pts
+
+
+def strain_B(dN: np.ndarray) -> np.ndarray:
+    """(nq, rows, n*d) engineering-strain matrices of gradients dN (nq, n, d),
+    dof order [n0x n0y (n0z) n1x ...], rows from `_STRAIN_ROWS[d]`."""
+    nq, n, d = dN.shape
+    rows = _STRAIN_ROWS[d]
+    B = np.zeros((nq, len(rows), n, d))
+    for r, pairs in enumerate(rows):
+        for comp, direction in pairs:
+            B[:, r, :, comp] = dN[:, :, direction]
+    return B.reshape(nq, len(rows), n * d)
 
 
 # ----------------------------------------------------------------- hex kernels
 
-def hex_shape(points: np.ndarray) -> np.ndarray:
-    """Trilinear shape values, shape (nq, 8), points in [-1, 1]^3."""
-    P = np.atleast_2d(points)
-    out = np.empty((len(P), 8))
-    for a in range(8):
-        s = _CORNER_SIGNS[a]
-        out[:, a] = 0.125 * (1 + s[0] * P[:, 0]) * (1 + s[1] * P[:, 1]) * (1 + s[2] * P[:, 2])
-    return out
-
-
-def hex_grad_ref(points: np.ndarray) -> np.ndarray:
-    """Reference gradients dN/dxi, shape (nq, 8, 3)."""
-    P = np.atleast_2d(points)
-    out = np.empty((len(P), 8, 3))
-    for a in range(8):
-        s = _CORNER_SIGNS[a]
-        f0, f1, f2 = 1 + s[0] * P[:, 0], 1 + s[1] * P[:, 1], 1 + s[2] * P[:, 2]
-        out[:, a, 0] = 0.125 * s[0] * f1 * f2
-        out[:, a, 1] = 0.125 * s[1] * f0 * f2
-        out[:, a, 2] = 0.125 * s[2] * f0 * f1
-    return out
-
-
-def hex_qp_data(spacing, n_gauss: int = 2):
-    """Quadrature data for an axis-aligned hex: (shape, dN/dx, w*detJ, ref points)."""
-    hx, hy, hz = spacing
-    pts, wts = gauss_hex(n_gauss)
-    N = hex_shape(pts)
-    dN = hex_grad_ref(pts) * (2.0 / np.asarray([hx, hy, hz]))
-    wdet = wts * (hx * hy * hz / 8.0)
-    return N, dN, wdet, pts
-
-
-def hex_strain_B(dN: np.ndarray) -> np.ndarray:
-    """Engineering-strain matrices, (nq, 6, 24), dof order [n0x n0y n0z n1x ...]."""
-    nq = dN.shape[0]
-    B = np.zeros((nq, 6, 24))
-    for a in range(8):
-        dx, dy, dz = dN[:, a, 0], dN[:, a, 1], dN[:, a, 2]
-        c = 3 * a
-        B[:, 0, c + 0] = dx
-        B[:, 1, c + 1] = dy
-        B[:, 2, c + 2] = dz
-        B[:, 3, c + 1] = dz
-        B[:, 3, c + 2] = dy
-        B[:, 4, c + 0] = dz
-        B[:, 4, c + 2] = dx
-        B[:, 5, c + 0] = dy
-        B[:, 5, c + 1] = dx
-    return B
-
-
 def hex_elastic_ke(spacing, D: np.ndarray) -> np.ndarray:
     """24x24 stiffness for constant Voigt matrix D on an axis-aligned hex."""
-    N, dN, wdet, _ = hex_qp_data(spacing)
-    B = hex_strain_B(dN)
+    _, dN, wdet, _ = qp_data(spacing)
+    B = strain_B(dN)
     return np.einsum("q,qia,ij,qjb->ab", wdet, B, D, B, optimize=True)
 
 
 def hex_scalar_mass_ke(spacing) -> np.ndarray:
-    N, _, wdet, _ = hex_qp_data(spacing)
+    N, _, wdet, _ = qp_data(spacing)
     return np.einsum("q,qa,qb->ab", wdet, N, N)
 
 
 def hex_scalar_diffusion_ke(spacing, K: np.ndarray) -> np.ndarray:
-    _, dN, wdet, _ = hex_qp_data(spacing)
+    _, dN, wdet, _ = qp_data(spacing)
     return np.einsum("q,qai,ij,qbj->ab", wdet, dN, K, dN, optimize=True)
 
 
 def hex_divergence_ke(spacing) -> np.ndarray:
     """8x24 coupling: Ce[j, 3a+i] = int N_j dN_a/dx_i."""
-    N, dN, wdet, _ = hex_qp_data(spacing)
+    N, dN, wdet, _ = qp_data(spacing)
     Ce = np.zeros((8, 24))
     for i in range(3):
         Ce[:, i::3] += np.einsum("q,qj,qa->ja", wdet, N, dN[:, :, i])
     return Ce
-
-
-# ------------------------------------------------------------ bilinear quads
-
-def quad_shape(points: np.ndarray) -> np.ndarray:
-    """Bilinear shape values on [-1, 1]^2, node order (-,-), (+,-), (+,+), (-,+)."""
-    P = np.atleast_2d(points)
-    s = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
-    out = np.empty((len(P), 4))
-    for a in range(4):
-        out[:, a] = 0.25 * (1 + s[a, 0] * P[:, 0]) * (1 + s[a, 1] * P[:, 1])
-    return out
-
-
-def quad_grad_ref(points: np.ndarray) -> np.ndarray:
-    P = np.atleast_2d(points)
-    s = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
-    out = np.empty((len(P), 4, 2))
-    for a in range(4):
-        out[:, a, 0] = 0.25 * s[a, 0] * (1 + s[a, 1] * P[:, 1])
-        out[:, a, 1] = 0.25 * s[a, 1] * (1 + s[a, 0] * P[:, 0])
-    return out
-
-
-def quad_qp_data(spacing, n_gauss: int = 2):
-    """(shape, dN/dx, w*detJ, ref points) on an axis-aligned rectangle."""
-    hx, hy = spacing
-    pts, wts = gauss_quad(n_gauss)
-    N = quad_shape(pts)
-    dN = quad_grad_ref(pts) * (2.0 / np.asarray([hx, hy]))
-    wdet = wts * (hx * hy / 4.0)
-    return N, dN, wdet, pts
-
-
-def quad_membrane_B(dN: np.ndarray) -> np.ndarray:
-    """(nq, 3, 8) engineering membrane strain, dof order [n0x n0y n1x ...]."""
-    nq = dN.shape[0]
-    B = np.zeros((nq, 3, 8))
-    for a in range(4):
-        dx, dy = dN[:, a, 0], dN[:, a, 1]
-        c = 2 * a
-        B[:, 0, c + 0] = dx
-        B[:, 1, c + 1] = dy
-        B[:, 2, c + 0] = dy
-        B[:, 2, c + 1] = dx
-    return B
 
 
 # ------------------------------------------------- C1 bending rectangle (BFS)

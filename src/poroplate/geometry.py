@@ -33,15 +33,8 @@ from .errors import GeometryError
 from .fem import elements as el
 from .fem.assembly import vector_dofs
 from .fem.constraints import ConstraintSet, Reducer
-from .fem.quadrature import gauss_quad
 
 FIBER, GEL = 0, 1
-
-# VTK hexahedron corner offsets (i, j, k) in element-local coordinates.
-_HEX_CORNERS = np.array(
-    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)],
-    dtype=np.int64,
-)
 
 SNAP_TOL = 1e-9
 
@@ -217,7 +210,7 @@ def _brick_mesh(geom: CellGeometry, eps: float, omega, n: int) -> BrickMesh:
     nodes = np.array([a1, a2, -eps], dtype=float) + np.stack([i, j, k], axis=-1) * h
     ek, ej, ei = (g.ravel() for g in np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
                                                  indexing="ij"))
-    elems = np.stack([node_id(ei + di, ej + dj, ek + dk) for di, dj, dk in _HEX_CORNERS], axis=-1)
+    elems = np.stack([node_id(ei + di, ej + dj, ek + dk) for di, dj, dk in el.CORNERS], axis=-1)
 
     # the eps-cells are translates of cell 0: a cell's global node (element)
     # ids are the cell-0 ids, in one-cell order, plus one per-cell offset
@@ -292,10 +285,8 @@ class PlateMesh:
     qp_unit: np.ndarray    # (nq, 2) on [0,1]^2
     qp_w: np.ndarray       # physical weights (include hx*hy)
     N_bil: np.ndarray      # (nq, 4) bilinear shapes
-    B_mem: np.ndarray      # (nq, 3, 8)
-    B_bend: np.ndarray     # (nq, 3, 16)
     N_bfs: np.ndarray      # (nq, 16) BFS value row
-    E: np.ndarray          # (nq, 6, 24) local W -> membrane strains and negated curvatures (m, -k)
+    E: np.ndarray          # (nq, 6, 24) the strain table: local W -> m [:3, :8] and -k [3:, 8:]
     N_qp: sp.csr_matrix    # (ne * nq, nn): row e * nq + q holds N_bil[q] at quads[e]
 
     @property
@@ -340,8 +331,8 @@ class PlateMesh:
         """(values (npts,2), engineering strain (npts,3)) of the membrane field."""
         eid, loc = self._locate(pts)
         vals_nodes = Wm[self.quads[eid]]         # (npts, 4, 2)
-        Nv = el.quad_shape(2.0 * loc - 1.0)     # (npts, 4)
-        dN = el.quad_grad_ref(2.0 * loc - 1.0) * (2.0 / np.array(self.spacing))
+        Nv, dN = el.q1_basis(2.0 * loc - 1.0)   # (npts, 4), (npts, 4, 2)
+        dN = dN * (2.0 / np.array(self.spacing))
         vals = np.einsum("pa,pac->pc", Nv, vals_nodes)
         grad = np.einsum("pai,pac->pci", dN, vals_nodes)  # (npts, 2comp, 2dir)
         strain = np.stack([grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1] + grad[:, 1, 0]], axis=-1)
@@ -359,7 +350,7 @@ class PlateMesh:
     def eval_bilinear_nodal(self, f: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of per-node data f (nn, k) at the points."""
         eid, loc = self._locate(pts)
-        return _bilinear_map(self.quads[eid], el.quad_shape(2.0 * loc - 1.0), self.n_nodes) @ f
+        return _bilinear_map(self.quads[eid], el.q1_basis(2.0 * loc - 1.0)[0], self.n_nodes) @ f
 
 
 def _bilinear_map(conn: np.ndarray, N: np.ndarray, n_nodes: int) -> sp.csr_matrix:
@@ -389,20 +380,17 @@ def build_plate_mesh(omega, m: int) -> PlateMesh:
     boundary = np.flatnonzero((i == 0) | (i == m) | (j == 0) | (j == m))
     reducer = Reducer(ConstraintSet(6 * nn, dirichlet_dofs=layout(boundary[:, None]).ravel()))
 
-    pts, w = gauss_quad(N_QP_1D, unit=True)
+    pts, w = el.tensor_rule(*el.gauss1d(N_QP_1D, 0.0, 1.0), 2)
     nq = len(w)
-    dN = el.quad_grad_ref(2.0 * pts - 1.0) * (2.0 / np.array([hx, hy]))
-    B_mem = el.quad_membrane_B(dN)
-    B_bend = el.bfs_bending_B((hx, hy), pts)
+    N_bil, dN = el.q1_basis(2.0 * pts - 1.0)
     E = np.zeros((nq, 6, 24))
-    E[:, :3, :8] = B_mem
-    E[:, 3:, 8:] = -B_bend
-    N_bil = el.quad_shape(2.0 * pts - 1.0)
+    E[:, :3, :8] = el.strain_B(dN * (2.0 / np.array([hx, hy])))
+    E[:, 3:, 8:] = -el.bfs_bending_B((hx, hy), pts)
     ne = len(quads)
     return PlateMesh(
         omega=((a1, b1), (a2, b2)), m=m, nodes=nodes, quads=quads, spacing=(hx, hy),
         reducer=reducer, elem_dofs=reducer.dof_map[layout(quads)],
-        qp_unit=pts, qp_w=w * hx * hy, N_bil=N_bil, B_mem=B_mem, B_bend=B_bend,
+        qp_unit=pts, qp_w=w * hx * hy, N_bil=N_bil,
         N_bfs=el.bfs_basis((hx, hy), pts, (0, 0)), E=E,
         N_qp=_bilinear_map(np.repeat(quads, nq, axis=0), np.tile(N_bil, (ne, 1)), nn),
     )

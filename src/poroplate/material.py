@@ -221,10 +221,14 @@ class LoadSpec:
         return norm
 
 
-def load_norm(loads: LoadSpec, omega, T: float, n_gauss: int = 6) -> float:
+# Gauss points per axis (x1, x2, t) of `load_norm`
+_LOAD_NORM_GAUSS = 6
+
+
+def load_norm(loads: LoadSpec, omega, T: float) -> float:
     """Numerical ||f||_{H1(0,T;L2(omega))} + ||h||_{L2((0,T) x omega)}."""
     (a1, b1), (a2, b2) = omega
-    gx, gw = np.polynomial.legendre.leggauss(n_gauss)
+    gx, gw = np.polynomial.legendre.leggauss(_LOAD_NORM_GAUSS)
     x1 = 0.5 * (a1 + b1) + 0.5 * (b1 - a1) * gx
     x2 = 0.5 * (a2 + b2) + 0.5 * (b2 - a2) * gx
     wx = np.outer(gw, gw) * 0.25 * (b1 - a1) * (b2 - a2)

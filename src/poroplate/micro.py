@@ -125,7 +125,6 @@ class GalerkinSystem:
     grad_p_sq: sp.csr_matrix    # ||grad p||^2 on gel dofs (unscaled)
     _step_cache: StepCache = field(default_factory=StepCache, init=False, repr=False,
                                    compare=False)
-    _multigrid: VCycle | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_p(self) -> int:
@@ -135,12 +134,10 @@ class GalerkinSystem:
     def decoupled(self) -> bool:
         return self.biot.alpha == 0.0
 
-    @property
+    @cached_property
     def multigrid(self) -> VCycle:
         """The V-cycle preconditioner of B, built on first use and kept."""
-        if self._multigrid is None:
-            self._multigrid = VCycle(self.B, self.mesh.nelems, self.reducer.free)
-        return self._multigrid
+        return VCycle(self.B, self.mesh.nelems, self.reducer.free)
 
     def solve_B(self, rhs: np.ndarray, tol: float, x0=None) -> np.ndarray:
         """B^-1 rhs by multigrid-preconditioned CG."""

@@ -59,9 +59,9 @@ from .cell import (
     _ENG_UNIT,
     solve_cell,
 )
-from .errors import AssemblyError, BudgetError
+from .errors import AssemblyError, BudgetError, SolverError
 from .fem import elements as el
-from .fem.solvers import StepCache, march, spd_inverse
+from .fem.solvers import SADDLE_RTOL, StepCache, march, spd_inverse
 from .geometry import GEL, BrickMesh, PlateMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec
 
@@ -105,8 +105,8 @@ def gradient_identity_error(values: np.ndarray, micro: BrickMesh, cell: BrickMes
     """max over elements/qps of | grad_y(Pi psi) - eps Pi(grad psi) |."""
     _check_matched(micro, cell)
     uf = unfold(values, micro, cell, scale_exp=0)
-    _, dN_cell, _, _ = el.hex_qp_data(cell.spacing)
-    _, dN_micro, _, _ = el.hex_qp_data(micro.spacing)
+    _, dN_cell, _, _ = el.qp_data(cell.spacing)
+    _, dN_micro, _, _ = el.qp_data(micro.spacing)
     g_y = np.einsum("qai,kea->keqi", dN_cell, uf.data[:, cell.elems])
     g_x = np.einsum("qai,kea->keqi", dN_micro, values[micro.elems[micro.cell_elems]])
     return float(np.abs(g_y - micro.eps * g_x).max())
@@ -133,8 +133,8 @@ def plate_coupling_factors(space: PlateMesh) -> list:
     """
     w_N = space.qp_w[:, None] * space.N_bil                       # (nq, 4)
     out = []
-    for B, dofs in ((space.B_mem, space.elem_dofs[:, :8]),
-                    (-space.B_bend, space.elem_dofs[:, 8:])):
+    for B, dofs in ((space.E[:, :3, :8], space.elem_dofs[:, :8]),
+                    (space.E[:, 3:, 8:], space.elem_dofs[:, 8:])):
         loc = np.einsum("qa,qIl->Ial", w_N, B)                     # (3, 4, nloc)
         out += [fem.assembly.scatter(space.quads, blk, (space.n_nodes, space.n_red),
                                      cols=dofs) for blk in loc]
@@ -277,8 +277,19 @@ class _CoupledPlateSystem:
         return self._state(0.0, W_red, np.zeros((self.space.n_nodes, self.ng)))
 
     def step(self, state: PlateState, dt: float) -> PlateState:
+        """The implicit Euler step to t + dt; SolverError if either of its block
+        equations misses SADDLE_RTOL relative to max(|F(t1)|, |b2|)."""
         t1 = state.t + dt
-        W1, p1 = self._solve_step(dt, t1, dt * self.H(t1) + self._carried(state))
+        F, b2 = self.F_W(t1), dt * self.H(t1) + self._carried(state)
+        W1, p1 = self._solve_step(dt, F, b2)
+        p = p1.reshape(-1)
+        r1 = np.linalg.norm(self._A_plate @ W1 - self.gamma_T_apply(p) - F)
+        r2 = np.linalg.norm(self.gamma_apply(W1) - b2
+                            + self._kron_apply(self.M_x, self.S_mass_y + dt * self.D_y, p))
+        scale = max(np.linalg.norm(F), np.linalg.norm(b2), 1e-300)
+        if max(r1, r2) / scale > SADDLE_RTOL:
+            raise SolverError(f"plate step to t = {t1:.6g}: block residuals {r1:.2e}, {r2:.2e} "
+                              f"exceed {SADDLE_RTOL:.1e} (scale {scale:.2e})")
         return self._state(t1, W1, p1)
 
     def _prepare_step(self, dt: float):
@@ -289,11 +300,12 @@ class _CoupledPlateSystem:
         A_inv = spd_inverse(A, "plate step Schur matrix is not positive definite")
         return A_inv, Sy_inv, Sy_inv @ self.V.T
 
-    def _solve_step(self, dt: float, t1: float, b2: np.ndarray):
-        """W1 and p1 (nn, ng) of  A W1 - Gamma^T p1 = F(t1),  Gamma W1 + S p1 = b2."""
+    def _solve_step(self, dt: float, F: np.ndarray, b2: np.ndarray):
+        """W1 and p1 (nn, ng) of  A W1 - Gamma^T p1 = F,  Gamma W1 + S p1 = b2,
+        S = M_x (x) S_y(dt)."""
         A_inv, Sy_inv, SyV = self._step_cache.get(dt, self._prepare_step)
         q = self._kron_apply(self._M_x_inv, Sy_inv, b2)               # (M_x (x) S_y)^-1 b2
-        W1 = A_inv @ (self.F_W(t1) + self.gamma_T_apply(q))
+        W1 = A_inv @ (F + self.gamma_T_apply(q))
         # p1 = q - S^-1 Gamma W1, with S^-1 Gamma W1 = sum_k (M_x^-1 G_k W1) (x) (S_y^-1 V[k])
         MGW = self._M_x_inv @ self._G_apply(W1)
         return W1, q.reshape(self.space.n_nodes, self.ng) - MGW @ SyV.T
@@ -572,14 +584,14 @@ class ResidualContext:
 
     def __init__(self, cell_mesh: BrickMesh, correctors, op: PressureCellOperator):
         self.cell_mesh = cell_mesh
-        N, dN, wdet, _ = el.hex_qp_data(cell_mesh.spacing)
+        N, dN, wdet, _ = el.qp_data(cell_mesh.spacing)
         nq = len(wdet)
         y = fem.assembly.qp_points(cell_mesh).reshape(-1, 3)
         self.order, self.y_ip, self.y3 = _grid_order(y)
         self.w = np.tile(wdet, cell_mesh.n_elems)[self.order].reshape(len(self.y_ip), -1)
         # element dofs -> values (3) and engineering strains (6) at each element qp
         values = np.einsum("qa,cd->qcad", N, np.eye(3)).reshape(nq, 3, 24)
-        self._to_qp = np.concatenate([values, el.hex_strain_B(dN)], axis=1).reshape(-1, 24).T
+        self._to_qp = np.concatenate([values, el.strain_B(dN)], axis=1).reshape(-1, 24).T
         # strains of the correctors and of the unit pressure responses
         # (e(u_P) = alpha sum_j p0_j e(U_C[:, j])), plus E(W) = m - y3 kappa in the
         # in-plane components

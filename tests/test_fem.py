@@ -92,6 +92,138 @@ def test_non_coercive_tensor_refused(cell_mesh4):
         fem.assemble_elastic_stiffness(cell_mesh4, bad)
 
 
+# ------------------------------------- Q1 tables from 1-D tables: references
+
+# the corner-sign kernels the per-axis tables of `elements` replaced; the new
+# ones do the same arithmetic in the same order, so they must be bit-identical
+_CORNER_SIGNS = np.array(
+    [(-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1), (-1, -1, 1), (1, -1, 1), (1, 1, 1), (-1, 1, 1)],
+    dtype=float,
+)
+
+
+def _hex_shape(P):
+    out = np.empty((len(P), 8))
+    for a in range(8):
+        s = _CORNER_SIGNS[a]
+        out[:, a] = 0.125 * (1 + s[0] * P[:, 0]) * (1 + s[1] * P[:, 1]) * (1 + s[2] * P[:, 2])
+    return out
+
+
+def _hex_grad_ref(P):
+    out = np.empty((len(P), 8, 3))
+    for a in range(8):
+        s = _CORNER_SIGNS[a]
+        f0, f1, f2 = 1 + s[0] * P[:, 0], 1 + s[1] * P[:, 1], 1 + s[2] * P[:, 2]
+        out[:, a, 0] = 0.125 * s[0] * f1 * f2
+        out[:, a, 1] = 0.125 * s[1] * f0 * f2
+        out[:, a, 2] = 0.125 * s[2] * f0 * f1
+    return out
+
+
+def _quad_shape(P):
+    s = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
+    out = np.empty((len(P), 4))
+    for a in range(4):
+        out[:, a] = 0.25 * (1 + s[a, 0] * P[:, 0]) * (1 + s[a, 1] * P[:, 1])
+    return out
+
+
+def _quad_grad_ref(P):
+    s = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)], dtype=float)
+    out = np.empty((len(P), 4, 2))
+    for a in range(4):
+        out[:, a, 0] = 0.25 * s[a, 0] * (1 + s[a, 1] * P[:, 1])
+        out[:, a, 1] = 0.25 * s[a, 1] * (1 + s[a, 0] * P[:, 0])
+    return out
+
+
+def _gauss_hex(n):
+    x, w = el.gauss1d(n)
+    P = np.array([(xi, xj, xk) for xi in x for xj in x for xk in x])
+    W = np.array([wi * wj * wk for wi in w for wj in w for wk in w])
+    return P, W
+
+
+def _gauss_quad(n, unit=False):
+    x, w = el.gauss1d(n, 0.0, 1.0) if unit else el.gauss1d(n)
+    P = np.array([(xi, xj) for xi in x for xj in x])
+    W = np.array([wi * wj for wi in w for wj in w])
+    return P, W
+
+
+def _hex_strain_B(dN):
+    B = np.zeros((dN.shape[0], 6, 24))
+    for a in range(8):
+        dx, dy, dz = dN[:, a, 0], dN[:, a, 1], dN[:, a, 2]
+        c = 3 * a
+        B[:, 0, c + 0] = dx
+        B[:, 1, c + 1] = dy
+        B[:, 2, c + 2] = dz
+        B[:, 3, c + 1] = dz
+        B[:, 3, c + 2] = dy
+        B[:, 4, c + 0] = dz
+        B[:, 4, c + 2] = dx
+        B[:, 5, c + 0] = dy
+        B[:, 5, c + 1] = dx
+    return B
+
+
+def _quad_membrane_B(dN):
+    B = np.zeros((dN.shape[0], 3, 8))
+    for a in range(4):
+        dx, dy = dN[:, a, 0], dN[:, a, 1]
+        c = 2 * a
+        B[:, 0, c + 0] = dx
+        B[:, 1, c + 1] = dy
+        B[:, 2, c + 0] = dy
+        B[:, 2, c + 1] = dx
+    return B
+
+
+_Q1_REFS = {3: (_hex_shape, _hex_grad_ref, _gauss_hex, _hex_strain_B),
+            2: (_quad_shape, _quad_grad_ref, _gauss_quad, _quad_membrane_B)}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_q1_basis_bit_identical_to_corner_sign_formulas(d):
+    shape, grad, _, _ = _Q1_REFS[d]
+    rng = np.random.default_rng(d)
+    # 1,000 random points plus the corners, where a factor 1 +- x is zero
+    P = np.vstack([rng.uniform(-1.0, 1.0, size=(1000, d)), 2.0 * el.CORNERS[:2**d, :d] - 1.0])
+    N, dN = el.q1_basis(P)
+    assert np.array_equal(N, shape(P))
+    assert np.array_equal(dN, grad(P))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_rule_bit_identical_to_loop_rules(d, n):
+    rule = _Q1_REFS[d][2]
+    for got, ref in zip(el.tensor_rule(*el.gauss1d(n), d), rule(n)):
+        assert np.array_equal(got, ref)
+    if d == 2:   # the plate's rule on the unit square
+        for got, ref in zip(el.tensor_rule(*el.gauss1d(n, 0.0, 1.0), 2), _gauss_quad(n, unit=True)):
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_strain_B_bit_identical_to_per_node_loops(d):
+    dN = np.random.default_rng(10 + d).standard_normal((7, 2**d, d))
+    assert np.array_equal(el.strain_B(dN), _Q1_REFS[d][3](dN))
+
+
+@pytest.mark.parametrize("spacing", [(0.25, 0.5, 0.125), (0.1, 0.3, 0.7), (0.3, 0.7)])
+def test_qp_data_bit_identical_to_reference_composition(spacing):
+    shape, grad, rule, _ = _Q1_REFS[len(spacing)]
+    pts, wts = rule(2)
+    N, dN, wdet, got_pts = el.qp_data(spacing)
+    assert np.array_equal(got_pts, pts)
+    assert np.array_equal(N, shape(pts))
+    assert np.array_equal(dN, grad(pts) * (2.0 / np.asarray(spacing)))
+    assert np.array_equal(wdet, wts * (np.prod(spacing) / 2**len(spacing)))
+
+
 # ------------------------------------------------------- divergence coupling
 
 def test_divergence_identity_field(cell_mesh4):
@@ -286,7 +418,7 @@ def test_saddle_random_vs_dense_oracle():
 
 def test_bilinear_grid_forms_match_connectivity_loop():
     nx, ny, hx, hy = 3, 2, 0.5, 0.25
-    N, dN, w, _ = el.quad_qp_data((hx, hy))
+    N, dN, w, _ = el.qp_data((hx, hy))
     conn = np.array([
         [a + (nx + 1) * b, a + 1 + (nx + 1) * b, a + 1 + (nx + 1) * (b + 1), a + (nx + 1) * (b + 1)]
         for b in range(ny) for a in range(nx)
@@ -422,7 +554,8 @@ def test_bfs_patch_test_quadratic():
     c = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 0.35]])
     nn = plate.n_nodes
     Kb = np.zeros((4 * nn, 4 * nn))
-    loc = np.einsum("q,qia,ij,qjb->ab", plate.qp_w, plate.B_bend, c, plate.B_bend)
+    B_bend = -plate.E[:, 3:, 8:]
+    loc = np.einsum("q,qia,ij,qjb->ab", plate.qp_w, B_bend, c, B_bend)
     for conn in plate.quads:
         dofs = (4 * conn[:, None] + np.arange(4)).ravel()
         Kb[np.ix_(dofs, dofs)] += loc

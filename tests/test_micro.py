@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from poroplate import fem, micro
 from poroplate.config import default_config
 from poroplate.errors import SolverError
+from poroplate.fem.multigrid import VCycle
 from poroplate.fem.solvers import jacobi
 from poroplate.geometry import CellGeometry, build_micro_mesh
 from poroplate.material import BiotParams, LoadSpec, Poly2T, t_degree_terms
@@ -421,7 +422,7 @@ def test_system_freed_without_cycle_collector(micro_mesh4, two_phase_hooke, biot
         sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, ramp_loads)
         micro.run_transient(sys, 0.25, 2, stepper="monolithic")
         micro.run_transient(sys, 0.25, 2, stepper="schur")
-        assert sys._multigrid is not None   # the V-cycle hierarchy was built and kept
+        assert type(vars(sys)["multigrid"]) is VCycle   # the V-cycle hierarchy was built and kept
         # and so were the load responses, arrays only
         assert all(type(v) is np.ndarray for _, _, v in vars(sys)["load_response"].parts)
         ops = sys.step_operators(0.125)   # and both solution spaces, arrays only

@@ -30,7 +30,7 @@ def test_bilinear_interpolation_matches_gather_form(plate):
     rng = np.random.default_rng(2)
     pts = _points(plate, rng, 500)
     eid, loc = plate._locate(pts)
-    Nv = el.quad_shape(2.0 * loc - 1.0)
+    Nv = el.q1_basis(2.0 * loc - 1.0)[0]
     for f in (rng.standard_normal((plate.n_nodes, 7)), rng.standard_normal(plate.n_nodes)):
         ref = np.einsum("pa,pa...->p...", Nv, f[plate.quads[eid]])
         got = plate.eval_bilinear_nodal(f, pts)

@@ -17,7 +17,7 @@ from poroplate.cell import (
     solve_cell,
     solve_correctors,
 )
-from poroplate.errors import AssemblyError, BudgetError
+from poroplate.errors import AssemblyError, BudgetError, SolverError
 from poroplate.fem import elements as el
 from poroplate.geometry import (
     GEL,
@@ -204,12 +204,22 @@ def test_macro_membrane_only_keeps_w3_zero(cell_pipeline, biot):
     assert np.abs(states[-1].Wb).max() < 1e-12 * max(np.abs(states[-1].Wm).max(), 1e-30)
 
 
+def _B_mem(space, q):
+    """(3, 8) membrane strain rows at plate quadrature point q: E's membrane block."""
+    return space.E[q, :3, :8]
+
+
+def _B_bend(space, q):
+    """(3, 16) curvature rows (w_xx, w_yy, 2 w_xy) at q: E's bending block, negated."""
+    return -space.E[q, 3:, 8:]
+
+
 def _per_qp_plate_stiffness(hom, space):
     """A_W by the per-quadrature-point block loop over the membrane/bending blocks."""
     a, b, c = hom.a_eng, hom.b_eng, hom.c_eng
     loc = np.zeros((24, 24))
     for q in range(len(space.qp_w)):
-        Bm, Bb, w = space.B_mem[q], space.B_bend[q], space.qp_w[q]
+        Bm, Bb, w = _B_mem(space, q), _B_bend(space, q), space.qp_w[q]
         loc[:8, :8] += w * Bm.T @ a @ Bm
         loc[:8, 8:] += -w * Bm.T @ b.T @ Bb
         loc[8:, :8] += -w * Bb.T @ b @ Bm
@@ -360,8 +370,8 @@ def test_mup_alpha_zero_warping_is_corrector_reconstruction(
     worst = 0.0
     for e in range(len(space.elem_dofs)):
         for q in range(len(space.qp_w)):
-            m_eng = space.B_mem[q] @ Wloc[e, :8]
-            k_eng = space.B_bend[q] @ Wloc[e, 8:]
+            m_eng = _B_mem(space, q) @ Wloc[e, :8]
+            k_eng = _B_bend(space, q) @ Wloc[e, 8:]
             u_d = m_eng @ chi_m - k_eng @ chi_b
             worst = max(worst, np.abs(st.ubar[e, q] - u_d).max())
     scale = max(np.abs(st.ubar).max(), 1e-30)
@@ -391,7 +401,7 @@ def _element_loop_gamma(space, cm, cb, scale):
     G = np.zeros((space.n_nodes * ng, space.n_red))
     for e, conn in enumerate(space.quads):
         for q in range(len(space.qp_w)):
-            blk = np.concatenate([space.B_mem[q].T @ cm, -space.B_bend[q].T @ cb])  # (24, ng)
+            blk = np.concatenate([_B_mem(space, q).T @ cm, -_B_bend(space, q).T @ cb])  # (24, ng)
             for a in range(4):
                 rows = slice(conn[a] * ng, (conn[a] + 1) * ng)
                 for l, dof in enumerate(space.elem_dofs[e]):
@@ -416,6 +426,22 @@ def test_kronecker_gamma_matches_element_loop(coupled_m3, biot):
     W, p = rng.standard_normal(ref.shape[1]), rng.standard_normal(ref.shape[0])
     for got, want in ((msys.gamma_apply(W), ref @ W), (msys.gamma_T_apply(p), ref.T @ p)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("path", ["macro", "oracle"])
+def test_plate_step_checks_its_block_equations(coupled_m3, monkeypatch, path):
+    sys_ = coupled_m3[2 if path == "macro" else 3]
+    state = sys_.initial_state()
+    sys_.step(state, 0.125)   # the exact step meets its own check
+    solve = sys_._solve_step
+
+    def perturbed(*args):
+        W1, p1 = solve(*args)
+        return W1 * (1 + 1e-6), p1
+
+    monkeypatch.setattr(sys_, "_solve_step", perturbed)
+    with pytest.raises(SolverError, match=r"plate step to t = 0\.125: block residuals"):
+        sys_.step(state, 0.125)
 
 
 def test_kronecker_schur_matches_dense(coupled_m3, biot):
@@ -459,8 +485,8 @@ def test_mup_energy_matches_per_qp_sum(cell_mesh4, two_phase_hooke, biot, ramp_l
     elastic = 0.0
     for e in range(len(space.elem_dofs)):
         for q in range(len(space.qp_w)):
-            m = space.B_mem[q] @ Wloc[e, :8]
-            k = space.B_bend[q] @ Wloc[e, 8:]
+            m = _B_mem(space, q) @ Wloc[e, :8]
+            k = _B_bend(space, q) @ Wloc[e, 8:]
             u = st.ubar[e, q]
             quad = (m @ osys.P0 @ m - 2.0 * m @ osys.P1 @ k + k @ osys.P2 @ k
                     + 2.0 * (m @ osys.r_m - k @ osys.r_b) @ u + u @ K @ u)
@@ -540,7 +566,7 @@ def _ref_ubar(osys, W, p):
     nq = len(space.qp_w)
     ubar = np.empty((len(space.elem_dofs), nq, osys.op.reducer.n_reduced))
     for q in range(nq):
-        RE = np.hstack([osys.r_m.T @ space.B_mem[q], -osys.r_b.T @ space.B_bend[q]])
+        RE = np.hstack([osys.r_m.T @ _B_mem(space, q), -osys.r_b.T @ _B_bend(space, q)])
         TE = op.solve_reduced(RE)
         for e, conn in enumerate(space.quads):
             pq = space.N_bil[q] @ P[conn]
@@ -571,8 +597,8 @@ def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
     for e, conn in enumerate(space.quads):
         for q in range(len(space.qp_w)):
             cu = osys.op.C_red @ ubar[e, q]
-            trm = (space.B_mem[q][0] + space.B_mem[q][1]) @ Wloc[e, :8]
-            trk = (space.B_bend[q][0] + space.B_bend[q][1]) @ Wloc[e, 8:]
+            trm = (_B_mem(space, q)[0] + _B_mem(space, q)[1]) @ Wloc[e, :8]
+            trk = (_B_bend(space, q)[0] + _B_bend(space, q)[1]) @ Wloc[e, 8:]
             for a in range(4):
                 wN = scale * space.qp_w[q] * space.N_bil[q, a]
                 ref_u[conn[a]] += wN * cu
@@ -694,8 +720,8 @@ def test_residual_two_scale_ansatz(default_geom, homogeneous_hooke, biot):
 
 def _loop_residual(U, p, micro, cell_mesh, correctors, op, msys, mstate):
     """The residual cell by cell, every plate field evaluated at every cell qp."""
-    N, dN, wdet, _ = el.hex_qp_data(cell_mesh.spacing)
-    B = el.hex_strain_B(dN)
+    N, dN, wdet, _ = el.qp_data(cell_mesh.spacing)
+    B = el.strain_B(dN)
     vdofs = fem.vector_dofs(cell_mesh.elems)
     y_q = fem.assembly.qp_points(cell_mesh)
 
