@@ -120,9 +120,18 @@ def _floats(value: str, lineno: int, key: str, count: int | None = None):
         vals = [float(v) for v in value.split()]
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {key}: {exc}") from None
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"line {lineno}: {key}: {value!r} has a number that is not finite")
     if count is not None and len(vals) != count:
         raise ConfigError(f"line {lineno}: {key} expects {count} numbers, got {len(vals)}")
     return vals
+
+
+def _positive(value: str, lineno: int, key: str) -> float:
+    x = _floats(value, lineno, key, 1)[0]
+    if x <= 0:
+        raise ConfigError(f"line {lineno}: {key} must be positive")
+    return x
 
 
 def _int(value: str, lineno: int, key: str) -> int:
@@ -144,13 +153,12 @@ def _poly(value: str, lineno: int, key: str, t_off) -> Poly2T:
                 raise ConfigError(
                     f"line {lineno}: {key}: each monomial is 'coeff p1 p2 pt', got {chunk!r}")
             try:
-                coeff = float(parts[0])
                 exps = [int(p) for p in parts[1:]]
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {key}: {exc}") from None
             if any(e < 0 for e in exps):
                 raise ConfigError(f"line {lineno}: {key}: exponents must be nonnegative")
-            terms.append((coeff, *exps))
+            terms.append((_floats(parts[0], lineno, key, 1)[0], *exps))
     return Poly2T(terms, t_off=t_off)
 
 
@@ -160,14 +168,15 @@ def parse_config(text: str) -> RunConfig:
     def get(section, key, default=None):
         return sec.get(section, {}).get(key, (default, 0))
 
-    value, ln = get("geometry", "gel_box", "0.25 0.75 0.25 0.75")
-    box = _floats(value, ln, "gel_box", 4)
-    gv, ln2 = get("geometry", "gel_span", "-1.0 1.0")
-    span = _floats(gv, ln2, "gel_span", 2)
+    def read(section, key, default, parse=_floats, *args):
+        value, ln = get(section, key, default)
+        return parse(value, ln, key, *args)
+
+    box = read("geometry", "gel_box", "0.25 0.75 0.25 0.75", _floats, 4)
+    span = read("geometry", "gel_span", "-1.0 1.0", _floats, 2)
     geom = CellGeometry(gel_box=((box[0], box[1]), (box[2], box[3])),
                         z_span=(span[0], span[1]))
-    value, ln = get("geometry", "omega", "0.0 1.0 0.0 1.0")
-    om = _floats(value, ln, "omega", 4)
+    om = read("geometry", "omega", "0.0 1.0 0.0 1.0", _floats, 4)
     omega = ((om[0], om[1]), (om[2], om[3]))
     value, ln = get("geometry", "eps_list", "0.25")
     eps_list = _floats(value, ln, "eps_list")
@@ -178,23 +187,16 @@ def parse_config(text: str) -> RunConfig:
             ratio = (b - a) / e
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(f"line {ln}: eps={e} does not tile the omega edge ({a}, {b})")
-    value, ln = get("geometry", "cell_n", "4")
-    cell_n = _int(value, ln, "cell_n")
-    value, ln = get("geometry", "plate_m", "8")
-    plate_m = _int(value, ln, "plate_m")
+    cell_n = read("geometry", "cell_n", "4", _int)
+    plate_m = read("geometry", "plate_m", "8", _int)
 
-    value, ln = get("material", "fiber", "10.0 0.3")
-    Ef, nuf = _floats(value, ln, "fiber", 2)
-    value, ln = get("material", "gel", "1.0 0.35")
-    Eg, nug = _floats(value, ln, "gel", 2)
+    Ef, nuf = read("material", "fiber", "10.0 0.3", _floats, 2)
+    Eg, nug = read("material", "gel", "1.0 0.35", _floats, 2)
     hooke = HookeTensor(fiber=isotropic(Ef, nuf), gel=isotropic(Eg, nug))
-    value, ln = get("material", "biot_c", "1.0")
-    c = _floats(value, ln, "biot_c", 1)[0]
-    value, ln = get("material", "biot_alpha", "1.0")
-    alpha = _floats(value, ln, "biot_alpha", 1)[0]
-    value, ln = get("material", "permeability", "1 0 0 0 1 0 0 0 1")
-    K = np.array(_floats(value, ln, "permeability", 9)).reshape(3, 3)
-    biot = BiotParams(c=c, alpha=alpha, K=K)
+    biot = BiotParams(c=read("material", "biot_c", "1.0", _floats, 1)[0],
+                      alpha=read("material", "biot_alpha", "1.0", _floats, 1)[0],
+                      K=np.array(read("material", "permeability", "1 0 0 0 1 0 0 0 1",
+                                      _floats, 9)).reshape(3, 3))
 
     t_off_raw, ln = get("loads", "t_off", "")
     t_off = None if not t_off_raw else _floats(t_off_raw, ln, "t_off", 1)[0]
@@ -206,23 +208,15 @@ def parse_config(text: str) -> RunConfig:
     loads = LoadSpec(f1=load_poly("f1"), f2=load_poly("f2"),
                      f3=load_poly("f3"), h=load_poly("h"))
 
-    value, ln = get("time", "T", "0.5")
-    T = _floats(value, ln, "T", 1)[0]
-    if T <= 0:
-        raise ConfigError(f"line {ln}: T must be positive")
+    T = read("time", "T", "0.5", _positive)
     value, ln = get("time", "nsteps", "8")
     nsteps = _int(value, ln, "nsteps")
     if nsteps < 1:
         raise ConfigError(f"line {ln}: nsteps must be >= 1")
 
-    value, ln = get("solver", "tol_cell", "1e-10")
-    tol_cell = _floats(value, ln, "tol_cell", 1)[0]
-    value, ln = get("solver", "tol_step", "1e-9")
-    tol_step = _floats(value, ln, "tol_step", 1)[0]
-    if tol_cell <= 0 or tol_step <= 0:
-        raise ConfigError("solver tolerances must be positive")
-    value, ln = get("solver", "budget_dofs", "300000")
-    budget = _int(value, ln, "budget_dofs")
+    tol_cell = read("solver", "tol_cell", "1e-10", _positive)
+    tol_step = read("solver", "tol_step", "1e-9", _positive)
+    budget = read("solver", "budget_dofs", "300000", _int)
 
     value, ln = get("output", "formats", "csv vtk")
     formats = tuple(value.split())
@@ -230,12 +224,10 @@ def parse_config(text: str) -> RunConfig:
         if token not in _FORMATS:
             raise ConfigError(f"line {ln}: unknown output format {token!r} "
                               f"(known: {', '.join(_FORMATS)})")
-    value, ln = get("output", "snapshot_every", "0")
-    snapshot_every = _int(value, ln, "snapshot_every")
+    snapshot_every = read("output", "snapshot_every", "0", _int)
 
     coeff_file, _ = get("verify", "coefficients_file", None)
-    value, ln = get("verify", "seed", "0")
-    seed = _int(value, ln, "seed")
+    seed = read("verify", "seed", "0", _int)
 
     return RunConfig(
         geom=geom, omega=omega, eps_list=list(eps_list), cell_n=cell_n, plate_m=plate_m,

@@ -12,7 +12,7 @@ from .assembly import (
     vector_dofs,
 )
 from .constraints import ConstraintSet, Reducer
-from .solvers import RepeatedBlockSolver, pcg, solve_saddle
+from .solvers import Kron, pcg, solve_saddle
 
 __all__ = [
     "assemble_body_force",
@@ -26,7 +26,7 @@ __all__ = [
     "vector_dofs",
     "ConstraintSet",
     "Reducer",
-    "RepeatedBlockSolver",
+    "Kron",
     "pcg",
     "solve_saddle",
 ]

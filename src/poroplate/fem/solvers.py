@@ -1,11 +1,12 @@
-"""Preconditioned CG, the pressure-Schur block solver, dense inverses, the
-per-step-size operator cache and the time-step loop.
+"""Preconditioned CG, the saddle-point step, Kronecker blocks, dense inverses,
+the per-step-size operator cache and the time-step loop.
 
 pcg is the only iterative kernel: deterministic (fixed reduction order, no
-threading), with the residual history kept for diagnostics.  solve_saddle
-eliminates the pressure block, leaving a single SPD displacement solve that
-its caller preconditions (the micro step passes the geometric-multigrid
-V-cycle of `fem.multigrid`).
+threading), with the residual history kept for diagnostics.  solve_saddle is
+the implicit Euler step of the micro, macro and oracle systems: it eliminates
+the pressure block, a `Kron` (I (x) S_cell or M_x (x) S_y), leaving a single
+SPD displacement solve that its caller preconditions (the multigrid V-cycle
+of `fem.multigrid`, or the plate's exact Schur inverse), and checks the result.
 
 A time-stepper solves one SPD operator per step size with a right-hand side
 that changes smoothly from step to step.  A `SolutionSpace` keeps up to
@@ -48,9 +49,7 @@ PROJECTION_DIM = 20
 
 
 def _as_operator(A):
-    if callable(A):
-        return A
-    return lambda x: A @ x
+    return A if callable(A) else (lambda x: A @ x)
 
 
 def _norm(v) -> float:
@@ -173,12 +172,11 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
     history.append(_norm(r) / bnorm)
     # the residual is checked before it is preconditioned: a start that
     # already meets tol costs no preconditioner application
-    while history[-1] > tol:
-        if len(history) > maxiter:
-            raise SolverError(
-                f"CG did not reach tol={tol:.1e} in {maxiter} iterations (residual {history[-1]:.3e})",
-                history,
-            )
+    # (a residual that is not finite, from b or from the operator, fails too)
+    while not history[-1] <= tol:
+        if len(history) > maxiter or not np.isfinite(history[-1]):
+            raise SolverError(f"CG did not reach tol={tol:.1e} in {len(history) - 1} iterations "
+                              f"(residual {history[-1]:.3e})", history)
         z = apply_M(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
@@ -232,54 +230,53 @@ def spd_inverse(M, error: str) -> np.ndarray:
         L_inv = np.linalg.inv(np.linalg.cholesky(M))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"{error} ({exc})") from exc
-    return L_inv.T @ L_inv
+    M_inv = L_inv.T @ L_inv
+    if not np.all(np.isfinite(M_inv)):
+        raise SolverError(error)
+    return M_inv
 
 
-class RepeatedBlockSolver:
-    """Inverse of a block-diagonal matrix whose blocks are all the same dense S.
+class Kron:
+    """A (x) B, applied as (A X) B^T to x laid out row-major as X; A = None is
+    the identity.  It holds its dense or sparse factors only, and is callable,
+    so it serves as a CG preconditioner."""
 
-    Vectors are ordered block-major: x.reshape(n_blocks, block_size).  `error`
-    names the block for the SolverError raised if S is singular.
-    """
+    def __init__(self, A, B):
+        self.A = A
+        self.B = B
 
-    def __init__(self, S: np.ndarray, n_blocks: int, error: str):
-        self._inverse = inverse(S, error)
-        self.block_size = self._inverse.shape[0]
-        self.n_blocks = n_blocks
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        X = x.reshape(-1, self.B.shape[1])
+        return ((X if self.A is None else self.A @ X) @ self.B.T).reshape(-1)
 
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        X = x.reshape(self.n_blocks, self.block_size)
-        return (X @ self._inverse.T).reshape(-1)
+    __call__ = __matmul__
 
 
-def solve_saddle(K, C, M_block, rhs, *, m_solver, precond, tol=1e-10, space=None):
-    """Solve  [K, -C^T; C, M] [u; p] = [b_u; b_p]  by eliminating the pressure block.
+def solve_saddle(K, C, CT, S, S_inv, rhs, *, precond, tol=1e-10, space=None):
+    """Solve  [K, -C^T; C, S] [u; p] = [b_u; b_p]  by eliminating the pressure block.
 
-    K must be SPD on its (already reduced) space, M SPD on the pressure space;
-    this is the one-step implicit form of the coupled system.  K, C and M are
-    sparse.  The Schur complement K + C^T M^-1 C is solved by CG with inner
-    applications of `m_solver` (M^-1), preconditioned by `precond` (an SPD
-    approximation of K^-1), from the projection onto
-    `space` when given.  Both block residuals of the result are checked
-    against SADDLE_RTOL.
+    K must be SPD on its (already reduced) space, S SPD on the pressure space;
+    each operator is anything with `@`.  The Schur complement K + C^T S^-1 C
+    is solved by CG, preconditioned by `precond` (a callable or a matrix
+    approximating its inverse), from the projection onto `space` when given.
+    Both block residuals must meet SADDLE_RTOL relative to max(|rhs_u|, |b_p|)
+    (a NaN fails); the SolverError carries the CG's residual history.
     """
     b_u, b_p = rhs
-    CT = C.T.tocsr()
 
     def schur(u):
-        return K @ u + CT @ m_solver.solve(C @ u)
+        return K @ u + CT @ (S_inv @ (C @ u))
 
-    rhs_u = b_u + CT @ m_solver.solve(b_p)
-    u, _ = pcg(schur, rhs_u, tol=tol, space=space, precond=precond)
-    p = m_solver.solve(b_p - C @ u)
+    rhs_u = b_u + CT @ (S_inv @ b_p)
+    u, history = pcg(schur, rhs_u, tol=tol, space=space, precond=_as_operator(precond))
+    p = S_inv @ (b_p - C @ u)
 
     scale = max(np.linalg.norm(rhs_u), np.linalg.norm(b_p), 1e-300)
     r1 = np.linalg.norm(K @ u - CT @ p - b_u)
-    r2 = np.linalg.norm(C @ u + (M_block @ p) - b_p)
-    if max(r1, r2) / scale > SADDLE_RTOL:
-        raise SolverError(
-            f"saddle solve block residuals {r1:.2e}, {r2:.2e} exceed {SADDLE_RTOL:.1e} (scale {scale:.2e})"
-        )
+    r2 = np.linalg.norm(C @ u + S @ p - b_p)
+    if not (r1 <= SADDLE_RTOL * scale and r2 <= SADDLE_RTOL * scale):
+        raise SolverError(f"saddle solve block residuals {r1:.2e}, {r2:.2e} exceed "
+                          f"{SADDLE_RTOL:.1e} (scale {scale:.2e})", history)
     return u, p
 
 
@@ -312,15 +309,20 @@ def march(start, step, row, T: float, nsteps: int, retire=lambda state: state):
     step(state, dt) gives the next state and row(state) its table row (the
     norms with the energy), one row per state.  Once a state's successor
     exists, retire(state) gives what the trajectory keeps of it (None:
-    nothing).  nsteps is checked before start() builds anything.
+    nothing).  nsteps is checked before start() builds anything.  A step's
+    SolverError is raised again with its step number and time n dt in front.
     """
     if nsteps < 1:
         raise AssemblyError(f"nsteps must be >= 1, got {nsteps}")
     dt = T / nsteps
     state = start()
     states, table = [state], [row(state)]
-    for _ in range(nsteps):
-        state = step(state, dt)
+    for n in range(1, nsteps + 1):
+        try:
+            state = step(state, dt)
+        except SolverError as exc:
+            raise SolverError(f"step {n} of {nsteps}, to t = {n * dt:.6g}: {exc}",
+                              exc.residuals) from exc
         states[-1] = retire(states[-1])
         states.append(state)
         table.append(row(state))

@@ -5,8 +5,9 @@ The implicit Euler step of the coupled system
     B U^{n+1} - alpha C^T p^{n+1} = F^{n+1}
     alpha C (U^{n+1}-U^n) + (cM + dt D) p^{n+1} = dt G^{n+1} + cM p^n
 
-is solved either monolithically (pressure block eliminated, one SPD solve on
-the displacement) or through the reduced pressure ODE
+is solved either monolithically (`fem.solvers.solve_saddle`, the plate
+systems' step too: one SPD solve on the displacement) or through the reduced
+pressure ODE
 
     (cM + alpha^2 C B^-1 C^T) db/dt + D b = G - alpha C B^-1 dF/dt
 
@@ -48,10 +49,11 @@ dt, so one hierarchy serves every step size and both steppers.
 
 The gel cells are congruent translates of one cell (`BrickMesh.cell_nodes`,
 `cell_elems`, and the cell-major `gel_nodes`), so M, D and C repeat one cell
-block.  The operators that depend on the step size, cM + dt D with its
-cell-block inverse and the block preconditioner of the pressure ODE, are built
-from cell 0 once per dt (`GalerkinSystem.step_operators`, on the step cache of
-`fem.solvers`) and read by both steppers.
+block.  The operators that depend on the step size, cM + dt D = I (x) S_cell
+with its inverse and the block preconditioner of the pressure ODE, are
+`fem.solvers.Kron` blocks built from cell 0 once per dt
+(`GalerkinSystem.step_operators`, on the step cache of `fem.solvers`) and
+read by both steppers.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ from . import fem
 from .errors import AssemblyError, SolverError
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.multigrid import VCycle
-from .fem.solvers import (RepeatedBlockSolver, SolutionSpace, StepCache, inverse, march, pcg,
-                          solve_saddle)
+from .fem.solvers import Kron, SolutionSpace, StepCache, inverse, march, pcg, solve_saddle
 from .geometry import GEL, BrickMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec, require_admissible
 
@@ -97,9 +98,9 @@ class StepOperators:
     alpha = 0), the side images the Schur-ODE step's final solve starts from.
     """
 
-    S: sp.csr_matrix                    # cM + dt D
-    S_solver: RepeatedBlockSolver       # S^-1, one dense block per gel cell
-    prec: RepeatedBlockSolver           # Schur-ODE preconditioner: S + alpha^2 C diag(B)^-1 C^T blocks
+    S: Kron                 # cM + dt D = I (x) S_cell, one dense block per gel cell
+    S_inv: Kron             # I (x) S_cell^-1
+    prec: Kron              # Schur-ODE preconditioner: S + alpha^2 C diag(B)^-1 C^T blocks, inverted
     # earlier solutions of the monolithic displacement Schur system
     u_space: SolutionSpace = field(default_factory=SolutionSpace)
     # earlier pressure increments of the Schur-ODE step
@@ -139,6 +140,12 @@ class GalerkinSystem:
         """The V-cycle preconditioner of B, built on first use and kept."""
         return VCycle(self.B, self.mesh.nelems, self.reducer.free)
 
+    @cached_property
+    def coupling(self) -> tuple:
+        """(alpha C, its CSR transpose) of the monolithic step, built on first use and kept."""
+        C = self.biot.alpha * self.C
+        return C, C.T.tocsr()
+
     def solve_B(self, rhs: np.ndarray, tol: float, x0=None) -> np.ndarray:
         """B^-1 rhs by multigrid-preconditioned CG."""
         # fem.solvers.pcg is looked up per call, so an instrumented pcg sees these solves
@@ -163,19 +170,14 @@ class GalerkinSystem:
         over the cells.
         """
         c, alpha = self.biot.c, self.biot.alpha
-        ng, n_cells = self.mesh.n_gel_local, self.mesh.total_cells
-        S = (c * self.M + dt * self.D).tocsr()
-        S_local = S[:ng, :ng].toarray()
-        S_solver = RepeatedBlockSolver(S_local, n_cells, "gel cell block cM + dt D is singular")
-        prec = S_solver
-        if alpha != 0.0:
-            C0 = self.C[:ng]
-            dB = self.B.diagonal()
-            dB = np.where(dB > 0, dB, 1.0)
-            X = (C0.multiply(1.0 / dB)).tocsr()
-            prec = RepeatedBlockSolver(S_local + alpha**2 * (X @ C0.T).toarray(), n_cells,
-                                       "gel cell block of the pressure-ODE preconditioner is singular")
-        return StepOperators(S=S, S_solver=S_solver, prec=prec)
+        ng = self.mesh.n_gel_local
+        S_local = (c * self.M[:ng, :ng] + dt * self.D[:ng, :ng]).toarray()
+        S_inv = inverse(S_local, "gel cell block cM + dt D is singular")
+        C0, dB = self.C[:ng], self.B.diagonal()
+        X = (C0.multiply(1.0 / np.where(dB > 0, dB, 1.0))).tocsr()
+        prec = inverse(S_local + alpha**2 * (X @ C0.T).toarray(),
+                       "gel cell block of the pressure-ODE preconditioner is singular")
+        return StepOperators(S=Kron(None, S_local), S_inv=Kron(None, S_inv), prec=Kron(None, prec))
 
 
 def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: float,
@@ -262,8 +264,8 @@ def step_monolithic(sys: GalerkinSystem, state: MicroState, dt: float, *,
     alpha = sys.biot.alpha
     b_u = sys.F(t1)
     b_p = dt * sys.G(t1) + sys.biot.c * (sys.M @ state.p) + alpha * (sys.C @ state.U_red)
-    u, p = solve_saddle(sys.B, alpha * sys.C, ops.S, (b_u, b_p), m_solver=ops.S_solver,
-                        tol=tol, space=ops.u_space, precond=sys.multigrid)
+    u, p = solve_saddle(sys.B, *sys.coupling, ops.S, ops.S_inv, (b_u, b_p),
+                        precond=sys.multigrid, tol=tol, space=ops.u_space)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
 
@@ -324,7 +326,7 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
     while True:
         if norms[-1] > goal:
             outer.clear()
-            solve = partial(pcg, A_op, res, tol=goal / norms[-1], precond=ops.prec.solve,
+            solve = partial(pcg, A_op, res, tol=goal / norms[-1], precond=ops.prec,
                             space=ops.p_space, history=outer)
             if alpha == 0.0:
                 dp, _ = solve()
@@ -339,7 +341,7 @@ def step_schur(sys: GalerkinSystem, state: MicroState, dt: float, *,
             break
         if norms[-2] > goal and norms[-1] >= norms[-2]:   # a pass that ran CG in vain
             raise SolverError(
-                f"Schur-ODE step to t={t1:.6g}: pass {len(norms) - 1} did not reduce the "
+                f"Schur-ODE step: pass {len(norms) - 1} did not reduce the "
                 f"pressure-equation residual ({norms[-2]:.3e} -> {norms[-1]:.3e}, "
                 f"goal {goal:.3e})", norms)
     return MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)

@@ -62,8 +62,44 @@ def test_eps_must_tile_omega():
 
 def test_tolerances_positive():
     text = TINY + "\n[solver]\ntol_cell = -1\n"
-    with pytest.raises(ConfigError):
+    lineno = text.splitlines().index("tol_cell = -1") + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: tol_cell must be positive"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("gel_box = 0.25 0.75 0.25 0.75", "gel_box = 0.25 nan 0.25 0.75", "gel_box"),
+    ("cell_n = 4", "cell_n = inf", "cell_n"),
+    ("fiber = 10.0 0.3", "fiber = -inf 0.3", "fiber"),
+    ("f3 = 1.0 0 0 1", "f3 = nan 0 0 1", "f3"),
+    ("h = 1.0 0 0 1", "h = 1.0 0 0 1\nt_off = inf", "t_off"),
+    ("T = 0.25", "T = inf", "T"),
+    ("nsteps = 2", "nsteps = 2\n[solver]\ntol_cell = nan", "tol_cell"),
+])
+def test_non_finite_numbers_rejected(old, new, key):
+    # nan fails every comparison and inf passes every positivity check, so
+    # neither may reach a solver
+    text = TINY.replace(old, new)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(f"{key} ="))
+    with pytest.raises(ConfigError, match=f"line {lineno}: {key}: .* not finite"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("cell", "[solver]\ntol_cell = nan"),
+    ("homogenize", "[solver]\ntol_cell = nan"),
+    ("macro", "[time]\nT = inf"),
+])
+def test_cli_non_finite_config_exit_code(tmp_path, capsys, command, extra):
+    # on the demo config each exited 0 before: six zero moments, the Voigt a11, a NaN row
+    text = TINY + "\n" + extra + "\n"
+    lineno = len(text.splitlines())
+    cfgp = tmp_path / "nonfinite.cfg"
+    cfgp.write_text(text)
+    code = cli.main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert f"line {lineno}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section, key", [
@@ -155,7 +191,8 @@ def test_cli_micro_cg_underflow_exit_code(tmp_path, capsys):
     cfgp.write_text(text + "\n[solver]\ntol_step = 1e-300\n")
     code = cli.main(["micro", "--config", str(cfgp), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_SOLVER
-    assert "solver failure: CG broke down before reaching tol=1.0e-300" in capsys.readouterr().err
+    assert ("solver failure: step 1 of 2, to t = 0.125: CG broke down before reaching "
+            "tol=1.0e-300") in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_code(tmp_path):

@@ -11,8 +11,8 @@ from poroplate import fem
 from poroplate.errors import AssemblyError, ConstraintError, MaterialError, SolverError
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
-from poroplate.fem.solvers import (PROJECTION_DIM, RepeatedBlockSolver, SolutionSpace, StepCache,
-                                   _norm, inverse, jacobi, march, pcg, solve_saddle, spd_inverse)
+from poroplate.fem.solvers import (PROJECTION_DIM, Kron, SolutionSpace, StepCache, _norm, inverse,
+                                   jacobi, march, pcg, solve_saddle, spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh
 from poroplate.material import HookeTensor, isotropic
 
@@ -374,6 +374,13 @@ def test_reduction_preserves_symmetry(cell_mesh4, two_phase_hooke):
     assert np.abs(d.data).max() if d.nnz else 0.0 < 1e-12 * np.abs(Kr.data).max()
 
 
+def _saddle(K, C, M, rhs, **kwargs):
+    """solve_saddle with C^T and the pressure block as I (x) M, M^-1 by `inverse`."""
+    M = M.toarray() if sp.issparse(M) else M
+    return solve_saddle(K, C, C.T.tocsr(), Kron(None, M), Kron(None, inverse(M, "M")), rhs,
+                        precond=jacobi(K), **kwargs)
+
+
 def test_saddle_decoupled_matches_spd():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((8, 8))
@@ -381,8 +388,7 @@ def test_saddle_decoupled_matches_spd():
     M = sp.csr_matrix(np.eye(3))
     C = sp.csr_matrix((3, 8))
     bu, bp = rng.standard_normal(8), rng.standard_normal(3)
-    u, p = solve_saddle(K, C, M, (bu, bp), m_solver=RepeatedBlockSolver(M.toarray(), 1, "M"),
-                        precond=jacobi(K), tol=1e-13)
+    u, p = _saddle(K, C, M, (bu, bp), tol=1e-13)
     assert np.allclose(u, pcg(K, bu, tol=1e-13, precond=jacobi(K))[0], atol=1e-10)
     assert np.allclose(p, bp)
 
@@ -392,11 +398,23 @@ def test_saddle_hand_built_2x2():
     K = sp.csr_matrix(np.array([[2.0]]))
     C = sp.csr_matrix(np.array([[1.0]]))
     M = sp.csr_matrix(np.array([[3.0]]))
-    u, p = solve_saddle(K, C, M, (np.array([1.0]), np.array([2.0])),
-                        m_solver=RepeatedBlockSolver(M.toarray(), 1, "M"), precond=jacobi(K),
-                        tol=1e-14)
+    u, p = _saddle(K, C, M, (np.array([1.0]), np.array([2.0])), tol=1e-14)
     assert u[0] == pytest.approx(5.0 / 7.0, rel=1e-10)
     assert p[0] == pytest.approx((2.0 - 5.0 / 7.0) / 3.0, rel=1e-10)
+
+
+def test_saddle_check_fails_on_a_nan_and_carries_the_cg_history():
+    # decoupled: C^T is an empty sparse matrix, so a NaN in b_p reaches p but
+    # neither CG's right-hand side nor its residuals; the block check must
+    # fail on it rather than compare it away
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 6))
+    K = sp.csr_matrix(A @ A.T + 6 * np.eye(6))
+    bp = np.array([1.0, np.nan, 2.0])
+    with pytest.raises(SolverError, match="saddle solve block residuals") as info:
+        _saddle(K, sp.csr_matrix((3, 6)), np.eye(3), (rng.standard_normal(6), bp), tol=1e-12)
+    history = info.value.residuals
+    assert len(history) >= 2 and history[0] == 1.0 and history[-1] <= 1e-12
 
 
 def test_saddle_random_vs_dense_oracle():
@@ -411,8 +429,7 @@ def test_saddle_random_vs_dense_oracle():
     mono = np.block([[K, -C.T], [C, M]])
     ref = np.linalg.solve(mono, np.concatenate([bu, bp]))
     Ks = sp.csr_matrix(K)
-    u, p = solve_saddle(Ks, sp.csr_matrix(C), sp.csr_matrix(M), (bu, bp),
-                        m_solver=RepeatedBlockSolver(M, 1, "M"), precond=jacobi(Ks), tol=1e-13)
+    u, p = _saddle(Ks, sp.csr_matrix(C), M, (bu, bp), tol=1e-13)
     assert np.abs(np.concatenate([u, p]) - ref).max() < 1e-8
 
 
@@ -434,15 +451,57 @@ def test_bilinear_grid_forms_match_connectivity_loop():
     assert M.sum() == pytest.approx(nx * hx * ny * hy, rel=1e-14)
 
 
+class _RepeatedBlockSolver:
+    """The block-diagonal solver Kron(None, S^-1) replaced, kept as a reference."""
+
+    def __init__(self, S, n_blocks, error):
+        self._inverse = inverse(S, error)
+        self.block_size = self._inverse.shape[0]
+        self.n_blocks = n_blocks
+
+    def solve(self, x):
+        X = x.reshape(self.n_blocks, self.block_size)
+        return (X @ self._inverse.T).reshape(-1)
+
+
+def _kron_apply(Ax, Sy, p):
+    """The plate systems' A_x (x) S_y product that Kron replaced, kept as a reference."""
+    X = p.reshape(Ax.shape[1], -1)
+    return (Ax @ X @ Sy.T).reshape(-1)
+
+
 def test_repeated_block_solver():
     rng = np.random.default_rng(2)
     S = rng.standard_normal((4, 4))
     S = S @ S.T + 4 * np.eye(4)
-    solver = RepeatedBlockSolver(S, 3, "S")
+    solver = Kron(None, inverse(S, "S"))
     x = rng.standard_normal(12)
-    y = solver.solve(x)
+    y = solver @ x
     for b in range(3):
         assert np.allclose(S @ y[4 * b:4 * (b + 1)], x[4 * b:4 * (b + 1)], atol=1e-12)
+    assert np.array_equal(y, _RepeatedBlockSolver(S, 3, "S").solve(x))
+    assert np.array_equal(solver(x), y)   # callable as a preconditioner
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+       a_kind=st.sampled_from(["none", "dense", "sparse"]), b_sparse=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_kron_matches_np_kron(shape, a_kind, b_sparse, seed):
+    m, n, r, c = shape
+    rng = np.random.default_rng(seed)
+    A = None if a_kind == "none" else rng.standard_normal((m, n))
+    if a_kind == "none":
+        m = n
+    B = rng.standard_normal((r, c))
+    x = rng.standard_normal(n * c)
+    dense = np.kron(np.eye(n) if A is None else A, B) @ x
+    K = Kron(sp.csr_matrix(A) if a_kind == "sparse" else A, sp.csr_matrix(B) if b_sparse else B)
+    got = K @ x
+    assert got.shape == (m * r,)
+    assert np.allclose(got, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max(initial=1.0))
+    if a_kind == "dense" and not b_sparse:   # the old dense product, bit for bit
+        assert np.array_equal(got, _kron_apply(A, B, x))
 
 
 def test_inverse_singular():
@@ -460,6 +519,25 @@ def test_spd_inverse_and_its_error():
     with pytest.raises(SolverError, match="cell pressure block is not positive definite"):
         spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]),
                     "cell pressure block is not positive definite")
+
+
+def test_spd_inverse_rejects_an_inverse_that_is_not_finite():
+    # LAPACK factors a block with a NaN entry without an error, into NaNs
+    with pytest.raises(SolverError, match="cell pressure block is not positive definite"):
+        spd_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                    "cell pressure block is not positive definite")
+
+
+def test_pcg_rejects_values_that_are_not_finite():
+    A = sp.eye(4, format="csr")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SolverError, match=r"in 0 iterations \(residual nan\)"):
+            pcg(A, np.array([1.0, bad, 0.0, 2.0]))
+    # an operator that returns NaN: the residual is NaN after one iteration,
+    # which no tolerance comparison may take for convergence
+    with pytest.raises(SolverError, match=r"in 1 iterations \(residual nan\)") as info:
+        pcg(lambda x: np.full_like(x, np.nan), np.ones(4))
+    assert info.value.residuals[0] == 1.0 and np.isnan(info.value.residuals[-1])
 
 
 def test_step_cache_builds_once_per_step_size():
@@ -503,6 +581,17 @@ def test_march_records_a_row_per_state_and_retires_finished_states():
         with pytest.raises(AssemblyError, match="nsteps must be >= 1"):
             run(nsteps)
     assert len(starts) == n
+
+
+def test_march_names_the_step_that_fails():
+    def step(x, dt):
+        if x >= 1.5:
+            raise SolverError("inner solve failed", [1.0, 0.5])
+        return x + dt
+
+    with pytest.raises(SolverError, match=r"^step 3 of 4, to t = 0\.75: inner solve failed$") as info:
+        march(lambda: 1.0, step, lambda x: {"x": x}, 1.0, 4)
+    assert info.value.residuals == [1.0, 0.5]
 
 
 def test_step_cache_owner_freed_without_cycle_collector():

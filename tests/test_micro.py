@@ -133,7 +133,7 @@ def _step_schur_reference(sys, state, dt, tol=1e-10, basis=()):
     if basis:
         r = rhs - A(state.p)
         start = state.p + sum((x @ r) * x for x in basis)
-    p, _ = fem.pcg(A, rhs, tol=tol, precond=ops.prec.solve, x0=start)
+    p, _ = fem.pcg(A, rhs, tol=tol, precond=ops.prec, x0=start)
     u = sys.solve_B(F1 + alpha * (sys.C.T @ p), micro.INNER_TOL, x0=state.U_red)
     return micro.MicroState(t=t1, U=sys.reducer.expand(u).reshape(-1, 3), p=p, U_red=u)
 
@@ -377,7 +377,8 @@ def test_schur_step_repeats_its_pass_when_an_inner_solve_is_off(small_system, tw
 def test_schur_step_raises_when_a_pass_does_not_reduce_the_residual(micro_mesh4, two_phase_hooke,
                                                                   biot, ramp_loads, monkeypatch):
     # an outer CG that returns no increment leaves the pressure-equation
-    # residual where it was: the step names itself and carries the residuals
+    # residual where it was: the step names itself and carries the residuals,
+    # and the trajectory names the step
     sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, ramp_loads)
     real_pcg = micro.pcg
 
@@ -386,10 +387,30 @@ def test_schur_step_raises_when_a_pass_does_not_reduce_the_residual(micro_mesh4,
         return 0.0 * x, history, 0.0 * side
 
     monkeypatch.setattr(micro, "pcg", stalled_pcg)
-    with pytest.raises(SolverError, match="Schur-ODE step to t=0.0625") as info:
-        micro.step_schur(sys, micro.initial_state(sys), 0.0625)
+    with pytest.raises(SolverError, match=r"^step 1 of 1, to t = 0\.0625: Schur-ODE step: pass 1 "
+                                          r"did not reduce") as info:
+        micro.run_transient(sys, 0.0625, 1, stepper="schur")
     norms = info.value.residuals
     assert len(norms) >= 2 and norms[-1] >= norms[-2] > 0.0
+
+
+def test_monolithic_step_checks_its_block_equations(micro_mesh4, two_phase_hooke, biot,
+                                                    ramp_loads, monkeypatch):
+    # a displacement 1e-6 off the Schur solve misses both block equations;
+    # the error names the step and carries the Schur CG's residual history
+    sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, ramp_loads)
+    real_pcg = fem.solvers.pcg
+
+    def perturbed(A, b, **kwargs):
+        x, history = real_pcg(A, b, **kwargs)
+        return x * (1 + 1e-6), history
+
+    monkeypatch.setattr(fem.solvers, "pcg", perturbed)
+    with pytest.raises(SolverError, match=r"^step 1 of 2, to t = 0\.125: saddle solve block "
+                                          r"residuals") as info:
+        micro.run_transient(sys, 0.25, 2, stepper="monolithic")
+    history = info.value.residuals
+    assert len(history) >= 2 and history[-1] <= 1e-10
 
 
 def test_step_operators_built_once_per_step_size(micro_mesh4, two_phase_hooke, biot,

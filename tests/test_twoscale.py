@@ -302,8 +302,8 @@ def test_macro_constant_source_saturates(cell_pipeline, biot):
     Gamma = _gamma(msys)
     r1 = msys.A_W @ s1.W_red - Gamma.T @ s1.p.reshape(-1) - msys.F_W(s1.t)
     lhs = (Gamma @ (s1.W_red - s0.W_red)
-           + msys.mass_apply(s1.p.reshape(-1) - s0.p.reshape(-1))
-           + dt * msys._kron_apply(msys.M_x, msys.D_y, s1.p.reshape(-1)))
+           + (msys.M_x @ (s1.p - s0.p) @ msys.S_mass_y.T).reshape(-1)
+           + dt * (msys.M_x @ s1.p @ msys.D_y.T).reshape(-1))
     r2 = lhs - dt * msys.H(s1.t)
     scale = max(np.linalg.norm(msys.F_W(s1.t)), np.linalg.norm(dt * msys.H(s1.t)))
     assert np.linalg.norm(r1) <= 1e-9 * scale
@@ -392,7 +392,7 @@ def coupled_m3(cell_pipeline, cell_mesh4, two_phase_hooke, biot, ramp_loads):
 
 def _gamma(sys):
     """Sparse Gamma = sum_k G_k (x) V[k]; row (plate node i, gel dof j) is i * ng + j."""
-    return sum(sp.kron(g, v[:, None], format="csr") for g, v in zip(sys.G, sys.V))
+    return sum(sp.kron(g, v[:, None], format="csr") for g, v in zip(sys.gamma.G, sys.gamma.V))
 
 
 def _element_loop_gamma(space, cm, cb, scale):
@@ -424,24 +424,43 @@ def test_kronecker_gamma_matches_element_loop(coupled_m3, biot):
     # the step applies Gamma and Gamma^T through the factors
     rng = np.random.default_rng(5)
     W, p = rng.standard_normal(ref.shape[1]), rng.standard_normal(ref.shape[0])
-    for got, want in ((msys.gamma_apply(W), ref @ W), (msys.gamma_T_apply(p), ref.T @ p)):
+    for got, want in ((msys.gamma @ W, ref @ W), (msys.gamma.T @ p, ref.T @ p)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_coupling_operator_matches_sparse_gamma(coupled_m3):
+    # every Coupling of both paths, and its transpose, against the sparse
+    # matrix of the same factors
+    _, _, msys, osys = coupled_m3
+    rng = np.random.default_rng(8)
+    for gamma in (msys.gamma, osys.gamma, osys._trace_coupling):
+        ref = sum(sp.kron(g, v[:, None], format="csr") for g, v in zip(gamma.G, gamma.V))
+        W, p = rng.standard_normal(ref.shape[1]), rng.standard_normal(ref.shape[0])
+        for got, want in ((gamma @ W, ref @ W), (gamma.T @ p, ref.T @ p),
+                          (gamma.T.T @ W, ref @ W)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("path", ["macro", "oracle"])
 def test_plate_step_checks_its_block_equations(coupled_m3, monkeypatch, path):
+    # a plate vector 1e-6 off the Schur solve misses both block equations of
+    # the shared saddle check; the trajectory names the step, and the error
+    # carries the Schur CG's residual history
     sys_ = coupled_m3[2 if path == "macro" else 3]
-    state = sys_.initial_state()
-    sys_.step(state, 0.125)   # the exact step meets its own check
-    solve = sys_._solve_step
+    sys_.step(sys_.initial_state(), 0.125)   # the exact step meets the check
+    real_pcg = fem.solvers.pcg
 
-    def perturbed(*args):
-        W1, p1 = solve(*args)
-        return W1 * (1 + 1e-6), p1
+    def perturbed(A, b, **kwargs):
+        x, history = real_pcg(A, b, **kwargs)
+        return x * (1 + 1e-6), history
 
-    monkeypatch.setattr(sys_, "_solve_step", perturbed)
-    with pytest.raises(SolverError, match=r"plate step to t = 0\.125: block residuals"):
-        sys_.step(state, 0.125)
+    monkeypatch.setattr(fem.solvers, "pcg", perturbed)
+    with pytest.raises(SolverError, match=r"^step 1 of 2, to t = 0\.125: saddle solve block "
+                                          r"residuals") as info:
+        fem.solvers.march(sys_.initial_state, sys_.step, sys_.norms, 0.25, 2)
+    history = info.value.residuals   # the exact preconditioner: one CG iteration
+    assert len(history) == 2 and history[-1] <= 1e-10
 
 
 def test_kronecker_schur_matches_dense(coupled_m3, biot):
@@ -450,8 +469,7 @@ def test_kronecker_schur_matches_dense(coupled_m3, biot):
     S_y = msys.S_mass_y + dt * msys.D_y
     G = _macro_gamma_reference(op, mom, msys, biot)
     dense = msys.A_W + G.T @ np.kron(np.linalg.inv(msys.M_x), np.linalg.inv(S_y)) @ G
-    got = twoscale.kron_schur(msys.A_W, msys.G, msys.V, np.linalg.inv(msys.M_x),
-                              np.linalg.inv(S_y))
+    got = twoscale.kron_schur(msys.A_W, msys.gamma, np.linalg.inv(msys.M_x), np.linalg.inv(S_y))
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -469,7 +487,7 @@ def test_oracle_coupling_matches_its_warping_coupling(coupled_m3):
     _, _, _, osys = coupled_m3
     W = np.random.default_rng(3).standard_normal(osys.space.n_red)
     ubar = osys.recover_ubar(W, np.zeros(osys.space.n_nodes * osys.ng))
-    explicit = osys._coupling_from_ubar(ubar) + osys._coupling_from_W(W)
+    explicit = osys._coupling_from_ubar(ubar) + osys._trace_coupling @ W
     got = _gamma(osys) @ W
     assert np.abs(got - explicit).max() <= 1e-8 * np.abs(explicit).max()
 
@@ -604,7 +622,7 @@ def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
                 ref_u[conn[a]] += wN * cu
                 ref_W[conn[a]] += wN * (trm * osys.op.w - trk * osys.op.w3)
     got_u = osys._coupling_from_ubar(ubar).reshape(space.n_nodes, ng)
-    got_W = osys._coupling_from_W(W).reshape(space.n_nodes, ng)
+    got_W = (osys._trace_coupling @ W).reshape(space.n_nodes, ng)
     assert np.abs(got_u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
     assert np.abs(got_W - ref_W).max() <= 1e-12 * np.abs(ref_W).max()
 
