@@ -13,7 +13,7 @@ bending curvature (k11, k22, 2k12).
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -68,12 +68,22 @@ def q1_basis(points: np.ndarray):
     return N, dN
 
 
+@cache
+def _reference_q1(d: int):
+    """(Gauss points, weights, Q1 values, reference gradients) on [-1, 1]^d,
+    built once per dimension and read-only, since every caller shares them."""
+    pts, wts = tensor_rule(*gauss1d(N_GAUSS), d)
+    tables = (pts, wts) + q1_basis(pts)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def qp_data(spacing):
     """(shape, dN/dx, w*detJ, ref points) of the Q1 element on an axis-aligned
     box of the given edge lengths, d = len(spacing)."""
     d = len(spacing)
-    pts, wts = tensor_rule(*gauss1d(N_GAUSS), d)
-    N, dN = q1_basis(pts)
+    pts, wts, N, dN = _reference_q1(d)
     return N, dN * (2.0 / np.asarray(spacing, dtype=float)), wts * (math.prod(spacing) / 2**d), pts
 
 

@@ -180,15 +180,14 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
         z = apply_M(r)
         rz_new = float(r @ z)
         if rz_new <= 0.0:
-            # r.z underflows to zero when tol is below what the residual can represent
-            raise SolverError(
-                f"CG broke down before reaching tol={tol:.1e}: r.z = {rz_new:.1e} at residual {history[-1]:.3e}",
-                history)
+            raise _breakdown("r.z", rz_new, tol, history)
         p = z.copy() if p is None else z + (rz_new / rz) * p
         rz = rz_new
         Ap, Tp = apply(p)
         pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        if pAp == 0.0:
+            raise _breakdown("p.Ap", pAp, tol, history)
+        if pAp < 0.0:
             raise SolverError("CG broke down: operator not positive definite on the search space", history)
         alpha = rz / pAp
         x = x + alpha * p
@@ -201,6 +200,13 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
     if space is not None:
         space.add(b, x_start, r_start, x, r, t_start, t)
     return (x, history) if t is None else (x, history, t)
+
+
+def _breakdown(name: str, value: float, tol: float, history: list) -> SolverError:
+    """The breakdown of a CG whose r.z or p.Ap underflowed to zero, as happens
+    when tol is below what the residual can represent."""
+    return SolverError(f"CG broke down before reaching tol={tol:.1e}: {name} = {value:.1e} "
+                       f"at residual {history[-1]:.3e}", history)
 
 
 def jacobi(A):

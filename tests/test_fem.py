@@ -7,14 +7,14 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poroplate import fem
+from poroplate import cell, fem, micro
 from poroplate.errors import AssemblyError, ConstraintError, MaterialError, SolverError
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
 from poroplate.fem.solvers import (PROJECTION_DIM, Kron, SolutionSpace, StepCache, _norm, inverse,
                                    jacobi, march, pcg, solve_saddle, spd_inverse)
-from poroplate.geometry import GEL, CellGeometry, build_cell_mesh
-from poroplate.material import HookeTensor, isotropic
+from poroplate.geometry import GEL, CellGeometry, build_cell_mesh, build_micro_mesh
+from poroplate.material import BiotParams, HookeTensor, isotropic
 
 
 # --------------------------------------------------------------- hex kernels
@@ -299,6 +299,68 @@ def test_scatter_matches_element_loop(seed, ne, k, b, shape, square, n_labels):
     assert np.abs(F - ref_F).max() <= 1e-14 * max(np.abs(ref_F).max(), 1.0)
 
 
+def _scatter_reference(rows, ke, shape, cols=None, phase=None):
+    """The plain COO sum of every element entry: only negative ids are dropped."""
+    cols = rows if cols is None else cols
+    br, bc = ke.shape[-2] // rows.shape[1], ke.shape[-1] // cols.shape[1]
+    rd = (br * rows[:, :, None] + np.arange(br)).reshape(len(rows), -1)
+    cd = (bc * cols[:, :, None] + np.arange(bc)).reshape(len(cols), -1)
+    vals = np.broadcast_to(ke if phase is None else ke[phase], (len(rows),) + ke.shape[-2:])
+    r = np.broadcast_to(rd[:, :, None], vals.shape)
+    c = np.broadcast_to(cd[:, None, :], vals.shape)
+    keep = (r >= 0) & (c >= 0)
+    return sp.csr_matrix((vals[keep], (r[keep], c[keep])), shape=shape)
+
+
+def test_scatter_forms_drop_only_entries_inside_the_rounding_bound(
+        monkeypatch, default_geom, two_phase_hooke, cell_mesh4):
+    # every scatter call of assemble_micro (B, C, the strain form, grad_sq,
+    # grad_p_sq, M, D) and of the cell K_red, against the undropped sum of its
+    # element entries, with the bound k eps max|ke| for k-node elements
+    calls, real = [], fem.assembly.scatter
+
+    def recording(rows, ke, shape, cols=None, phase=None):
+        A = real(rows, ke, shape, cols=cols, phase=phase)
+        bound = rows.shape[1] * np.finfo(float).eps * np.abs(ke).max()
+        calls.append((bound, A, _scatter_reference(rows, ke, shape, cols, phase)))
+        return A
+
+    monkeypatch.setattr(fem.assembly, "scatter", recording)
+    biot = BiotParams(c=1.0, alpha=1.0, K=np.diag([1.0, 2.0, 0.5]))
+    mesh = build_micro_mesh(default_geom, 0.25, ((0.0, 1.0), (0.0, 1.0)), 4)
+    micro.assemble_micro(mesh, two_phase_hooke, biot, 0.25)
+    cell.CellProblem(cell_mesh4, two_phase_hooke)
+    assert len(calls) == 8
+    dropped = 0
+    for bound, A, ref in calls:
+        assert A.has_canonical_format and A.shape == ref.shape
+        assert np.abs(A - ref).max() <= bound
+        assert np.abs(A.data).min() > bound
+        ref.eliminate_zeros()
+        dropped += ref.nnz - A.nnz
+    assert dropped > 0   # the cancelled entries are gone
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.floats(-10.0, 15.0), nu=st.floats(0.0, 0.45))
+@example(k=15.0, nu=0.3)
+def test_scatter_keeps_small_entries_across_contrast(cell_mesh4, k, nu):
+    # a fiber 10^k times stiffer than the gel (k >= -10 keeps the tensor
+    # coercive): the soft phase's entries, small against the largest element
+    # entry, are kept wherever they are not round-off against their own rows'
+    # diagonal, and keep their values
+    hooke = HookeTensor(fiber=isotropic(10.0**k, 0.3), gel=isotropic(1.0, nu))
+    K = fem.assemble_elastic_stiffness(cell_mesh4, hooke)
+    ke = np.stack([el.hex_elastic_ke(cell_mesh4.spacing, D) for D in (hooke.fiber, hooke.gel)])
+    ref = _scatter_reference(cell_mesh4.elems, ke, K.shape, phase=cell_mesh4.phase).tocoo()
+    d = ref.tocsr().diagonal()
+    scale = np.sqrt(d[ref.row] * d[ref.col])
+    genuine = np.abs(ref.data) > 1e-12 * scale
+    got = np.asarray(K[ref.row[genuine], ref.col[genuine]]).ravel()
+    assert np.all(got != 0.0)
+    assert np.all(np.abs(got - ref.data[genuine]) <= 1e-14 * scale[genuine])
+
+
 def test_element_dofs_rejects_nodes_outside_subset(cell_mesh4):
     gel_mask, gel_nodes = cell_mesh4.phase == GEL, cell_mesh4.gel_nodes
     dofs, n = fem.assembly.element_dofs(cell_mesh4, gel_mask, gel_nodes, ncomp=3)
@@ -538,6 +600,34 @@ def test_pcg_rejects_values_that_are_not_finite():
     with pytest.raises(SolverError, match=r"in 1 iterations \(residual nan\)") as info:
         pcg(lambda x: np.full_like(x, np.nan), np.ones(4))
     assert info.value.residuals[0] == 1.0 and np.isnan(info.value.residuals[-1])
+
+
+def test_pcg_tells_an_underflowed_curvature_from_an_indefinite_operator():
+    # p.Ap == 0 is the same underflow breakdown as r.z == 0, named with the
+    # residual it stopped at; a negative p.Ap is an indefinite operator
+    with pytest.raises(SolverError, match=r"^CG broke down before reaching tol=1\.0e-10: "
+                                          r"p\.Ap = 0\.0e\+00 at residual 1\.000e\+00$"):
+        pcg(lambda x: 0.0 * x, np.ones(4))
+    with pytest.raises(SolverError, match="operator not positive definite"):
+        pcg(-sp.eye(4, format="csr"), np.ones(4))
+
+
+def test_load_vectors_match_the_quadrature_sum(cell_mesh4):
+    # sum_q w_q N_a(q) f(q) per element, summed as the three-operand contraction
+    N, _, wdet, _ = el.qp_data(cell_mesh4.spacing)
+    qp = fem.assembly.qp_points(cell_mesh4)
+
+    def f_at(x, y, z):
+        return np.stack([np.sin(3 * x) * y, z - x * y, np.cos(x + 2 * z)], axis=-1)
+
+    fe = np.einsum("q,qa,eqi->eai", wdet, N, f_at(qp[..., 0], qp[..., 1], qp[..., 2]))
+    ref = fem.assembly.scatter_vector(fem.vector_dofs(cell_mesh4.elems), fe, 3 * cell_mesh4.n_nodes)
+    got = fem.assemble_body_force(cell_mesh4, f_at, np.arange(cell_mesh4.n_nodes))
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    he = np.einsum("q,qa,eq->ea", wdet, N, f_at(qp[..., 0], qp[..., 1], qp[..., 2])[..., 1])
+    ref = fem.assembly.scatter_vector(cell_mesh4.elems, he, cell_mesh4.n_nodes)
+    got = fem.assemble_scalar_source(cell_mesh4, lambda x, y, z: z - x * y)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_step_cache_builds_once_per_step_size():

@@ -55,11 +55,11 @@ def test_vcycle_symmetric_positive(systems, eps):
         assert x @ mg(x) > 0.0
 
 
-def test_prolongation_reproduces_coarse_trilinear_fields(two_phase_hooke, biot, ramp_loads):
+def test_prolongation_reproduces_coarse_trilinear_fields(odd_system):
     # odd element counts in the plane: (15, 15, 6) -> (8, 8, 3)
-    sys = _system(THIRDS, 0.2, 3, two_phase_hooke, biot, ramp_loads)
+    sys = odd_system
     mesh = sys.mesh
-    _, _, P, _ = sys.multigrid.levels[0]
+    P = sys.multigrid.levels[0].P
     picks = [multigrid.interp_1d(n)[1] for n in mesh.nelems]
     axes = [np.unique(mesh.nodes[:, a])[picks[a]] for a in range(3)]
     # a random coarse nodal field, zero on the clamped lateral boundary
@@ -76,6 +76,71 @@ def test_prolongation_reproduces_coarse_trilinear_fields(two_phase_hooke, biot, 
     assert np.abs(got - ref.reshape(-1)[sys.reducer.free]).max() <= 1e-14 * np.abs(vals).max()
 
 
+def _two_product_cycle(mg, level, b):
+    """The V-cycle with its post-smoothing residual b - A x from a second
+    product with A, as a reference for the stored A P."""
+    if level == len(mg.levels):
+        return mg.coarse.solve(b)
+    lv = mg.levels[level]
+    x = lv.w * b
+    x += lv.P @ _two_product_cycle(mg, level + 1, lv.PT @ (b - lv.A @ x))
+    x += lv.w * (b - lv.A @ x)
+    return x
+
+
+@pytest.fixture(scope="module")
+def odd_system(two_phase_hooke, biot, ramp_loads):
+    return _system(THIRDS, 0.2, 3, two_phase_hooke, biot, ramp_loads)
+
+
+@pytest.mark.parametrize("case", ["eps2", "eps4", "odd"])
+def test_cycle_equals_two_product_cycle(systems, odd_system, case):
+    sys = {"eps2": systems[0.5], "eps4": systems[0.25], "odd": odd_system}[case]
+    mg = sys.multigrid
+    rng = np.random.default_rng(5)
+    for b in (sys.F(0.5), rng.standard_normal(sys.B.shape[0])):
+        ref = _two_product_cycle(mg, 0, b)
+        assert np.abs(mg(b) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class _Counting:
+    """A matrix that counts its products."""
+
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
+def test_cycle_makes_one_product_with_each_level_operator(systems):
+    mg = systems[0.125].multigrid
+    saved = list(mg.levels)
+    counters = [_Counting(lv.A) for lv in saved]
+    mg.levels[:] = [lv._replace(A=c) for lv, c in zip(saved, counters)]
+    try:
+        mg(np.ones(saved[0].A.shape[0]))
+    finally:
+        mg.levels[:] = saved
+    assert len(counters) == 2 and [c.products for c in counters] == [1, 1]
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.125])
+def test_galerkin_products_drop_only_round_off(systems, eps):
+    # each stored product equals the undropped sparse product to round-off,
+    # and keeps every entry of it beyond 1e-12 of its largest
+    levels = systems[eps].multigrid.levels
+    pairs = [(lv.AP, lv.A @ lv.P) for lv in levels]
+    pairs += [(coarse.A, lv.P.T @ lv.A @ lv.P) for lv, coarse in zip(levels, levels[1:])]
+    assert len(pairs) == 2 * len(levels) - 1 >= 3
+    for got, ref in pairs:
+        ref = ref.tocsr()
+        big = np.abs(ref.data).max()
+        assert abs(got - ref).max() <= 1e-15 * big
+        assert got.nnz == (np.abs(ref.data) > 1e-12 * big).sum() < ref.nnz
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.25, 0.125])
 def test_b_solve_iterations_bounded(systems, eps):
     sys = systems[eps]
@@ -84,8 +149,8 @@ def test_b_solve_iterations_bounded(systems, eps):
         assert _b_solve_iterations(sys, b) <= 30
 
 
-def test_odd_element_counts_build_and_converge(two_phase_hooke, biot, ramp_loads):
-    sys = _system(THIRDS, 0.2, 3, two_phase_hooke, biot, ramp_loads)
+def test_odd_element_counts_build_and_converge(odd_system):
+    sys = odd_system
     assert sys.mesh.nelems == (15, 15, 6)
     mg = sys.multigrid
     assert len(mg.levels) >= 1 and mg.coarse.shape[0] <= multigrid.COARSE_DOFS
