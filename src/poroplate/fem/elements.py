@@ -101,11 +101,27 @@ def strain_B(dN: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------------------- hex kernels
 
+_ELASTIC_FORM = "q,qia,ij,qjb->ab"
+_DIFFUSION_FORM = "q,qai,ij,qbj->ab"
+
+
+def _hex_form_paths():
+    """The `einsum` contraction paths of the two hex forms, searched once:
+    they depend on the operand shapes alone, which every hex shares."""
+    _, dN, wdet, _ = qp_data((1.0, 1.0, 1.0))
+    B = strain_B(dN)
+    return (np.einsum_path(_ELASTIC_FORM, wdet, B, np.eye(6), B, optimize=True)[0],
+            np.einsum_path(_DIFFUSION_FORM, wdet, dN, np.eye(3), dN, optimize=True)[0])
+
+
+_ELASTIC_PATH, _DIFFUSION_PATH = _hex_form_paths()
+
+
 def hex_elastic_ke(spacing, D: np.ndarray) -> np.ndarray:
     """24x24 stiffness for constant Voigt matrix D on an axis-aligned hex."""
     _, dN, wdet, _ = qp_data(spacing)
     B = strain_B(dN)
-    return np.einsum("q,qia,ij,qjb->ab", wdet, B, D, B, optimize=True)
+    return np.einsum(_ELASTIC_FORM, wdet, B, D, B, optimize=_ELASTIC_PATH)
 
 
 def hex_scalar_mass_ke(spacing) -> np.ndarray:
@@ -115,7 +131,7 @@ def hex_scalar_mass_ke(spacing) -> np.ndarray:
 
 def hex_scalar_diffusion_ke(spacing, K: np.ndarray) -> np.ndarray:
     _, dN, wdet, _ = qp_data(spacing)
-    return np.einsum("q,qai,ij,qbj->ab", wdet, dN, K, dN, optimize=True)
+    return np.einsum(_DIFFUSION_FORM, wdet, dN, K, dN, optimize=_DIFFUSION_PATH)
 
 
 def hex_divergence_ke(spacing) -> np.ndarray:

@@ -9,6 +9,9 @@ cell factor, the gel blocks and the response map U_C) and moves its
 per-quadrature-point fields through the plate quadrature map `PlateMesh.N_qp`;
 it reads no corrector fields, divergence moments or homogenized tensor, so
 agreement between the two paths checks the whole cell/homogenization pipeline.
+Its warping is eliminated: linear in the element's plate vector and the
+pressure at the point, it reaches the step and the energy through small
+per-point forms built once with the system, and a state stores W and p alone.
 
 Both paths share the structure of the plate-gel pressure coupling.  The gel
 pressure p0(x', y) is nodal in x' (plate node i) and lives on the gel dofs j
@@ -32,8 +35,9 @@ step's elimination and block-residual check, with the inverse of the Schur
 matrix as the CG preconditioner: it is exact, so CG stops after one iteration.
 The dense blocks of the plate side (M_x, S_y and the Schur matrix) are small
 and reused every step, so they are inverted once by `fem.solvers.spd_inverse`
-and applied as matrix products: every dense kernel of a step then runs on
-numpy's BLAS, without switching to the separate BLAS library scipy loads.
+(Cholesky, then a blocked triangular inverse) and applied as matrix products:
+every dense kernel of a step then runs on numpy's BLAS, without switching to
+the separate BLAS library scipy loads.
 
 The two paths share one state (`PlateState`), initial state, implicit Euler
 step and norm table on `_CoupledPlateSystem`, run through the one time-step
@@ -47,7 +51,7 @@ the previous-state terms of the pressure equation and its elastic energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -186,9 +190,8 @@ def kron_schur(A: np.ndarray, gamma: Coupling, Mx_inv: np.ndarray,
 class PlateState:
     """Kirchhoff-Love fields and the two-scale gel pressure p0, nodal in x'.
 
-    `W_red` is the reduced plate vector the next step reads.  Only the oracle
-    sets `ubar`, its per-quadrature-point cell warping; its trajectory drops
-    it from every state but the last once the next step has used it.
+    `W_red` is the reduced plate vector the next step reads.  The oracle's
+    cell warping is a linear function of W_red and p and is never stored.
     """
 
     t: float
@@ -196,7 +199,6 @@ class PlateState:
     Wb: np.ndarray          # (nn, 4) BFS dofs of W3 (value, d1, d2, d12)
     p: np.ndarray           # (nn, n_gel) two-scale pressure p0
     W_red: np.ndarray       # (n_red,) reduced plate vector
-    ubar: np.ndarray | None = None   # (ne, nq, n_red_cell) oracle warping
 
     @property
     def W3(self) -> np.ndarray:
@@ -375,14 +377,20 @@ class MupSystem(_CoupledPlateSystem):
     """Monolithic discretization of the re-scaled unfolded limit problem.
 
     Warping unknowns live per macro quadrature point in the reduced periodic
-    mean-zero cell space and are eliminated per step through the factor of
-    this system's own `PressureCellOperator` (built here, never taken from the
-    macro path); the per-quadrature-point fields reach the plate nodes through
-    the plate quadrature map `space.N_qp`.  No corrector fields, divergence
+    mean-zero cell space and are eliminated through this system's own
+    `PressureCellOperator` (built here, never taken from the macro path):
+    at the point q of element e the warping is
+    ubar_eq = alpha U_C P_eq - T_q W_e, with W_e the element's local plate
+    vector, P_eq = (N_qp p)_eq the gel pressure at the point and T_q the
+    cell responses to the strain table E_q.  No corrector fields, divergence
     moments or homogenized coefficients are read.  The W-p coupling of the
     eliminated system is -Gamma^T with the same plate factors G_k as the macro
-    path and cell vectors built from the cell operator's response U_C.  Every
-    state carries the warping `ubar` recovered from its W and p.
+    path and cell vectors built from the cell operator's response U_C.
+
+    A state holds W and p alone.  The warping enters the pressure equation
+    (C ubar) and the energy ((2 R_q W + K ubar) . ubar) through small forms in
+    (W_e, P_eq) built once here: C U_C and C T_q for the carried coupling, and
+    the blocks Q_WW, Q_WP[q] and Q_PP of the energy, applied as matmuls.
     """
 
     def __init__(self, cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
@@ -399,12 +407,11 @@ class MupSystem(_CoupledPlateSystem):
         op = PressureCellOperator(cell_mesh, hooke, biot)
         self.op = op
         nred = op.reducer.n_reduced
-        self.ng = op.n_gel
-        total = sp_.n_red + ne * nq * nred + sp_.n_nodes * self.ng
+        self.ng = ng = op.n_gel
+        total = sp_.n_red + ne * nq * nred + sp_.n_nodes * ng
         if total > budget_dofs:
             raise BudgetError(
                 f"two-scale oracle needs {total} dofs, over the budget of {budget_dofs}")
-        self.K_red = op.K_red.toarray()   # dense: the energy applies it to nq*ne fields
 
         r_red = op.problem.r_red
         self.r_m = np.stack([r_red[("m",) + k] for k in MEMBRANE_KEYS])  # (3, nred)
@@ -415,25 +422,41 @@ class MupSystem(_CoupledPlateSystem):
         self.P1 = E_eng.T @ D1 @ E_eng
         self.P2 = E_eng.T @ D2 @ E_eng
 
-        # per-qp elastic blocks (uniform plate grid: one set of nq blocks)
+        # per-qp cell blocks, laid out (nred, nq, 24) (uniform plate grid: one
+        # set of nq blocks): R_q = r^T E_q, the responses T_q = K^-1 R_q and K T_q
         r = np.vstack([self.r_m, self.r_b])
-        self.R_E = r.T @ sp_.E                                           # (nq, nred, 24)
-        T = op.solve_reduced(self.R_E.transpose(1, 0, 2).reshape(nred, nq * 24))
-        self.T_E = np.ascontiguousarray(T.reshape(nred, nq, 24).transpose(1, 0, 2))
+        R = np.ascontiguousarray((r.T @ sp_.E).transpose(1, 0, 2))
+        T = op.solve_reduced(R.reshape(nred, nq * 24))                   # (nred, nq * 24)
+        KT = (op.K_red @ T).reshape(R.shape)
+        T = T.reshape(R.shape)
+        wt = (sp_.qp_w / self.vol)[:, None]
+        P_bar = _strain_form(sp_, np.block([[self.P0, self.P1], [self.P1, self.P2]]), wt[:, 0])
 
-        # reduced elastic operator on W: A_WW - sum wtilde R_E^T T_E
-        wt = sp_.qp_w / self.vol
-        self._P_bar = _strain_form(sp_, np.block([[self.P0, self.P1], [self.P1, self.P2]]), wt)
-        self.S_WW = _plate_matrix(
-            sp_, self._P_bar - np.einsum("q,qna,qnb->ab", wt, self.R_E, self.T_E))
+        # reduced elastic operator on W: A_WW - sum wtilde R_q^T T_q
+        self.S_WW = _plate_matrix(sp_, P_bar - (wt * R).reshape(-1, 24).T @ T.reshape(-1, 24))
 
         # W-p coupling: the direct trace part int phi, int y3 phi of each unit
         # strain and the elastic u_P part r.U_C, per plate factor G_k
-        scale = biot.alpha / self.vol
+        alpha = biot.alpha
+        scale = alpha / self.vol
         V_trace = scale * np.vstack([_TRACE * op.w, _TRACE * op.w3])
         self._init_pressure(loads, self.S_WW, V_trace - scale * (r @ op.U_C))
         # Q_W = sum_k G_k (x) V_trace[k]: the direct div(W_L) part of the coupling
         self._trace_coupling = Coupling(self.gamma.G, V_trace)
+
+        def by_point(X):
+            """(24, nq * ng) layout of a (nq * 24, ng) block of per-point forms."""
+            return X.reshape(nq, 24, ng).transpose(1, 0, 2).reshape(24, nq * ng)
+
+        # C ubar_eq = P_eq @ CU - (W_e @ CT)_q with CU = alpha (C U_C)^T
+        self._CU = alpha * (op.C_red @ op.U_C).T                             # (ng, ng)
+        self._CT = by_point((op.C_red @ T.reshape(nred, -1)).T)
+        # energy (1/|Y|) sum_eq w_q (W_e.P_q.W_e + 2 W_e.R_q^T ubar + ubar.K ubar)
+        # = sum_e W_e.Q_WW.W_e + sum_eq (2 W_e.Q_WP[q].P_eq + w_q/|Y| P_eq.Q_PP.P_eq),
+        # with the weights w_q / |Y| folded into Q_WW and Q_WP
+        self._Q_WW = P_bar + (wt * T).reshape(-1, 24).T @ (KT - 2.0 * R).reshape(-1, 24)
+        self._Q_WP = by_point(alpha * (wt * (R - KT)).reshape(nred, -1).T @ op.U_C)
+        self._Q_PP = alpha**2 * (op.U_C.T @ (op.K_red @ op.U_C))
 
     # ---------------------------------------------------------------- pieces
 
@@ -445,48 +468,33 @@ class MupSystem(_CoupledPlateSystem):
         out[mask] = W_red[sp_.elem_dofs[mask]]
         return out
 
-    def recover_ubar(self, W_red, p_flat):
-        """ubar_q = alpha sum_i N_i U_C p[i] - T_E[q] W_loc per element/qp."""
-        sp_ = self.space
-        nq, nred = self.T_E.shape[:2]
-        shape = (len(sp_.elem_dofs), nq, nred)
-        ubar = (self.biot.alpha * (Kron(sp_.N_qp, self.op.U_C) @ p_flat)).reshape(shape)
-        ubar -= (self._local_W(W_red) @ self.T_E.reshape(nq * nred, 24).T).reshape(shape)
-        return ubar
-
-    def _coupling_from_ubar(self, ubar):
-        """p-space vector (alpha/|Y|) sum_eq w_q N_i (C ubar)_j = N_qp^T (w C ubar)."""
-        sp_ = self.space
-        cu = ubar.reshape(-1, ubar.shape[-1]) @ self.op.C_red.T             # (ne*nq, ng)
-        wq = self.biot.alpha / self.vol * sp_.qp_w_rows()
-        return (sp_.N_qp.T @ (wq[:, None] * cu)).reshape(-1)
+    def _point_fields(self, state: PlateState):
+        """(W_e (ne, 24), P_eq (ne, nq * ng)) of a state."""
+        ne = len(self.space.elem_dofs)
+        return self._local_W(state.W_red), (self.space.N_qp @ state.p).reshape(ne, -1)
 
     # ------------------------------------------------- formulation-specific
 
-    def _state(self, t: float, W_red: np.ndarray, p: np.ndarray) -> PlateState:
-        state = super()._state(t, W_red, p)
-        state.ubar = self.recover_ubar(W_red, p.reshape(-1))
-        return state
-
     def _carried(self, state: PlateState) -> np.ndarray:
-        """c-mass p^n plus the couplings of the warping and of W at t^n."""
+        """c-mass p^n plus the couplings of the warping and of W at t^n:
+        (alpha/|Y|) N_qp^T (w_q C ubar_eq) + Q_W W."""
+        sp_ = self.space
+        Wloc, P = self._point_fields(state)
+        cu = P.reshape(-1, self.ng) @ self._CU - (Wloc @ self._CT).reshape(-1, self.ng)
+        wq = self.biot.alpha / self.vol * sp_.qp_w_rows()
         mass = Kron(self.M_x, (self.biot.c * self.M_gel_y) / self.vol) @ state.p.reshape(-1)
-        return mass + (self._coupling_from_ubar(state.ubar) + self._trace_coupling @ state.W_red)
+        return mass + ((sp_.N_qp.T @ (wq[:, None] * cu)).reshape(-1)
+                       + self._trace_coupling @ state.W_red)
 
     def _elastic_energy(self, state: PlateState) -> float:
-        """(1/|Y|) || E(W) + e_y(ubar) ||_A^2 of the oracle state.
-
-        Per quadrature point q it is
-        w_q/|Y| (W.P_q.W + 2 W.R_q^T.u_q + u_q.K.u_q) with u_q = ubar[:, q].
-        """
-        Wloc = self._local_W(state.W_red)
-        u = state.ubar
-        ne, nq, nred = u.shape
-        RW = (Wloc @ self.R_E.reshape(nq * nred, 24).T).reshape(ne, nq, nred)
-        KU = (u.reshape(-1, nred) @ self.K_red).reshape(u.shape)
-        wt = self.space.qp_w / self.vol
-        return (float(np.sum((Wloc @ self._P_bar) * Wloc))
-                + float(wt @ np.sum((2.0 * RW + KU) * u, axis=(0, 2))))
+        """(1/|Y|) || E(W) + e_y(ubar) ||_A^2 of the oracle state, through the
+        reduced forms in (W_e, P_eq)."""
+        Wloc, P = self._point_fields(state)
+        P_rows = P.reshape(-1, self.ng)
+        wq = self.space.qp_w_rows() / self.vol
+        return (float(np.sum((Wloc @ self._Q_WW) * Wloc))
+                + 2.0 * float(np.sum((Wloc @ self._Q_WP) * P))
+                + float(wq @ np.sum((P_rows @ self._Q_PP) * P_rows, axis=1)))
 
 
 def solve_mup_direct(cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
@@ -494,8 +502,7 @@ def solve_mup_direct(cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
                      budget_dofs: int = 300_000):
     """Monolithic trajectory of the unfolded limit problem (the oracle path).
 
-    The trajectory's start builds the system, after the nsteps check; its
-    retire drops the warping of each state once the next step has used it.
+    The trajectory's start builds the system, after the nsteps check.
     """
     osys = None
 
@@ -505,8 +512,7 @@ def solve_mup_direct(cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
         return osys.initial_state()
 
     states, table = march(start, lambda state, dt: osys.step(state, dt),
-                          lambda state: osys.norms(state), T, nsteps,
-                          retire=lambda state: replace(state, ubar=None))
+                          lambda state: osys.norms(state), T, nsteps)
     return osys, states, table
 
 

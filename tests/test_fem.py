@@ -11,8 +11,9 @@ from poroplate import cell, fem, micro
 from poroplate.errors import AssemblyError, ConstraintError, MaterialError, SolverError
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
-from poroplate.fem.solvers import (PROJECTION_DIM, Kron, SolutionSpace, StepCache, _norm, inverse,
-                                   jacobi, march, pcg, solve_saddle, spd_inverse)
+from poroplate.fem.solvers import (PROJECTION_DIM, TRI_BLOCK, Kron, SolutionSpace, StepCache, _norm,
+                                   inverse, jacobi, lower_inverse, march, pcg, solve_saddle,
+                                   spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh, build_micro_mesh
 from poroplate.material import BiotParams, HookeTensor, isotropic
 
@@ -22,6 +23,18 @@ from poroplate.material import BiotParams, HookeTensor, isotropic
 def test_stiffness_rigid_translations():
     ke = el.hex_elastic_ke((1.0, 1.0, 1.0), isotropic(1.0, 0.0))
     assert np.abs(ke.sum(axis=1)).max() < 1e-12
+
+
+def test_hex_kernels_use_the_searched_contraction_path():
+    # the paths searched once at import give the bits of a per-call search
+    _, dN, wdet, _ = el.qp_data((0.25, 0.5, 0.125))
+    B = el.strain_B(dN)
+    D = isotropic(3.0, 0.3)
+    K = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
+    assert np.array_equal(el.hex_elastic_ke((0.25, 0.5, 0.125), D),
+                          np.einsum("q,qia,ij,qjb->ab", wdet, B, D, B, optimize=True))
+    assert np.array_equal(el.hex_scalar_diffusion_ke((0.25, 0.5, 0.125), K),
+                          np.einsum("q,qai,ij,qbj->ab", wdet, dN, K, dN, optimize=True))
 
 
 def test_stiffness_rigid_rotation():
@@ -581,6 +594,18 @@ def test_spd_inverse_and_its_error():
     with pytest.raises(SolverError, match="cell pressure block is not positive definite"):
         spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]),
                     "cell pressure block is not positive definite")
+
+
+@pytest.mark.parametrize("n", [1, TRI_BLOCK - 1, TRI_BLOCK, TRI_BLOCK + 1, 300, 726])
+def test_lower_inverse_matches_lapack_inverse(n):
+    # the blocked triangular inverse against LAPACK's LU-based inverse, on
+    # both sides of the block size and at the plate Schur size of plate_m = 12
+    X = np.random.default_rng(n).standard_normal((n, n))
+    L = np.linalg.cholesky(X @ X.T + n * np.eye(n))
+    got, ref = lower_inverse(L), np.linalg.inv(L)
+    assert np.array_equal(got, np.tril(got))
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(got @ L - np.eye(n)).max() <= 1e-13
 
 
 def test_spd_inverse_rejects_an_inverse_that_is_not_finite():

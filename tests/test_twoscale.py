@@ -1,6 +1,7 @@
 import gc
 import re
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from poroplate.cell import (
     solve_cell,
     solve_correctors,
 )
+from poroplate.config import default_config
 from poroplate.errors import AssemblyError, BudgetError, SolverError
 from poroplate.fem import elements as el
 from poroplate.geometry import (
@@ -310,6 +312,18 @@ def test_macro_constant_source_saturates(cell_pipeline, biot):
     assert np.linalg.norm(r2) <= 1e-9 * scale
 
 
+def test_macro_time_steps_converge_at_first_order():
+    # implicit Euler on the demo config: halving dt halves the final-W change,
+    # so successive differences at nsteps = 8, 16, 32 shrink by about 2
+    cfg = default_config()
+    cq = solve_cell(build_cell_mesh(cfg.geom, cfg.cell_n), cfg.hooke, cfg.biot, cfg.tol_cell)
+    plate = build_plate_mesh(cfg.omega, 8)
+    msys = twoscale.assemble_macro(cq.hom, cq.op, cq.moments, plate, cfg.biot, cfg.loads)
+    W = [twoscale.run_macro(msys, cfg.T, n)[0][-1].W_red for n in (8, 16, 32)]
+    ratio = np.linalg.norm(W[0] - W[1]) / np.linalg.norm(W[1] - W[2])
+    assert 1.7 <= ratio <= 2.3, ratio
+
+
 # ------------------------------------------------------------------- oracle
 
 def test_mup_zero_loads(cell_mesh4, two_phase_hooke, biot):
@@ -320,14 +334,21 @@ def test_mup_zero_loads(cell_mesh4, two_phase_hooke, biot):
     assert max(r["p0"] for r in table) == 0.0
 
 
-def test_mup_keeps_warping_on_final_state_only(cell_mesh4, two_phase_hooke, biot, ramp_loads):
+def test_mup_states_carry_no_warping(cell_mesh4, two_phase_hooke, biot, ramp_loads):
+    # an oracle state is (W, p) alone: the trajectory keeps every state, none
+    # holds a warping array, and a state rebuilt from W_red and p steps to the
+    # same bits; the warping itself is recovered from (W, p) when wanted
     plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 3)
     osys, states, _ = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
                                                 ramp_loads, 0.5, 3)
-    assert all(s.ubar is None for s in states[:-1])
+    assert len(states) == 4
+    assert [f.name for f in fields(twoscale.PlateState)] == ["t", "Wm", "Wb", "p", "W_red"]
     final = states[-1]
-    ref = osys.recover_ubar(final.W_red, final.p.reshape(-1))
-    assert np.array_equal(final.ubar, ref)
+    rebuilt = twoscale.PlateState(t=final.t, Wm=None, Wb=None, p=final.p.copy(),
+                                  W_red=final.W_red.copy())
+    a, b = osys.step(final, 0.125), osys.step(rebuilt, 0.125)
+    assert np.array_equal(a.W_red, b.W_red) and np.array_equal(a.p, b.p)
+    assert np.abs(_ref_ubar(osys, final.W_red, final.p)).max() > 0.0
 
 
 def test_mup_budget_guard(cell_mesh4, two_phase_hooke, biot):
@@ -362,6 +383,7 @@ def test_mup_alpha_zero_warping_is_corrector_reconstruction(
     st = states[-1]
     space = msys.space
     Wloc = msys._local_W(st.W_red)
+    ubar = _ref_ubar(msys, st.W_red, st.p)
     red = msys.op.reducer
     chi_m = np.stack([red.restrict(cs.field("m", *k).reshape(-1))
                       for k in ((0, 0), (1, 1), (0, 1))])
@@ -373,8 +395,8 @@ def test_mup_alpha_zero_warping_is_corrector_reconstruction(
             m_eng = _B_mem(space, q) @ Wloc[e, :8]
             k_eng = _B_bend(space, q) @ Wloc[e, 8:]
             u_d = m_eng @ chi_m - k_eng @ chi_b
-            worst = max(worst, np.abs(st.ubar[e, q] - u_d).max())
-    scale = max(np.abs(st.ubar).max(), 1e-30)
+            worst = max(worst, np.abs(ubar[e, q] - u_d).max())
+    scale = max(np.abs(ubar).max(), 1e-30)
     assert worst < 1e-8 * scale
 
 
@@ -486,8 +508,8 @@ def test_oracle_coupling_matches_its_warping_coupling(coupled_m3):
     # the direct trace part plus C ubar of the recovered warping
     _, _, _, osys = coupled_m3
     W = np.random.default_rng(3).standard_normal(osys.space.n_red)
-    ubar = osys.recover_ubar(W, np.zeros(osys.space.n_nodes * osys.ng))
-    explicit = osys._coupling_from_ubar(ubar) + osys._trace_coupling @ W
+    ubar = _ref_ubar(osys, W, np.zeros(osys.space.n_nodes * osys.ng))
+    explicit = _ref_warping_coupling(osys, ubar).reshape(-1) + osys._trace_coupling @ W
     got = _gamma(osys) @ W
     assert np.abs(got - explicit).max() <= 1e-8 * np.abs(explicit).max()
 
@@ -497,21 +519,9 @@ def test_mup_energy_matches_per_qp_sum(cell_mesh4, two_phase_hooke, biot, ramp_l
     osys, states, _ = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
                                                 ramp_loads, 0.5, 2)
     st = states[-1]
-    space = osys.space
-    Wloc = osys._local_W(st.W_red)
-    K = osys.K_red
-    elastic = 0.0
-    for e in range(len(space.elem_dofs)):
-        for q in range(len(space.qp_w)):
-            m = _B_mem(space, q) @ Wloc[e, :8]
-            k = _B_bend(space, q) @ Wloc[e, 8:]
-            u = st.ubar[e, q]
-            quad = (m @ osys.P0 @ m - 2.0 * m @ osys.P1 @ k + k @ osys.P2 @ k
-                    + 2.0 * (m @ osys.r_m - k @ osys.r_b) @ u + u @ K @ u)
-            elastic += space.qp_w[q] / osys.vol * quad
     p = st.p
     c_term = biot.c * np.sum((osys.M_x @ p) * (p @ osys.M_gel_y))
-    ref = c_term + elastic
+    ref = c_term + _ref_elastic_energy(osys, st.W_red, st.p)
     assert osys.norms(st)["energy"] == pytest.approx(ref, rel=1e-12)
 
 
@@ -592,39 +602,78 @@ def _ref_ubar(osys, W, p):
     return ubar
 
 
-def test_oracle_recover_ubar_matches_per_qp_loop(coupled_m3):
-    _, _, _, osys = coupled_m3
-    rng = np.random.default_rng(11)
-    W = rng.standard_normal(osys.space.n_red)
-    p = rng.standard_normal(osys.space.n_nodes * osys.ng)
-    ref = _ref_ubar(osys, W, p)
-    got = osys.recover_ubar(W, p)
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
-    _, _, _, osys = coupled_m3
-    space, ng = osys.space, osys.ng
-    rng = np.random.default_rng(12)
-    ubar = rng.standard_normal((len(space.elem_dofs), len(space.qp_w), osys.op.reducer.n_reduced))
-    W = rng.standard_normal(space.n_red)
-    Wloc = osys._local_W(W)
-    scale = biot.alpha / osys.vol
-    ref_u = np.zeros((space.n_nodes, ng))
-    ref_W = np.zeros((space.n_nodes, ng))
+def _ref_warping_coupling(osys, ubar):
+    """(nn, ng) coupling (alpha/|Y|) sum_eq w_q N_i(q) C ubar_eq of a warping."""
+    space = osys.space
+    out = np.zeros((space.n_nodes, osys.ng))
     for e, conn in enumerate(space.quads):
         for q in range(len(space.qp_w)):
             cu = osys.op.C_red @ ubar[e, q]
+            for a in range(4):
+                out[conn[a]] += (osys.biot.alpha / osys.vol * space.qp_w[q]
+                                 * space.N_bil[q, a] * cu)
+    return out
+
+
+def _ref_elastic_energy(osys, W, p):
+    """(1/|Y|) sum_eq w_q (E(W).P.E(W) + 2 E(W).r.u + u.K u) at u = `_ref_ubar`."""
+    space = osys.space
+    Wloc = osys._local_W(W)
+    ubar = _ref_ubar(osys, W, p)
+    K = osys.op.K_red
+    elastic = 0.0
+    for e in range(len(space.elem_dofs)):
+        for q in range(len(space.qp_w)):
+            m = _B_mem(space, q) @ Wloc[e, :8]
+            k = _B_bend(space, q) @ Wloc[e, 8:]
+            u = ubar[e, q]
+            quad = (m @ osys.P0 @ m - 2.0 * m @ osys.P1 @ k + k @ osys.P2 @ k
+                    + 2.0 * (m @ osys.r_m - k @ osys.r_b) @ u + u @ (K @ u))
+            elastic += space.qp_w[q] / osys.vol * quad
+    return elastic
+
+
+def _random_oracle_state(osys, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal(osys.space.n_red)
+    p = rng.standard_normal((osys.space.n_nodes, osys.ng))
+    return twoscale.PlateState(t=0.0, Wm=None, Wb=None, p=p, W_red=W)
+
+
+def test_oracle_reduced_energy_matches_per_qp_formula(coupled_m3):
+    # the energy of a random (W, p) through the reduced forms in (W_e, P_eq)
+    # against the explicit per-qp formula on the recovered warping
+    _, _, _, osys = coupled_m3
+    st = _random_oracle_state(osys, 11)
+    ref = _ref_elastic_energy(osys, st.W_red, st.p)
+    assert osys._elastic_energy(st) == pytest.approx(ref, rel=1e-12)
+
+
+def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
+    # what a step carries from a random (W, p): the c-mass of p, C ubar of the
+    # recovered warping and the trace coupling of W, each by per-qp loops
+    _, _, _, osys = coupled_m3
+    space, ng = osys.space, osys.ng
+    st = _random_oracle_state(osys, 12)
+    W = st.W_red
+    Wloc = osys._local_W(W)
+    scale = biot.alpha / osys.vol
+    ref_W = np.zeros((space.n_nodes, ng))
+    for e, conn in enumerate(space.quads):
+        for q in range(len(space.qp_w)):
             trm = (_B_mem(space, q)[0] + _B_mem(space, q)[1]) @ Wloc[e, :8]
             trk = (_B_bend(space, q)[0] + _B_bend(space, q)[1]) @ Wloc[e, 8:]
             for a in range(4):
                 wN = scale * space.qp_w[q] * space.N_bil[q, a]
-                ref_u[conn[a]] += wN * cu
                 ref_W[conn[a]] += wN * (trm * osys.op.w - trk * osys.op.w3)
-    got_u = osys._coupling_from_ubar(ubar).reshape(space.n_nodes, ng)
     got_W = (osys._trace_coupling @ W).reshape(space.n_nodes, ng)
-    assert np.abs(got_u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
     assert np.abs(got_W - ref_W).max() <= 1e-12 * np.abs(ref_W).max()
+    ref_u = _ref_warping_coupling(osys, _ref_ubar(osys, W, st.p))
+    mass = biot.c / osys.vol * osys.M_x @ st.p @ osys.M_gel_y.T
+    ref = mass + ref_u + ref_W
+    got = osys._carried(st).reshape(space.n_nodes, ng)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(ref_u).max() > 0.1 * np.abs(ref).max()
 
 
 @settings(max_examples=8, deadline=None)
