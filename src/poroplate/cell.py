@@ -38,7 +38,7 @@ from . import fem
 from .errors import AssemblyError
 from .fem import elements as el
 from .fem.constraints import ConstraintSet, Reducer
-from .fem.solvers import inverse, jacobi
+from .fem.solvers import jacobi, spd_inverse
 from .geometry import GEL, BrickMesh
 from .material import BiotParams, HookeTensor, require_admissible
 
@@ -265,9 +265,17 @@ class PressureCellOperator:
 
     Carries everything the macro solver and the two-scale oracle consume: its
     own `CellProblem` (`problem`; `reducer` and `K_red` are read from it), the
-    inverse of the mean-pinned extension of K_red, the dense response map
-    N = C K^-1 C^T on gel pressure dofs, the gel mass/diffusion blocks, and
-    the weight vectors int phi and int y3 phi over the gel.
+    inverse of the mean-pinned stiffness K_red + W^T W, the responses
+    U_C = K^-1 C^T and the dense response map N = C K^-1 C^T on gel pressure
+    dofs, the gel mass/diffusion blocks, and the weight vectors int phi and
+    int y3 phi over the gel.
+
+    Row k of W is the component-mean functional w_k of `reducer.mean_zero`
+    scaled by sqrt(c_k . diag K) / (w_k . c_k), so that W^T W adds about the
+    mean diagonal of K along the constant field c_k.  K_red + W^T W is SPD,
+    and for a right-hand side orthogonal to the constant fields (every
+    right-hand side here is a form in e_y(v) or div_y(v)) its solution is the
+    mean-zero solution of K_red u = f (Bochev & Lehoucq, SIAM Rev. 47, 2005).
     """
 
     def __init__(self, mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams):
@@ -281,16 +289,11 @@ class PressureCellOperator:
         self.problem = CellProblem(mesh, hooke)
         self.reducer = self.problem.reducer
         self.K_red = self.problem.K_red
-        # inverse of the extended matrix [[K, W^T], [W, 0]] pinning the component means
-        nred = self.reducer.n_reduced
-        W = np.stack([w for (w, _, _) in self.reducer.mean_zero])
-        ext = np.zeros((nred + len(W), nred + len(W)))
-        ext[:nred, :nred] = self.K_red.toarray()
-        ext[:nred, nred:] = W.T
-        ext[nred:, :nred] = W
-        self._ext_inv = inverse(ext, "extended cell stiffness [[K, W^T], [W, 0]] is singular")
-        self._nred = nred
-        self._nmult = len(W)
+        diag = self.K_red.diagonal()
+        W = np.stack([np.sqrt(c @ diag) / measure * w
+                      for w, c, measure in self.reducer.mean_zero])
+        self._K_inv = spd_inverse(self.K_red.toarray() + W.T @ W,
+                                  "mean-pinned cell stiffness K + W^T W is not positive definite")
 
         self.C_red = fem.assemble_divergence_coupling(mesh, gel_nodes=self.gel_nodes,
                                                       node_map=self.problem.node_map)
@@ -301,12 +304,10 @@ class PressureCellOperator:
         self.w = fem.lumped_weights(mesh, elems_mask=gel_mask, nodes=self.gel_nodes)
         self.w3 = fem.lumped_weights(mesh, elems_mask=gel_mask, nodes=self.gel_nodes,
                                      weight=lambda x, y, z: z)
-        # response map N = C K^-1 C^T (no alpha / |Ycell| factors)
-        rhs = np.zeros((nred + len(W), self.C_red.shape[0]))
-        rhs[:nred] = self.C_red.T.toarray()
-        sol = (self._ext_inv @ rhs)[:nred]
-        self.U_C = sol  # reduced responses K^-1 C^T per gel dof
-        self.N = np.asarray(self.C_red @ sol)
+        # reduced responses K^-1 C^T per gel dof and the response map
+        # N = C K^-1 C^T (no alpha / |Ycell| factors)
+        self.U_C = self._K_inv @ self.C_red.T.toarray()
+        self.N = np.asarray(self.C_red @ self.U_C)
         self.N = 0.5 * (self.N + self.N.T)
 
     @property
@@ -314,14 +315,12 @@ class PressureCellOperator:
         return len(self.gel_nodes)
 
     def solve_reduced(self, rhs_red: np.ndarray) -> np.ndarray:
-        """Mean-zero periodic solve of the cell elasticity for a reduced rhs.
+        """Mean-zero periodic solve of the cell elasticity for a reduced rhs
+        orthogonal to the constant fields.
 
         Accepts a vector or a (n_red, k) block of right-hand sides.
         """
-        rhs_red = np.asarray(rhs_red, dtype=float)
-        pad = np.zeros((self._nmult,) + rhs_red.shape[1:])
-        ext = np.concatenate([rhs_red, pad], axis=0)
-        return (self._ext_inv @ ext)[: self._nred]
+        return self._K_inv @ np.asarray(rhs_red, dtype=float)
 
 
 @dataclass

@@ -59,18 +59,11 @@ def _hom_from_file(path) -> HomogenizedTensor:
         kv = pio.read_keyvalues(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"coefficients_file {path}: {exc}") from None
-    idx = ["11", "22", "12"]
-    mats = {}
-    for name in ("a", "b", "c"):
-        M = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                key = f"{name}_{idx[i]}{idx[j]}"
-                if np.ndim(kv.get(key, ())) != 0:
-                    raise ConfigError(
-                        f"coefficients_file {path}: key {key!r} is missing or not one number")
-                M[i, j] = kv[key]
-        mats[name] = M
+    mats = {name: np.zeros((3, 3)) for name in "abc"}
+    for key, name, i, j in pio.HOM_KEYS:
+        if np.ndim(kv.get(key, ())) != 0:
+            raise ConfigError(f"coefficients_file {path}: key {key!r} is missing or not one number")
+        mats[name][i, j] = kv[key]
     return HomogenizedTensor(a_eng=mats["a"], b_eng=mats["b"], c_eng=mats["c"])
 
 

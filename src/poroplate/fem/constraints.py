@@ -1,10 +1,17 @@
 """Constraint handling by exact elimination.
 
-Dirichlet dofs (homogeneous: every clamp of the package is zero) are removed,
-periodic slave dofs are identified with their masters, and mean-zero
-functionals are carried along for the solver (realized by projection, which
-for compatible right-hand sides yields the same solution as a single Lagrange
-multiplier while keeping the operator SPD for CG).
+Dirichlet dofs (homogeneous: every clamp of the package is zero) are removed
+and periodic slave dofs are identified with their masters.  Mean-zero
+functionals are carried along in reduced coordinates, and each consumer
+enforces them in its own way, keeping its operator SPD:
+* the corrector CG (`cell.solve_correctors`) projects the constant fields out
+  of its residual and shifts each solution to mean zero;
+* the pressure cell operator (`cell.PressureCellOperator`) inverts the
+  stiffness pinned by its means, K + W^T W;
+* the norm-equivalence spectrum (`twoscale.norm_equivalence_spectrum`)
+  restricts its forms to the null space of the mean functionals.
+For a right-hand side orthogonal to the constant fields, each gives the
+solution of a Lagrange multiplier per mean.
 """
 
 from __future__ import annotations

@@ -24,15 +24,16 @@ current relative residual through the caller's `history` list, whose last
 entry is the residual of the iterate the application serves, so an operator
 built on inner solves can loosen them as the outer residual falls.
 
-Every small dense block the program solves with (the extended cell stiffness,
-the gel cell blocks, the plate-side M_x, S_y and Schur matrices, the gel-box
-extension blocks) is inverted once here and then applied as matrix products:
-`inverse` by numpy's LU, `spd_inverse` of an SPD block as L^-T L^-1 from its
-Cholesky factor L, with L^-1 by recursive 2 x 2 blocking (`lower_inverse`), so
-all but the small diagonal blocks are matrix products rather than an LU of a
-triangular matrix.  Every dense kernel runs on numpy's BLAS and LAPACK, never
-on the separate BLAS library scipy loads.  Operators that depend on the time
-step are built once per step size through `StepCache`.
+Every small dense block the program solves with (the mean-pinned cell
+stiffness, the gel cell blocks, the plate matrix and the plate-side M_x, S_y
+and Schur matrices, the gel-box extension blocks) is SPD, and `spd_inverse`
+inverts it once as L^-T L^-1 from its Cholesky factor L, with L^-1 by
+recursive 2 x 2 blocking (`lower_inverse`); it is then applied as matrix
+products.  All but the diagonal blocks of at most TRI_BLOCK rows are matrix
+products, and a block that is not positive definite fails its factorization
+rather than giving an inverse.  Every dense kernel runs on numpy's BLAS and
+LAPACK, never on the separate BLAS library scipy loads.  Operators that
+depend on the time step are built once per step size through `StepCache`.
 
 `march` is the one time-step loop, of the micro, macro and oracle trajectories.
 """
@@ -219,20 +220,6 @@ def jacobi(A):
     return lambda r: dinv * r
 
 
-def inverse(M, error: str) -> np.ndarray:
-    """M^-1 by LU; SolverError(error) if M is singular or the inverse is not finite.
-
-    `error` names the block, so a failure says which operator degenerated.
-    """
-    try:
-        M_inv = np.linalg.inv(np.asarray(M, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"{error} ({exc})") from exc
-    if not np.all(np.isfinite(M_inv)):
-        raise SolverError(error)
-    return M_inv
-
-
 # largest lower-triangular block `lower_inverse` inverts by LU rather than by halves
 TRI_BLOCK = 64
 
@@ -261,7 +248,9 @@ def lower_inverse(L: np.ndarray) -> np.ndarray:
 
 def spd_inverse(M, error: str) -> np.ndarray:
     """M^-1 = L^-T L^-1 from the Cholesky factor L, with L^-1 from
-    `lower_inverse`; SolverError(error) if M is not SPD."""
+    `lower_inverse`; SolverError(error) if M is not SPD or the inverse is not
+    finite.  `error` names the block, so a failure says which operator
+    degenerated."""
     try:
         L_inv = lower_inverse(np.linalg.cholesky(M))
     except np.linalg.LinAlgError as exc:

@@ -117,12 +117,15 @@ def hom_table_text(hom) -> str:
     return "\n".join(lines) + "\n"
 
 
+# (key, coefficient, row, column) of every entry of a coefficient file: the
+# coefficients a, b, c with rows and columns 11, 22, 12 (engineering basis)
+HOM_KEYS = tuple((f"{name}_{ii}{jj}", name, i, j) for name in "abc"
+                 for i, ii in enumerate(("11", "22", "12"))
+                 for j, jj in enumerate(("11", "22", "12")))
+
+
 def hom_keyvalues(hom):
-    pairs = []
-    idx = ["11", "22", "12"]
-    for name, M in (("a", hom.a_eng), ("b", hom.b_eng), ("c", hom.c_eng)):
-        for i in range(3):
-            for j in range(3):
-                pairs.append((f"{name}_{idx[i]}{idx[j]}", M[i, j]))
+    """The `HOM_KEYS` entries of the homogenized tensor, then lambda_min."""
+    pairs = [(key, getattr(hom, f"{name}_eng")[i, j]) for key, name, i, j in HOM_KEYS]
     pairs.append(("lambda_min", hom.min_eigenvalue()))
     return pairs

@@ -68,7 +68,7 @@ from . import fem
 from .errors import AssemblyError, SolverError
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.multigrid import VCycle
-from .fem.solvers import Kron, SolutionSpace, StepCache, inverse, march, pcg, solve_saddle
+from .fem.solvers import Kron, SolutionSpace, StepCache, march, pcg, solve_saddle, spd_inverse
 from .geometry import GEL, BrickMesh
 from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec, require_admissible
 
@@ -172,11 +172,12 @@ class GalerkinSystem:
         c, alpha = self.biot.c, self.biot.alpha
         ng = self.mesh.n_gel_local
         S_local = (c * self.M[:ng, :ng] + dt * self.D[:ng, :ng]).toarray()
-        S_inv = inverse(S_local, "gel cell block cM + dt D is singular")
+        S_inv = spd_inverse(S_local, "gel cell block cM + dt D is not positive definite")
         C0, dB = self.C[:ng], self.B.diagonal()
         X = (C0.multiply(1.0 / np.where(dB > 0, dB, 1.0))).tocsr()
-        prec = inverse(S_local + alpha**2 * (X @ C0.T).toarray(),
-                       "gel cell block of the pressure-ODE preconditioner is singular")
+        prec = spd_inverse(
+            S_local + alpha**2 * (X @ C0.T).toarray(),
+            "gel cell block of the pressure-ODE preconditioner is not positive definite")
         return StepOperators(S=Kron(None, S_local), S_inv=Kron(None, S_inv), prec=Kron(None, prec))
 
 
@@ -486,8 +487,8 @@ def extend_fiber(U: np.ndarray, mesh: BrickMesh, hooke: HookeTensor) -> np.ndarr
         flat = (ii + (gnx + 1) * jj).ravel()
         edge = ((ii == 0) | (ii == gnx) | (jj == 0) | (jj == gny)).ravel()
         edge_flat, int_flat = flat[edge], flat[~edge]
-        K2_inv = inverse(K2[int_flat][:, int_flat].toarray(),
-                         "cap Laplace block of the gel extension is singular")
+        K2_inv = spd_inverse(K2[int_flat][:, int_flat].toarray(),
+                             "cap Laplace block of the gel extension is not positive definite")
         K_ib = K2[int_flat][:, edge_flat].toarray()
         for kcap in (gk[0], gk[-1]):
             cap_tpl = np.array([tpl_index[(a, b, kcap)] for b in gj for a in gi])
@@ -508,8 +509,9 @@ def extend_fiber(U: np.ndarray, mesh: BrickMesh, hooke: HookeTensor) -> np.ndarr
     int_dofs = (3 * np.flatnonzero(interior)[:, None] + np.arange(3)).ravel()
     bnd_dofs = (3 * np.flatnonzero(~interior)[:, None] + np.arange(3)).ravel()
     if len(int_dofs):
-        K3_inv = inverse(K3[int_dofs][:, int_dofs].toarray(),
-                         "gel-interior elastic block of the gel extension is singular")
+        K3_inv = spd_inverse(
+            K3[int_dofs][:, int_dofs].toarray(),
+            "gel-interior elastic block of the gel extension is not positive definite")
         K_ib = K3[int_dofs][:, bnd_dofs].toarray()
         bvals = vals[:, ~interior, :].reshape(n_cells, -1)
         sol = K3_inv @ -(K_ib @ bvals.T)  # (n_int_dofs, nc)

@@ -277,7 +277,7 @@ class _CoupledPlateSystem:
         """Static plate response A W = F(0) with p = 0."""
         F0 = self.F_W(0.0)
         if np.linalg.norm(F0) > 0.0:
-            W_red = np.linalg.solve(self._A_plate, F0)
+            W_red = spd_inverse(self._A_plate, "plate matrix is not positive definite") @ F0
         else:
             W_red = np.zeros(self.space.n_red)
         return self._state(0.0, W_red, np.zeros((self.space.n_nodes, self.ng)))
@@ -402,13 +402,12 @@ class MupSystem(_CoupledPlateSystem):
         self.vol = cell_mesh.volume
         sp_ = self.space
         nq = len(sp_.qp_w)
-        ne = len(sp_.elem_dofs)
 
         op = PressureCellOperator(cell_mesh, hooke, biot)
         self.op = op
         nred = op.reducer.n_reduced
         self.ng = ng = op.n_gel
-        total = sp_.n_red + ne * nq * nred + sp_.n_nodes * ng
+        total = sp_.n_red + sp_.n_nodes * ng   # the W and p a state holds
         if total > budget_dofs:
             raise BudgetError(
                 f"two-scale oracle needs {total} dofs, over the budget of {budget_dofs}")

@@ -248,14 +248,11 @@ def test_operator_reduced_blocks_match_reduction(cell_mesh4, two_phase_hooke, bi
 
 def test_pressure_corrector_dense_oracle(two_phase_hooke, biot):
     # independent dense KKT solve (explicit multiplier rows for periodicity and
-    # mean-zero) on a small cell, constant gel pressure
+    # mean-zero) on a small cell, constant gel pressure; besides the fixture's
+    # fiber/gel contrast of Young's modulus (10), the contrasts 1e-2 and 1e4
+    # try the scaling of the rows that pin the means
     geom = CellGeometry(gel_box=((1 / 3, 2 / 3), (1 / 3, 2 / 3)))
     mesh = build_cell_mesh(geom, 3)
-    op = PressureCellOperator(mesh, two_phase_hooke, biot)
-    p0 = np.ones(op.n_gel)
-    u = _pressure_corrector(op, p0)
-
-    K = fem.assemble_elastic_stiffness(mesh, two_phase_hooke).toarray()
     C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes).toarray()
     ndof = 3 * mesh.n_nodes
     rows = []
@@ -271,12 +268,22 @@ def test_pressure_corrector_dense_oracle(two_phase_hooke, biot):
         r[c::3] = wnode
         rows.append(r)
     A = np.array(rows)
-    kkt = np.block([[K, A.T], [A, np.zeros((len(A), len(A)))]])
-    rhs = np.concatenate([(biot.alpha / mesh.volume) * (C.T @ p0), np.zeros(len(A))])
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:ndof]
-    # compare energies and fields
-    assert u @ (K @ u) == pytest.approx(sol @ (K @ sol), rel=1e-8, abs=1e-14)
-    assert np.abs(u - sol).max() < 1e-8 * max(np.abs(sol).max(), 1e-8)
+    contrasts = [HookeTensor(fiber=isotropic(E, 0.3), gel=isotropic(1.0, 0.35))
+                 for E in (1e-2, 1e4)]
+    for hooke in [two_phase_hooke] + contrasts:
+        op = PressureCellOperator(mesh, hooke, biot)
+        p0 = np.ones(op.n_gel)
+        u = _pressure_corrector(op, p0)
+        K = fem.assemble_elastic_stiffness(mesh, hooke).toarray()
+        kkt = np.block([[K, A.T], [A, np.zeros((len(A), len(A)))]])
+        rhs = np.concatenate([(biot.alpha / mesh.volume) * (C.T @ p0), np.zeros(len(A))])
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:ndof]
+        # compare energies and fields
+        assert u @ (K @ u) == pytest.approx(sol @ (K @ sol), rel=1e-8, abs=1e-14)
+        assert np.abs(u - sol).max() < 1e-8 * max(np.abs(sol).max(), 1e-8)
+        # every response of the operator is mean-zero to round-off
+        for w, _, measure in op.reducer.mean_zero:
+            assert np.abs(w @ op.U_C).max() <= 1e-13 * measure * np.abs(op.U_C).max()
 
 
 def test_divergence_moments(cell_mesh4, two_phase_hooke, biot, gel_flux):

@@ -239,14 +239,15 @@ def test_hom_keyvalue_round_trip(tmp_path):
     from poroplate.cell import HomogenizedTensor
 
     rng = np.random.default_rng(0)
-    A = rng.standard_normal((3, 3))
-    hom = HomogenizedTensor(a_eng=A @ A.T + 3 * np.eye(3), b_eng=0.1 * np.eye(3),
-                            c_eng=np.eye(3))
+    A, B, C = rng.standard_normal((3, 3, 3))
+    hom = HomogenizedTensor(a_eng=A @ A.T + 3 * np.eye(3), b_eng=0.1 * B,
+                            c_eng=C @ C.T + 3 * np.eye(3))
     path = tmp_path / "h.kv"
     pio.write_keyvalues(path, pio.hom_keyvalues(hom))
     back = cli._hom_from_file(path)
-    assert np.allclose(back.a_eng, hom.a_eng)
-    assert np.allclose(back.b_eng, hom.b_eng)
+    # the writer prints 17 significant digits, so every entry reads back exactly
+    for name in ("a_eng", "b_eng", "c_eng"):
+        assert np.array_equal(getattr(back, name), getattr(hom, name))
 
 
 @pytest.mark.parametrize("content, message", [

@@ -12,8 +12,7 @@ from poroplate.errors import AssemblyError, ConstraintError, MaterialError, Solv
 from poroplate.fem import elements as el
 from poroplate.fem.constraints import ConstraintSet, Reducer
 from poroplate.fem.solvers import (PROJECTION_DIM, TRI_BLOCK, Kron, SolutionSpace, StepCache, _norm,
-                                   inverse, jacobi, lower_inverse, march, pcg, solve_saddle,
-                                   spd_inverse)
+                                   jacobi, lower_inverse, march, pcg, solve_saddle, spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh, build_micro_mesh
 from poroplate.material import BiotParams, HookeTensor, isotropic
 
@@ -450,9 +449,9 @@ def test_reduction_preserves_symmetry(cell_mesh4, two_phase_hooke):
 
 
 def _saddle(K, C, M, rhs, **kwargs):
-    """solve_saddle with C^T and the pressure block as I (x) M, M^-1 by `inverse`."""
+    """solve_saddle with C^T and the pressure block as I (x) M, M^-1 by `spd_inverse`."""
     M = M.toarray() if sp.issparse(M) else M
-    return solve_saddle(K, C, C.T.tocsr(), Kron(None, M), Kron(None, inverse(M, "M")), rhs,
+    return solve_saddle(K, C, C.T.tocsr(), Kron(None, M), Kron(None, spd_inverse(M, "M")), rhs,
                         precond=jacobi(K), **kwargs)
 
 
@@ -530,7 +529,7 @@ class _RepeatedBlockSolver:
     """The block-diagonal solver Kron(None, S^-1) replaced, kept as a reference."""
 
     def __init__(self, S, n_blocks, error):
-        self._inverse = inverse(S, error)
+        self._inverse = spd_inverse(S, error)
         self.block_size = self._inverse.shape[0]
         self.n_blocks = n_blocks
 
@@ -549,7 +548,7 @@ def test_repeated_block_solver():
     rng = np.random.default_rng(2)
     S = rng.standard_normal((4, 4))
     S = S @ S.T + 4 * np.eye(4)
-    solver = Kron(None, inverse(S, "S"))
+    solver = Kron(None, spd_inverse(S, "S"))
     x = rng.standard_normal(12)
     y = solver @ x
     for b in range(3):
@@ -579,13 +578,6 @@ def test_kron_matches_np_kron(shape, a_kind, b_sparse, seed):
         assert np.array_equal(got, _kron_apply(A, B, x))
 
 
-def test_inverse_singular():
-    with pytest.raises(SolverError, match="test block is singular"):
-        inverse(np.zeros((3, 3)), "test block is singular")
-    with pytest.raises(SolverError, match="tiny block is singular"):   # inverse overflows
-        inverse(np.array([[1e-320]]), "tiny block is singular")
-
-
 def test_spd_inverse_and_its_error():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((7, 7))
@@ -594,6 +586,8 @@ def test_spd_inverse_and_its_error():
     with pytest.raises(SolverError, match="cell pressure block is not positive definite"):
         spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]),
                     "cell pressure block is not positive definite")
+    with pytest.raises(SolverError, match="test block is not positive definite"):
+        spd_inverse(np.zeros((3, 3)), "test block is not positive definite")
 
 
 @pytest.mark.parametrize("n", [1, TRI_BLOCK - 1, TRI_BLOCK, TRI_BLOCK + 1, 300, 726])
@@ -613,6 +607,9 @@ def test_spd_inverse_rejects_an_inverse_that_is_not_finite():
     with pytest.raises(SolverError, match="cell pressure block is not positive definite"):
         spd_inverse(np.array([[np.nan, 0.0], [0.0, 1.0]]),
                     "cell pressure block is not positive definite")
+    # a positive block whose inverse overflows
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match="tiny block"):
+        spd_inverse(np.array([[1e-320]]), "tiny block is not positive definite")
 
 
 def test_pcg_rejects_values_that_are_not_finite():

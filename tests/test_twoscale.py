@@ -21,6 +21,7 @@ from poroplate.cell import (
 from poroplate.config import default_config
 from poroplate.errors import AssemblyError, BudgetError, SolverError
 from poroplate.fem import elements as el
+from poroplate.fem.solvers import TRI_BLOCK
 from poroplate.geometry import (
     GEL,
     CellGeometry,
@@ -572,6 +573,50 @@ def test_plate_path_calls_no_scipy_factorization(cell_pipeline, cell_mesh4, two_
     _, _, otable = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
                                              ramp_loads, 0.5, 2)
     assert mtable[-1]["W3"] > 0.0 and otable[-1]["W3"] > 0.0
+
+
+def test_no_dense_lu_over_tri_block_rows(cell_mesh4, micro_mesh4, two_phase_hooke, biot,
+                                         monkeypatch):
+    # every dense block the program solves with is SPD and inverted by
+    # `spd_inverse`, so LAPACK's LU sees only the diagonal blocks of at most
+    # TRI_BLOCK rows of `lower_inverse`, and nothing calls np.linalg.solve
+    inv, sizes = np.linalg.inv, []
+
+    def checked_inv(a, *args, **kwargs):
+        if len(a) > TRI_BLOCK:
+            raise AssertionError(f"np.linalg.inv of {len(a)} rows")
+        sizes.append(len(a))
+        return inv(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "inv", checked_inv)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    # a t^0 load, so that the plate initial state solves A W = F(0)
+    loads = LoadSpec(f3=Poly2T([(1.0, 0, 0, 0)]), h=Poly2T([(1.0, 0, 0, 1)]))
+    _, hom, op, mom = solve_cell(cell_mesh4, two_phase_hooke, biot, 1e-10)
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 4)
+    msys = twoscale.assemble_macro(hom, op, mom, plate, biot, loads)
+    _, mtable = twoscale.run_macro(msys, 0.5, 2)
+    _, _, otable = twoscale.solve_mup_direct(cell_mesh4, plate, two_phase_hooke, biot,
+                                             loads, 0.5, 2)
+    assert mtable[0]["W3"] > 0.0 and otable[0]["W3"] > 0.0
+    sys = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, loads)
+    for stepper in ("monolithic", "schur"):
+        micro.run_transient(sys, 0.5, 2, stepper=stepper)
+    micro.extend_fiber(micro_mesh4.nodes ** 2, micro_mesh4, two_phase_hooke)
+    assert sizes   # the blocks did reach the wrapped inv
+
+
+def test_mup_demo_oracle_fits_the_default_budget():
+    # the budget counts the W and p a state holds, n_red + nn * ng: 14,415 on
+    # the demo cell at plate_m = 12, well under the default 300,000
+    cfg = default_config()
+    plate = build_plate_mesh(cfg.omega, 12)
+    osys = twoscale.MupSystem(build_cell_mesh(cfg.geom, cfg.cell_n), plate, cfg.hooke,
+                              cfg.biot, cfg.loads, budget_dofs=cfg.budget_dofs)
+    assert plate.n_red + plate.n_nodes * osys.ng == 14_415 <= cfg.budget_dofs
 
 
 def test_mup_matches_macro_plate8(cell_pipeline, cell_mesh4, two_phase_hooke, biot, ramp_loads):
