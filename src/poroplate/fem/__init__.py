@@ -7,7 +7,6 @@ from .assembly import (
     assemble_scalar_diffusion,
     assemble_scalar_mass,
     assemble_scalar_source,
-    assemble_strain_product,
     lumped_weights,
     vector_dofs,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "assemble_scalar_diffusion",
     "assemble_scalar_mass",
     "assemble_scalar_source",
-    "assemble_strain_product",
     "lumped_weights",
     "vector_dofs",
     "ConstraintSet",

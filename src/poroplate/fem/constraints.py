@@ -45,7 +45,11 @@ class ConstraintSet:
 
 
 class Reducer:
-    """Linear map full = P @ reduced realizing a ConstraintSet exactly."""
+    """Linear map full = P @ reduced realizing a ConstraintSet exactly.
+
+    It keeps the reduced dof of every dof (`dof_map`): `expand` applies P as
+    a gather, and `P` is built only where a sparse matrix is needed.
+    """
 
     def __init__(self, cons: ConstraintSet):
         n = cons.ndof
@@ -75,19 +79,25 @@ class Reducer:
         self.dof_map = red_of[root]   # reduced dof of every dof, -1 where eliminated
         self.n_reduced = len(free)
         self.free = free
-        rows = np.arange(n)[~is_dir]
-        cols = self.dof_map[rows]
-        if np.any(cols < 0):
+        if np.any(self.dof_map[~is_dir] < 0):
             raise ConstraintError("periodic master resolves to an eliminated dof")
-        self.P = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, self.n_reduced))
         # mean-zero data in reduced coordinates: (weights, shift direction, measure)
         self.mean_zero = []
+        P = self.P
         for w_full, block_full in cons.mean_zero:
-            w_red = self.P.T @ np.asarray(w_full, dtype=float)
+            w_red = P.T @ np.asarray(w_full, dtype=float)
             block = np.asarray(block_full, dtype=float)
             c_red = block[self.free]  # constant-1 field on the block, reduced
             measure = float(np.asarray(w_full) @ block)
             self.mean_zero.append((w_red, c_red, measure))
+
+    @property
+    def P(self) -> sp.csr_matrix:
+        """The map full = P @ reduced as a sparse matrix, built on each call:
+        `expand` applies it without one."""
+        rows = np.flatnonzero(self.dof_map >= 0)
+        return sp.csr_matrix((np.ones(len(rows)), (rows, self.dof_map[rows])),
+                             shape=(len(self.dof_map), self.n_reduced))
 
     def node_map(self, ncomp: int) -> np.ndarray:
         """Reduced node of every node (-1 where eliminated), for ncomp dofs per node.
@@ -103,10 +113,13 @@ class Reducer:
         return nodes
 
     def reduce_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
-        return (self.P.T @ A @ self.P).tocsr()
+        P = self.P
+        return (P.T @ A @ P).tocsr()
 
     def expand(self, x_red: np.ndarray) -> np.ndarray:
-        return self.P @ x_red
+        """P @ x_red: each kept dof reads its reduced dof, and an eliminated
+        dof (id -1) reads the zero appended to x_red."""
+        return np.append(x_red, 0.0)[self.dof_map]
 
     def restrict(self, x_full: np.ndarray) -> np.ndarray:
         """Reduced coefficients of a full vector (reads free dofs)."""

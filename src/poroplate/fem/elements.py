@@ -24,6 +24,10 @@ CORNERS = np.array(
     dtype=np.int64,
 )
 
+# the identity on symmetric matrices in the engineering strain vector:
+# e : e = s^T STRAIN_IDENTITY s for the strain vector s of e
+STRAIN_IDENTITY = np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+
 # Gauss points per direction of the Q1 kernels: exact for their stiffness
 N_GAUSS = 2
 

@@ -54,6 +54,12 @@ with its inverse and the block preconditioner of the pressure ODE, are
 `fem.solvers.Kron` blocks built from cell 0 once per dt
 (`GalerkinSystem.step_operators`, on the step cache of `fem.solvers`) and
 read by both steppers.
+
+`assemble_micro` assembles only what a step reads: B, C, M and D.  The
+a-priori norms of the trajectory table, ||e(U)||, ||grad U|| and
+eps ||grad p||, are evaluated element by element from one element matrix
+each (`fem.assembly.ElementForm`); ||e(U)|| and ||grad U|| share one gather of
+the element displacements.  No matrix on all 3 n_nodes dofs is held.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ import scipy.sparse as sp
 
 from . import fem
 from .errors import AssemblyError, SolverError
+from .fem import elements as el
+from .fem.assembly import ElementForm, quads
 from .fem.constraints import ConstraintSet, Reducer
 from .fem.multigrid import VCycle
 from .fem.solvers import Kron, SolutionSpace, StepCache, march, pcg, solve_saddle, spd_inverse
@@ -121,9 +129,10 @@ class GalerkinSystem:
     D: sp.csr_matrix            # eps^2 K diffusion on the gel
     F: LoadSeries               # reduced displacement load (eps scalings included)
     G: LoadSeries               # gel pressure source (eps scaling included)
-    strain_sq: sp.csr_matrix    # ||e(U)||^2 on full dofs
-    grad_sq: sp.csr_matrix      # ||grad U||^2 per component: the scalar form on all nodes
-    grad_p_sq: sp.csr_matrix    # ||grad p||^2 on gel dofs (unscaled)
+    # the norm forms, evaluated element by element (`fem.assembly.ElementForm`)
+    strain_sq: ElementForm      # ||e(U)||^2 on full dofs
+    grad_sq: ElementForm        # ||grad U||^2 on full dofs: the scalar form (x) I_3
+    grad_p_sq: ElementForm      # ||grad p||^2 on gel dofs (unscaled)
     _step_cache: StepCache = field(default_factory=StepCache, init=False, repr=False,
                                    compare=False)
 
@@ -196,6 +205,7 @@ def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: f
     C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes, node_map=node_map)
     M, D = fem.assembly.micro_pressure_blocks(biot, mesh)
     gel_mask = mesh.phase == GEL
+    k_grad = el.hex_scalar_diffusion_ke(mesh.spacing, np.eye(3))
     f_scale = (eps, eps, eps**2)
 
     def body_force(comp, spatial):
@@ -213,10 +223,10 @@ def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: f
         mesh=mesh, biot=biot, eps=eps, reducer=reducer, B=B, C=C, M=M, D=D,
         F=LoadSeries.build(loads.components(), body_force, B.shape[0]),
         G=LoadSeries.build((loads.h,), source, M.shape[0]),
-        strain_sq=fem.assemble_strain_product(mesh),
-        grad_sq=fem.assemble_scalar_diffusion(mesh, np.eye(3)),
-        grad_p_sq=fem.assemble_scalar_diffusion(mesh, np.eye(3), elems_mask=gel_mask,
-                                                nodes=mesh.gel_nodes),
+        strain_sq=ElementForm(mesh.elems, el.hex_elastic_ke(mesh.spacing, el.STRAIN_IDENTITY)),
+        grad_sq=ElementForm(mesh.elems, np.kron(k_grad, np.eye(3))),
+        grad_p_sq=ElementForm(fem.assembly.element_dofs(mesh, gel_mask, mesh.gel_nodes)[0],
+                              k_grad),
     )
 
 
@@ -232,14 +242,14 @@ class MicroState:
     def norms(self, sys: GalerkinSystem) -> dict:
         """The a-priori norms and the energy c ||p||^2 + ||e(U)||_A^2 (the decay
         functional of the a priori bound): one row of the trajectory table."""
-        u = self.U.reshape(-1)
+        e_sq, grad_sq = quads(self.U.reshape(-1), sys.strain_sq, sys.grad_sq)
         p_sq = self.p @ (sys.M @ self.p)
         return {
             "t": self.t,
-            "e_U": float(np.sqrt(max(u @ (sys.strain_sq @ u), 0.0))),
+            "e_U": float(np.sqrt(max(e_sq, 0.0))),
             "p": float(np.sqrt(max(p_sq, 0.0))),
-            "eps_grad_p": sys.eps * float(np.sqrt(max(self.p @ (sys.grad_p_sq @ self.p), 0.0))),
-            "grad_U": float(np.sqrt(max(u @ (sys.grad_sq @ self.U).ravel(), 0.0))),
+            "eps_grad_p": sys.eps * float(np.sqrt(max(sys.grad_p_sq.quad(self.p), 0.0))),
+            "grad_U": float(np.sqrt(max(grad_sq, 0.0))),
             "energy": float(sys.biot.c * p_sq + self.U_red @ (sys.B @ self.U_red)),
         }
 
@@ -462,8 +472,6 @@ def extend_fiber(U: np.ndarray, mesh: BrickMesh, hooke: HookeTensor) -> np.ndarr
     then reproduced exactly by the interior elastic solve.  All cells share
     one inverse (congruent gel boxes) and are solved batched.
     """
-    from .fem import elements as el
-
     U = np.asarray(U, dtype=float).reshape(-1, 3)
     W = U.copy()
     tpl = mesh.gel_local_template

@@ -326,9 +326,10 @@ def _scatter_reference(rows, ke, shape, cols=None, phase=None):
 
 def test_scatter_forms_drop_only_entries_inside_the_rounding_bound(
         monkeypatch, default_geom, two_phase_hooke, cell_mesh4):
-    # every scatter call of assemble_micro (B, C, the strain form, grad_sq,
-    # grad_p_sq, M, D) and of the cell K_red, against the undropped sum of its
-    # element entries, with the bound k eps max|ke| for k-node elements
+    # every scatter call of assemble_micro (B, C, M, D; its norm forms are
+    # evaluated, not assembled) and of the cell K_red, against the undropped
+    # sum of its element entries, with the bound k eps max|ke| for k-node
+    # elements
     calls, real = [], fem.assembly.scatter
 
     def recording(rows, ke, shape, cols=None, phase=None):
@@ -342,7 +343,7 @@ def test_scatter_forms_drop_only_entries_inside_the_rounding_bound(
     mesh = build_micro_mesh(default_geom, 0.25, ((0.0, 1.0), (0.0, 1.0)), 4)
     micro.assemble_micro(mesh, two_phase_hooke, biot, 0.25)
     cell.CellProblem(cell_mesh4, two_phase_hooke)
-    assert len(calls) == 8
+    assert len(calls) == 5
     dropped = 0
     for bound, A, ref in calls:
         assert A.has_canonical_format and A.shape == ref.shape

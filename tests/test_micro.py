@@ -3,17 +3,20 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poroplate import fem, micro
 from poroplate.config import default_config
-from poroplate.errors import SolverError
+from poroplate.errors import AssemblyError, SolverError
+from poroplate.fem import elements as el
+from poroplate.fem.assembly import ElementForm, quads
 from poroplate.fem.multigrid import VCycle
 from poroplate.fem.solvers import jacobi
-from poroplate.geometry import CellGeometry, build_micro_mesh
-from poroplate.material import BiotParams, LoadSpec, Poly2T, t_degree_terms
+from poroplate.geometry import GEL, CellGeometry, build_micro_mesh
+from poroplate.material import BiotParams, HookeTensor, LoadSpec, Poly2T, isotropic, t_degree_terms
 
 # degree 0, 1 and 2 terms in t, and a cutoff between steps 4 (t = 0.25) and 5 of 8 on [0, 0.5]
 CUTOFF_LOADS = LoadSpec(f1=Poly2T([(0.4, 0, 0, 0), (0.5, 1, 0, 1)], t_off=0.3),
@@ -57,6 +60,92 @@ def test_reduced_assembly_matches_full_assembly_and_reduction(default_geom, two_
     for (deg, t_off, vec), (ref_deg, ref_t_off, ref) in zip(sysm.F.parts, ref_parts):
         assert (deg, t_off) == (ref_deg, ref_t_off)
         assert np.array_equal(vec, sysm.reducer.restrict(ref))
+
+
+def _assembled_norm_forms(mesh):
+    """The strain, gradient and gel-gradient forms as `scatter` assembles them."""
+    n = mesh.n_nodes
+    strain = fem.assembly.scatter(mesh.elems, el.hex_elastic_ke(mesh.spacing, el.STRAIN_IDENTITY),
+                                  (3 * n, 3 * n))
+    grad = sp.kron(fem.assemble_scalar_diffusion(mesh, np.eye(3)), sp.identity(3), format="csr")
+    gel_grad = fem.assemble_scalar_diffusion(mesh, np.eye(3), elems_mask=mesh.phase == GEL,
+                                             nodes=mesh.gel_nodes)
+    return strain, grad, gel_grad
+
+
+def _assert_norm_forms_match_assembly(sysm, seed):
+    # quad and @ of each element form against the assembled matrix, on random
+    # fields, and the stacked evaluation of the norms against each form alone
+    rng = np.random.default_rng(seed)
+    forms = (sysm.strain_sq, sysm.grad_sq, sysm.grad_p_sq)
+    for form, A in zip(forms, _assembled_norm_forms(sysm.mesh)):
+        u = rng.standard_normal(A.shape[0])
+        Au = A @ u
+        assert np.linalg.norm(form @ u - Au) <= 1e-13 * np.linalg.norm(Au)
+        assert abs(form.quad(u) - u @ Au) <= 1e-13 * abs(u @ Au)
+    u = rng.standard_normal(3 * sysm.mesh.n_nodes)
+    both = quads(u, sysm.strain_sq, sysm.grad_sq)
+    assert both.shape == (2,)
+    for got, form in zip(both, forms):
+        assert abs(got - form.quad(u)) <= 1e-13 * abs(got)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+def test_norm_forms_match_the_assembled_matrices(default_geom, two_phase_hooke, biot, eps):
+    mesh = build_micro_mesh(default_geom, eps, ((0.0, 1.0), (0.0, 1.0)), 4)
+    sysm = micro.assemble_micro(mesh, two_phase_hooke, biot, eps)
+    _assert_norm_forms_match_assembly(sysm, 3)
+    with pytest.raises(AssemblyError, match="share their element ids"):
+        quads(np.zeros(3 * mesh.n_nodes), sysm.strain_sq, sysm.grad_p_sq)
+
+
+# gel box edges and thickness spans on the n = 4 cell grid
+_EDGES = st.sampled_from([(0.25, 0.5), (0.25, 0.75), (0.5, 0.75)])
+_Z_SPANS = st.lists(st.sampled_from([-1.0 + 0.25 * k for k in range(9)]), min_size=2,
+                    max_size=2, unique=True).map(lambda z: tuple(sorted(z)))
+
+
+@settings(max_examples=5, deadline=2000)
+@given(box=st.tuples(_EDGES, _EDGES), z_span=_Z_SPANS, seed=st.integers(0, 2**16))
+def test_norm_forms_match_the_assembled_matrices_across_gel_boxes(box, z_span, seed):
+    hooke = HookeTensor(fiber=isotropic(10.0, 0.3), gel=isotropic(1.0, 0.35))
+    mesh = build_micro_mesh(CellGeometry(gel_box=box, z_span=z_span), 0.5,
+                            ((0.0, 1.0), (0.0, 1.0)), 4)
+    sysm = micro.assemble_micro(mesh, hooke, BiotParams(c=1.0, alpha=1.0, K=np.eye(3)), 0.5)
+    _assert_norm_forms_match_assembly(sysm, seed)
+
+
+def _held_sparse(obj, seen):
+    """Every sparse matrix reachable from obj through the attributes of the
+    package's objects and through tuples, lists and dicts."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if sp.issparse(obj):
+        return [obj]
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif type(obj).__module__.startswith("poroplate") and hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [A for x in items for A in _held_sparse(x, seen)]
+
+
+def test_system_holds_no_full_dof_sparse_matrix(micro_mesh4, two_phase_hooke, biot, ramp_loads):
+    # the norm forms are evaluated element by element: after both steppers
+    # have run, no sparse matrix the system holds, its V-cycle hierarchy and
+    # step operators included, lives on all nodes or all 3 n_nodes dofs
+    sysm = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25, ramp_loads)
+    micro.run_transient(sysm, 0.25, 2, stepper="monolithic")
+    micro.run_transient(sysm, 0.25, 2, stepper="schur")
+    held = _held_sparse(sysm, set())
+    assert len(held) > 4 and any(A is sysm.B for A in held)
+    n = micro_mesh4.n_nodes
+    assert all(A.shape[0] not in (n, 3 * n) for A in held)
+    assert all(type(f) is ElementForm for f in (sysm.strain_sq, sysm.grad_sq, sysm.grad_p_sq))
 
 
 @pytest.fixture(scope="module")
@@ -538,6 +627,32 @@ def test_energy_dissipation_inequality(small_system):
     assert lhs <= rhs + 1e-12 + 0.1 * abs(rhs)
 
 
+@pytest.mark.parametrize("stepper", ["monolithic", "schur"])
+def test_energy_identity_of_each_step(stepper):
+    # testing the displacement equation with U1 - U0 and the pressure equation
+    # with p1, implicit Euler satisfies
+    #   (E1 - E0)/2 + (|dU|_B^2 + c |dp|_M^2)/2 + dt |p1|_D^2 = dU.F1 + dt p1.G1
+    # with E the energy column; the defect is -dU.r1 - p1.r2 for the block
+    # residuals r1, r2 of the step, so they bound it
+    cfg, sys = _demo_system()
+    nsteps = 16
+    traj = micro.run_transient(sys, cfg.T, nsteps, stepper=stepper, tol=cfg.tol_step)
+    dt, c, alpha = cfg.T / nsteps, sys.biot.c, sys.biot.alpha
+    for k in range(1, nsteps + 1):
+        s0, s1 = traj.states[k - 1], traj.states[k]
+        F1, G1 = sys.F(s1.t), sys.G(s1.t)
+        dU, dp = s1.U_red - s0.U_red, s1.p - s0.p
+        lhs = (0.5 * (traj.table[k]["energy"] - traj.table[k - 1]["energy"])
+               + 0.5 * (dU @ (sys.B @ dU) + c * dp @ (sys.M @ dp)) + dt * s1.p @ (sys.D @ s1.p))
+        rhs = dU @ F1 + dt * s1.p @ G1
+        defect = abs(lhs - rhs)
+        assert defect <= cfg.tol_step * (abs(lhs) + abs(rhs))
+        r1 = F1 - sys.B @ s1.U_red + alpha * (sys.C.T @ s1.p)
+        r2 = (dt * G1 + c * (sys.M @ s0.p) - alpha * (sys.C @ dU)
+              - c * (sys.M @ s1.p) - dt * (sys.D @ s1.p))
+        assert defect <= np.linalg.norm(dU) * np.linalg.norm(r1) + np.linalg.norm(s1.p) * np.linalg.norm(r2)
+
+
 def test_energy_decay_after_cutoff(micro_mesh4, two_phase_hooke, biot):
     loads = LoadSpec(f3=Poly2T([(1.0, 0, 0, 1)], t_off=0.25),
                      h=Poly2T([(1.0, 0, 0, 1)], t_off=0.25))
@@ -619,8 +734,9 @@ def test_extension_energy_ratio_bounded(default_geom, two_phase_hooke):
     # random fiber data on a one-cell plate: ||e(w)|| <= C ||e(U)||_fiber with
     # a moderate constant over a sample survey
     mesh = build_micro_mesh(default_geom, 0.25, ((0.0, 0.25), (0.0, 0.25)), 4)
-    E_all = fem.assemble_strain_product(mesh)
-    E_fib = fem.assemble_strain_product(mesh, elems_mask=mesh.phase == 0)
+    ke = el.hex_elastic_ke(mesh.spacing, el.STRAIN_IDENTITY)
+    E_all = ElementForm(mesh.elems, ke)
+    E_fib = ElementForm(mesh.elems[mesh.phase == 0], ke)
     rng = np.random.default_rng(11)
     from poroplate.micro import _gel_template_partition
 
@@ -632,8 +748,8 @@ def test_extension_energy_ratio_bounded(default_geom, two_phase_hooke):
         U[inner] = 0.0  # data lives on the fiber and the interface trace
         w = micro.extend_fiber(U, mesh, two_phase_hooke).reshape(-1)
         uf = U.reshape(-1)
-        num = np.sqrt(w @ (E_all @ w))
-        den = np.sqrt(uf @ (E_fib @ uf))
+        num = np.sqrt(E_all.quad(w))
+        den = np.sqrt(E_fib.quad(uf))
         ratios.append(num / den)
     assert max(ratios) < 50.0
 
