@@ -15,12 +15,14 @@ problem):
 All cell problems live in the periodic mean-zero space; |Ycell| = 2.
 
 A `CellProblem` is that space for one cell mesh and elasticity tensor: the
-`Reducer` of `cell_constraints`, the stiffness K_red assembled straight onto
-the reduced dofs, and, built on first use, the six reduced corrector
-right-hand sides and the averaged Voigt matrices D0-D2.  The correctors carry
-theirs, so the homogenized tensor assembles nothing and forms its Gram
-products on reduced vectors; the pressure cell operator, the two-scale oracle
-and the norm-equivalence spectrum each build their own.
+periodic node map (i, j, k) -> (i mod n, j mod n, k) of `periodic_node_map`
+with its `Reducer`, the component means on the reduced dofs, the stiffness
+K_red assembled straight onto the node map, and, built on first use, the six
+corrector right-hand sides assembled on it and the averaged Voigt matrices
+D0-D2.  The correctors carry theirs, so the homogenized tensor assembles
+nothing and forms its Gram products on reduced vectors; the pressure cell
+operator, the two-scale oracle and the norm-equivalence spectrum each build
+their own.
 
 `solve_cell` is the one cell stage of the CLI, the acceptance suite and the
 convergence study.
@@ -37,7 +39,7 @@ import numpy as np
 from . import fem
 from .errors import AssemblyError
 from .fem import elements as el
-from .fem.constraints import ConstraintSet, Reducer
+from .fem.constraints import Reducer, node_dof_map
 from .fem.solvers import jacobi, spd_inverse
 from .geometry import GEL, BrickMesh
 from .material import BiotParams, HookeTensor, require_admissible
@@ -57,29 +59,15 @@ def _key(kind: str, a: int, b: int) -> tuple:
     return (kind,) + ((0, 1) if (a, b) == (1, 0) else (a, b))
 
 
-def cell_constraints(mesh: BrickMesh) -> ConstraintSet:
-    """Periodic master/slave pairs plus per-component mean-zero functionals.
+def periodic_node_map(mesh: BrickMesh) -> np.ndarray:
+    """Reduced node of every node of the periodic cell: (i, j, k) -> (i mod nx, j mod ny, k).
 
-    The high in-plane faces are slaves of the low faces; the high-high edge
-    belongs to the y-face chain (slave of (i, 0), itself an x-face slave), so
-    every node is a slave at most once.
+    The reduced node i + nx (j + ny k) is first met at its copy with i < nx,
+    j < ny, so the reduced nodes keep the mesh order of their first copies.
     """
     nx, ny, nz = mesh.nelems
-    node = np.arange(mesh.n_nodes).reshape(nz + 1, ny + 1, nx + 1).T   # node[i, j, k]
-    slave_nodes = np.concatenate([node[nx].ravel(), node[:nx, ny].ravel()])
-    master_nodes = np.concatenate([node[0].ravel(), node[:nx, 0].ravel()])
-    slaves = (3 * slave_nodes[:, None] + np.arange(3)).reshape(-1)
-    masters = (3 * master_nodes[:, None] + np.arange(3)).reshape(-1)
-    w_node = fem.lumped_weights(mesh)
-    mean_zero = []
-    for c in range(3):
-        w = np.zeros(3 * mesh.n_nodes)
-        block = np.zeros(3 * mesh.n_nodes)
-        w[c::3] = w_node
-        block[c::3] = 1.0
-        mean_zero.append((w, block))
-    return ConstraintSet(ndof=3 * mesh.n_nodes, periodic_slaves=slaves,
-                         periodic_masters=masters, mean_zero=mean_zero)
+    k, j, i = np.indices((nz + 1, ny + 1, nx + 1))
+    return (i % nx + nx * (j % ny + ny * k)).ravel()
 
 
 def _elem_z_moments(mesh: BrickMesh):
@@ -101,46 +89,52 @@ def averaged_voigt(mesh: BrickMesh, hooke: HookeTensor):
     return out
 
 
-def corrector_rhs(mesh: BrickMesh, hooke: HookeTensor):
+def corrector_rhs(mesh: BrickMesh, hooke: HookeTensor, node_map: np.ndarray):
     """RHS vectors r[key] with r[dof] = int A(y) S_key : e(xi_dof) dy.
 
-    Keys 'm'+(a,b) use S = M^ab, keys 'b'+(a,b) use S = y3 M^ab.
+    Keys 'm'+(a,b) use S = M^ab, keys 'b'+(a,b) use S = y3 M^ab.  The vectors
+    are summed on the node ids of `node_map` (3 dofs per node): on the
+    periodic one they are the reduced right-hand sides P^T r.
     """
     _, dN, wdet, _ = el.qp_data(mesh.spacing)
     Bq = el.strain_B(dN)  # (nq, 6, 24)
     zq = fem.assembly.qp_points(mesh)[..., 2]  # (ne, nq)
-    dofs, ndof = fem.assembly.element_dofs(mesh, ncomp=3)
+    nodes, n = fem.assembly.element_nodes(mesh, node_map=node_map)
+    dofs = fem.assembly.vector_dofs(nodes)
     out = {}
     D = np.stack([hooke.fiber, hooke.gel])[mesh.phase]  # (ne, 6, 6)
     for key in MEMBRANE_KEYS:
         sig = np.einsum("eij,j->ei", D, _ENG_UNIT[key])  # (ne, 6)
         fe_m = np.einsum("q,qia,ei->ea", wdet, Bq, sig)  # constant-in-z part
         fe_b = np.einsum("q,eq,qia,ei->ea", wdet, zq, Bq, sig)
-        out[("m",) + key] = fem.assembly.scatter_vector(dofs, fe_m, ndof)
-        out[("b",) + key] = fem.assembly.scatter_vector(dofs, fe_b, ndof)
+        out[("m",) + key] = fem.assembly.scatter_vector(dofs, fe_m, 3 * n)
+        out[("b",) + key] = fem.assembly.scatter_vector(dofs, fe_b, 3 * n)
     return out
 
 
 class CellProblem:
     """The periodic mean-zero cell elasticity problem of one mesh and tensor.
 
-    `reducer` realizes `cell_constraints`, `node_map` is its node map and
-    K_red = P^T K P is assembled on it.  `r_red` (P^T r of every
-    `corrector_rhs` vector, same keys) and `voigt` (D0, D1, D2 of
+    `node_map` is `periodic_node_map`, `reducer` its numbering of 3 dofs per
+    node, and K_red = P^T K P is assembled on it.  Row c of `means` (3, n_red)
+    is the mean of component c over the cell, kron(w, I_3) / sum(w) with w the
+    lumped nodal weights summed onto the reduced nodes.  `r_red` (every
+    `corrector_rhs` vector on the node map, P^T r) and `voigt` (D0, D1, D2 of
     `averaged_voigt`) are built on first use.
     """
 
     def __init__(self, mesh: BrickMesh, hooke: HookeTensor):
         self.mesh = mesh
         self.hooke = hooke
-        self.reducer = Reducer(cell_constraints(mesh))
-        self.node_map = self.reducer.node_map(3)   # periodic slaves -> masters
+        self.node_map = periodic_node_map(mesh)
+        self.reducer = Reducer(node_dof_map(self.node_map, 3))
         self.K_red = fem.assemble_elastic_stiffness(mesh, hooke, self.node_map)
+        w = np.bincount(self.node_map, weights=fem.lumped_weights(mesh))
+        self.means = np.kron(w, np.eye(3)) / w.sum()
 
     @cached_property
     def r_red(self) -> dict:
-        P = self.reducer.P
-        return {key: P.T @ r for key, r in corrector_rhs(self.mesh, self.hooke).items()}
+        return corrector_rhs(self.mesh, self.hooke, self.node_map)
 
     @cached_property
     def voigt(self):
@@ -161,27 +155,31 @@ class CorrectorSet:
 def solve_correctors(mesh: BrickMesh, hooke: HookeTensor, tol: float = 1e-10) -> CorrectorSet:
     """Solve the six cell problems K_red c = -r_red in the periodic mean-zero space.
 
-    Jacobi-CG runs on the reduced dofs with the constant fields projected out
-    of its residual; each solution is then shifted to mean zero.
+    Jacobi-CG runs on the reduced dofs with the constant fields, the kernel
+    of K_red, projected out of its residual; each solution is then shifted by
+    a constant field to mean zero.
     """
     problem = CellProblem(mesh, hooke)
-    red = problem.reducer
-    kernels = [c / np.linalg.norm(c) for _, c, _ in red.mean_zero]
 
     def project(v):
-        for k in kernels:
-            v = v - (k @ v) * k
-        return v
+        v = v.reshape(-1, 3)
+        return (v - v.mean(axis=0)).ravel()
 
     precond = jacobi(problem.K_red)
     fields = {}
     for key, r in problem.r_red.items():
         # fem.solvers.pcg is looked up per call, so an instrumented pcg sees these solves
         x, _ = fem.solvers.pcg(problem.K_red, -r, tol=tol, project=project, precond=precond)
-        for w, c, measure in red.mean_zero:
-            x = x - ((w @ x) / measure) * c
-        fields[key] = red.expand(x).reshape(-1, 3)
+        x = (x.reshape(-1, 3) - problem.means @ x).ravel()
+        fields[key] = problem.reducer.expand(x).reshape(-1, 3)
     return CorrectorSet(problem=problem, fields=fields)
+
+
+def eng_to_kelvin(M: np.ndarray) -> np.ndarray:
+    """A 3x3 matrix on engineering strains (e11, e22, 2 e12) in the orthonormal
+    basis (e11, e22, sqrt(2) e12): S M S with S = diag(1, 1, sqrt(2))."""
+    S = np.diag([1.0, 1.0, np.sqrt(2.0)])
+    return S @ M @ S
 
 
 @dataclass(frozen=True)
@@ -206,12 +204,11 @@ class HomogenizedTensor:
         sign=-1 gives the energy quadratic form on (membrane strain, curvature);
         positive definiteness is invariant under the sign of the off block.
         """
-        S = np.diag([1.0, 1.0, np.sqrt(2.0)])
         blk = np.zeros((6, 6))
-        blk[:3, :3] = S @ self.a_eng @ S
-        blk[3:, 3:] = S @ self.c_eng @ S
-        blk[:3, 3:] = sign * S @ self.b_eng.T @ S
-        blk[3:, :3] = sign * S @ self.b_eng @ S
+        blk[:3, :3] = eng_to_kelvin(self.a_eng)
+        blk[3:, 3:] = eng_to_kelvin(self.c_eng)
+        blk[:3, 3:] = sign * eng_to_kelvin(self.b_eng.T)
+        blk[3:, :3] = sign * eng_to_kelvin(self.b_eng)
         return blk
 
     def min_eigenvalue(self) -> float:
@@ -270,9 +267,9 @@ class PressureCellOperator:
     dofs, the gel mass/diffusion blocks, and the weight vectors int phi and
     int y3 phi over the gel.
 
-    Row k of W is the component-mean functional w_k of `reducer.mean_zero`
-    scaled by sqrt(c_k . diag K) / (w_k . c_k), so that W^T W adds about the
-    mean diagonal of K along the constant field c_k.  K_red + W^T W is SPD,
+    Row k of W is the component mean `problem.means[k]` scaled by
+    sqrt(c_k . diag K), with c_k the constant field of component k, so that
+    W^T W adds about the mean diagonal of K along c_k.  K_red + W^T W is SPD,
     and for a right-hand side orthogonal to the constant fields (every
     right-hand side here is a form in e_y(v) or div_y(v)) its solution is the
     mean-zero solution of K_red u = f (Bochev & Lehoucq, SIAM Rev. 47, 2005).
@@ -290,8 +287,7 @@ class PressureCellOperator:
         self.reducer = self.problem.reducer
         self.K_red = self.problem.K_red
         diag = self.K_red.diagonal()
-        W = np.stack([np.sqrt(c @ diag) / measure * w
-                      for w, c, measure in self.reducer.mean_zero])
+        W = np.sqrt(diag.reshape(-1, 3).sum(axis=0))[:, None] * self.problem.means
         self._K_inv = spd_inverse(self.K_red.toarray() + W.T @ W,
                                   "mean-pinned cell stiffness K + W^T W is not positive definite")
 

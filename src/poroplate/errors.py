@@ -21,10 +21,6 @@ class AssemblyError(PoroplateError):
     """Mesh/operator mismatch during assembly."""
 
 
-class ConstraintError(PoroplateError):
-    """Inconsistent constraint specification."""
-
-
 class SolverError(PoroplateError):
     """Iterative solver failure; carries the residual history for diagnosis."""
 

@@ -10,7 +10,7 @@ from .assembly import (
     lumped_weights,
     vector_dofs,
 )
-from .constraints import ConstraintSet, Reducer
+from .constraints import Reducer
 from .solvers import Kron, pcg, solve_saddle
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "assemble_scalar_source",
     "lumped_weights",
     "vector_dofs",
-    "ConstraintSet",
     "Reducer",
     "Kron",
     "pcg",

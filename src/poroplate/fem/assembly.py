@@ -3,17 +3,18 @@
 Every mesh is a uniform grid, so each operator is one element matrix (one per
 phase, or per label) summed into a global array.  That sum is made here only:
 `scatter` for matrices and `scatter_vector` for vectors, on the element node
-ids of `element_nodes` (or the dof ids of `element_dofs`) and the quadrature
-points of `qp_points`.  A negative id marks an eliminated node or dof (a
-clamped node, a clamped plate dof) and its entries are dropped.
+ids of `element_nodes` (or the scalar dof ids of `element_dofs`) and the
+quadrature points of `qp_points`.  A negative id marks an eliminated node or
+dof (a clamped node, a clamped plate dof) and its entries are dropped.
 
 `scatter` sums on node pairs: an element matrix with b x b' blocks per node
 pair (3 x 3 for elasticity, 1 x 3 for the divergence coupling) is summed
 block-wise into the node-pair pattern and expanded to a canonical CSR matrix
 with int32 indices; a scalar form already has one entry per node pair and
-goes through a plain COO -> CSR.  A node map that sends periodic slave nodes to their
-masters and clamped nodes to -1 (`Reducer.node_map`) assembles P^T A P on the
-reduced dofs directly, without the full matrix.
+goes through a plain COO -> CSR.  On a node map that sends every node to its
+reduced node, -1 where clamped (`micro.clamp_node_map`,
+`cell.periodic_node_map`; see `fem.constraints`), the sum is P^T A P on the
+reduced dofs, assembled directly without the full matrix.
 
 Where element blocks cancel, the sum leaves round-off instead of a zero.  At
 most k elements of a k-node brick or rectangle grid (k = 2^d) share a node
@@ -29,7 +30,10 @@ bound is not a tolerance to tune.
 A form that is only evaluated, never solved with (the micro norms), is not
 assembled: an `ElementForm` keeps the element node ids and one element matrix,
 and `quads` evaluates u^T A u of several forms on the same elements from one
-gather of u's element dofs and one GEMM per block of elements.
+gather of u's element dofs and one GEMM per block of elements.  Every such
+form (strain, gradient) annihilates the constant fields, so `quads` first
+subtracts each element's per-component mean: a field close to constant (the
+gel pressure) then loses no digits to cancellation.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ def element_nodes(mesh, elems_mask=None, node_map=None):
     return node_map[conn], int(node_map.max(initial=-1)) + 1
 
 
-def element_dofs(mesh, elems_mask=None, nodes=None, ncomp: int = 1):
-    """(dofs (ne, 8*ncomp), ndof) of the masked elements on a node subset.
+def element_dofs(mesh, elems_mask=None, nodes=None):
+    """(dofs (ne, 8), ndof) of a scalar field on the masked elements of a node subset.
 
     With `nodes` given, node nodes[i] is renumbered i and the masked elements
     must touch no other node; otherwise every mesh node keeps its id.
@@ -85,7 +89,7 @@ def element_dofs(mesh, elems_mask=None, nodes=None, ncomp: int = 1):
     conn, n = element_nodes(mesh, elems_mask, sub_of)
     if nodes is not None and np.any(conn < 0):
         raise AssemblyError("masked elements touch nodes outside the given node subset")
-    return vector_dofs(conn, ncomp), ncomp * n
+    return conn, n
 
 
 def qp_points(mesh, elems_mask=None) -> np.ndarray:
@@ -198,11 +202,19 @@ class ElementForm:
 
     ke is (k b, k b) for b dofs per node, node-major as in `scatter`, and A
     below is the matrix `scatter(ids, ke, ...)` would assemble; every id must
-    be a node of the vectors the form is applied to.
+    be a node of the vectors the form is applied to.  ke must annihilate the
+    per-component constants, as `quads` relies on (AssemblyError otherwise).
     """
 
     ids: np.ndarray
     ke: np.ndarray
+
+    def __post_init__(self):
+        k = self.ids.shape[1]
+        # a row sum of k b entries, each computed to within k b eps of the largest
+        if (np.abs(self.ke @ _constants(k, len(self.ke) // k)).max()
+                > len(self.ke) ** 2 * EPS * np.abs(self.ke).max()):
+            raise AssemblyError("an element form must annihilate the constant fields")
 
     def quad(self, u: np.ndarray) -> float:
         """u^T A u."""
@@ -215,21 +227,31 @@ class ElementForm:
         return scatter_vector(vector_dofs(self.ids, b), ue @ self.ke.T, len(u))
 
 
+def _constants(k: int, b: int) -> np.ndarray:
+    """(k b, b): column c is the constant field of component c on k nodes, node-major."""
+    return np.kron(np.ones((k, 1)), np.eye(b))
+
+
 def quads(u: np.ndarray, *forms: ElementForm) -> np.ndarray:
     """u^T A u of each of several forms on the same element ids.
 
     Per block of `_ELEM_ROWS` elements, one gather of u's element dofs and one
     GEMM with the element matrices side by side, so the temporaries stay in
-    cache at any mesh size.
+    cache at any mesh size.  Each element's per-component mean is subtracted
+    before the GEMM, which the forms annihilate (see `ElementForm`).
     """
     ids = forms[0].ids
     if any(f.ids is not ids for f in forms):
         raise AssemblyError("forms evaluated together must share their element ids")
     ke = np.hstack([f.ke for f in forms])
-    U = u.reshape(-1, ke.shape[0] // ids.shape[1])
+    k = ids.shape[1]
+    b = ke.shape[0] // k
+    U = u.reshape(-1, b)
+    mean = _constants(k, b) / k   # element dofs -> per-component means
     out = np.zeros(len(forms))
     for i in range(0, len(ids), _ELEM_ROWS):
-        ue = np.take(U, ids[i:i + _ELEM_ROWS], axis=0).reshape(-1, ke.shape[0])
+        ue = np.take(U, ids[i:i + _ELEM_ROWS], axis=0)   # (ne, k, b)
+        ue = (ue - (ue.reshape(len(ue), -1) @ mean)[:, None, :]).reshape(len(ue), -1)
         out += np.einsum("efi,ei->f", (ue @ ke).reshape(len(ue), len(forms), -1), ue)
     return out
 
@@ -257,7 +279,7 @@ def require_coercive(hooke: HookeTensor, tol: float = 1e-12) -> float:
 def assemble_elastic_stiffness(mesh, hooke: HookeTensor, node_map=None) -> sp.csr_matrix:
     """Global stiffness int A e(u):e(v) with the per-phase constant tensors.
 
-    With the `node_map` of a `Reducer` it is the reduced stiffness P^T K P.
+    On a reduced node map (see the module docstring) it is P^T K P.
     """
     require_coercive(hooke)
     ke = np.stack([el.hex_elastic_ke(mesh.spacing, D) for D in (hooke.fiber, hooke.gel)])
@@ -286,7 +308,7 @@ def assemble_scalar_diffusion(mesh, K: np.ndarray, *, elems_mask=None, nodes=Non
 def assemble_divergence_coupling(mesh, *, gel_nodes, node_map=None) -> sp.csr_matrix:
     """C[j, dof] = int_gel phi_j div(xi_dof): pressure rows on gel nodes only.
 
-    With the `node_map` of a `Reducer` the columns are the reduced dofs: C P.
+    On a reduced node map the columns are the reduced dofs: C P.
     """
     gel_mask = mesh.phase == 1
     if not np.any(gel_mask):
@@ -300,7 +322,7 @@ def assemble_body_force(mesh, f_at, node_map) -> np.ndarray:
     """Load vector int f . v with f evaluated at the quadrature points.
 
     f_at(x, y, z) must return (..., 3) stacked components.  On the nodes of
-    the `node_map` of a `Reducer` it is the reduced load P^T f.
+    a reduced node map it is the reduced load P^T f.
     """
     N, _, wdet, _ = el.qp_data(mesh.spacing)
     qp = qp_points(mesh)

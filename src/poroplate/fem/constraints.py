@@ -1,120 +1,52 @@
-"""Constraint handling by exact elimination.
+"""Reduced numberings of the constrained spaces.
 
-Dirichlet dofs (homogeneous: every clamp of the package is zero) are removed
-and periodic slave dofs are identified with their masters.  Mean-zero
-functionals are carried along in reduced coordinates, and each consumer
-enforces them in its own way, keeping its operator SPD:
-* the corrector CG (`cell.solve_correctors`) projects the constant fields out
-  of its residual and shifts each solution to mean zero;
-* the pressure cell operator (`cell.PressureCellOperator`) inverts the
-  stiffness pinned by its means, K + W^T W;
-* the norm-equivalence spectrum (`twoscale.norm_equivalence_spectrum`)
-  restricts its forms to the null space of the mean functionals.
-For a right-hand side orthogonal to the constant fields, each gives the
-solution of a Lagrange multiplier per mean.
+Every constrained space lives on a uniform grid, so its reduced numbering is
+a formula of the grid indices: a clamp numbers the kept nodes or dofs in
+ascending order, -1 elsewhere (`number_kept`: the micro plate's
+`micro.clamp_node_map`, the plate clamp of `geometry.build_plate_mesh`), and
+the periodic cell maps node (i, j, k) to (i mod n, j mod n, k)
+(`cell.periodic_node_map`).  Assembled on such a node map, a form is the
+reduced one, P^T A P or P^T f, with P the 0/1 matrix of the map.  A `Reducer`
+holds the dof map and moves vectors between the two numberings.
+
+The cell space is also mean-zero: `cell.CellProblem.means` holds the
+component means on the reduced dofs, and each consumer enforces them in its
+own way, keeping its operator SPD (the corrector CG projects out the
+constants and shifts, the pressure cell operator pins K by its means, the
+norm-equivalence spectrum restricts to their null space).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as sp
-
-from ..errors import ConstraintError
 
 
-@dataclass
-class ConstraintSet:
-    """Zero Dirichlet dofs, periodic master/slave pairs, optional mean-zero blocks."""
+def number_kept(keep: np.ndarray) -> np.ndarray:
+    """Ids 0, 1, ... of the kept entries of a mask in ascending order, -1 elsewhere."""
+    ids = np.full(len(keep), -1, dtype=np.int64)
+    ids[keep] = np.arange(np.count_nonzero(keep))
+    return ids
 
-    ndof: int
-    dirichlet_dofs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    periodic_slaves: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    periodic_masters: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    # each mean-zero block: (weights over full dofs, indicator of the dof block)
-    mean_zero: list = field(default_factory=list)
 
-    def __post_init__(self):
-        self.dirichlet_dofs = np.asarray(self.dirichlet_dofs, dtype=np.int64)
-        self.periodic_slaves = np.asarray(self.periodic_slaves, dtype=np.int64)
-        self.periodic_masters = np.asarray(self.periodic_masters, dtype=np.int64)
-        dir_set = set(self.dirichlet_dofs.tolist())
-        if dir_set.intersection(self.periodic_slaves.tolist()):
-            raise ConstraintError("a dof appears both as Dirichlet and as periodic slave")
+def node_dof_map(node_map: np.ndarray, ncomp: int) -> np.ndarray:
+    """The dof map of ncomp dofs per node, node-major, -1 at a node mapped to -1."""
+    nodes = np.asarray(node_map, dtype=np.int64)[:, None]
+    return np.where(nodes < 0, -1, ncomp * nodes + np.arange(ncomp)).ravel()
 
 
 class Reducer:
-    """Linear map full = P @ reduced realizing a ConstraintSet exactly.
+    """The reduced numbering of a constrained space: full = P @ reduced.
 
-    It keeps the reduced dof of every dof (`dof_map`): `expand` applies P as
-    a gather, and `P` is built only where a sparse matrix is needed.
+    `dof_map` gives the reduced dof of every full dof (-1 where eliminated),
+    and `free` the first full dof of each reduced dof, in ascending order for
+    every numbering of the package.
     """
 
-    def __init__(self, cons: ConstraintSet):
-        n = cons.ndof
-        root = np.arange(n, dtype=np.int64)
-        root[cons.periodic_slaves] = cons.periodic_masters
-        # path-compress master chains; bounded depth, else the graph has a cycle
-        for _ in range(64):
-            nxt = root[root]
-            if np.array_equal(nxt, root):
-                break
-            root = nxt
-        else:
-            raise ConstraintError("periodic constraint graph has a cycle")
-        if np.any(root[cons.periodic_slaves] == cons.periodic_slaves):
-            raise ConstraintError("periodic slave maps to itself")
-
-        is_slave = np.zeros(n, dtype=bool)
-        is_slave[cons.periodic_slaves] = True
-        is_dir = np.zeros(n, dtype=bool)
-        is_dir[cons.dirichlet_dofs] = True
-        if np.any(is_dir[root[cons.periodic_slaves]]):
-            raise ConstraintError("periodic slave resolves to a Dirichlet master")
-
-        free = np.flatnonzero(~(is_slave | is_dir))
-        red_of = np.full(n, -1, dtype=np.int64)
-        red_of[free] = np.arange(len(free))
-        self.dof_map = red_of[root]   # reduced dof of every dof, -1 where eliminated
-        self.n_reduced = len(free)
-        self.free = free
-        if np.any(self.dof_map[~is_dir] < 0):
-            raise ConstraintError("periodic master resolves to an eliminated dof")
-        # mean-zero data in reduced coordinates: (weights, shift direction, measure)
-        self.mean_zero = []
-        P = self.P
-        for w_full, block_full in cons.mean_zero:
-            w_red = P.T @ np.asarray(w_full, dtype=float)
-            block = np.asarray(block_full, dtype=float)
-            c_red = block[self.free]  # constant-1 field on the block, reduced
-            measure = float(np.asarray(w_full) @ block)
-            self.mean_zero.append((w_red, c_red, measure))
-
-    @property
-    def P(self) -> sp.csr_matrix:
-        """The map full = P @ reduced as a sparse matrix, built on each call:
-        `expand` applies it without one."""
-        rows = np.flatnonzero(self.dof_map >= 0)
-        return sp.csr_matrix((np.ones(len(rows)), (rows, self.dof_map[rows])),
-                             shape=(len(self.dof_map), self.n_reduced))
-
-    def node_map(self, ncomp: int) -> np.ndarray:
-        """Reduced node of every node (-1 where eliminated), for ncomp dofs per node.
-
-        A matrix assembled on these node ids is P^T A P (see `fem.assembly`);
-        the constraints must act on whole nodes.
-        """
-        dofs = self.dof_map.reshape(-1, ncomp)
-        nodes = dofs[:, 0] // ncomp
-        whole = np.where(nodes[:, None] < 0, -1, ncomp * nodes[:, None] + np.arange(ncomp))
-        if not np.array_equal(dofs, whole):
-            raise ConstraintError(f"constraints do not act on whole nodes of {ncomp} dofs")
-        return nodes
-
-    def reduce_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
-        P = self.P
-        return (P.T @ A @ P).tocsr()
+    def __init__(self, dof_map: np.ndarray):
+        self.dof_map = np.asarray(dof_map, dtype=np.int64)
+        red, first = np.unique(self.dof_map, return_index=True)
+        self.free = first[red >= 0]
+        self.n_reduced = len(self.free)
 
     def expand(self, x_red: np.ndarray) -> np.ndarray:
         """P @ x_red: each kept dof reads its reduced dof, and an eliminated

@@ -11,14 +11,17 @@ Keeping phase boundaries on element faces makes every phase integral exact.
 Node and element numbering is lexicographic with x1 fastest:
 node(i, j, k) = i + (nx+1) * (j + (ny+1) * k).  The eps-cells are translates
 of cell 0, so a mesh also carries each cell's global node and element ids in
-one-cell order and its gel nodes cell-major.  The periodic pairs of the
-reference cell are made by `cell.cell_constraints`, the lateral clamp of the
-plate by `micro.clamp_constraints`.
+one-cell order and its gel nodes cell-major.  The reduced numberings are
+formulas of these indices: the periodic cell maps node (i, j, k) to
+(i mod n, j mod n, k) (`cell.periodic_node_map`), and the lateral clamp of
+the plate numbers its interior nodes in ascending order
+(`micro.clamp_node_map`).
 
 The mid-surface mesh (`PlateMesh`) is a rectangle grid of omega that carries
-the limit problem's space: its clamp as a `Reducer` on the membrane and
-bending dofs, the reduced element dofs and the plate quadrature tables.  The
-macro solver and the two-scale oracle read the one mesh they are given.
+the limit problem's space: its clamp as a `Reducer` that numbers the dofs of
+the interior nodes in ascending order, membrane before bending, the reduced
+element dofs and the plate quadrature tables.  The macro solver and the
+two-scale oracle read the one mesh they are given.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import scipy.sparse as sp
 from .errors import GeometryError
 from .fem import elements as el
 from .fem.assembly import vector_dofs
-from .fem.constraints import ConstraintSet, Reducer
+from .fem.constraints import Reducer, number_kept
 
 FIBER, GEL = 0, 1
 
@@ -377,8 +380,9 @@ def build_plate_mesh(omega, m: int) -> PlateMesh:
         """Full dofs [membrane | bending] of the node rows of conn."""
         return np.hstack([vector_dofs(conn, 2), 2 * nn + vector_dofs(conn, 4)])
 
-    boundary = np.flatnonzero((i == 0) | (i == m) | (j == 0) | (j == m))
-    reducer = Reducer(ConstraintSet(6 * nn, dirichlet_dofs=layout(boundary[:, None]).ravel()))
+    clamped = np.zeros(6 * nn, dtype=bool)
+    clamped[layout(np.flatnonzero((i == 0) | (i == m) | (j == 0) | (j == m))[:, None])] = True
+    reducer = Reducer(number_kept(~clamped))
 
     pts, w = el.tensor_rule(*el.gauss1d(N_QP_1D, 0.0, 1.0), 2)
     nq = len(w)

@@ -74,7 +74,7 @@ from . import fem
 from .errors import AssemblyError, SolverError
 from .fem import elements as el
 from .fem.assembly import ElementForm, quads
-from .fem.constraints import ConstraintSet, Reducer
+from .fem.constraints import Reducer, node_dof_map, number_kept
 from .fem.multigrid import VCycle
 from .fem.solvers import Kron, SolutionSpace, StepCache, march, pcg, solve_saddle, spd_inverse
 from .geometry import GEL, BrickMesh
@@ -86,13 +86,13 @@ from .material import BiotParams, HookeTensor, LoadSeries, LoadSpec, require_adm
 INNER_TOL = 1e-12
 
 
-def clamp_constraints(mesh: BrickMesh) -> ConstraintSet:
-    """Homogeneous Dirichlet on the lateral boundary, all three components."""
+def clamp_node_map(mesh: BrickMesh) -> np.ndarray:
+    """The homogeneous lateral clamp, all three components: the interior nodes
+    numbered in ascending order, -1 on the lateral boundary."""
     nx, ny, nz = mesh.nelems
     lateral = np.zeros((nz + 1, ny + 1, nx + 1), dtype=bool)   # [k, j, i]
     lateral[:, [0, ny], :] = lateral[:, :, [0, nx]] = True
-    dofs = (3 * np.flatnonzero(lateral)[:, None] + np.arange(3)).reshape(-1)
-    return ConstraintSet(ndof=3 * mesh.n_nodes, dirichlet_dofs=dofs)
+    return number_kept(~lateral.ravel())
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,8 @@ def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: f
     if len(mesh.gel_nodes) == 0:
         raise AssemblyError("micro mesh has no gel phase")
     loads = loads if loads is not None else LoadSpec()
-    reducer = Reducer(clamp_constraints(mesh))
-    node_map = reducer.node_map(3)
+    node_map = clamp_node_map(mesh)
+    reducer = Reducer(node_dof_map(node_map, 3))
     B = fem.assemble_elastic_stiffness(mesh, hooke, node_map)
     C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes, node_map=node_map)
     M, D = fem.assembly.micro_pressure_blocks(biot, mesh)

@@ -91,13 +91,13 @@ def _check_matched(micro: BrickMesh, cell: BrickMesh):
                             f"(n={cell.n}, {cell.geom}) are not matched")
 
 
-def unfold(values: np.ndarray, micro: BrickMesh, cell: BrickMesh, scale_exp: int = 0) -> UnfoldedField:
-    """Nodal unfolding (Pi_eps psi)(k, y) = eps^-s psi(eps k + eps y) on matched grids."""
+def unfold(values: np.ndarray, micro: BrickMesh, cell: BrickMesh) -> UnfoldedField:
+    """Nodal unfolding (Pi_eps psi)(k, y) = psi(eps k + eps y) on matched grids."""
     _check_matched(micro, cell)
     values = np.asarray(values)
     if values.shape[0] != micro.n_nodes:
         raise AssemblyError("field must be nodal on the micro mesh")
-    data = values[micro.cell_nodes] * micro.eps ** (-scale_exp)
+    data = values[micro.cell_nodes]
     return UnfoldedField(eps=micro.eps, data=data, cell_mesh=cell)
 
 
@@ -112,7 +112,7 @@ def unfolded_l2(uf: UnfoldedField) -> float:
 def gradient_identity_error(values: np.ndarray, micro: BrickMesh, cell: BrickMesh) -> float:
     """max over elements/qps of | grad_y(Pi psi) - eps Pi(grad psi) |."""
     _check_matched(micro, cell)
-    uf = unfold(values, micro, cell, scale_exp=0)
+    uf = unfold(values, micro, cell)
     _, dN_cell, _, _ = el.qp_data(cell.spacing)
     _, dN_micro, _, _ = el.qp_data(micro.spacing)
     g_y = np.einsum("qai,kea->keqi", dN_cell, uf.data[:, cell.elems])
@@ -122,7 +122,7 @@ def gradient_identity_error(values: np.ndarray, micro: BrickMesh, cell: BrickMes
 
 def isometry_error(values: np.ndarray, micro: BrickMesh, cell: BrickMesh) -> float:
     """Relative defect of ||Pi psi||^2_{omega x Ycell} = (1/eps) ||psi||^2_{Omega_eps}."""
-    uf = unfold(values, micro, cell, scale_exp=0)
+    uf = unfold(values, micro, cell)
     lhs = unfolded_l2(uf) ** 2
     M3 = fem.assemble_scalar_mass(micro)
     rhs = float(values @ (M3 @ values)) / micro.eps
@@ -713,8 +713,7 @@ def norm_equivalence_spectrum(cell_mesh: BrickMesh):
     ident = np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
     # the identity tensor's stiffness is the strain form ||e(w)||^2
     problem = CellProblem(cell_mesh, HookeTensor(fiber=ident, gel=ident))
-    red = problem.reducer
-    nred = red.n_reduced
+    nred = problem.reducer.n_reduced
     K_I = problem.K_red.toarray()
     rhs = problem.r_red
     # eta patterns: M^11, M^22, 2 M^12; zeta patterns carry -y3
@@ -730,19 +729,17 @@ def norm_equivalence_spectrum(cell_mesh: BrickMesh):
     Q_S[6:, :6] = R.T
     Q_S[6:, 6:] = K_I
 
-    M_sc = fem.assemble_scalar_mass(cell_mesh)
-    G_vec = sp.kron(fem.assemble_scalar_diffusion(cell_mesh, np.eye(3)), sp.identity(3),
-                    format="csr")
-    M_vec = sp.kron(M_sc, sp.eye(3), format="csr")
-    # note: vector dofs are node-major (3*node+c), matching kron(M, I3)
-    H1 = red.reduce_matrix((M_vec + G_vec).tocsr()).toarray()
+    # the H1 form (mass + diffusion) (x) I_3, assembled on the periodic node map
+    nodes, nn = fem.assembly.element_nodes(cell_mesh, node_map=problem.node_map)
+    ke = el.hex_scalar_mass_ke(cell_mesh.spacing) + el.hex_scalar_diffusion_ke(cell_mesh.spacing,
+                                                                              np.eye(3))
+    H1 = fem.assembly.scatter(nodes, np.kron(ke, np.eye(3)), (3 * nn, 3 * nn)).toarray()
     Q_R = np.zeros((n, n))
     Q_R[:6, :6] = np.eye(6)
     Q_R[6:, 6:] = H1
 
     # mean-zero reduction of the w block
-    Wmean = np.stack([w for (w, _, _) in red.mean_zero])
-    Z = la.null_space(Wmean)
+    Z = la.null_space(problem.means)
     Tmat = np.zeros((n, 6 + Z.shape[1]))
     Tmat[:6, :6] = np.eye(6)
     Tmat[6:, 6:] = Z

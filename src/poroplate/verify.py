@@ -14,7 +14,8 @@ import numpy as np
 
 from . import micro as micro_mod
 from . import twoscale
-from .cell import HomogenizedTensor, compute_homogenized, solve_cell, solve_correctors
+from .cell import (HomogenizedTensor, compute_homogenized, eng_to_kelvin, solve_cell,
+                   solve_correctors)
 from .config import RunConfig, default_config
 from .geometry import CellGeometry, build_cell_mesh, build_micro_mesh, build_plate_mesh
 from .material import HookeTensor, LoadSpec, Poly2T, isotropic
@@ -51,11 +52,6 @@ def _timed(limit):
         run.__name__ = fn.__name__
         return run
     return wrap
-
-
-def _eng_kelvin(M):
-    S = np.diag([1.0, 1.0, np.sqrt(2.0)])
-    return S @ M @ S
 
 
 class AcceptanceSuite:
@@ -129,8 +125,8 @@ class AcceptanceSuite:
         S_avg = ((1 - frac_g) * np.linalg.inv(self.cfg.hooke.fiber)
                  + frac_g * np.linalg.inv(self.cfg.hooke.gel))
         a_R = np.linalg.inv(S_avg[ix])
-        lam_upper = float(np.linalg.eigvalsh(_eng_kelvin(a_V - hom.a_eng)).min())
-        lam_lower = float(np.linalg.eigvalsh(_eng_kelvin(hom.a_eng - a_R)).min())
+        lam_upper = float(np.linalg.eigvalsh(eng_to_kelvin(a_V - hom.a_eng)).min())
+        lam_lower = float(np.linalg.eigvalsh(eng_to_kelvin(hom.a_eng - a_R)).min())
         ok = sym <= 1e-12 and lam_min > 1e-10 and lam_upper >= -1e-10 and lam_lower >= -1e-10
         return ok, {"block_asymmetry": sym, "lambda_min": lam_min,
                     "voigt_gap": lam_upper, "reuss_gap": lam_lower}

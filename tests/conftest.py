@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh, build_micro_mesh
 from poroplate.material import BiotParams, HookeTensor, LoadSpec, Poly2T, isotropic
@@ -39,6 +40,19 @@ def micro_mesh4(default_geom):
 def ramp_loads():
     return LoadSpec(f1=Poly2T([(0.5, 0, 0, 1)]), f3=Poly2T([(1.0, 0, 0, 1)]),
                     h=Poly2T([(1.0, 0, 0, 1)]))
+
+
+def _prolongation(dof_map):
+    """The 0/1 matrix P with full = P @ reduced of a dof map (-1 where eliminated),
+    for references that assemble on every dof and reduce as P^T A P."""
+    rows = np.flatnonzero(dof_map >= 0)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, dof_map[rows])),
+                         shape=(len(dof_map), dof_map.max() + 1))
+
+
+@pytest.fixture(scope="session")
+def prolongation():
+    return _prolongation
 
 
 # ------------------------------------------------------ facet-flux oracle

@@ -9,14 +9,13 @@ from poroplate.cell import (
     MEMBRANE_KEYS,
     CellProblem,
     PressureCellOperator,
-    cell_constraints,
     compute_homogenized,
     corrector_rhs,
     divergence_moments,
+    periodic_node_map,
     solve_correctors,
 )
 from poroplate.errors import AssemblyError
-from poroplate.fem.constraints import Reducer
 from poroplate.geometry import CellGeometry, build_cell_mesh, build_plate_mesh
 from poroplate.material import BiotParams, HookeTensor, isotropic
 from poroplate.verify import AcceptanceSuite
@@ -63,12 +62,12 @@ def test_bending_corrector_parity(homo_correctors):
 def test_corrector_mean_zero_and_periodic(homo_correctors):
     mesh, cs = homo_correctors
     w = fem.lumped_weights(mesh)
-    cons = cell_constraints(mesh)
+    node_map = periodic_node_map(mesh)
+    first = np.unique(node_map, return_index=True)[1]   # the first copy of each reduced node
     for field in cs.fields.values():
         for c in range(3):
             assert abs(w @ field[:, c]) / mesh.volume < 1e-12
-        flat = field.reshape(-1)
-        assert np.abs(flat[cons.periodic_slaves] - flat[cons.periodic_masters]).max() < 1e-12
+        assert np.abs(field - field[first[node_map]]).max() < 1e-12
 
 
 def test_homogenized_closed_form(homo_correctors, homogeneous_hooke):
@@ -98,8 +97,8 @@ def test_corrector_is_energy_minimizer(cell_mesh4, two_phase_hooke):
     # perturbing a corrector by a random periodic mean-zero field raises energy
     cs = solve_correctors(cell_mesh4, two_phase_hooke)
     K = fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke)
-    rhs = corrector_rhs(cell_mesh4, two_phase_hooke)
-    red = Reducer(cell_constraints(cell_mesh4))
+    rhs = corrector_rhs(cell_mesh4, two_phase_hooke, np.arange(cell_mesh4.n_nodes))
+    red = cs.problem.reducer
     rng = np.random.default_rng(5)
 
     def energy(chi_flat, key):
@@ -235,11 +234,12 @@ def test_pressure_corrector_zero_and_linearity(cell_mesh4, two_phase_hooke, biot
     assert np.abs(u2 - 2.0 * u1).max() < 1e-12
 
 
-def test_operator_reduced_blocks_match_reduction(cell_mesh4, two_phase_hooke, biot):
-    # K_red and C_red sum periodic slave nodes onto their masters: P^T K P and C P
+def test_operator_reduced_blocks_match_reduction(cell_mesh4, two_phase_hooke, biot,
+                                                 prolongation):
+    # K_red and C_red sum the periodic copies of a node onto it: P^T K P and C P
     op = PressureCellOperator(cell_mesh4, two_phase_hooke, biot)
-    P = op.reducer.P
-    K_ref = op.reducer.reduce_matrix(fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke))
+    P = prolongation(op.reducer.dof_map)
+    K_ref = P.T @ fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke) @ P
     C_ref = fem.assemble_divergence_coupling(cell_mesh4, gel_nodes=op.gel_nodes) @ P
     for A, ref in ((op.K_red, K_ref), (op.C_red, C_ref)):
         assert A.shape == ref.shape and A.has_canonical_format
@@ -256,12 +256,14 @@ def test_pressure_corrector_dense_oracle(two_phase_hooke, biot):
     C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes).toarray()
     ndof = 3 * mesh.n_nodes
     rows = []
-    cons = cell_constraints(mesh)
-    for s, m in zip(cons.periodic_slaves, cons.periodic_masters):
-        r = np.zeros(ndof)
-        r[s] = 1.0
-        r[m] = -1.0
-        rows.append(r)
+    node_map = periodic_node_map(mesh)
+    first = np.unique(node_map, return_index=True)[1][node_map]   # the first copy of each node
+    for s in np.flatnonzero(first != np.arange(mesh.n_nodes)):
+        for c in range(3):
+            r = np.zeros(ndof)
+            r[3 * s + c] = 1.0
+            r[3 * first[s] + c] = -1.0
+            rows.append(r)
     wnode = fem.lumped_weights(mesh)
     for c in range(3):
         r = np.zeros(ndof)
@@ -282,8 +284,7 @@ def test_pressure_corrector_dense_oracle(two_phase_hooke, biot):
         assert u @ (K @ u) == pytest.approx(sol @ (K @ sol), rel=1e-8, abs=1e-14)
         assert np.abs(u - sol).max() < 1e-8 * max(np.abs(sol).max(), 1e-8)
         # every response of the operator is mean-zero to round-off
-        for w, _, measure in op.reducer.mean_zero:
-            assert np.abs(w @ op.U_C).max() <= 1e-13 * measure * np.abs(op.U_C).max()
+        assert np.abs(op.problem.means @ op.U_C).max() <= 1e-13 * np.abs(op.U_C).max()
 
 
 def test_divergence_moments(cell_mesh4, two_phase_hooke, biot, gel_flux):
@@ -319,17 +320,17 @@ def test_operator_requires_gel(two_phase_hooke, biot):
 
 # ------------------------------------------------- one cell problem, reused
 
-def test_cell_problem_matches_full_dof_reduction(cell_mesh4, two_phase_hooke):
-    # K_red assembled on the node map and r_red against P^T of the full-dof forms
+def test_cell_problem_matches_full_dof_reduction(cell_mesh4, two_phase_hooke, prolongation):
+    # K_red and r_red assembled on the node map against P^T of the full-dof forms
     problem = CellProblem(cell_mesh4, two_phase_hooke)
-    red = problem.reducer
-    K_ref = red.reduce_matrix(fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke))
+    P = prolongation(problem.reducer.dof_map)
+    K_ref = P.T @ fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke) @ P
     assert problem.K_red.shape == K_ref.shape
     assert abs(problem.K_red - K_ref).max() <= 1e-14 * abs(K_ref).max()
-    rhs = corrector_rhs(cell_mesh4, two_phase_hooke)
+    rhs = corrector_rhs(cell_mesh4, two_phase_hooke, np.arange(cell_mesh4.n_nodes))
     assert problem.r_red.keys() == rhs.keys()
     for key, r in rhs.items():
-        ref = red.P.T @ r
+        ref = P.T @ r
         assert np.abs(problem.r_red[key] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -338,7 +339,7 @@ def test_homogenized_matches_full_dof_gram(cell_mesh4, two_phase_hooke):
     cs = solve_correctors(cell_mesh4, two_phase_hooke)
     hom = compute_homogenized(cell_mesh4, two_phase_hooke, cs)
     K = fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke)
-    rhs = corrector_rhs(cell_mesh4, two_phase_hooke)
+    rhs = corrector_rhs(cell_mesh4, two_phase_hooke, np.arange(cell_mesh4.n_nodes))
     D0, D1, D2 = cell.averaged_voigt(cell_mesh4, two_phase_hooke)
     vol = cell_mesh4.volume
 
@@ -388,8 +389,7 @@ def test_homogenized_rejects_another_mesh(cell_mesh4, two_phase_hooke):
 @pytest.fixture
 def call_counts(monkeypatch):
     """Calls of the cell-problem builders and of CG, counted from here on."""
-    counts = dict.fromkeys(("assemble_elastic_stiffness", "corrector_rhs", "reduce_matrix",
-                            "pcg"), 0)
+    counts = dict.fromkeys(("assemble_elastic_stiffness", "corrector_rhs", "pcg"), 0)
 
     def count(owner, name):
         orig = getattr(owner, name)
@@ -402,7 +402,6 @@ def call_counts(monkeypatch):
 
     count(fem, "assemble_elastic_stiffness")
     count(cell, "corrector_rhs")
-    count(Reducer, "reduce_matrix")
     count(fem.solvers, "pcg")
     return counts
 
@@ -411,8 +410,7 @@ def test_cell_pipeline_builds_each_cell_problem_once(call_counts):
     # one stiffness for the correctors' problem and one for the pressure
     # operator's, both on the reduced dofs; one CG per corrector
     AcceptanceSuite().cell_pipeline()
-    assert call_counts == {"assemble_elastic_stiffness": 2, "corrector_rhs": 1,
-                           "reduce_matrix": 0, "pcg": 6}
+    assert call_counts == {"assemble_elastic_stiffness": 2, "corrector_rhs": 1, "pcg": 6}
 
 
 def test_oracle_builds_its_cell_problem_once(call_counts, cell_mesh4, two_phase_hooke, biot):
@@ -423,7 +421,6 @@ def test_oracle_builds_its_cell_problem_once(call_counts, cell_mesh4, two_phase_
 
 
 def test_spectrum_assembles_the_strain_form_reduced(call_counts, cell_mesh4):
-    # only the H1 form is still reduced from full dofs
+    # the strain form is the cell problem's K_red; the H1 form is summed on its node map
     twoscale.norm_equivalence_spectrum(cell_mesh4)
     assert call_counts["assemble_elastic_stiffness"] == 1
-    assert call_counts["reduce_matrix"] == 1

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poroplate import cell, fem, micro
-from poroplate.errors import AssemblyError, ConstraintError, MaterialError, SolverError
+from poroplate.errors import AssemblyError, MaterialError, SolverError
 from poroplate.fem import elements as el
-from poroplate.fem.constraints import ConstraintSet, Reducer
 from poroplate.fem.solvers import (PROJECTION_DIM, TRI_BLOCK, Kron, SolutionSpace, StepCache, _norm,
                                    jacobi, lower_inverse, march, pcg, solve_saddle, spd_inverse)
 from poroplate.geometry import GEL, CellGeometry, build_cell_mesh, build_micro_mesh
@@ -376,8 +375,8 @@ def test_scatter_keeps_small_entries_across_contrast(cell_mesh4, k, nu):
 
 def test_element_dofs_rejects_nodes_outside_subset(cell_mesh4):
     gel_mask, gel_nodes = cell_mesh4.phase == GEL, cell_mesh4.gel_nodes
-    dofs, n = fem.assembly.element_dofs(cell_mesh4, gel_mask, gel_nodes, ncomp=3)
-    assert n == 3 * len(gel_nodes) and dofs.shape == (gel_mask.sum(), 24)
+    dofs, n = fem.assembly.element_dofs(cell_mesh4, gel_mask, gel_nodes)
+    assert n == len(gel_nodes) and dofs.shape == (gel_mask.sum(), 8)
     assert np.array_equal(np.unique(dofs), np.arange(n))
     with pytest.raises(AssemblyError, match="outside the given node subset"):
         fem.assembly.element_dofs(cell_mesh4, None, gel_nodes)
@@ -416,37 +415,13 @@ def test_solver_error_carries_history():
     assert len(err.value.residuals) >= 3
 
 
-def test_dof_in_two_constraint_kinds_errors():
-    with pytest.raises(ConstraintError):
-        ConstraintSet(ndof=4, dirichlet_dofs=[1], periodic_slaves=[1], periodic_masters=[0])
-
-
-def test_periodic_chain_resolution():
-    # 3 -> 2 -> 0 resolves to the root without cycling
-    cons = ConstraintSet(ndof=4, periodic_slaves=[3, 2], periodic_masters=[2, 0])
-    red = Reducer(cons)
-    x = red.expand(np.array([5.0, 7.0]))
-    assert np.allclose(x, [5.0, 7.0, 5.0, 5.0])
-
-
-def test_node_map_of_whole_node_constraints():
-    # node 1 clamped, or node 2 periodic on node 0; a lone dof is not a node
-    clamp = Reducer(ConstraintSet(ndof=9, dirichlet_dofs=[3, 4, 5]))
-    assert clamp.node_map(3).tolist() == [0, -1, 1]
-    periodic = Reducer(ConstraintSet(ndof=9, periodic_slaves=[6, 7, 8], periodic_masters=[0, 1, 2]))
-    assert periodic.node_map(3).tolist() == [0, 1, 0]
-    with pytest.raises(ConstraintError, match="whole nodes"):
-        Reducer(ConstraintSet(ndof=9, dirichlet_dofs=[4])).node_map(3)
-
-
-def test_reduction_preserves_symmetry(cell_mesh4, two_phase_hooke):
-    from poroplate.cell import cell_constraints
-
-    K = fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke)
-    red = Reducer(cell_constraints(cell_mesh4))
-    Kr = red.reduce_matrix(K)
-    d = (Kr - Kr.T)
-    assert np.abs(d.data).max() if d.nnz else 0.0 < 1e-12 * np.abs(Kr.data).max()
+def test_reduction_preserves_symmetry(cell_mesh4, two_phase_hooke, prolongation):
+    # P^T K P on the periodic numbering is symmetric, and so is K_red summed on its node map
+    problem = cell.CellProblem(cell_mesh4, two_phase_hooke)
+    P = prolongation(problem.reducer.dof_map)
+    Kr = (P.T @ fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke) @ P).tocsr()
+    for A in (Kr, problem.K_red):
+        assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
 
 def _saddle(K, C, M, rhs, **kwargs):

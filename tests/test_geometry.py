@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from poroplate.cell import cell_constraints
+from poroplate.cell import periodic_node_map
 from poroplate.errors import GeometryError
+from poroplate.fem.constraints import Reducer, node_dof_map
 from poroplate.geometry import (
     GEL,
     CellGeometry,
@@ -14,7 +15,7 @@ from poroplate.geometry import (
     build_micro_mesh,
     build_plate_mesh,
 )
-from poroplate.micro import clamp_constraints
+from poroplate.micro import clamp_node_map
 
 
 def phase_components(elems: np.ndarray, mask: np.ndarray) -> int:
@@ -63,20 +64,39 @@ def test_grid_snap_warns():
 
 def test_periodic_pairs_shift_and_involution(cell_mesh4):
     m = cell_mesh4
-    cons = cell_constraints(m)
-    # the pairs tie whole nodes, component to component
-    slaves, masters = cons.periodic_slaves[::3] // 3, cons.periodic_masters[::3] // 3
-    assert np.array_equal(cons.periodic_slaves, (3 * slaves[:, None] + np.arange(3)).ravel())
-    assert np.array_equal(cons.periodic_masters, (3 * masters[:, None] + np.arange(3)).ravel())
-    diffs = m.nodes[slaves] - m.nodes[masters]
-    # every pair differs by exactly e1 or e2
-    e1 = np.isclose(diffs, [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12).all(axis=1)
-    e2 = np.isclose(diffs, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-12).all(axis=1)
-    assert np.all(e1 | e2)
-    # slaves are unique and cover exactly the two high faces
-    assert len(np.unique(slaves)) == len(slaves)
+    node_map = periodic_node_map(m)
+    master = np.unique(node_map, return_index=True)[1][node_map]   # first copy of each node
+    copies = np.flatnonzero(master != np.arange(m.n_nodes))
+    assert len(copies) == m.n_nodes - len(np.unique(node_map))
+    # every copy node differs from its master by exactly e1, e2 or e1 + e2
+    diffs = m.nodes[copies] - m.nodes[master[copies]]
+    shifts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    matches = np.isclose(diffs[:, None, :], shifts, rtol=0.0, atol=1e-12).all(axis=2)
+    assert np.all(matches.any(axis=1))
+    # the copies cover exactly the two high faces
     on_high = (np.isclose(m.nodes[:, 0], 1.0) | np.isclose(m.nodes[:, 1], 1.0))
-    assert set(slaves) == set(np.flatnonzero(on_high))
+    assert np.array_equal(copies, np.flatnonzero(on_high))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_periodic_numbering_against_coordinates(n):
+    # two nodes share a reduced node iff their coordinates agree mod 1 in-plane
+    # and in y3; the reduced nodes are 0 ... n_red - 1 with ascending first
+    # copies (the numbering does not depend on the phases)
+    m = build_cell_mesh(CellGeometry(gel_box=None), n)
+    node_map = periodic_node_map(m)
+    key = np.round(m.nodes * n).astype(int)   # grid indices; the spacing is 1/n
+    key[:, :2] %= n
+    _, by_coords = np.unique(key, axis=0, return_inverse=True)
+    same = node_map[:, None] == node_map[None, :]
+    assert np.array_equal(same, by_coords.ravel()[:, None] == by_coords.ravel()[None, :])
+    assert np.array_equal(np.unique(node_map), np.arange(n * n * (2 * n + 1)))
+    red = Reducer(node_dof_map(node_map, 3))
+    assert red.n_reduced == 3 * n * n * (2 * n + 1)
+    assert np.all(np.diff(red.free) > 0)
+    assert np.array_equal(red.dof_map[red.free], np.arange(red.n_reduced))
+    # the first copies are the nodes with i < n and j < n
+    assert np.all(m.nodes[red.free[::3] // 3, :2] < 1.0 - 1e-12)
 
 
 def test_interface_faces_walls_only(cell_mesh4, gel_facets):
@@ -186,9 +206,24 @@ def test_measure_additivity(micro_mesh4):
 
 
 def test_gel_never_touches_lateral(micro_mesh4):
-    lateral = set((clamp_constraints(micro_mesh4).dirichlet_dofs // 3).tolist())
+    lateral = set(np.flatnonzero(clamp_node_map(micro_mesh4) < 0).tolist())
     gel_nodes = set(micro_mesh4.gel_nodes.tolist())
     assert not lateral & gel_nodes
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.125])
+def test_clamp_numbering_against_coordinates(default_geom, eps):
+    # -1 exactly on the lateral boundary of omega = (0, 1)^2, the other nodes
+    # numbered in ascending order
+    m = build_micro_mesh(default_geom, eps, ((0.0, 1.0), (0.0, 1.0)), 4)
+    node_map = clamp_node_map(m)
+    xy = m.nodes[:, :2]
+    lateral = (np.isclose(xy, 0.0, atol=1e-12) | np.isclose(xy, 1.0, atol=1e-12)).any(axis=1)
+    assert np.array_equal(node_map < 0, lateral)
+    assert np.array_equal(node_map[~lateral], np.arange(np.count_nonzero(~lateral)))
+    red = Reducer(node_dof_map(node_map, 3))
+    assert np.all(np.diff(red.free) > 0)
+    assert np.array_equal(red.free, np.flatnonzero(np.repeat(~lateral, 3)))
 
 
 def test_non_integer_tiling_errors(default_geom):
@@ -205,6 +240,12 @@ def test_plate_mesh_counts():
     clamped = pm.reducer.dof_map < 0
     assert np.count_nonzero(clamped[:2 * 81]) == 2 * 32
     assert np.count_nonzero(clamped[2 * 81:]) == 4 * 32
+    # against the coordinates: every dof of a boundary node, membrane then bending
+    on_edge = np.isclose(pm.nodes, 0.0, atol=1e-12) | np.isclose(pm.nodes, 1.0, atol=1e-12)
+    edge = on_edge.any(axis=1)
+    assert np.array_equal(clamped, np.concatenate([np.repeat(edge, 2), np.repeat(edge, 4)]))
+    assert np.all(np.diff(pm.reducer.free) > 0)
+    assert np.array_equal(pm.reducer.dof_map[pm.reducer.free], np.arange(pm.n_red))
     with pytest.raises(GeometryError):
         build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), 1)
 

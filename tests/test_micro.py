@@ -42,13 +42,13 @@ def _full_body_force_parts(mesh, loads, eps):
 
 @pytest.mark.parametrize("eps", [0.5, 0.25])
 def test_reduced_assembly_matches_full_assembly_and_reduction(default_geom, two_phase_hooke,
-                                                              biot, eps):
+                                                              biot, eps, prolongation):
     # B, C and the load parts are assembled on the reduced dofs; the reference
     # assembles them on all dofs and reduces them through P
     mesh = build_micro_mesh(default_geom, eps, ((0.0, 1.0), (0.0, 1.0)), 4)
     sysm = micro.assemble_micro(mesh, two_phase_hooke, biot, eps, CUTOFF_LOADS)
-    P = sysm.reducer.P
-    B_ref = sysm.reducer.reduce_matrix(fem.assemble_elastic_stiffness(mesh, two_phase_hooke))
+    P = prolongation(sysm.reducer.dof_map)
+    B_ref = P.T @ fem.assemble_elastic_stiffness(mesh, two_phase_hooke) @ P
     C_ref = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes) @ P
     for A, ref in ((sysm.B, B_ref), (sysm.C, C_ref)):
         assert A.shape == ref.shape
@@ -97,6 +97,46 @@ def test_norm_forms_match_the_assembled_matrices(default_geom, two_phase_hooke, 
     _assert_norm_forms_match_assembly(sysm, 3)
     with pytest.raises(AssemblyError, match="share their element ids"):
         quads(np.zeros(3 * mesh.n_nodes), sysm.strain_sq, sysm.grad_p_sq)
+
+
+def _longdouble_norms(mesh, U, p):
+    """||e(U)||^2, ||grad U||^2 and ||grad p||^2 (gel) as long-double sums of
+    w_q |.|^2 at the quadrature points: every term is nonnegative."""
+    _, dN, wdet, _ = el.qp_data(mesh.spacing)
+    dN, wdet = dN.astype(np.longdouble), wdet.astype(np.longdouble)
+    gU = np.einsum("qaj,eai->eqij", dN, U.astype(np.longdouble)[mesh.elems])
+    sym = 0.5 * (gU + np.swapaxes(gU, 2, 3))
+    gel_ids = fem.assembly.element_dofs(mesh, mesh.phase == GEL, mesh.gel_nodes)[0]
+    gp = np.einsum("qaj,ea->eqj", dN, p.astype(np.longdouble)[gel_ids])
+    return [np.einsum("q,eq->", wdet, (g**2).reshape(*g.shape[:2], -1).sum(axis=-1))
+            for g in (sym, gU, gp)]
+
+
+def test_norm_forms_lose_no_digits_on_nearly_constant_fields(micro_mesh4, two_phase_hooke, biot):
+    # a field close to a constant, as the gel pressure of the demo run: u^T A u
+    # cancels unless each element's mean is taken out first; the element forms
+    # stay within 1e-14 of a long-double quadrature sum (about 1e-10 without
+    # the subtraction)
+    assert np.finfo(np.longdouble).eps < 1e-18
+    sysm = micro.assemble_micro(micro_mesh4, two_phase_hooke, biot, 0.25)
+    rng = np.random.default_rng(11)
+    U = np.array([1.0, -2.0, 0.5]) + 1e-3 * rng.standard_normal((micro_mesh4.n_nodes, 3))
+    p = 1.0 + 1e-3 * rng.standard_normal(sysm.n_p)
+    got = [*quads(U.reshape(-1), sysm.strain_sq, sysm.grad_sq), sysm.grad_p_sq.quad(p)]
+    for value, ref in zip(got, _longdouble_norms(micro_mesh4, U, p)):
+        assert abs(value - float(ref)) <= 1e-14 * float(ref)
+
+
+def test_element_form_must_annihilate_constants(micro_mesh4):
+    # quads subtracts each element's mean, which only a form that annihilates
+    # the per-component constants allows: a mass form is refused
+    k_mass = el.hex_scalar_mass_ke(micro_mesh4.spacing)
+    with pytest.raises(AssemblyError, match="annihilate the constant fields"):
+        ElementForm(micro_mesh4.elems, k_mass)
+    with pytest.raises(AssemblyError, match="annihilate the constant fields"):
+        ElementForm(micro_mesh4.elems, np.kron(k_mass, np.eye(3)))
+    k_grad = el.hex_scalar_diffusion_ke(micro_mesh4.spacing, np.diag([1.0, 4.0, 0.25]))
+    ElementForm(micro_mesh4.elems, np.kron(k_grad, np.eye(3)))
 
 
 # gel box edges and thickness spans on the n = 4 cell grid

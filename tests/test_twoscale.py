@@ -60,9 +60,6 @@ def test_unfold_constant_and_affine(micro_mesh4, cell_mesh4):
     for k in (0, 5, 15):
         k1 = k % mesh.n_cells[0]
         assert np.abs(uf.data[k] - 0.25 * (k1 + y1)).max() < 1e-14
-    # scaling exponent s multiplies by eps^-s
-    uf1 = twoscale.unfold(mesh.nodes[:, 0], mesh, cell_mesh4, scale_exp=1)
-    assert np.abs(uf1.data - uf.data / 0.25).max() < 1e-13
 
 
 def test_gradient_identity_random(micro_mesh4, cell_mesh4):
