@@ -261,11 +261,11 @@ class PressureCellOperator:
     """Inverted periodic cell elasticity with the gel divergence coupling.
 
     Carries everything the macro solver and the two-scale oracle consume: its
-    own `CellProblem` (`problem`; `reducer` and `K_red` are read from it), the
-    inverse of the mean-pinned stiffness K_red + W^T W, the responses
-    U_C = K^-1 C^T and the dense response map N = C K^-1 C^T on gel pressure
-    dofs, the gel mass/diffusion blocks, and the weight vectors int phi and
-    int y3 phi over the gel.
+    own `CellProblem` (`problem`; `reducer` is read from it), the inverse of
+    the mean-pinned stiffness K_red + W^T W, the responses U_C = K^-1 C^T and
+    the dense response map N = C K^-1 C^T on gel pressure dofs, the gel
+    mass/diffusion blocks, and the weight vectors int phi and int y3 phi over
+    the gel.
 
     Row k of W is the component mean `problem.means[k]` scaled by
     sqrt(c_k . diag K), with c_k the constant field of component k, so that
@@ -285,10 +285,9 @@ class PressureCellOperator:
             raise AssemblyError("cell mesh has no gel phase; pressure operator undefined")
         self.problem = CellProblem(mesh, hooke)
         self.reducer = self.problem.reducer
-        self.K_red = self.problem.K_red
-        diag = self.K_red.diagonal()
-        W = np.sqrt(diag.reshape(-1, 3).sum(axis=0))[:, None] * self.problem.means
-        self._K_inv = spd_inverse(self.K_red.toarray() + W.T @ W,
+        K = self.problem.K_red
+        W = np.sqrt(K.diagonal().reshape(-1, 3).sum(axis=0))[:, None] * self.problem.means
+        self._K_inv = spd_inverse(K.toarray() + W.T @ W,
                                   "mean-pinned cell stiffness K + W^T W is not positive definite")
 
         self.C_red = fem.assemble_divergence_coupling(mesh, gel_nodes=self.gel_nodes,

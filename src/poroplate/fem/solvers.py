@@ -126,11 +126,12 @@ class SolutionSpace:
                 self.TX.append(scale * Te)
 
 
-def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, space=None,
+def pcg(A, b, *, tol=1e-10, x0=None, precond=None, project=None, space=None,
         side=None, history=None):
     """Preconditioned conjugate gradients on an SPD operator.
 
-    Convergence is on ||r|| / ||b||; returns (x, residual_history).  `precond`
+    Convergence is on ||r|| / ||b||; returns (x, residual_history), and raises
+    SolverError with the history after max(200, 12 n) iterations.  `precond`
     applies an SPD preconditioner (none by default; `jacobi` builds the
     diagonal one).  `project` re-imposes orthogonality to a known kernel each
     iteration (mean-zero solves on periodic spaces).  CG starts from zero,
@@ -152,7 +153,7 @@ def pcg(A, b, *, tol=1e-10, maxiter=None, x0=None, precond=None, project=None, s
     apply_A = _as_operator(A)
     apply = apply_A if side is not None else (lambda v: (apply_A(v), None))
     n = len(b)
-    maxiter = maxiter if maxiter is not None else max(200, 12 * n)
+    maxiter = max(200, 12 * n)
     t = None if side is None else np.zeros(side)   # T x
     bnorm = _norm(b)
     if bnorm == 0.0:

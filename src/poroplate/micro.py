@@ -450,65 +450,49 @@ def griso_decompose(U: np.ndarray, mesh: BrickMesh) -> DecompositionReport:
                                max_wbar_average=float(np.abs(avg).max()))
 
 
-def _gel_template_partition(mesh: BrickMesh):
-    """Interior / wall / cap split of the cell-local gel node template."""
-    tpl = mesh.gel_local_template
-    li, lj, lk = tpl.T
-    i_lo, i_hi = li.min(), li.max()
-    j_lo, j_hi = lj.min(), lj.max()
-    k_lo, k_hi = lk.min(), lk.max()
-    on_wall = (li == i_lo) | (li == i_hi) | (lj == j_lo) | (lj == j_hi)
-    full_span = (k_lo == 0) and (k_hi == 2 * mesh.n)
-    on_cap = ((lk == k_lo) | (lk == k_hi)) & ~on_wall
-    interior = ~(on_wall | on_cap)
-    return on_wall, on_cap, interior, full_span
-
-
 def extend_fiber(U: np.ndarray, mesh: BrickMesh, hooke: HookeTensor) -> np.ndarray:
     """Per-cell elastic extension of the fiber trace into the gel boxes.
 
-    The gel spans the full thickness by default, so the cap values are first
-    lifted from the cap-edge trace by a 2D harmonic solve; affine fields are
-    then reproduced exactly by the interior elastic solve.  All cells share
-    one inverse (congruent gel boxes) and are solved batched.
+    A cell's gel nodes form an (nk, nj, ni) box in template order, so its
+    walls (the first and last j and i), its caps (the first and last k) and
+    its interior are slices.  The gel spans the full thickness by default, so
+    the cap values are first lifted from the cap-edge trace by a 2D harmonic
+    solve; affine fields are then reproduced exactly by the interior elastic
+    solve.  All cells share one inverse (congruent gel boxes) and are solved
+    batched.
     """
     U = np.asarray(U, dtype=float).reshape(-1, 3)
     W = U.copy()
     tpl = mesh.gel_local_template
     if len(tpl) == 0:
         return W
-    _, on_cap, interior, full_span = _gel_template_partition(mesh)
-    li, lj, lk = tpl.T
-    gi, gj, gk = np.unique(li), np.unique(lj), np.unique(lk)
-    gnx, gny = len(gi) - 1, len(gj) - 1
-    h = float(mesh.spacing[0])
+    box = tuple(len(np.unique(tpl[:, c])) for c in (2, 1, 0))     # (nk, nj, ni)
     n_cells = mesh.total_cells
-
     nodes_per_cell = mesh.gel_nodes.reshape(n_cells, -1)
-    vals = W[nodes_per_cell].copy()  # (nc, ntpl, 3)
-    tpl_index = {tuple(t): i for i, t in enumerate(tpl)}
+    vals = W[nodes_per_cell].reshape(n_cells, *box, 3)
+    inner = np.zeros(box[1:], dtype=bool)                          # off the walls
+    inner[1:-1, 1:-1] = True
 
-    if full_span and np.any(on_cap) and gnx > 1 and gny > 1:
-        # bilinear Laplace lift of the cap-edge trace, per cap and component
-        _, K2 = fem.assembly.bilinear_grid_forms(gnx, gny, h, h)
-        ii, jj = np.meshgrid(np.arange(gnx + 1), np.arange(gny + 1), indexing="ij")
-        flat = (ii + (gnx + 1) * jj).ravel()
-        edge = ((ii == 0) | (ii == gnx) | (jj == 0) | (jj == gny)).ravel()
-        edge_flat, int_flat = flat[edge], flat[~edge]
-        K2_inv = spd_inverse(K2[int_flat][:, int_flat].toarray(),
+    if tpl[0, 2] == 0 and tpl[-1, 2] == 2 * mesh.n and inner.any():
+        # bilinear Laplace lift of the cap-edge trace, both caps and all
+        # components at once
+        h = float(mesh.spacing[0])
+        _, K2 = fem.assembly.bilinear_grid_forms(box[2] - 1, box[1] - 1, h, h)
+        edge = ~inner.ravel()
+        K2_inv = spd_inverse(K2[~edge][:, ~edge].toarray(),
                              "cap Laplace block of the gel extension is not positive definite")
-        K_ib = K2[int_flat][:, edge_flat].toarray()
-        for kcap in (gk[0], gk[-1]):
-            cap_tpl = np.array([tpl_index[(a, b, kcap)] for b in gj for a in gi])
-            cap_vals = vals[:, cap_tpl, :]  # (nc, nn2, 3), flat 2D node order
-            bdry = cap_vals[:, edge_flat, :].reshape(n_cells, -1, 3)
-            rhs = -np.einsum("ib,cbm->icm", K_ib, bdry).reshape(len(int_flat), -1)
-            sol = (K2_inv @ rhs).reshape(len(int_flat), n_cells, 3)
-            cap_vals[:, int_flat, :] = sol.transpose(1, 0, 2)
-            vals[:, cap_tpl, :] = cap_vals
+        caps = vals[:, [0, -1]].reshape(n_cells, 2, -1, 3)
+        bdry = np.moveaxis(caps[:, :, edge], 2, 0).reshape(edge.sum(), -1)
+        sol = K2_inv @ -(K2[~edge][:, edge] @ bdry)
+        caps[:, :, ~edge] = np.moveaxis(sol.reshape(-1, n_cells, 2, 3), 0, 2)
+        vals[:, [0, -1]] = caps.reshape(n_cells, 2, *box[1:], 3)
 
     # 3D homogeneous elastic solve on the gel interior, Dirichlet walls + caps,
     # on the gel elements of cell 0 numbered in template order
+    interior = np.zeros(box, dtype=bool)
+    interior[1:-1] = inner
+    interior = interior.ravel()
+    vals = vals.reshape(n_cells, -1, 3)
     cell0 = mesh.cell_elems[0]
     node_map = np.full(mesh.n_nodes, -1, dtype=np.int64)
     node_map[nodes_per_cell[0]] = np.arange(len(tpl))

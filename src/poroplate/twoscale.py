@@ -2,16 +2,15 @@
 two-scale oracle, and the micro-to-limit convergence harness.
 
 The macro solver is the exact corrector elimination of the unfolded limit
-problem; the oracle discretizes that limit problem monolithically (macro
-fields, per-quadrature-point cell warping, nodal-in-x two-scale pressure).
-The oracle builds its own `PressureCellOperator` (its own `CellProblem` and
-cell factor, the gel blocks and the response map U_C) and moves its
-per-quadrature-point fields through the plate quadrature map `PlateMesh.N_qp`;
-it reads no corrector fields, divergence moments or homogenized tensor, so
+problem; the oracle eliminates the cell warping of that limit problem exactly
+from its own `PressureCellOperator` (its own `CellProblem` and cell factor,
+the gel blocks and the response map U_C).  Both leave a (6, 6) plate tensor on
+(m, -k) and six cell vectors of the pressure coupling: the macro path takes
+them from the homogenized tensor and the divergence moments of the
+correctors, the oracle from P_Y - r K^-1 r^T and r U_C of its cell operator
+(P_Y the averaged Voigt blocks, r the six cell right-hand sides).  The oracle
+reads no corrector fields, divergence moments or homogenized tensor, so
 agreement between the two paths checks the whole cell/homogenization pipeline.
-Its warping is eliminated: linear in the element's plate vector and the
-pressure at the point, it reaches the step and the energy through small
-per-point forms built once with the system, and a state stores W and p alone.
 
 Both paths share the structure of the plate-gel pressure coupling.  The gel
 pressure p0(x', y) is nodal in x' (plate node i) and lives on the gel dofs j
@@ -23,10 +22,9 @@ form,
 
 with sparse (nn, n_red) plate factors G_k (`plate_coupling_factors`: the
 bilinear shape N_i against the membrane strains and curvatures of V) and cell
-vectors v_k of length ng, applied through its factors (`Coupling`).  The macro
-path takes v_k from the divergence moments of the correctors, the oracle from
-its own cell operator.  The pressure blocks are M_x (x) S_y (`fem.solvers.Kron`),
-and the step's Schur term is
+vectors v_k of length ng, applied through its factors (`Coupling`).  The
+pressure blocks are M_x (x) S_y (`fem.solvers.Kron`), and the step's Schur
+term is
 Gamma^T (M_x^-1 (x) S_y^-1) Gamma = sum_{k,l} (v_k . S_y^-1 v_l) G_k^T M_x^-1 G_l
 (`kron_schur`), so no (nn * ng, n_red) block is ever formed.
 
@@ -39,14 +37,12 @@ and reused every step, so they are inverted once by `fem.solvers.spd_inverse`
 every dense kernel of a step then runs on numpy's BLAS, without switching to
 the separate BLAS library scipy loads.
 
-The two paths share one state (`PlateState`), initial state, implicit Euler
-step and norm table on `_CoupledPlateSystem`, run through the one time-step
-loop `fem.solvers.march` as the micro trajectories do, and build
-their plate matrices (`A_W`, `S_WW`) from a (6, 6) form pulled back through
-`PlateMesh.E`.  A subclass defines only its cell vectors, its plate matrix,
-the previous-state terms of the pressure equation and its elastic energy.
-`oracle_mismatch` is the one measure of "macro = oracle" (AC5), and
-`ORACLE_TOL` its acceptance bound.
+The two paths share one state (`PlateState`), one system built from the
+plate tensor and the cell vectors (`_CoupledPlateSystem`: plate matrix,
+coupling, loads, initial state, implicit Euler step, energy and norm table),
+and the one time-step loop `fem.solvers.march` of the micro trajectories; a
+subclass defines only its constructor.  `oracle_mismatch` is the one
+measure of "macro = oracle" (AC5), and `ORACLE_TOL` its acceptance bound.
 """
 
 from __future__ import annotations
@@ -205,64 +201,66 @@ class PlateState:
         return self.Wb[:, 0]
 
 
-def _strain_form(space: PlateMesh, K: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(24, 24) element matrix sum_q w_q E_q^T K E_q of a (6, 6) form on (m, -k)."""
+def _plate_matrix(space: PlateMesh, K: np.ndarray) -> np.ndarray:
+    """Dense reduced plate matrix of a (6, 6) form K on (m, -k): the element
+    matrix sum_q w_q E_q^T K E_q, the same on every element."""
     E = space.E
-    return np.einsum("q,qab->ab", w, E.transpose(0, 2, 1) @ K @ E)
-
-
-def _plate_matrix(space: PlateMesh, loc: np.ndarray) -> np.ndarray:
-    """Dense reduced plate matrix of one (24, 24) element matrix on every element."""
+    loc = np.einsum("q,qab->ab", space.qp_w, E.transpose(0, 2, 1) @ K @ E)
     n = space.n_red
     return fem.assembly.scatter(space.elem_dofs, loc, (n, n)).toarray()
+
+
+# traces of the unit membrane strains M^11, M^22, M^12 (engineering order)
+_TRACE = np.array([1.0, 1.0, 0.0])[:, None]
 
 
 class _CoupledPlateSystem:
     """Reduced plate dofs W coupled to a two-scale pressure p(x', y), nodal in x'.
 
-    Subclasses set `space`, `ng`, `vol`, `biot` and the cell operator `op`,
-    call `_init_pressure` with their loads, plate matrix and cell vectors, and
-    define what the two formulations do differently:
-    `_carried` (the previous-state terms of the pressure equation) and
-    `_elastic_energy`.  The pressure blocks are M_x (x) S_y (`Kron`) and the
-    coupling is `gamma` = sum_k G_k (x) V[k]; an implicit Euler step is
+    The system is built from two inputs beside the cell operator `op`: a
+    (6, 6) plate tensor K on (m, -k), whose strain form is the plate matrix A,
+    and the six cell vectors V of the coupling `gamma` = sum_k G_k (x) V[k].
+    The pressure blocks are M_x (x) S_y (`Kron`) with
+    S_y = (c M_gel + alpha^2 N + dt D_gel) / |Ycell|, where N = C K^-1 C^T is
+    the cell's pressure response map.  An implicit Euler step is
     `fem.solvers.solve_saddle`, preconditioned by the inverse of the Schur
     matrix A + Gamma^T (M_x (x) S_y)^-1 Gamma, so its CG stops after one
     iteration.  The inverse is built once per step size on a `StepCache`,
     which holds arrays only, never a reference to the system.
     """
 
-    def _init_pressure(self, loads: LoadSpec | None, A: np.ndarray, V: np.ndarray):
-        """Plate factors, gel blocks of `self.op` and loads around the plate
-        matrix A and the cell vectors V of the coupling."""
-        sp_, op, biot = self.space, self.op, self.biot
+    def __init__(self, plate: PlateMesh, op: PressureCellOperator, biot: BiotParams,
+                 K: np.ndarray, V: np.ndarray, loads: LoadSpec | None):
+        self.space, self.op, self.biot = plate, op, biot
+        self.vol = vol = op.cell_volume
+        self.ng = op.n_gel
         loads = loads if loads is not None else LoadSpec()
-        self._A_plate = A
-        self.gamma = Coupling(plate_coupling_factors(sp_), V)
-        self.M_x = sp_.mass()
+        self.A = _plate_matrix(plate, K)
+        self.gamma = Coupling(plate_coupling_factors(plate), V)
+        self.M_x = plate.mass()
         self._M_x_inv = spd_inverse(self.M_x, "plate mass matrix is not positive definite")
         self.M_gel_y = op.M_gel.toarray()
-        self.S_mass_y = (biot.c * self.M_gel_y + biot.alpha**2 * op.N) / self.vol
-        self.D_y = op.D_gel.toarray() / self.vol
-        qpc = sp_.qp_coords()
+        self.S_mass_y = (biot.c * self.M_gel_y + biot.alpha**2 * op.N) / vol
+        self.D_y = op.D_gel.toarray() / vol
+        qpc = plate.qp_coords()
 
         def plate_load(comp, spatial):
             """int f_comp V_comp on the reduced plate dofs."""
             fv = spatial(qpc[..., 0], qpc[..., 1], 0.0)
-            loc = np.zeros((len(sp_.elem_dofs), 24))
+            loc = np.zeros((len(plate.elem_dofs), 24))
             if comp < 2:
-                loc[:, comp:8:2] = np.einsum("q,qa,eq->ea", sp_.qp_w, sp_.N_bil, fv)
+                loc[:, comp:8:2] = np.einsum("q,qa,eq->ea", plate.qp_w, plate.N_bil, fv)
             else:
-                loc[:, 8:] = np.einsum("q,qa,eq->ea", sp_.qp_w, sp_.N_bfs, fv)
-            return fem.assembly.scatter_vector(sp_.elem_dofs, loc, sp_.n_red)
+                loc[:, 8:] = np.einsum("q,qa,eq->ea", plate.qp_w, plate.N_bfs, fv)
+            return fem.assembly.scatter_vector(plate.elem_dofs, loc, plate.n_red)
 
         def pressure_load(_, spatial):
             """(1/|Ycell|) int h phi on the p dofs."""
-            hx = sp_.N_qp.T @ (sp_.qp_w_rows() * spatial(qpc[..., 0], qpc[..., 1], 0.0).ravel())
-            return np.outer(hx, op.w).reshape(-1) / self.vol
+            hx = plate.N_qp.T @ (plate.qp_w_rows() * spatial(qpc[..., 0], qpc[..., 1], 0.0).ravel())
+            return np.outer(hx, op.w).reshape(-1) / vol
 
-        self.F_W = LoadSeries.build(loads.components(), plate_load, sp_.n_red)
-        self.H = LoadSeries.build((loads.h,), pressure_load, sp_.n_nodes * self.ng)
+        self.F_W = LoadSeries.build(loads.components(), plate_load, plate.n_red)
+        self.H = LoadSeries.build((loads.h,), pressure_load, plate.n_nodes * self.ng)
         self._step_cache = StepCache()
 
     def p_mean(self, state: PlateState) -> np.ndarray:
@@ -277,7 +275,7 @@ class _CoupledPlateSystem:
         """Static plate response A W = F(0) with p = 0."""
         F0 = self.F_W(0.0)
         if np.linalg.norm(F0) > 0.0:
-            W_red = spd_inverse(self._A_plate, "plate matrix is not positive definite") @ F0
+            W_red = spd_inverse(self.A, "plate matrix is not positive definite") @ F0
         else:
             W_red = np.zeros(self.space.n_red)
         return self._state(0.0, W_red, np.zeros((self.space.n_nodes, self.ng)))
@@ -288,21 +286,32 @@ class _CoupledPlateSystem:
         t1 = state.t + dt
         A_inv, S, S_inv = self._step_cache.get(dt, self._prepare_step)
         rhs = (self.F_W(t1), dt * self.H(t1) + self._carried(state))
-        W1, p1 = solve_saddle(self._A_plate, self.gamma, self.gamma.T, S, S_inv, rhs,
-                              precond=A_inv)
+        W1, p1 = solve_saddle(self.A, self.gamma, self.gamma.T, S, S_inv, rhs, precond=A_inv)
         return self._state(t1, W1, p1.reshape(self.space.n_nodes, self.ng))
 
     def _prepare_step(self, dt: float):
         """(Schur inverse, M_x (x) S_y, its inverse) for the step size dt."""
         S_y = self.S_mass_y + dt * self.D_y
         Sy_inv = spd_inverse(S_y, "cell pressure block is not positive definite")
-        A = kron_schur(self._A_plate, self.gamma, self._M_x_inv, Sy_inv)
+        A = kron_schur(self.A, self.gamma, self._M_x_inv, Sy_inv)
         return (spd_inverse(A, "plate step Schur matrix is not positive definite"),
                 Kron(self.M_x, S_y), Kron(self._M_x_inv, Sy_inv))
 
+    def _carried(self, state: PlateState) -> np.ndarray:
+        """(M_x (x) S_mass_y) p^n + Gamma W^n: the previous state in the
+        pressure equation."""
+        return Kron(self.M_x, self.S_mass_y) @ state.p.reshape(-1) + self.gamma @ state.W_red
+
+    def _elastic_energy(self, state: PlateState) -> float:
+        """W.A.W plus the pressure response part alpha^2/|Ycell| p0.(M_x (x) N).p0."""
+        p = state.p.reshape(-1)
+        el_W = float(state.W_red @ (self.A @ state.W_red))
+        el_p = self.biot.alpha**2 / self.vol * float(p @ (Kron(self.M_x, self.op.N) @ p))
+        return el_W + el_p
+
     def norms(self, state: PlateState) -> dict:
         """The norms and the energy, c ||p0||^2_{L2(omega x gel)} plus the
-        formulation's elastic energy: one row of the trajectory table."""
+        elastic energy: one row of the trajectory table."""
         p = state.p.reshape(-1)
         pm = self.p_mean(state)
         p0_sq = float(p @ (Kron(self.M_x, self.M_gel_y) @ p))
@@ -316,47 +325,25 @@ class _CoupledPlateSystem:
         }
 
 
-# traces of the unit membrane strains M^11, M^22, M^12 (engineering order)
-_TRACE = np.array([1.0, 1.0, 0.0])[:, None]
-
-
 # ------------------------------------------------------------- macro system
 
 
 class MacroSystem(_CoupledPlateSystem):
-    """Assembled homogenized plate/pressure system with cached step factors."""
+    """The corrector-eliminated plate system: the homogenized tensor
+    [[a, b^T], [b, c]] and the divergence moments of the correctors."""
 
     def __init__(self, hom: HomogenizedTensor, op: PressureCellOperator,
                  moments: MomentTable, plate: PlateMesh, biot: BiotParams,
                  loads: LoadSpec | None = None):
         if hom.min_eigenvalue() <= 1e-10:
             raise AssemblyError("homogenized tensor is not positive definite")
-        self.op = op
-        self.biot = biot
-        self.space = plate
-        self.vol = op.cell_volume
-        self.ng = op.n_gel
-
-        # plate stiffness from the homogenized coefficients on (m, -k)
         K = np.block([[hom.a_eng, hom.b_eng.T], [hom.b_eng, hom.c_eng]])
-        self.A_W = _plate_matrix(self.space, _strain_form(self.space, K, self.space.qp_w))
-
-        # cell vectors of the coupling: divergence moments plus the traces
-        # int phi and int y3 phi, scaled by alpha / |Ycell|
+        # cell vectors: divergence moments plus the traces int phi and
+        # int y3 phi, scaled by alpha / |Ycell|
         cm = np.stack([moments.vec("m", *k) for k in MEMBRANE_KEYS]) + _TRACE * op.w
         cb = np.stack([moments.vec("b", *k) for k in MEMBRANE_KEYS]) + _TRACE * op.w3
-        self._init_pressure(loads, self.A_W, biot.alpha / self.vol * np.vstack([cm, cb]))
-
-    def _carried(self, state: PlateState) -> np.ndarray:
-        """S_mass p^n + Gamma W^n: the previous state in the pressure equation."""
-        return Kron(self.M_x, self.S_mass_y) @ state.p.reshape(-1) + self.gamma @ state.W_red
-
-    def _elastic_energy(self, state: PlateState) -> float:
-        """Homogenized plate energy plus the corrector part alpha^2/|Y| p0.N p0."""
-        p = state.p.reshape(-1)
-        el_W = float(state.W_red @ (self.A_W @ state.W_red))
-        el_p = self.biot.alpha**2 / self.vol * float(p @ (Kron(self.M_x, self.op.N) @ p))
-        return el_W + el_p
+        V = biot.alpha / op.cell_volume * np.vstack([cm, cb])
+        super().__init__(plate, op, biot, K, V, loads)
 
 
 def assemble_macro(hom: HomogenizedTensor, op: PressureCellOperator, moments: MomentTable,
@@ -374,132 +361,43 @@ def run_macro(msys: MacroSystem, T: float, nsteps: int):
 
 
 class MupSystem(_CoupledPlateSystem):
-    """Monolithic discretization of the re-scaled unfolded limit problem.
+    """The unfolded limit problem with its cell warping eliminated exactly,
+    from this system's own `PressureCellOperator` (built here, never taken
+    from the macro path).
 
-    Warping unknowns live per macro quadrature point in the reduced periodic
-    mean-zero cell space and are eliminated through this system's own
-    `PressureCellOperator` (built here, never taken from the macro path):
-    at the point q of element e the warping is
-    ubar_eq = alpha U_C P_eq - T_q W_e, with W_e the element's local plate
-    vector, P_eq = (N_qp p)_eq the gel pressure at the point and T_q the
-    cell responses to the strain table E_q.  No corrector fields, divergence
-    moments or homogenized coefficients are read.  The W-p coupling of the
-    eliminated system is -Gamma^T with the same plate factors G_k as the macro
-    path and cell vectors built from the cell operator's response U_C.
-
-    A state holds W and p alone.  The warping enters the pressure equation
-    (C ubar) and the energy ((2 R_q W + K ubar) . ubar) through small forms in
-    (W_e, P_eq) built once here: C U_C and C T_q for the carried coupling, and
-    the blocks Q_WW, Q_WP[q] and Q_PP of the energy, applied as matmuls.
+    At a plate quadrature point the warping is ubar = alpha U_C P - K^-1 r^T E,
+    with E the (m, -k) strain of W, P the gel pressure there, r the six cell
+    right-hand sides and U_C = K^-1 C^T.  Substituted into the limit problem
+    it leaves the plate tensor (P_Y - r K^-1 r^T) / |Ycell|, with P_Y the
+    averaged Voigt blocks, the cell vectors alpha / |Ycell| (traces - r U_C)
+    of the coupling and the pressure response alpha^2 N / |Ycell|, the pieces
+    of the macro system.  No corrector fields, divergence moments or
+    homogenized coefficients are read, and a state holds W and p alone.
     """
 
     def __init__(self, cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
                  biot: BiotParams, loads: LoadSpec | None = None,
                  budget_dofs: int = 300_000):
-        self.cell_mesh = cell_mesh
-        self.biot = biot
-        self.space = plate
-        self.vol = cell_mesh.volume
-        sp_ = self.space
-        nq = len(sp_.qp_w)
-
         op = PressureCellOperator(cell_mesh, hooke, biot)
-        self.op = op
-        nred = op.reducer.n_reduced
-        self.ng = ng = op.n_gel
-        total = sp_.n_red + sp_.n_nodes * ng   # the W and p a state holds
+        total = plate.n_red + plate.n_nodes * op.n_gel   # the W and p a state holds
         if total > budget_dofs:
             raise BudgetError(
                 f"two-scale oracle needs {total} dofs, over the budget of {budget_dofs}")
-
-        r_red = op.problem.r_red
-        self.r_m = np.stack([r_red[("m",) + k] for k in MEMBRANE_KEYS])  # (3, nred)
-        self.r_b = np.stack([r_red[("b",) + k] for k in MEMBRANE_KEYS])
-        D0, D1, D2 = op.problem.voigt
+        r = np.stack([op.problem.r_red[(kind,) + k] for kind in "mb" for k in MEMBRANE_KEYS])
         E_eng = np.stack([_ENG_UNIT[k] for k in MEMBRANE_KEYS], axis=1)  # (6, 3)
-        self.P0 = E_eng.T @ D0 @ E_eng
-        self.P1 = E_eng.T @ D1 @ E_eng
-        self.P2 = E_eng.T @ D2 @ E_eng
-
-        # per-qp cell blocks, laid out (nred, nq, 24) (uniform plate grid: one
-        # set of nq blocks): R_q = r^T E_q, the responses T_q = K^-1 R_q and K T_q
-        r = np.vstack([self.r_m, self.r_b])
-        R = np.ascontiguousarray((r.T @ sp_.E).transpose(1, 0, 2))
-        T = op.solve_reduced(R.reshape(nred, nq * 24))                   # (nred, nq * 24)
-        KT = (op.K_red @ T).reshape(R.shape)
-        T = T.reshape(R.shape)
-        wt = (sp_.qp_w / self.vol)[:, None]
-        P_bar = _strain_form(sp_, np.block([[self.P0, self.P1], [self.P1, self.P2]]), wt[:, 0])
-
-        # reduced elastic operator on W: A_WW - sum wtilde R_q^T T_q
-        self.S_WW = _plate_matrix(sp_, P_bar - (wt * R).reshape(-1, 24).T @ T.reshape(-1, 24))
-
-        # W-p coupling: the direct trace part int phi, int y3 phi of each unit
-        # strain and the elastic u_P part r.U_C, per plate factor G_k
-        alpha = biot.alpha
-        scale = alpha / self.vol
-        V_trace = scale * np.vstack([_TRACE * op.w, _TRACE * op.w3])
-        self._init_pressure(loads, self.S_WW, V_trace - scale * (r @ op.U_C))
-        # Q_W = sum_k G_k (x) V_trace[k]: the direct div(W_L) part of the coupling
-        self._trace_coupling = Coupling(self.gamma.G, V_trace)
-
-        def by_point(X):
-            """(24, nq * ng) layout of a (nq * 24, ng) block of per-point forms."""
-            return X.reshape(nq, 24, ng).transpose(1, 0, 2).reshape(24, nq * ng)
-
-        # C ubar_eq = P_eq @ CU - (W_e @ CT)_q with CU = alpha (C U_C)^T
-        self._CU = alpha * (op.C_red @ op.U_C).T                             # (ng, ng)
-        self._CT = by_point((op.C_red @ T.reshape(nred, -1)).T)
-        # energy (1/|Y|) sum_eq w_q (W_e.P_q.W_e + 2 W_e.R_q^T ubar + ubar.K ubar)
-        # = sum_e W_e.Q_WW.W_e + sum_eq (2 W_e.Q_WP[q].P_eq + w_q/|Y| P_eq.Q_PP.P_eq),
-        # with the weights w_q / |Y| folded into Q_WW and Q_WP
-        self._Q_WW = P_bar + (wt * T).reshape(-1, 24).T @ (KT - 2.0 * R).reshape(-1, 24)
-        self._Q_WP = by_point(alpha * (wt * (R - KT)).reshape(nred, -1).T @ op.U_C)
-        self._Q_PP = alpha**2 * (op.U_C.T @ (op.K_red @ op.U_C))
-
-    # ---------------------------------------------------------------- pieces
-
-    def _local_W(self, W_red):
-        """(ne, 24) local reduced coefficients (zeros at clamped dofs)."""
-        sp_ = self.space
-        out = np.zeros((len(sp_.elem_dofs), 24))
-        mask = sp_.elem_dofs >= 0
-        out[mask] = W_red[sp_.elem_dofs[mask]]
-        return out
-
-    def _point_fields(self, state: PlateState):
-        """(W_e (ne, 24), P_eq (ne, nq * ng)) of a state."""
-        ne = len(self.space.elem_dofs)
-        return self._local_W(state.W_red), (self.space.N_qp @ state.p).reshape(ne, -1)
-
-    # ------------------------------------------------- formulation-specific
-
-    def _carried(self, state: PlateState) -> np.ndarray:
-        """c-mass p^n plus the couplings of the warping and of W at t^n:
-        (alpha/|Y|) N_qp^T (w_q C ubar_eq) + Q_W W."""
-        sp_ = self.space
-        Wloc, P = self._point_fields(state)
-        cu = P.reshape(-1, self.ng) @ self._CU - (Wloc @ self._CT).reshape(-1, self.ng)
-        wq = self.biot.alpha / self.vol * sp_.qp_w_rows()
-        mass = Kron(self.M_x, (self.biot.c * self.M_gel_y) / self.vol) @ state.p.reshape(-1)
-        return mass + ((sp_.N_qp.T @ (wq[:, None] * cu)).reshape(-1)
-                       + self._trace_coupling @ state.W_red)
-
-    def _elastic_energy(self, state: PlateState) -> float:
-        """(1/|Y|) || E(W) + e_y(ubar) ||_A^2 of the oracle state, through the
-        reduced forms in (W_e, P_eq)."""
-        Wloc, P = self._point_fields(state)
-        P_rows = P.reshape(-1, self.ng)
-        wq = self.space.qp_w_rows() / self.vol
-        return (float(np.sum((Wloc @ self._Q_WW) * Wloc))
-                + 2.0 * float(np.sum((Wloc @ self._Q_WP) * P))
-                + float(wq @ np.sum((P_rows @ self._Q_PP) * P_rows, axis=1)))
+        P0, P1, P2 = (E_eng.T @ D @ E_eng for D in op.problem.voigt)
+        K = (np.block([[P0, P1], [P1, P2]]) - r @ op.solve_reduced(r.T)) / op.cell_volume
+        K = 0.5 * (K + K.T)   # symmetric but for the round-off of the dense inverse
+        traces = np.vstack([_TRACE * op.w, _TRACE * op.w3])
+        V = biot.alpha / op.cell_volume * (traces - r @ op.U_C)
+        super().__init__(plate, op, biot, K, V, loads)
 
 
 def solve_mup_direct(cell_mesh: BrickMesh, plate: PlateMesh, hooke: HookeTensor,
                      biot: BiotParams, loads: LoadSpec, T: float, nsteps: int,
                      budget_dofs: int = 300_000):
-    """Monolithic trajectory of the unfolded limit problem (the oracle path).
+    """Trajectory of the unfolded limit problem with its warping eliminated
+    (the oracle path).
 
     The trajectory's start builds the system, after the nsteps check.
     """

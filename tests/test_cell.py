@@ -241,7 +241,7 @@ def test_operator_reduced_blocks_match_reduction(cell_mesh4, two_phase_hooke, bi
     P = prolongation(op.reducer.dof_map)
     K_ref = P.T @ fem.assemble_elastic_stiffness(cell_mesh4, two_phase_hooke) @ P
     C_ref = fem.assemble_divergence_coupling(cell_mesh4, gel_nodes=op.gel_nodes) @ P
-    for A, ref in ((op.K_red, K_ref), (op.C_red, C_ref)):
+    for A, ref in ((op.problem.K_red, K_ref), (op.C_red, C_ref)):
         assert A.shape == ref.shape and A.has_canonical_format
         assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
 

@@ -268,6 +268,27 @@ def test_cli_bad_coefficients_file_exit_code(tmp_path, capsys, content, message)
     assert message in err
 
 
+def test_verify_all_csv_is_identical_across_reruns(tmp_path, monkeypatch):
+    # the checks' wall times differ from run to run; they go to report.txt,
+    # and verify_all.csv holds only what a rerun reproduces
+    from poroplate.verify import AcceptanceSuite, CheckResult
+
+    calls = []
+
+    def run_all(self, hom_override=None):
+        calls.append(None)
+        return [CheckResult("AC1", "cell correctors", True, 0.5 * len(calls), 10.0),
+                CheckResult("AC2", "homogenized tensor", False, 1.5 / len(calls), 10.0)]
+
+    monkeypatch.setattr(AcceptanceSuite, "run_all", run_all)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    codes = [cli.main(["verify-all", "--out", str(out)]) for out in (out1, out2)]
+    assert codes == [cli.EXIT_ACCEPT] * 2 and len(calls) == 2
+    assert filecmp.cmp(out1 / "verify_all.csv", out2 / "verify_all.csv", shallow=False)
+    assert (out1 / "verify_all.csv").read_text().splitlines()[1] == "AC1,pass,cell correctors"
+    assert not filecmp.cmp(out1 / "report.txt", out2 / "report.txt", shallow=False)
+
+
 def test_tampered_coefficients_fail_oracle_check():
     from poroplate.verify import AcceptanceSuite
 

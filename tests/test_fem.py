@@ -407,12 +407,12 @@ def test_pcg_poisson_closed_form():
 
 
 def test_solver_error_carries_history():
-    n = 30
-    A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
-                 format="csr")
-    with pytest.raises(SolverError) as err:
-        pcg(A, np.ones(n), tol=1e-30, maxiter=3)
-    assert len(err.value.residuals) >= 3
+    # a condition number of 1e14 keeps CG above tol=1e-30 up to its cap of
+    # max(200, 12 n) = 360 iterations; the error carries every residual
+    b = np.random.default_rng(4).standard_normal(30)
+    with pytest.raises(SolverError, match="did not reach tol=1.0e-30 in 360 iterations") as err:
+        pcg(sp.diags(np.logspace(0, 14, 30)), b, tol=1e-30)
+    assert len(err.value.residuals) == 361
 
 
 def test_reduction_preserves_symmetry(cell_mesh4, two_phase_hooke, prolongation):

@@ -770,6 +770,13 @@ def test_extension_rigid_and_affine(micro_mesh4, two_phase_hooke):
     assert np.abs(W - U).max() < 1e-12
 
 
+def _off_wall_gel_nodes(mesh):
+    """(cells, nk, nj - 2, ni - 2) gel nodes off the walls of each cell's gel
+    box: its interior and its caps."""
+    box = [len(np.unique(mesh.gel_local_template[:, c])) for c in (2, 1, 0)]
+    return mesh.gel_nodes.reshape(mesh.total_cells, *box)[:, :, 1:-1, 1:-1]
+
+
 def test_extension_energy_ratio_bounded(default_geom, two_phase_hooke):
     # random fiber data on a one-cell plate: ||e(w)|| <= C ||e(U)||_fiber with
     # a moderate constant over a sample survey
@@ -778,10 +785,7 @@ def test_extension_energy_ratio_bounded(default_geom, two_phase_hooke):
     E_all = ElementForm(mesh.elems, ke)
     E_fib = ElementForm(mesh.elems[mesh.phase == 0], ke)
     rng = np.random.default_rng(11)
-    from poroplate.micro import _gel_template_partition
-
-    _, on_cap, interior, _ = _gel_template_partition(mesh)
-    inner = mesh.gel_nodes.reshape(mesh.total_cells, -1)[0][interior | on_cap]
+    inner = _off_wall_gel_nodes(mesh)[0].ravel()
     ratios = []
     for _ in range(10):
         U = rng.standard_normal((mesh.n_nodes, 3))
@@ -805,13 +809,7 @@ def test_extension_residual_vanishes_on_fiber(small_system, two_phase_hooke):
     # the gel residual U - extend_fiber(U) vanishes on fiber and interface by construction
     traj = micro.run_transient(small_system, 0.25, 2)
     fiber_mask = np.ones(small_system.mesh.n_nodes, dtype=bool)
-    from poroplate.micro import _gel_template_partition
-
-    _, on_cap, interior, _ = _gel_template_partition(small_system.mesh)
-    gel = small_system.mesh.gel_nodes.reshape(small_system.mesh.total_cells, -1)
-    for c in range(small_system.mesh.total_cells):
-        inner = gel[c][interior | on_cap]
-        fiber_mask[inner] = False
+    fiber_mask[_off_wall_gel_nodes(small_system.mesh).ravel()] = False
     u_eps = traj.final.U - micro.extend_fiber(traj.final.U, small_system.mesh,
                                               two_phase_hooke)
     assert np.abs(u_eps[fiber_mask]).max() == 0.0

@@ -167,7 +167,7 @@ def _manufactured_errors(m):
     space = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), m)
     K = np.zeros((6, 6))
     K[:3, :3], K[3:, 3:] = a, c
-    A = twoscale._plate_matrix(space, twoscale._strain_form(space, K, space.qp_w))
+    A = twoscale._plate_matrix(space, K)
     x = space.qp_coords()
     f = [P.polyval2d(x[..., 0], x[..., 1], fc) for fc in loads]        # (ne, nq) each
     loc = np.zeros((len(space.elem_dofs), 24))

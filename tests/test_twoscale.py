@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from poroplate import fem, micro, twoscale
 from poroplate.cell import (
+    _ENG_UNIT,
     MEMBRANE_KEYS,
     HomogenizedTensor,
     PressureCellOperator,
@@ -215,7 +216,7 @@ def _B_bend(space, q):
 
 
 def _per_qp_plate_stiffness(hom, space):
-    """A_W by the per-quadrature-point block loop over the membrane/bending blocks."""
+    """The plate matrix A by the per-quadrature-point loop over the membrane/bending blocks."""
     a, b, c = hom.a_eng, hom.b_eng, hom.c_eng
     loc = np.zeros((24, 24))
     for q in range(len(space.qp_w)):
@@ -239,7 +240,7 @@ def test_macro_stiffness_matches_per_qp_block_loop(cell_pipeline, biot):
     plate = build_plate_mesh(((0.0, 1.0), (0.0, 2.0)), 4)
     msys = twoscale.assemble_macro(hom_b, op, mom, plate, biot, LoadSpec())
     ref = _per_qp_plate_stiffness(hom_b, msys.space)
-    assert np.abs(msys.A_W - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(msys.A - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_zero_steps_rejected_before_any_build(cell_pipeline, cell_mesh4, two_phase_hooke, biot):
@@ -300,7 +301,7 @@ def test_macro_constant_source_saturates(cell_pipeline, biot):
     dt = 8.0 / 32
     s0, s1 = states[-2], states[-1]
     Gamma = _gamma(msys)
-    r1 = msys.A_W @ s1.W_red - Gamma.T @ s1.p.reshape(-1) - msys.F_W(s1.t)
+    r1 = msys.A @ s1.W_red - Gamma.T @ s1.p.reshape(-1) - msys.F_W(s1.t)
     lhs = (Gamma @ (s1.W_red - s0.W_red)
            + (msys.M_x @ (s1.p - s0.p) @ msys.S_mass_y.T).reshape(-1)
            + dt * (msys.M_x @ s1.p @ msys.D_y.T).reshape(-1))
@@ -380,7 +381,7 @@ def test_mup_alpha_zero_warping_is_corrector_reconstruction(
                                                 biot0, loads, 0.25, 2)
     st = states[-1]
     space = msys.space
-    Wloc = msys._local_W(st.W_red)
+    Wloc = _local_W(space, st.W_red)
     ubar = _ref_ubar(msys, st.W_red, st.p)
     red = msys.op.reducer
     chi_m = np.stack([red.restrict(cs.field("m", *k).reshape(-1))
@@ -453,7 +454,7 @@ def test_coupling_operator_matches_sparse_gamma(coupled_m3):
     # matrix of the same factors
     _, _, msys, osys = coupled_m3
     rng = np.random.default_rng(8)
-    for gamma in (msys.gamma, osys.gamma, osys._trace_coupling):
+    for gamma in (msys.gamma, osys.gamma, _trace_coupling(osys)):
         ref = sum(sp.kron(g, v[:, None], format="csr") for g, v in zip(gamma.G, gamma.V))
         W, p = rng.standard_normal(ref.shape[1]), rng.standard_normal(ref.shape[0])
         for got, want in ((gamma @ W, ref @ W), (gamma.T @ p, ref.T @ p),
@@ -488,8 +489,8 @@ def test_kronecker_schur_matches_dense(coupled_m3, biot):
     dt = float(np.random.default_rng(7).uniform(0.01, 1.0))
     S_y = msys.S_mass_y + dt * msys.D_y
     G = _macro_gamma_reference(op, mom, msys, biot)
-    dense = msys.A_W + G.T @ np.kron(np.linalg.inv(msys.M_x), np.linalg.inv(S_y)) @ G
-    got = twoscale.kron_schur(msys.A_W, msys.gamma, np.linalg.inv(msys.M_x), np.linalg.inv(S_y))
+    dense = msys.A + G.T @ np.kron(np.linalg.inv(msys.M_x), np.linalg.inv(S_y)) @ G
+    got = twoscale.kron_schur(msys.A, msys.gamma, np.linalg.inv(msys.M_x), np.linalg.inv(S_y))
     assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -507,7 +508,7 @@ def test_oracle_coupling_matches_its_warping_coupling(coupled_m3):
     _, _, _, osys = coupled_m3
     W = np.random.default_rng(3).standard_normal(osys.space.n_red)
     ubar = _ref_ubar(osys, W, np.zeros(osys.space.n_nodes * osys.ng))
-    explicit = _ref_warping_coupling(osys, ubar).reshape(-1) + osys._trace_coupling @ W
+    explicit = _ref_warping_coupling(osys, ubar).reshape(-1) + _trace_coupling(osys) @ W
     got = _gamma(osys) @ W
     assert np.abs(got - explicit).max() <= 1e-8 * np.abs(explicit).max()
 
@@ -628,15 +629,39 @@ def test_mup_matches_macro_plate8(cell_pipeline, cell_mesh4, two_phase_hooke, bi
             assert a[key] == pytest.approx(b[key], rel=1e-6, abs=1e-14)
 
 
+def _local_W(space, W):
+    """(ne, 24) local reduced coefficients of W (zeros at clamped dofs)."""
+    return np.append(W, 0.0)[space.elem_dofs]
+
+
+def _cell_blocks(op):
+    """(r_m (3, nred), r_b (3, nred), (P0, P1, P2)): the membrane and bending
+    cell right-hand sides and the averaged Voigt blocks on the engineering
+    in-plane strains, of the cell operator's own `CellProblem`."""
+    r_red = op.problem.r_red
+    r_m, r_b = (np.stack([r_red[(kind,) + k] for k in MEMBRANE_KEYS]) for kind in "mb")
+    E_eng = np.stack([_ENG_UNIT[k] for k in MEMBRANE_KEYS], axis=1)
+    return r_m, r_b, tuple(E_eng.T @ D @ E_eng for D in op.problem.voigt)
+
+
+def _trace_coupling(osys):
+    """sum_k G_k (x) V_trace[k]: the direct div(W_L) part of the oracle coupling,
+    from the traces int phi and int y3 phi scaled by alpha / |Ycell|."""
+    trace = np.array([1.0, 1.0, 0.0])[:, None]
+    V = osys.biot.alpha / osys.vol * np.vstack([trace * osys.op.w, trace * osys.op.w3])
+    return twoscale.Coupling(osys.gamma.G, V)
+
+
 def _ref_ubar(osys, W, p):
     """Per-(element, qp) warping with T_E[q] from one cell solve per qp."""
     space, op = osys.space, osys.op
-    Wloc = osys._local_W(W)
+    Wloc = _local_W(space, W)
     P = p.reshape(space.n_nodes, osys.ng)
     nq = len(space.qp_w)
     ubar = np.empty((len(space.elem_dofs), nq, osys.op.reducer.n_reduced))
+    r_m, r_b, _ = _cell_blocks(op)
     for q in range(nq):
-        RE = np.hstack([osys.r_m.T @ _B_mem(space, q), -osys.r_b.T @ _B_bend(space, q)])
+        RE = np.hstack([r_m.T @ _B_mem(space, q), -r_b.T @ _B_bend(space, q)])
         TE = op.solve_reduced(RE)
         for e, conn in enumerate(space.quads):
             pq = space.N_bil[q] @ P[conn]
@@ -660,17 +685,18 @@ def _ref_warping_coupling(osys, ubar):
 def _ref_elastic_energy(osys, W, p):
     """(1/|Y|) sum_eq w_q (E(W).P.E(W) + 2 E(W).r.u + u.K u) at u = `_ref_ubar`."""
     space = osys.space
-    Wloc = osys._local_W(W)
+    Wloc = _local_W(space, W)
     ubar = _ref_ubar(osys, W, p)
-    K = osys.op.K_red
+    K = osys.op.problem.K_red
+    r_m, r_b, (P0, P1, P2) = _cell_blocks(osys.op)
     elastic = 0.0
     for e in range(len(space.elem_dofs)):
         for q in range(len(space.qp_w)):
             m = _B_mem(space, q) @ Wloc[e, :8]
             k = _B_bend(space, q) @ Wloc[e, 8:]
             u = ubar[e, q]
-            quad = (m @ osys.P0 @ m - 2.0 * m @ osys.P1 @ k + k @ osys.P2 @ k
-                    + 2.0 * (m @ osys.r_m - k @ osys.r_b) @ u + u @ (K @ u))
+            quad = (m @ P0 @ m - 2.0 * m @ P1 @ k + k @ P2 @ k
+                    + 2.0 * (m @ r_m - k @ r_b) @ u + u @ (K @ u))
             elastic += space.qp_w[q] / osys.vol * quad
     return elastic
 
@@ -698,7 +724,7 @@ def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
     space, ng = osys.space, osys.ng
     st = _random_oracle_state(osys, 12)
     W = st.W_red
-    Wloc = osys._local_W(W)
+    Wloc = _local_W(space, W)
     scale = biot.alpha / osys.vol
     ref_W = np.zeros((space.n_nodes, ng))
     for e, conn in enumerate(space.quads):
@@ -708,7 +734,7 @@ def test_oracle_couplings_match_per_qp_loops(coupled_m3, biot):
             for a in range(4):
                 wN = scale * space.qp_w[q] * space.N_bil[q, a]
                 ref_W[conn[a]] += wN * (trm * osys.op.w - trk * osys.op.w3)
-    got_W = (osys._trace_coupling @ W).reshape(space.n_nodes, ng)
+    got_W = (_trace_coupling(osys) @ W).reshape(space.n_nodes, ng)
     assert np.abs(got_W - ref_W).max() <= 1e-12 * np.abs(ref_W).max()
     ref_u = _ref_warping_coupling(osys, _ref_ubar(osys, W, st.p))
     mass = biot.c / osys.vol * osys.M_x @ st.p @ osys.M_gel_y.T
@@ -960,6 +986,19 @@ def test_mup_matches_macro_asymmetric_cell(two_phase_hooke):
     for a, b in zip(mtable[1:], otable[1:]):
         for key in ("Wm", "W3", "p_m", "p0", "energy"):
             assert a[key] == pytest.approx(b[key], rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize("z_span, plate_m", [((-1.0, 1.0), 3), ((-1.0, 0.5), 4)])
+def test_oracle_plate_matrix_matches_macro(z_span, plate_m, two_phase_hooke, biot):
+    # the oracle's plate tensor (P_Y - r K^-1 r^T) / |Ycell|, from its own dense
+    # cell inverse, against the homogenized tensor of the Jacobi-CG correctors,
+    # on the demo cell and on a z-asymmetric one (b != 0)
+    cell = build_cell_mesh(CellGeometry(gel_box=((0.25, 0.75), (0.25, 0.75)), z_span=z_span), 4)
+    _, hom, op, mom = solve_cell(cell, two_phase_hooke, biot, 1e-10)
+    plate = build_plate_mesh(((0.0, 1.0), (0.0, 1.0)), plate_m)
+    msys = twoscale.assemble_macro(hom, op, mom, plate, biot, LoadSpec())
+    osys = twoscale.MupSystem(cell, plate, two_phase_hooke, biot, LoadSpec())
+    assert np.abs(osys.A - msys.A).max() <= 1e-12 * np.abs(msys.A).max()
 
 
 def test_micro_limit_consistency_with_biot_modulus(default_geom, two_phase_hooke):
