@@ -2,6 +2,7 @@
 
 from .assembly import (
     assemble_body_force,
+    assemble_clamped_stiffness,
     assemble_divergence_coupling,
     assemble_elastic_stiffness,
     assemble_scalar_diffusion,
@@ -15,6 +16,7 @@ from .solvers import Kron, pcg, solve_saddle
 
 __all__ = [
     "assemble_body_force",
+    "assemble_clamped_stiffness",
     "assemble_divergence_coupling",
     "assemble_elastic_stiffness",
     "assemble_scalar_diffusion",

@@ -1,10 +1,11 @@
 """Sparse assembly of the bilinear forms on the structured meshes.
 
 Every mesh is a uniform grid, so each operator is one element matrix (one per
-phase, or per label) summed into a global array.  That sum is made here only:
-`scatter` for matrices and `scatter_vector` for vectors, on the element node
-ids of `element_nodes` (or the scalar dof ids of `element_dofs`) and the
-quadrature points of `qp_points`.  A negative id marks an eliminated node or
+phase, or per label) summed into a global array.  That sum is made here only,
+in general by `scatter` for matrices and `scatter_vector` for vectors (the
+clamped micro stiffness is written by its own function, below), on the
+element node ids of `element_nodes` (or the scalar dof ids of
+`element_dofs`) and the quadrature points of `qp_points`.  A negative id marks an eliminated node or
 dof (a clamped node, a clamped plate dof) and its entries are dropped.
 
 `scatter` sums on node pairs: an element matrix with b x b' blocks per node
@@ -27,6 +28,20 @@ eps = 1/8 this leaves B with 78 % of the entries it would otherwise store,
 and every entry that stays exceeds 1e-6 of its matrix's largest, so the
 bound is not a tolerance to tune.
 
+The clamped micro stiffness B, by far the largest operator, is written
+straight to CSR from one cell instead (`assemble_clamped_stiffness`).  The
+micro mesh tiles congruent cells, so at a kept node (i, j, k) the block sum of
+the node pair (node, node + offset) depends only on (i mod n, j mod n, k) and
+the offset, one of 27; the lateral clamp removes exactly the nodes where this
+fails.  `_cell_stencil` sums each pair's terms from the two phase element
+matrices in `_block_sum`'s order (label, then row corner, then column corner)
+and drops the same entries inside the same bound, and IEEE addition in the
+same order gives the same bits, so B is `scatter`'s B bit for bit.  No array
+of per-element entries and no full-size intermediate CSR exists.  `tile_rows`
+repeats the rows of one cell's block with shifted columns, for the gel blocks
+that repeat cell 0's (`micro`).  The periodic cell K_red stays on `scatter`:
+on a one-cell mesh the stencil is the whole matrix, and there it costs more.
+
 A form that is only evaluated, never solved with (the micro norms), is not
 assembled: an `ElementForm` keeps the element node ids and one element matrix,
 and `quads` evaluates u^T A u of several forms on the same elements from one
@@ -44,7 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import AssemblyError, MaterialError
-from ..material import BiotParams, HookeTensor
+from ..material import HookeTensor
 from . import elements as el
 
 EPS = np.finfo(float).eps
@@ -281,10 +296,115 @@ def assemble_elastic_stiffness(mesh, hooke: HookeTensor, node_map=None) -> sp.cs
 
     On a reduced node map (see the module docstring) it is P^T K P.
     """
-    require_coercive(hooke)
-    ke = np.stack([el.hex_elastic_ke(mesh.spacing, D) for D in (hooke.fiber, hooke.gel)])
     nodes, n = element_nodes(mesh, node_map=node_map)
-    return scatter(nodes, ke, (3 * n, 3 * n), phase=mesh.phase)
+    return scatter(nodes, _phase_stiffness(mesh, hooke), (3 * n, 3 * n), phase=mesh.phase)
+
+
+def _phase_stiffness(mesh, hooke: HookeTensor) -> np.ndarray:
+    """(2, 24, 24): the element stiffness of the fiber and of the gel (labels 0, 1)."""
+    require_coercive(hooke)
+    return np.stack([el.hex_elastic_ke(mesh.spacing, D) for D in (hooke.fiber, hooke.gel)])
+
+
+def assemble_clamped_stiffness(mesh, hooke: HookeTensor) -> sp.csr_matrix:
+    """`assemble_elastic_stiffness` of a tiled plate mesh on its lateral clamp
+    (`micro.clamp_node_map`), bit for bit, written to CSR from one cell's
+    stencil (see the module docstring).
+
+    Grid line (k, j) of kept nodes holds the reduced nodes (i - 1) +
+    (nx - 1) ((j - 1) + (ny - 1) k), i = 1 ... nx - 1: its rows are the
+    template of its class (k, j mod n, j at the lower or upper clamp border),
+    and its columns the template's plus 3 (nx - 1) ((j - 1) + (ny - 1) k).
+    """
+    n, (nx, ny, nz) = mesh.n, mesh.nelems
+    if n < 3:
+        raise AssemblyError(f"the cell stencil needs n >= 3 elements per cell edge, got {n}")
+    V = _cell_stencil(_phase_stiffness(mesh, hooke),
+                      mesh.phase[mesh.cell_elems[0]].reshape(nz, n, n))
+    dk, dj, di = (d.ravel() - 1 for d in np.indices((3, 3, 3)))
+    # line classes jc: j mod n inside, n on the lower clamp border (j = 1), n + 1 on the upper
+    jm = np.r_[np.arange(n), 1, n - 1]
+    # [jc, i, o]: the column of offset o is a kept node
+    i = np.arange(1, nx)[:, None]
+    valid = np.ones((n + 2, nx - 1, 27), dtype=bool)
+    valid[n][:, dj < 0] = valid[n + 1][:, dj > 0] = False
+    valid &= (i + di >= 1) & (i + di <= nx - 1)
+    # [i, (o, c)]: the column's reduced dof relative to the line's first
+    cols = (3 * (i - 1 + di + (nx - 1) * (dj + (ny - 1) * dk))[:, :, None]
+            + np.arange(3)).astype(np.int32).reshape(nx - 1, 1, 81)
+    vals = V.reshape(nz + 1, n, n, 3, 81)[:, jm[:, None], i.ravel() % n]   # [k, jc, i, r, (o, c)]
+    keep = vals != 0.0
+    keep &= np.broadcast_to(valid[:, :, None, :, None], (n + 2, nx - 1, 3, 27, 3)).reshape(
+        n + 2, nx - 1, 3, 81)
+    t_data = vals[keep]
+    t_cols = np.broadcast_to(cols, vals.shape)[keep]
+    t_rows = np.count_nonzero(keep, axis=4).reshape(nz + 1, n + 2, -1)   # per class, row counts
+    t_ptr = np.r_[0, np.cumsum(t_rows.sum(axis=2))]
+    del V, vals, keep
+    line_k, line_j = (g.ravel() for g in np.indices((nz + 1, ny - 1)))
+    line_j += 1
+    jc = np.where(line_j == 1, n, np.where(line_j == ny - 1, n + 1, line_j % n))
+    cls = line_k * (n + 2) + jc
+    counts = t_rows.reshape(-1, t_rows.shape[2])[cls].ravel()
+    idx = np.int32 if counts.sum() < 2**31 else np.int64
+    indptr = np.r_[0, np.cumsum(counts)].astype(idx)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=idx)
+    p, t_ptr = 0, t_ptr.tolist()
+    for c, shift in zip(cls.tolist(), (3 * (nx - 1) * (line_j - 1 + (ny - 1) * line_k)).tolist()):
+        s, e = t_ptr[c], t_ptr[c + 1]
+        data[p:p + e - s] = t_data[s:e]
+        np.add(t_cols[s:e], shift, out=indices[p:p + e - s])
+        p += e - s
+    n_red = 3 * (nx - 1) * (ny - 1) * (nz + 1)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_red, n_red))
+
+
+def _cell_stencil(ke: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """V[k, j mod n, i mod n, r, o, c]: entry (r, c) of the block sum of the
+    node pair (node, node + offset o) at node (i, j, k) of a grid tiled by one
+    cell's element labels phase [k, j, i] (nz, n, n), offsets (dk, dj, di) in
+    {-1, 0, 1}^3 lexicographic, so that columns ascend.
+
+    The terms are summed, and bounded, in `_block_sum`'s order (label, row
+    corner, column corner), so every entry is the bits `scatter` sums.  One
+    pass per (label, row corner) adds the blocks at the nodes whose element
+    at that corner has that label.
+    """
+    nz, n = phase.shape[:2]
+    kr, nl = len(el.CORNERS), len(ke)
+    # [l, a, bz, by, bx, e]: entry e < 9 of node block (a, b) of label l, with
+    # its largest magnitude as e = 9, and column corner b on its grid
+    blocks = ke.reshape(nl, kr, 3, kr, 3).swapaxes(2, 3).reshape(nl, kr, kr, 9)
+    blocks = np.concatenate([blocks, np.abs(blocks).max(axis=3, keepdims=True)], axis=3)
+    blocks = blocks[:, :, np.lexsort(el.CORNERS.T)].reshape(nl, kr, 2, 2, 2, 10, 1)
+    S = np.zeros((3, 3, 3, 10, (nz + 1) * n * n))   # [dk, dj, di, e, (k, jm, im)]
+    # lab[k + 1, j + 1, i + 1] is the label of the cell's element (i, j, k) for
+    # i, j = -1 ... n - 1 (-1 wraps to n - 1) and k = -1 ... nz (-1 outside the grid)
+    lab = np.full((nz + 2, n + 1, n + 1), -1, dtype=np.int8)
+    lab[1:-1, 1:, 1:] = phase
+    lab[1:-1, 0, 1:] = phase[:, -1]
+    lab[:, :, 0] = lab[:, :, -1]
+    for l in range(nl):
+        on = (lab == l).astype(float)
+        for a, (ax, ay, az) in enumerate(el.CORNERS):
+            # the element at corner a of node (i, j, k) is (i - ax, j - ay, k - az); an
+            # exact zero is added where it has another label
+            at = on[1 - az:nz + 2 - az, 1 - ay:n + 1 - ay, 1 - ax:n + 1 - ax].ravel()
+            S[1 - az:3 - az, 1 - ay:3 - ay, 1 - ax:3 - ax] += blocks[l, a] * at
+    V = S[:, :, :, :9]
+    V *= np.abs(V) > kr * EPS * S[:, :, :, 9:]
+    return np.ascontiguousarray(V.reshape(27, 3, 3, nz + 1, n, n).transpose(3, 4, 5, 1, 0, 2))
+
+
+def tile_rows(A: sp.csr_matrix, shifts: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """The rows of A once per shift, copy c with its columns moved by shifts[c]:
+    the canonical CSR of shape (len(shifts) rows of A, n_cols)."""
+    t, nnz = len(shifts), A.nnz
+    idx = np.int32 if max(n_cols, t * nnz) < 2**31 else np.int64
+    indptr = np.append((A.indptr[:-1] + nnz * np.arange(t)[:, None]).ravel(), t * nnz)
+    indices = (A.indices.astype(idx) + np.asarray(shifts, dtype=idx)[:, None]).ravel()
+    return sp.csr_matrix((np.tile(A.data, t), indices, indptr.astype(idx)),
+                         shape=(t * A.shape[0], n_cols))
 
 
 def assemble_scalar_mass(mesh, *, elems_mask=None, nodes=None) -> sp.csr_matrix:
@@ -305,12 +425,14 @@ def assemble_scalar_diffusion(mesh, K: np.ndarray, *, elems_mask=None, nodes=Non
     return scatter(dofs, scale * el.hex_scalar_diffusion_ke(mesh.spacing, K), (n, n))
 
 
-def assemble_divergence_coupling(mesh, *, gel_nodes, node_map=None) -> sp.csr_matrix:
+def assemble_divergence_coupling(mesh, *, gel_nodes, node_map=None,
+                                 elems_mask=None) -> sp.csr_matrix:
     """C[j, dof] = int_gel phi_j div(xi_dof): pressure rows on gel nodes only.
 
-    On a reduced node map the columns are the reduced dofs: C P.
+    On a reduced node map the columns are the reduced dofs: C P.  The sum runs
+    over the gel elements, or over the given subset of them.
     """
-    gel_mask = mesh.phase == 1
+    gel_mask = mesh.phase == 1 if elems_mask is None else elems_mask
     if not np.any(gel_mask):
         raise AssemblyError("mesh has no gel elements to couple")
     p_rows, n_p = element_dofs(mesh, gel_mask, gel_nodes)
@@ -346,17 +468,3 @@ def lumped_weights(mesh, *, elems_mask=None, nodes=None, weight=None) -> np.ndar
         return assemble_scalar_source(mesh, lambda x, y, z: np.ones_like(x),
                                       elems_mask=elems_mask, nodes=nodes)
     return assemble_scalar_source(mesh, weight, elems_mask=elems_mask, nodes=nodes)
-
-
-def micro_pressure_blocks(biot: BiotParams, mesh):
-    """(mass, diffusion) on the gel pressure space of a micro mesh.
-
-    The diffusion carries the eps^2 K scaling of the micro problem, at the
-    mesh's eps; the mass is unscaled (the Biot modulus c multiplies it in the
-    stepper).
-    """
-    gel_mask = mesh.phase == 1
-    M = assemble_scalar_mass(mesh, elems_mask=gel_mask, nodes=mesh.gel_nodes)
-    D = assemble_scalar_diffusion(mesh, biot.K, elems_mask=gel_mask, nodes=mesh.gel_nodes,
-                                  scale=mesh.eps**2)
-    return M, D

@@ -49,13 +49,16 @@ dt, so one hierarchy serves every step size and both steppers.
 
 The gel cells are congruent translates of one cell (`BrickMesh.cell_nodes`,
 `cell_elems`, and the cell-major `gel_nodes`), so M, D and C repeat one cell
-block.  The operators that depend on the step size, cM + dt D = I (x) S_cell
+block: `assemble_micro` sums them on cell 0's gel elements and tiles them over
+the cells (`fem.assembly.tile_rows`), bit for bit the whole-mesh sums.  The
+operators that depend on the step size, cM + dt D = I (x) S_cell
 with its inverse and the block preconditioner of the pressure ODE, are
 `fem.solvers.Kron` blocks built from cell 0 once per dt
 (`GalerkinSystem.step_operators`, on the step cache of `fem.solvers`) and
 read by both steppers.
 
-`assemble_micro` assembles only what a step reads: B, C, M and D.  The
+`assemble_micro` assembles only what a step reads: B, C, M and D, with B
+written from one cell's stencil (`fem.assemble_clamped_stiffness`).  The
 a-priori norms of the trajectory table, ||e(U)||, ||grad U|| and
 eps ||grad p||, are evaluated element by element from one element matrix
 each (`fem.assembly.ElementForm`); ||e(U)|| and ||grad U|| share one gather of
@@ -201,9 +204,8 @@ def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: f
     loads = loads if loads is not None else LoadSpec()
     node_map = clamp_node_map(mesh)
     reducer = Reducer(node_dof_map(node_map, 3))
-    B = fem.assemble_elastic_stiffness(mesh, hooke, node_map)
-    C = fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes, node_map=node_map)
-    M, D = fem.assembly.micro_pressure_blocks(biot, mesh)
+    B = fem.assemble_clamped_stiffness(mesh, hooke)
+    C, M, D = _gel_blocks(mesh, biot, node_map)
     gel_mask = mesh.phase == GEL
     k_grad = el.hex_scalar_diffusion_ke(mesh.spacing, np.eye(3))
     f_scale = (eps, eps, eps**2)
@@ -228,6 +230,34 @@ def assemble_micro(mesh: BrickMesh, hooke: HookeTensor, biot: BiotParams, eps: f
         grad_p_sq=ElementForm(fem.assembly.element_dofs(mesh, gel_mask, mesh.gel_nodes)[0],
                               k_grad),
     )
+
+
+def _gel_blocks(mesh: BrickMesh, biot: BiotParams, node_map: np.ndarray):
+    """(C, M, D): the coupling on the clamp's dofs, the gel pressure mass
+    (unscaled: c multiplies it in the stepper) and the eps^2 K diffusion.
+
+    Each is summed on cell 0's gel elements and tiled over the cells: the gel
+    nodes are numbered cell-major and the gel boxes are congruent, so M and D
+    are block diagonal, and cell c's rows of C are cell 0's with the columns
+    moved by the clamp ids' offset of cell c, the same for each of its gel
+    nodes as long as none lies on the clamp.
+    """
+    ids = node_map[mesh.gel_nodes.reshape(mesh.total_cells, -1)]
+    if np.any(ids < 0):
+        raise AssemblyError("a gel node lies on the clamp")
+    ng = mesh.n_gel_local
+    nodes0 = mesh.gel_nodes[:ng]
+    cell0 = np.zeros(mesh.n_elems, dtype=bool)
+    cell0[mesh.cell_elems[0]] = True
+    cell0 &= mesh.phase == GEL
+    C0 = fem.assemble_divergence_coupling(mesh, gel_nodes=nodes0, node_map=node_map,
+                                          elems_mask=cell0)
+    M0 = fem.assemble_scalar_mass(mesh, elems_mask=cell0, nodes=nodes0)
+    D0 = fem.assemble_scalar_diffusion(mesh, biot.K, elems_mask=cell0, nodes=nodes0,
+                                       scale=mesh.eps**2)
+    shifts, n_p = ng * np.arange(mesh.total_cells), ng * mesh.total_cells
+    return (fem.assembly.tile_rows(C0, 3 * (ids[:, 0] - ids[0, 0]), C0.shape[1]),
+            fem.assembly.tile_rows(M0, shifts, n_p), fem.assembly.tile_rows(D0, shifts, n_p))
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -325,10 +327,11 @@ def _scatter_reference(rows, ke, shape, cols=None, phase=None):
 
 def test_scatter_forms_drop_only_entries_inside_the_rounding_bound(
         monkeypatch, default_geom, two_phase_hooke, cell_mesh4):
-    # every scatter call of assemble_micro (B, C, M, D; its norm forms are
-    # evaluated, not assembled) and of the cell K_red, against the undropped
-    # sum of its element entries, with the bound k eps max|ke| for k-node
-    # elements
+    # every assembled form of assemble_micro (B from its cell stencil; C, M
+    # and D from the scatter calls on cell 0's gel elements; its norm forms
+    # are evaluated, not assembled) and of the cell K_red, against the
+    # undropped sum of its element entries, with the bound k eps max|ke| for
+    # k-node elements
     calls, real = [], fem.assembly.scatter
 
     def recording(rows, ke, shape, cols=None, phase=None):
@@ -340,9 +343,14 @@ def test_scatter_forms_drop_only_entries_inside_the_rounding_bound(
     monkeypatch.setattr(fem.assembly, "scatter", recording)
     biot = BiotParams(c=1.0, alpha=1.0, K=np.diag([1.0, 2.0, 0.5]))
     mesh = build_micro_mesh(default_geom, 0.25, ((0.0, 1.0), (0.0, 1.0)), 4)
-    micro.assemble_micro(mesh, two_phase_hooke, biot, 0.25)
+    sysm = micro.assemble_micro(mesh, two_phase_hooke, biot, 0.25)
     cell.CellProblem(cell_mesh4, two_phase_hooke)
-    assert len(calls) == 5
+    assert len(calls) == 4
+    assert [A.shape[0] for _, A, _ in calls[:3]] == [mesh.n_gel_local] * 3   # cell 0's C, M, D
+    ke = _two_phase_ke(mesh, two_phase_hooke)
+    nodes, _ = fem.assembly.element_nodes(mesh, node_map=micro.clamp_node_map(mesh))
+    calls.append((8 * np.finfo(float).eps * np.abs(ke).max(), sysm.B,
+                  _scatter_reference(nodes, ke, sysm.B.shape, phase=mesh.phase)))
     dropped = 0
     for bound, A, ref in calls:
         assert A.has_canonical_format and A.shape == ref.shape
@@ -351,6 +359,110 @@ def test_scatter_forms_drop_only_entries_inside_the_rounding_bound(
         ref.eliminate_zeros()
         dropped += ref.nnz - A.nnz
     assert dropped > 0   # the cancelled entries are gone
+    assert ref.nnz > sysm.B.nnz   # B's among them (ref is the last call's, B's)
+
+
+def _two_phase_ke(mesh, hooke):
+    """The (2, 24, 24) element stiffness of the fiber and the gel."""
+    return np.stack([el.hex_elastic_ke(mesh.spacing, D) for D in (hooke.fiber, hooke.gel)])
+
+
+def _assert_bitwise(A, ref):
+    """A and ref are the same canonical int32 CSR: indptr, indices and data."""
+    assert A.shape == ref.shape and A.has_canonical_format
+    assert A.indptr.dtype == A.indices.dtype == np.int32
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+
+
+def _assert_micro_operators_are_scatter_bitwise(mesh, hooke, biot):
+    # B from the cell stencil against scatter on the clamp's node map; C, M
+    # and D tiled from cell 0 against scatter on every gel element
+    sysm = micro.assemble_micro(mesh, hooke, biot, mesh.eps)
+    node_map = micro.clamp_node_map(mesh)
+    nodes, n = fem.assembly.element_nodes(mesh, node_map=node_map)
+    _assert_bitwise(sysm.B, fem.assembly.scatter(nodes, _two_phase_ke(mesh, hooke),
+                                                 (3 * n, 3 * n), phase=mesh.phase))
+    gel = mesh.phase == GEL
+    _assert_bitwise(sysm.C, fem.assemble_divergence_coupling(mesh, gel_nodes=mesh.gel_nodes,
+                                                             node_map=node_map))
+    _assert_bitwise(sysm.M, fem.assemble_scalar_mass(mesh, elems_mask=gel, nodes=mesh.gel_nodes))
+    _assert_bitwise(sysm.D, fem.assemble_scalar_diffusion(
+        mesh, biot.K, elems_mask=gel, nodes=mesh.gel_nodes, scale=mesh.eps**2))
+
+
+# per cell_n: an admissible gel box off the cell's centre and a z-asymmetric span
+_CELL_CASES = {
+    3: (((1 / 3, 2 / 3), (1 / 3, 2 / 3)), (-1 / 3, 1.0)),
+    4: (((0.25, 0.5), (0.5, 0.75)), (-0.5, 0.75)),
+    6: (((1 / 6, 4 / 6), (2 / 6, 5 / 6)), (-1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+@pytest.mark.parametrize("n", sorted(_CELL_CASES))
+def test_micro_operators_are_the_scatter_operators_bit_for_bit(eps, n, two_phase_hooke):
+    # a non-square omega, so nx != ny
+    box, span = _CELL_CASES[n]
+    mesh = build_micro_mesh(CellGeometry(gel_box=box, z_span=span), eps,
+                            ((0.0, 1.0), (0.0, 0.5)), n)
+    biot = BiotParams(c=1.0, alpha=1.0, K=np.diag([1.0, 2.0, 0.5]))
+    _assert_micro_operators_are_scatter_bitwise(mesh, two_phase_hooke, biot)
+
+
+@st.composite
+def _snapped_cells(draw):
+    """(n, CellGeometry) with the gel box and the span on the n-grid."""
+    n = draw(st.integers(3, 6))
+    box = []
+    for _ in range(2):
+        lo = draw(st.integers(1, n - 2))
+        box.append((lo / n, draw(st.integers(lo + 1, n - 1)) / n))
+    z_lo = draw(st.integers(0, 2 * n - 1))
+    z_hi = draw(st.integers(z_lo + 1, 2 * n))
+    return n, CellGeometry(gel_box=tuple(box), z_span=(z_lo / n - 1.0, z_hi / n - 1.0))
+
+
+@settings(max_examples=8, deadline=None)
+@given(cell=_snapped_cells(), contrast=st.floats(-6.0, 6.0), nu=st.floats(0.0, 0.45))
+def test_micro_operators_are_the_scatter_operators_on_any_snapped_cell(cell, contrast, nu):
+    n, geom = cell
+    mesh = build_micro_mesh(geom, 0.5, ((0.0, 1.0), (0.0, 0.5)), n)
+    hooke = HookeTensor(fiber=isotropic(10.0**contrast, 0.3), gel=isotropic(1.0, nu))
+    biot = BiotParams(c=1.0, alpha=1.0, K=np.diag([1.0, 0.5, 2.0]))
+    _assert_micro_operators_are_scatter_bitwise(mesh, hooke, biot)
+
+
+def test_clamped_stiffness_holds_no_transient_beyond_half_its_bytes(default_geom, two_phase_hooke):
+    # the stencil build writes B straight to CSR: the traced peak stays within
+    # 1.5 times the bytes B holds (the element-wise scatter path peaks at 2.6)
+    mesh = build_micro_mesh(default_geom, 0.125, ((0.0, 1.0), (0.0, 1.0)), 4)
+    tracemalloc.start()
+    try:
+        B = fem.assemble_clamped_stiffness(mesh, two_phase_hooke)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
+
+
+def test_clamped_stiffness_refuses_cells_below_three_elements(two_phase_hooke):
+    # a fiber-only cell of n = 2: one cell across omega would put a line of
+    # kept nodes on both clamp borders, which the line classes do not cover
+    mesh = build_micro_mesh(CellGeometry(gel_box=None), 0.5, ((0.0, 1.0), (0.0, 0.5)), 2)
+    with pytest.raises(AssemblyError, match="n >= 3"):
+        fem.assemble_clamped_stiffness(mesh, two_phase_hooke)
+
+
+def test_gel_blocks_refuse_a_gel_node_on_the_clamp(micro_mesh4, two_phase_hooke, biot):
+    # cell c's columns of C are cell 0's shifted by one offset, which holds
+    # only while every gel node is a kept node
+    gel_nodes = micro_mesh4.gel_nodes.copy()
+    gel_nodes[-1] = 0   # a corner node: clamped
+    mesh = dataclasses.replace(micro_mesh4, gel_nodes=gel_nodes)
+    with pytest.raises(AssemblyError, match="gel node lies on the clamp"):
+        micro.assemble_micro(mesh, two_phase_hooke, biot, mesh.eps)
 
 
 @settings(max_examples=12, deadline=None)
